@@ -7,7 +7,7 @@ features and label embeddings share structure, which is what the alignment
 methods exploit.
 
 On-disk formats:
-  class table  CSV   class_id,verb_id,noun_id,verb,noun,text
+  class table  CSV   class_id,verb_id,noun_id,verb_text,noun_text,n_instances
   features     OSF1  binary, float32 little-endian frames
   labels       OSL1  binary, float32 little-endian embedding per class
 """
@@ -144,6 +144,8 @@ class Dataset:
             emb = np.asarray(emb, dtype=np.float64)
             if emb.ndim != 1:
                 raise DimensionError(f"label embedding for class {cid} must be 1-D")
+            if not np.isfinite(emb).all():
+                raise ConfigError(f"label embedding for class {cid} is not finite")
             if abs(float(np.linalg.norm(emb)) - 1.0) > 1e-6:
                 raise ConfigError(f"label embedding for class {cid} is not unit norm")
             self.label_embeddings[cid] = emb
@@ -341,7 +343,13 @@ def write_features(path: str, instances: list[Instance]) -> None:
                     f"write_features: instance {inst.instance_id} shape "
                     f"{inst.features.shape} != ({frames}, {input_dim})"
                 )
-            fh.write(struct.pack("<II", inst.instance_id, inst.class_id))
+            try:
+                fh.write(struct.pack("<II", inst.instance_id, inst.class_id))
+            except struct.error as exc:
+                raise FormatError(
+                    f"write_features: instance {inst.instance_id} class {inst.class_id}: "
+                    "ids must be integers in [0, 2^32)"
+                ) from exc
             fh.write(inst.features.astype("<f4").tobytes(order="C"))
 
 
@@ -360,6 +368,15 @@ def read_features(path: str) -> list[Instance]:
     expected = 20 + n_instances * (8 + payload)
     if len(blob) != expected:
         raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
+    if n_instances:
+        record = np.dtype([("ids", "<u4", (2,)), ("features", "<f4", (frames * input_dim,))])
+        records = np.frombuffer(blob, dtype=record, offset=20)
+        # a float64 row sum is finite exactly when every float32 term is, and
+        # needs no (N, frames * input_dim) temporary
+        finite = np.isfinite(records["features"].sum(axis=1, dtype=np.float64))
+        if not finite.all():
+            bad = int(records["ids"][np.argmin(finite), 0])
+            raise FormatError(f"{path}: instance {bad} has non-finite features")
     instances = []
     off = 20
     for _ in range(n_instances):
@@ -391,7 +408,12 @@ def write_labels(path: str, embeddings: dict[int, np.ndarray]) -> None:
         fh.write(_MAGIC_LABELS)
         fh.write(struct.pack("<III", 1, len(embeddings), d_b))
         for cid in sorted(embeddings):
-            fh.write(struct.pack("<I", cid))
+            try:
+                fh.write(struct.pack("<I", cid))
+            except struct.error as exc:
+                raise FormatError(
+                    f"write_labels: class id {cid} must be an integer in [0, 2^32)"
+                ) from exc
             fh.write(np.asarray(embeddings[cid], dtype="<f4").tobytes(order="C"))
 
 

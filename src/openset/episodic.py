@@ -101,6 +101,26 @@ def sample_episode(
     """Draw one episode. FSG supports and queries are disjoint instances of
     the same class; the cross-modal task supports each class with its single
     label embedding (k must be 1)."""
+    picked, drawn = _draw_episode(dataset, eval_classes, task, rng, n, k, m)
+    support: list[tuple[object, int]] = []
+    queries: list[tuple[Instance, int]] = []
+    for cid, idx in zip(picked, drawn):
+        avail = dataset.instances_by_class[cid]
+        if task == TASK_FSG:
+            support.extend((avail[i], cid) for i in idx[:k])
+            idx = idx[k:]
+        else:
+            support.append((dataset.label_embeddings[cid], cid))
+        queries.extend((avail[i], cid) for i in idx)
+    return Episode(task=task, classes=picked, support=support, queries=queries)
+
+
+def _draw_episode(
+    dataset: Dataset, eval_classes: set[int], task: str, rng: np.random.Generator,
+    n: int, k: int, m: int,
+) -> tuple[list[int], list[np.ndarray]]:
+    """The episode's classes and, per class, the drawn positions into
+    instances_by_class: FSG supports first (k of them), then queries."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if n < 1 or k < 1 or m < 1:
@@ -109,28 +129,11 @@ def sample_episode(
         raise MethodError("cross-modal episodes provide one label per class; k must be 1")
     eligible = eligible_episode_classes(dataset, eval_classes, task, k)
     if len(eligible) < n:
-        raise SamplingError(
-            f"episode: need {n} eligible classes, have {len(eligible)}"
-        )
+        raise SamplingError(f"episode: need {n} eligible classes, have {len(eligible)}")
     picked = [eligible[i] for i in rng.choice(len(eligible), size=n, replace=False)]
-    support: list[tuple[object, int]] = []
-    queries: list[tuple[Instance, int]] = []
-    for cid in picked:
-        avail = dataset.instances_by_class[cid]
-        if task == TASK_FSG:
-            n_query = min(m, len(avail) - k)
-            idx = rng.choice(len(avail), size=k + n_query, replace=False)
-            for i in idx[:k]:
-                support.append((avail[i], cid))
-            for i in idx[k:]:
-                queries.append((avail[i], cid))
-        else:
-            support.append((dataset.label_embeddings[cid], cid))
-            n_query = min(m, len(avail))
-            idx = rng.choice(len(avail), size=n_query, replace=False)
-            for i in idx:
-                queries.append((avail[i], cid))
-    return Episode(task=task, classes=picked, support=support, queries=queries)
+    n_support = k if task == TASK_FSG else 0
+    sizes = [len(dataset.instances_by_class[cid]) for cid in picked]
+    return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
 
 
 def knn_classify(
@@ -138,30 +141,36 @@ def knn_classify(
     support_classes: np.ndarray,
     query_embedding: np.ndarray,
     kappa: int,
-) -> int:
+) -> int | np.ndarray:
     """Predict the majority class of the kappa most similar support items.
 
-    Deterministic and order-free: neighbor ties broken by smaller class_id,
-    vote ties by larger summed similarity then smaller class_id.
+    A (Q, D) block of queries gives an int64 array of Q predictions; one
+    1-D query gives an int. Deterministic and order-free: neighbor ties
+    broken by smaller class_id, vote ties by larger summed similarity then
+    smaller class_id.
     """
     support_embeddings = np.asarray(support_embeddings, dtype=np.float64)
     support_classes = np.asarray(support_classes, dtype=np.int64)
     if support_embeddings.ndim != 2 or support_embeddings.shape[0] == 0:
         raise ConfigError("knn: support must be a nonempty 2-D array")
     if not (1 <= kappa <= support_embeddings.shape[0]):
-        raise ConfigError(
-            f"knn: kappa {kappa} out of range 1..{support_embeddings.shape[0]}"
-        )
-    sims = support_embeddings @ np.asarray(query_embedding, dtype=np.float64)
-    order = np.lexsort((support_classes, -sims))
-    top = order[:kappa]
-    votes: dict[int, int] = {}
-    sum_sim: dict[int, float] = {}
-    for i in top:
-        cid = int(support_classes[i])
-        votes[cid] = votes.get(cid, 0) + 1
-        sum_sim[cid] = sum_sim.get(cid, 0.0) + float(sims[i])
-    return max(votes, key=lambda cid: (votes[cid], sum_sim[cid], -cid))
+        raise ConfigError(f"knn: kappa {kappa} out of range 1..{support_embeddings.shape[0]}")
+    queries = np.asarray(query_embedding, dtype=np.float64)
+    sims = np.atleast_2d(queries) @ support_embeddings.T
+    order = np.lexsort((np.broadcast_to(support_classes, sims.shape), -sims), axis=-1)
+    classes, slot = np.unique(support_classes, return_inverse=True)
+    rows = np.arange(sims.shape[0])
+    votes = np.zeros((sims.shape[0], len(classes)), dtype=np.int64)
+    sum_sim = np.zeros(votes.shape)
+    # one rank at a time, so each class's similarities add in top-kappa order
+    for col in order[:, :kappa].T:
+        votes[rows, slot[col]] += 1
+        sum_sim[rows, slot[col]] += sims[rows, col]
+    best = votes == votes.max(axis=1, keepdims=True)
+    sum_sim[~best] = -np.inf
+    best &= sum_sim == sum_sim.max(axis=1, keepdims=True)
+    pred = classes[np.argmax(best, axis=1)]
+    return int(pred[0]) if queries.ndim == 1 else pred
 
 
 @dataclass
@@ -230,20 +239,17 @@ def evaluate(
 
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
-    the whole run. Deterministic in seed.
+    the whole run. Each eligible class is embedded once per call, and every
+    episode indexes those rows. Deterministic in seed.
     """
     support_mode = support_mode_for(model, task)
     if n_episodes < 1:
         raise ConfigError("evaluate: n_episodes must be positive")
-    report = EvalReport(
-        task=task,
-        n=n,
-        k=k,
-        m=m,
-        n_episodes=n_episodes,
-        seed=seed,
-        support_mode=support_mode,
-    )
+    report = EvalReport(task=task, n=n, k=k, m=m, n_episodes=n_episodes, seed=seed,
+                        support_mode=support_mode)
+    n_support = k if support_mode == SUPPORT_VIDEO else 0
+    video: dict[int, np.ndarray] = {}
+    labels: dict[int, np.ndarray] = {}
     for subset_idx, (name, classes) in enumerate(_episode_subsets(split)):
         eligible = eligible_episode_classes(dataset, classes, task, k)
         if len(eligible) < n:
@@ -252,35 +258,29 @@ def evaluate(
                 f"subset {name}: {len(eligible)} eligible classes < n={n}; skipped"
             )
             continue
+        for cid in sorted(set(eligible) - video.keys()):
+            frames = np.stack([inst.features for inst in dataset.instances_by_class[cid]])
+            video[cid], _ = model.embed_video_batch(frames)
+            if support_mode == SUPPORT_LABEL_RAW:
+                labels[cid] = dataset.label_embeddings[cid]
+            elif support_mode == SUPPORT_LABEL_PROJECTED:
+                labels[cid] = model.embed_label_batch(dataset.label_embeddings[cid][None])[0][0]
         result = SubsetResult()
         for episode_idx in range(n_episodes):
             rng = np.random.default_rng([seed, subset_idx, episode_idx])
-            episode = sample_episode(dataset, classes, task, rng, n, k, m)
-            sup_emb, sup_ids = _embed_support(model, dataset, episode, support_mode)
-            query_frames = np.stack([inst.features for inst, _ in episode.queries])
-            query_emb, _ = model.embed_video_batch(query_frames)
+            picked, drawn = _draw_episode(dataset, classes, task, rng, n, k, m)
+            if support_mode == SUPPORT_VIDEO:
+                sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
+            else:
+                sup_emb = np.stack([labels[c] for c in picked])
+            query_emb = np.concatenate([video[c][i[n_support:]] for c, i in zip(picked, drawn)])
+            true_cid = np.repeat(picked, [len(i) - n_support for i in drawn])
+            pred = knn_classify(sup_emb, np.repeat(picked, k), query_emb, kappa=k)
             result.episodes += 1
-            for qi, (_, true_cid) in enumerate(episode.queries):
-                pred = knn_classify(sup_emb, sup_ids, query_emb[qi], kappa=k)
-                result.queries += 1
-                result.correct += int(pred == true_cid)
+            result.queries += len(true_cid)
+            result.correct += int(np.count_nonzero(pred == true_cid))
         report.subsets[name] = result
     return report
-
-
-def _embed_support(
-    model: EmbeddingModel, dataset: Dataset, episode: Episode, support_mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.array([cid for _, cid in episode.support], dtype=np.int64)
-    if support_mode == SUPPORT_VIDEO:
-        frames = np.stack([item.features for item, _ in episode.support])
-        emb, _ = model.embed_video_batch(frames)
-        return emb, ids
-    vectors = np.stack([np.asarray(item, dtype=np.float64) for item, _ in episode.support])
-    if support_mode == SUPPORT_LABEL_RAW:
-        return vectors, ids
-    emb, _ = model.embed_label_batch(vectors)
-    return emb, ids
 
 
 _EVAL_HEADER = "task,subset,n,k,m,episodes,queries,correct,accuracy,seed"

@@ -76,12 +76,15 @@ def histogram_loss_naive(
 def multisim_loss_naive(
     embeddings: np.ndarray,
     class_ids: np.ndarray,
-    alpha: float = 2.0,
-    beta: float = 50.0,
-    base: float = 1.0,
-    margin: float = 0.1,
+    *,
+    alpha: float,
+    beta: float,
+    base: float,
+    margin: float,
 ) -> float:
-    """Per-anchor mined multi-similarity loss, scalar loops only."""
+    """Per-anchor mined multi-similarity loss, scalar loops only. The
+    hyperparameters have no defaults, so every caller states the
+    configuration it checks."""
     n = len(class_ids)
     total = 0.0
     for i in range(n):

@@ -252,6 +252,23 @@ class TestFeatureFile:
             data.read_features(path)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, tmp_path, bad):
+        feats = np.zeros((3, 2, 3))
+        feats[1, 1, 2] = bad
+        insts = [data.Instance(i, 0, f) for i, f in enumerate(feats)]
+        path = str(tmp_path / "f.osf")
+        data.write_features(path, insts)
+        with pytest.raises(FormatError, match="instance 1 has non-finite"):
+            data.read_features(path)
+
+    @pytest.mark.parametrize("ids", [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)])
+    def test_out_of_range_ids_rejected_at_write(self, tmp_path, ids):
+        insts = [data.Instance(ids[0], ids[1], np.zeros((2, 3)))]
+        with pytest.raises(FormatError):
+            data.write_features(str(tmp_path / "f.osf"), insts)
+
+
 class TestLabelFile:
     def test_round_trip_unit_norm(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -292,6 +309,12 @@ class TestLabelFile:
         path.write_bytes(payload)
         with pytest.raises(FormatError):
             data.read_labels(str(path))
+
+
+    @pytest.mark.parametrize("cid", [-1, 2**32])
+    def test_out_of_range_class_id_rejected_at_write(self, tmp_path, cid):
+        with pytest.raises(FormatError):
+            data.write_labels(str(tmp_path / "l.osl"), {cid: np.array([1.0, 0.0])})
 
 
 class TestLoadDataset:
@@ -344,4 +367,16 @@ class TestLoadDataset:
                 classes=table,
                 instances=[data.Instance(0, 0, np.zeros((2, 3)))],
                 label_embeddings={0: np.array([2.0, 0.0])},
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_label_rejected(self, bad):
+        table = data.ClassTable(entries={
+            0: data.ClassEntry(0, data.ActionLabel(0, 0, "v", "n"), 1),
+        })
+        with pytest.raises(ConfigError, match="not finite"):
+            data.Dataset(
+                classes=table,
+                instances=[data.Instance(0, 0, np.zeros((2, 3)))],
+                label_embeddings={0: np.array([bad, 0.0])},
             )

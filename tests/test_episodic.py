@@ -1,6 +1,7 @@
 """Tests for episode sampling, κ-NN classification, and pooled evaluation."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ class HashEmbedModel:
             v = rng.normal(size=self.embed_dim)
             out[i] = v / np.linalg.norm(v)
         return out, None
+
+
+class CountingModel:
+    """Wraps a model and counts how often each instance (keyed by its
+    feature bytes) and each label vector passes through an embedding call."""
+
+    def __init__(self, net):
+        self.net = net
+        self.method = net.method
+        self.video = Counter()
+        self.labels = Counter()
+
+    def embed_video_batch(self, frames):
+        self.video.update(stack.tobytes() for stack in np.asarray(frames))
+        return self.net.embed_video_batch(frames)
+
+    def embed_label_batch(self, vectors):
+        self.labels.update(v.tobytes() for v in np.asarray(vectors))
+        return self.net.embed_label_batch(vectors)
 
 
 class TestTrainingBatch:
@@ -270,6 +290,30 @@ class TestKnn:
         with pytest.raises(ConfigError):
             episodic.knn_classify(support, np.array([0]), np.array([1.0, 0.0]), 2)
 
+    def test_block_matches_oracle_row_by_row(self):
+        rng = np.random.default_rng(13)
+        pool = rng.normal(size=(4, 5))
+        for trial in range(200):
+            n_sup = int(rng.integers(1, 11))
+            n_query = int(rng.integers(1, 9))
+            classes = rng.integers(0, 4, size=n_sup)
+            if trial % 2:  # tie-heavy: supports and queries reuse a tiny vector pool
+                support = pool[rng.integers(0, 4, size=n_sup)]
+                queries = pool[rng.integers(0, 4, size=n_query)]
+            else:
+                support = rng.normal(size=(n_sup, 5))
+                queries = rng.normal(size=(n_query, 5))
+            for kappa in range(1, n_sup + 1):
+                got = episodic.knn_classify(support, classes, queries, kappa)
+                assert got.dtype == np.int64 and got.shape == (n_query,)
+                want = [reference.knn_oracle(support, classes, q, kappa) for q in queries]
+                assert got.tolist() == want
+
+    def test_single_query_returns_python_int(self):
+        support = np.array([[1.0, 0.0], [0.0, 1.0]])
+        pred = episodic.knn_classify(support, np.array([3, 4]), np.array([0.2, 0.9]), 1)
+        assert type(pred) is int and pred == 4
+
 
 class TestSupportMode:
     def test_fsg_always_video(self):
@@ -405,6 +449,56 @@ class TestEvaluate:
             report = episodic.evaluate(net, ds, split, "CM-FSG", n=3, k=1, m=4,
                                        n_episodes=5, seed=10)
             assert report.subsets["All"].episodes == 5
+
+
+class TestEmbedOnce:
+    COUNTS = {c: 6 + c % 3 for c in range(10)}
+    CATEGORY = {c: ("HoV" if c < 5 else "HoN") for c in range(10)}
+
+    def net(self, method, embed_dim=6, seed=14):
+        cfg = model.ModelConfig(method=method, input_dim=4, hidden_dim=5,
+                                embed_dim=embed_dim, label_dim=6)
+        return model.init_model(cfg, seed=seed)
+
+    @pytest.mark.parametrize("task,method,embed_dim", [
+        ("FSG", "VE", 6), ("CM-FSG", "WE", 6), ("CM-FSG", "JE", 3),
+    ])
+    def test_each_test_instance_embedded_once(self, task, method, embed_dim):
+        ds = tiny_dataset(self.COUNTS)
+        counting = CountingModel(self.net(method, embed_dim))
+        report = episodic.evaluate(counting, ds, make_split(range(10), self.CATEGORY),
+                                   task, n=3, k=1, m=4, n_episodes=30, seed=15)
+        assert all(report.subsets[name].episodes == 30 for name in ("All", "HoV", "HoN"))
+        assert counting.video == Counter(inst.features.tobytes() for inst in ds.instances)
+        if method == "JE":
+            assert counting.labels == Counter(
+                ds.label_embeddings[c].tobytes() for c in self.COUNTS)
+        else:
+            assert not counting.labels
+
+    @pytest.mark.parametrize("method,embed_dim", [("WE", 6), ("JE", 3)])
+    def test_cmfsg_matches_query_by_query_referee(self, method, embed_dim):
+        ds = tiny_dataset(self.COUNTS, noise=0.5, seed=16)
+        split = make_split(range(10), self.CATEGORY)
+        net = self.net(method, embed_dim, seed=17)
+        report = episodic.evaluate(net, ds, split, "CM-FSG", n=3, k=1, m=4,
+                                   n_episodes=40, seed=18)
+        subsets = {"All": set(range(10)), "HoV": set(range(5)), "HoN": set(range(5, 10))}
+        for subset_idx, name in enumerate(("All", "HoV", "HoN")):
+            correct = queries = 0
+            for episode_idx in range(40):
+                rng = np.random.default_rng([18, subset_idx, episode_idx])
+                ep = episodic.sample_episode(ds, subsets[name], "CM-FSG", rng, n=3, k=1, m=4)
+                labels = np.stack([vec for vec, _ in ep.support])
+                if method == "JE":
+                    labels = net.embed_label_batch(labels)[0]
+                sup_ids = np.array([cid for _, cid in ep.support])
+                for inst, true_cid in ep.queries:
+                    q = net.embed_video_batch(inst.features[None])[0][0]
+                    correct += int(episodic.knn_classify(labels, sup_ids, q, 1) == true_cid)
+                    queries += 1
+            res = report.subsets[name]
+            assert (res.episodes, res.queries, res.correct) == (40, queries, correct)
 
 
 class TestEvalReportFile:
