@@ -41,16 +41,6 @@ class _Parser(argparse.ArgumentParser):
 # schema: key -> (converter, default). Converters run on the raw string from
 # either the config file or the flag, so both paths share validation.
 
-
-def _boolish(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 SYNTH_SCHEMA = {
     "n_verbs": (int, 10),
     "n_nouns": (int, 10),

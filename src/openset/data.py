@@ -14,6 +14,7 @@ On-disk formats:
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -328,28 +329,40 @@ def read_class_table(path: str) -> ClassTable:
 # --- binary feature / label files ---
 
 
+def _fits_u32(value) -> bool:
+    """True when value is an integer that fits the formats' uint32 id fields."""
+    try:
+        return 0 <= operator.index(value) < 2**32
+    except TypeError:
+        return False
+
+
 def write_features(path: str, instances: list[Instance]) -> None:
-    """Serialize instance feature stacks as OSF1 (float32 little-endian)."""
+    """Serialize instance feature stacks as OSF1 (float32 little-endian).
+
+    Every record is validated before the file is opened, so a rejected write
+    leaves no file behind and an existing file untouched.
+    """
     if not instances:
         raise FormatError("write_features: no instances")
     frames, input_dim = instances[0].features.shape
+    for inst in instances:
+        if inst.features.shape != (frames, input_dim):
+            raise DimensionError(
+                f"write_features: instance {inst.instance_id} shape "
+                f"{inst.features.shape} != ({frames}, {input_dim})"
+            )
+        if not (_fits_u32(inst.instance_id) and _fits_u32(inst.class_id)):
+            raise FormatError(
+                f"write_features: instance {inst.instance_id} class {inst.class_id}: "
+                "ids must be integers in [0, 2^32)"
+            )
     with open(path, "wb") as fh:
         fh.write(_MAGIC_FEATURES)
         fh.write(struct.pack("<III", 1, len(instances), frames))
         fh.write(struct.pack("<I", input_dim))
         for inst in instances:
-            if inst.features.shape != (frames, input_dim):
-                raise DimensionError(
-                    f"write_features: instance {inst.instance_id} shape "
-                    f"{inst.features.shape} != ({frames}, {input_dim})"
-                )
-            try:
-                fh.write(struct.pack("<II", inst.instance_id, inst.class_id))
-            except struct.error as exc:
-                raise FormatError(
-                    f"write_features: instance {inst.instance_id} class {inst.class_id}: "
-                    "ids must be integers in [0, 2^32)"
-                ) from exc
+            fh.write(struct.pack("<II", inst.instance_id, inst.class_id))
             fh.write(inst.features.astype("<f4").tobytes(order="C"))
 
 
@@ -397,23 +410,22 @@ def read_features(path: str) -> list[Instance]:
 
 
 def write_labels(path: str, embeddings: dict[int, np.ndarray]) -> None:
-    """Serialize label embeddings as OSL1 (float32 little-endian)."""
+    """Serialize label embeddings as OSL1 (float32 little-endian); like
+    write_features, every record is validated before the file is opened."""
     if not embeddings:
         raise FormatError("write_labels: no embeddings")
     dims = {np.asarray(e).shape for e in embeddings.values()}
     if len(dims) != 1:
         raise DimensionError(f"write_labels: inconsistent dims {sorted(dims)}")
     (d_b,) = dims.pop()
+    for cid in embeddings:
+        if not _fits_u32(cid):
+            raise FormatError(f"write_labels: class id {cid} must be an integer in [0, 2^32)")
     with open(path, "wb") as fh:
         fh.write(_MAGIC_LABELS)
         fh.write(struct.pack("<III", 1, len(embeddings), d_b))
         for cid in sorted(embeddings):
-            try:
-                fh.write(struct.pack("<I", cid))
-            except struct.error as exc:
-                raise FormatError(
-                    f"write_labels: class id {cid} must be an integer in [0, 2^32)"
-                ) from exc
+            fh.write(struct.pack("<I", cid))
             fh.write(np.asarray(embeddings[cid], dtype="<f4").tobytes(order="C"))
 
 
@@ -433,16 +445,17 @@ def read_labels(path: str) -> dict[int, np.ndarray]:
     expected = 16 + n_classes * (4 + payload)
     if len(blob) != expected:
         raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
+    record = np.dtype([("cid", "<u4"), ("embedding", "<f4", (d_b,))])
+    records = np.frombuffer(blob, dtype=record, offset=16)
+    finite = np.isfinite(records["embedding"]).all(axis=1)
+    if not finite.all():
+        bad = int(records["cid"][np.argmin(finite)])
+        raise FormatError(f"{path}: class {bad} has a non-finite label embedding")
     embeddings: dict[int, np.ndarray] = {}
-    off = 16
-    for _ in range(n_classes):
-        (cid,) = struct.unpack("<I", blob[off : off + 4])
-        off += 4
+    for cid, vec in zip(records["cid"].tolist(), records["embedding"]):
         if cid in embeddings:
             raise FormatError(f"{path}: duplicate class_id {cid}")
-        vec = np.frombuffer(blob[off : off + payload], dtype="<f4").astype(np.float64)
-        off += payload
-        embeddings[cid] = l2_normalize(vec)
+        embeddings[cid] = l2_normalize(vec.astype(np.float64))
     return embeddings
 
 

@@ -7,27 +7,25 @@ objective (metric loss over the union of video and projected-label items).
 
 All losses return (scalar, gradient array(s) w.r.t. the input embeddings).
 Similarity is the plain dot product, which on unit vectors is the cosine.
-Pairs are positive iff their class_ids match; modality never matters.
+Pairs are positive iff their class_ids match; modality never matters, so
+batches carry no modality tags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .numcore import log1p_sum_exp
 
-MODALITY_VIDEO = "video"
-MODALITY_LABEL = "label"
-
 _NORM_TOL = 1e-6
 
 
 @dataclass
 class EmbeddingBatch:
-    """A batch of embeddings with class ids and modality tags.
+    """A batch of embeddings with their class ids.
 
     check_norms=False skips the unit-norm invariant; finite-difference tests
     need it because coordinate perturbations move points off the sphere.
@@ -35,7 +33,6 @@ class EmbeddingBatch:
 
     embeddings: np.ndarray
     class_ids: np.ndarray
-    modalities: list[str] = field(default_factory=list)
     check_norms: bool = True
 
     def __post_init__(self):
@@ -46,13 +43,6 @@ class EmbeddingBatch:
         n = self.embeddings.shape[0]
         if self.class_ids.shape != (n,):
             raise DimensionError("EmbeddingBatch: class_ids length mismatch")
-        if not self.modalities:
-            self.modalities = [MODALITY_VIDEO] * n
-        if len(self.modalities) != n:
-            raise DimensionError("EmbeddingBatch: modalities length mismatch")
-        for m in self.modalities:
-            if m not in (MODALITY_VIDEO, MODALITY_LABEL):
-                raise ConfigError(f"EmbeddingBatch: unknown modality {m!r}")
         if self.check_norms and n:
             norms = np.linalg.norm(self.embeddings, axis=1)
             worst = float(np.abs(norms - 1.0).max())
@@ -246,22 +236,17 @@ def alignment_mse(paired: PairedBatch) -> tuple[float, np.ndarray]:
 
 def we_loss(
     video_batch: EmbeddingBatch,
-    paired: PairedBatch,
+    label_rows: np.ndarray,
     lam: float,
     dml,
 ) -> tuple[float, np.ndarray]:
-    """Alignment objective: lam * dml(video batch) + alignment_mse(paired).
-
-    The paired video side must be the same embeddings as the batch (one pair
-    per batch item, in order); the combined gradient is returned per item.
+    """Alignment objective: lam * dml(video batch) + alignment_mse of each
+    video embedding against its row of label_rows (the frozen embedding of
+    its class, in batch order); the combined gradient is returned per item.
     With lam = 0 the metric term is skipped entirely, so its degenerate-batch
     precondition never applies.
     """
-    if paired.video_embeddings.shape != video_batch.embeddings.shape:
-        raise DimensionError("we_loss: paired batch must mirror the video batch")
-    if not np.allclose(paired.video_embeddings, video_batch.embeddings, atol=1e-9):
-        raise ConfigError("we_loss: paired video side differs from the video batch")
-    mse, grads = alignment_mse(paired)
+    mse, grads = alignment_mse(PairedBatch(video_batch.embeddings, label_rows))
     loss = mse
     if lam != 0.0:
         dml_val, dml_grads = dml(video_batch)
@@ -288,7 +273,6 @@ def je_loss(
     union = EmbeddingBatch(
         embeddings=np.vstack([video_batch.embeddings, label_batch.embeddings]),
         class_ids=np.concatenate([video_batch.class_ids, label_batch.class_ids]),
-        modalities=list(video_batch.modalities) + list(label_batch.modalities),
         check_norms=video_batch.check_norms and label_batch.check_norms,
     )
     loss, grads = dml(union)

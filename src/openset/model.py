@@ -12,8 +12,9 @@ Methods:
       no projector); label supports are used raw.
   JE  both modalities mapped into a shared space via the projector.
 
-Backward passes accumulate into each ParamBlock's gradient buffers; callers
-zero/step via the optimizer. Checkpoints round-trip bit-exactly (OSM1,
+Both encoders run on numcore's affine and row-normalize kernels, forward and
+backward. Backward passes accumulate into each ParamBlock's gradient buffers;
+callers zero/step via the optimizer. Checkpoints round-trip bit-exactly (OSM1,
 float64 little-endian).
 """
 
@@ -25,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, MethodError
-from .numcore import ParamBlock
+from .numcore import (
+    ParamBlock,
+    affine_backward,
+    affine_forward,
+    l2_normalize_rows,
+    l2_normalize_rows_backward,
+)
 
 METHOD_VE = "VE"
 METHOD_WE = "WE"
@@ -65,8 +72,6 @@ class VideoForwardCache:
     activations: np.ndarray
     pooled: np.ndarray
     pre_norm: np.ndarray
-    norms: np.ndarray
-    outputs: np.ndarray
     n_frames: int
 
 
@@ -74,8 +79,6 @@ class VideoForwardCache:
 class LabelForwardCache:
     inputs: np.ndarray
     pre_norm: np.ndarray
-    norms: np.ndarray
-    outputs: np.ndarray
 
 
 class EmbeddingModel:
@@ -139,56 +142,25 @@ class EmbeddingModel:
         if frames.ndim != 3:
             raise DimensionError("embed_video_batch: expected (B, F, D) input")
         b, f, d_in = frames.shape
-        if d_in != self.config.input_dim:
-            raise DimensionError(
-                f"embed_video_batch: input dim {d_in} != {self.config.input_dim}"
-            )
         flat = frames.reshape(b * f, d_in)
-        act = np.tanh(flat @ self.frame_layer.weights + self.frame_layer.bias)
+        act = np.tanh(affine_forward(flat, self.frame_layer))
         pooled = act.reshape(b, f, self.config.hidden_dim).mean(axis=1)
-        pre = pooled @ self.out_layer.weights + self.out_layer.bias
-        norms = np.linalg.norm(pre, axis=1)
-        if np.any(norms < 1e-12):
-            raise DimensionError("embed_video_batch: zero-norm pre-normalization output")
-        out = pre / norms[:, None]
+        pre = affine_forward(pooled, self.out_layer)
+        out = l2_normalize_rows(pre)
         cache = VideoForwardCache(
-            flat_frames=flat,
-            activations=act,
-            pooled=pooled,
-            pre_norm=pre,
-            norms=norms,
-            outputs=out,
-            n_frames=f,
+            flat_frames=flat, activations=act, pooled=pooled, pre_norm=pre, n_frames=f
         )
         return out, cache
 
     def backward_video_batch(self, cache: VideoForwardCache, grad_out: np.ndarray) -> None:
         """Accumulate parameter gradients for a prior embed_video_batch call."""
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        if grad_out.shape != cache.outputs.shape:
-            raise DimensionError("backward_video_batch: grad shape mismatch")
-        out, norms = cache.outputs, cache.norms
-        inner = (out * grad_out).sum(axis=1, keepdims=True)
-        g_pre = (grad_out - out * inner) / norms[:, None]
-        self.out_layer.grad_weights += cache.pooled.T @ g_pre
-        self.out_layer.grad_bias += g_pre.sum(axis=0)
+        g_pre = l2_normalize_rows_backward(cache.pre_norm, grad_out)
+        affine_backward(cache.pooled, self.out_layer, g_pre)
         g_pooled = g_pre @ self.out_layer.weights.T
         f = cache.n_frames
         g_act = np.repeat(g_pooled / f, f, axis=0)
         g_affine = g_act * (1.0 - cache.activations**2)
-        self.frame_layer.grad_weights += cache.flat_frames.T @ g_affine
-        self.frame_layer.grad_bias += g_affine.sum(axis=0)
-
-    def embed_instances(self, instances) -> tuple[np.ndarray, VideoForwardCache]:
-        """Stack instances' frame features and embed them as one batch."""
-        if not instances:
-            raise DimensionError("embed_instances: empty list")
-        frames = np.stack([inst.features for inst in instances])
-        return self.embed_video_batch(frames)
-
-    def embed_video(self, instance) -> np.ndarray:
-        out, _ = self.embed_video_batch(instance.features[None, :, :])
-        return out[0]
+        affine_backward(cache.flat_frames, self.frame_layer, g_affine)
 
     # --- label path ---
 
@@ -199,30 +171,12 @@ class EmbeddingModel:
         if self.method != METHOD_JE:
             raise MethodError(f"{self.method} model has no label projector")
         x = np.asarray(label_embeddings, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.config.label_dim:
-            raise DimensionError(
-                f"embed_label_batch: expected (C, {self.config.label_dim}) input"
-            )
-        pre = x @ self.label_projector.weights + self.label_projector.bias
-        norms = np.linalg.norm(pre, axis=1)
-        if np.any(norms < 1e-12):
-            raise DimensionError("embed_label_batch: zero-norm pre-normalization output")
-        out = pre / norms[:, None]
-        return out, LabelForwardCache(inputs=x, pre_norm=pre, norms=norms, outputs=out)
+        pre = affine_forward(x, self.label_projector)
+        return l2_normalize_rows(pre), LabelForwardCache(inputs=x, pre_norm=pre)
 
     def backward_label_batch(self, cache: LabelForwardCache, grad_out: np.ndarray) -> None:
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        if grad_out.shape != cache.outputs.shape:
-            raise DimensionError("backward_label_batch: grad shape mismatch")
-        out, norms = cache.outputs, cache.norms
-        inner = (out * grad_out).sum(axis=1, keepdims=True)
-        g_pre = (grad_out - out * inner) / norms[:, None]
-        self.label_projector.grad_weights += cache.inputs.T @ g_pre
-        self.label_projector.grad_bias += g_pre.sum(axis=0)
-
-    def embed_label(self, label_embedding: np.ndarray) -> np.ndarray:
-        out, _ = self.embed_label_batch(np.asarray(label_embedding)[None, :])
-        return out[0]
+        g_pre = l2_normalize_rows_backward(cache.pre_norm, grad_out)
+        affine_backward(cache.inputs, self.label_projector, g_pre)
 
 
 def init_model(config: ModelConfig, seed: int) -> EmbeddingModel:

@@ -9,6 +9,7 @@ explicitly (populate -> step -> zero).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,9 +99,9 @@ def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
 
 def affine_backward(
     inp: np.ndarray, params: ParamBlock, grad_out: np.ndarray
-) -> np.ndarray:
-    """Accumulate parameter gradients for affine_forward and return the
-    gradient with respect to the input rows."""
+) -> None:
+    """Accumulate parameter gradients for affine_forward. The input gradient,
+    grad_out @ W.T, is left to callers that need it."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (inp.shape[0], params.fan_out):
         raise DimensionError(
@@ -109,36 +110,44 @@ def affine_backward(
         )
     params.grad_weights += inp.T @ grad_out
     params.grad_bias += grad_out.sum(axis=0)
-    return grad_out @ params.weights.T
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Scale a nonzero vector to unit Euclidean norm."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
+    # a NaN or inf entry makes the norm non-finite
+    if not math.isfinite(norm):
+        raise NumericError("l2_normalize: non-finite input")
     if norm < _ZERO_NORM_TOL:
         raise DegenerateInputError("l2_normalize: zero-norm input")
     return v / norm
-
-
-def l2_normalize_backward(v: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Backward pass of l2_normalize: applies (I - u u^T) / ||v|| to grad_out,
-    where u = v / ||v||."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm < _ZERO_NORM_TOL:
-        raise DegenerateInputError("l2_normalize_backward: zero-norm input")
-    u = v / norm
-    return (grad_out - u * float(u @ grad_out)) / norm
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization of a 2-D array."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
+    if not np.isfinite(norms).all():
+        raise NumericError("l2_normalize_rows: non-finite row")
     if np.any(norms < _ZERO_NORM_TOL):
         raise DegenerateInputError("l2_normalize_rows: zero-norm row")
     return m / norms[:, None]
+
+
+def l2_normalize_rows_backward(m: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Backward pass of l2_normalize_rows at input m: row i of grad_out
+    times (I - u u^T) / ||m_i||, where u = m_i / ||m_i||."""
+    m = np.asarray(m, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != m.shape:
+        raise DimensionError(
+            f"l2_normalize_rows_backward: grad_out shape {grad_out.shape} != {m.shape}"
+        )
+    norms = np.linalg.norm(m, axis=1)
+    u = m / norms[:, None]
+    inner = (u * grad_out).sum(axis=1, keepdims=True)
+    return (grad_out - u * inner) / norms[:, None]
 
 
 @dataclass

@@ -30,7 +30,6 @@ from .losses import (
     EmbeddingBatch,
     HistogramConfig,
     MultiSimConfig,
-    PairedBatch,
     je_loss,
     make_dml,
     we_loss,
@@ -140,8 +139,7 @@ def batch_objective(
 
     if cfg.method == METHOD_WE:
         label_rows = np.stack([dataset.label_embeddings[int(c)] for c in class_ids])
-        paired = PairedBatch(video_embeddings=video_emb, label_embeddings=label_rows)
-        loss, grads = we_loss(video_batch, paired, cfg.lambda_we, dml)
+        loss, grads = we_loss(video_batch, label_rows, cfg.lambda_we, dml)
         if with_grads:
             model.backward_video_batch(video_cache, grads)
         return loss
@@ -151,9 +149,7 @@ def batch_objective(
     raw_labels = np.stack([dataset.label_embeddings[c] for c in classes])
     label_emb, label_cache = model.embed_label_batch(raw_labels)
     label_batch = EmbeddingBatch(
-        embeddings=label_emb,
-        class_ids=np.array(classes, dtype=np.int64),
-        modalities=["label"] * len(classes),
+        embeddings=label_emb, class_ids=np.array(classes, dtype=np.int64)
     )
     loss, grads_video, grads_label = je_loss(video_batch, label_batch, dml)
     if with_grads:

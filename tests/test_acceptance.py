@@ -194,7 +194,7 @@ def test_3_closed_forms():
 
     def weighted(lam):
         batch = losses.EmbeddingBatch(embeddings=video, class_ids=ids8)
-        return losses.we_loss(batch, losses.PairedBatch(video, targets), lam, dml)[0]
+        return losses.we_loss(batch, targets, lam, dml)[0]
 
     base = weighted(0.0)
     affine_dev = abs((weighted(10.0) - base) - 20.0 * (weighted(0.5) - base))

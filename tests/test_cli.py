@@ -4,11 +4,12 @@ Every command runs in-process through cli.main, so exit codes and
 artifacts are checked without spawning interpreters.
 """
 
+import dataclasses
 import os
 
 import pytest
 
-from openset import cli
+from openset import cli, data, losses, model, splits, trainer
 
 SYNTH_FLAGS = [
     "--n-verbs", "8", "--n-nouns", "8", "--class-density", "0.9",
@@ -201,6 +202,42 @@ class TestConfigFile:
             cli.parse_config_file(str(cfg))
 
 
+def _defaults(cls, skip=()):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.name not in skip and f.default is not dataclasses.MISSING}
+
+
+class TestSchemaDefaults:
+    """Each CLI default must equal the dataclass default it stands for."""
+
+    def check(self, schema, want):
+        assert set(schema) == set(want)
+        for key, (conv, default) in schema.items():
+            assert default == want[key], key
+            assert conv(str(default)) == want[key], key
+
+    def test_synth_schema(self):
+        want = _defaults(data.SynthConfig, skip=("instances_per_class",))
+        want["instances_lo"], want["instances_hi"] = data.SynthConfig().instances_per_class
+        self.check(cli.SYNTH_SCHEMA, want)
+
+    def test_split_schema(self):
+        want = _defaults(splits.SplitSpec, skip=("seed",))
+        schema = dict(cli.SPLIT_SCHEMA)
+        _, seeds = schema.pop("seeds")
+        assert cli._parse_seed_list(seeds) == [splits.SplitSpec().seed]
+        self.check(schema, want)
+
+    def test_train_schema(self):
+        want = _defaults(trainer.TrainConfig)
+        want.update(_defaults(losses.HistogramConfig))
+        want.update(_defaults(losses.MultiSimConfig))
+        model_defaults = _defaults(model.ModelConfig)
+        want["hidden_dim"] = model_defaults["hidden_dim"]
+        want["embed_dim"] = model_defaults["embed_dim"]
+        self.check(cli.TRAIN_SCHEMA, want)
+
+
 class TestFailureClasses:
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = cli.main([
@@ -231,3 +268,19 @@ class TestFailureClasses:
         ])
         assert code == 2
         assert "draws below" in capsys.readouterr().err
+
+    def test_zero_norm_embedding_exits_two(self, pipeline, tmp_path, capsys):
+        # a zeroed output layer maps every clip to the zero vector, which
+        # cannot be normalized: a runtime degeneracy, not an invalid input
+        net = model.load_checkpoint(os.path.join(pipeline["ve"], "checkpoint.osm"))
+        net.out_layer.weights[:] = 0.0
+        net.out_layer.bias[:] = 0.0
+        ckpt = str(tmp_path / "zero.osm")
+        model.save_checkpoint(ckpt, net)
+        code = cli.main([
+            "eval", "--checkpoint", ckpt, "--data", pipeline["data"],
+            "--split", pipeline["split_csv"], "--out", str(tmp_path / "o"),
+            "--episodes", "2", "--m", "5",
+        ])
+        assert code == 2
+        assert "zero-norm" in capsys.readouterr().err

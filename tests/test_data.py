@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openset import data
-from openset.errors import ConfigError, FormatError, ParseError
+from openset.errors import ConfigError, DimensionError, FormatError, ParseError
 
 
 SMALL = data.SynthConfig(
@@ -268,6 +268,26 @@ class TestFeatureFile:
         with pytest.raises(FormatError):
             data.write_features(str(tmp_path / "f.osf"), insts)
 
+    @pytest.mark.parametrize("bad, error", [
+        ([(0, 0, (2, 3)), (-1, 0, (2, 3))], FormatError),
+        ([(0, 0, (2, 3)), (1, 0, (3, 3))], DimensionError),
+    ], ids=["bad_id", "bad_shape"])
+    def test_rejected_write_leaves_no_file(self, tmp_path, bad, error):
+        insts = [data.Instance(i, c, np.zeros(shape)) for i, c, shape in bad]
+        path = tmp_path / "f.osf"
+        with pytest.raises(error):
+            data.write_features(str(path), insts)
+        assert not path.exists()
+
+    def test_rejected_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "f.osf"
+        data.write_features(str(path), [data.Instance(7, 1, np.ones((2, 3)))])
+        before = path.read_bytes()
+        insts = [data.Instance(0, 0, np.zeros((2, 3))), data.Instance(-1, 0, np.zeros((2, 3)))]
+        with pytest.raises(FormatError):
+            data.write_features(str(path), insts)
+        assert path.read_bytes() == before
+
 
 class TestLabelFile:
     def test_round_trip_unit_norm(self, tmp_path):
@@ -315,6 +335,25 @@ class TestLabelFile:
     def test_out_of_range_class_id_rejected_at_write(self, tmp_path, cid):
         with pytest.raises(FormatError):
             data.write_labels(str(tmp_path / "l.osl"), {cid: np.array([1.0, 0.0])})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_rejected_at_read(self, tmp_path, bad):
+        path = str(tmp_path / "l.osl")
+        data.write_labels(path, {0: np.array([1.0, 0.0]), 3: np.array([0.0, bad])})
+        with pytest.raises(FormatError, match="class 3 has a non-finite"):
+            data.read_labels(path)
+
+    def test_rejected_write_leaves_no_file_or_old_bytes(self, tmp_path):
+        path = tmp_path / "l.osl"
+        bad = {0: np.array([1.0, 0.0]), -1: np.array([0.0, 1.0])}
+        with pytest.raises(FormatError):
+            data.write_labels(str(path), bad)
+        assert not path.exists()
+        data.write_labels(str(path), {4: np.array([0.6, 0.8])})
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            data.write_labels(str(path), bad)
+        assert path.read_bytes() == before
 
 
 class TestLoadDataset:

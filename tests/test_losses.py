@@ -368,7 +368,7 @@ class TestWeLoss:
     def test_lambda_zero_is_pure_alignment(self):
         batch, paired = self.make_inputs()
         # dml must not be touched at lambda 0: passing None proves it
-        loss, grads = losses.we_loss(batch, paired, lam=0.0, dml=None)
+        loss, grads = losses.we_loss(batch, paired.label_embeddings, lam=0.0, dml=None)
         want, want_grads = losses.alignment_mse(paired)
         assert loss == want
         assert np.array_equal(grads, want_grads)
@@ -379,17 +379,9 @@ class TestWeLoss:
         mse, mse_grads = losses.alignment_mse(paired)
         dml_val, dml_grads = dml(batch)
         for lam in (0.5, 10.0):
-            loss, grads = losses.we_loss(batch, paired, lam=lam, dml=dml)
+            loss, grads = losses.we_loss(batch, paired.label_embeddings, lam=lam, dml=dml)
             assert loss == pytest.approx(mse + lam * dml_val, abs=1e-12)
             assert np.allclose(grads, mse_grads + lam * dml_grads, atol=1e-12)
-
-    def test_mismatched_video_side_rejected(self):
-        batch, paired = self.make_inputs()
-        other = losses.PairedBatch(
-            paired.video_embeddings + 1e-3, paired.label_embeddings
-        )
-        with pytest.raises(ConfigError):
-            losses.we_loss(batch, other, lam=0.0, dml=None)
 
 
 class TestJeLoss:
@@ -402,7 +394,6 @@ class TestJeLoss:
         label = losses.EmbeddingBatch(
             embeddings=unit_rows(rng, n_classes, d),
             class_ids=np.arange(n_classes),
-            modalities=[losses.MODALITY_LABEL] * n_classes,
         )
         return video, label
 
@@ -418,16 +409,6 @@ class TestJeLoss:
         assert loss == want
         assert np.array_equal(g_video, want_grads[: len(video)])
         assert np.array_equal(g_label, want_grads[len(video):])
-
-    def test_modality_tags_do_not_change_value(self):
-        video, label = self.make_inputs()
-        dml = losses.make_dml("histogram")
-        loss_tagged, _, _ = losses.je_loss(video, label, dml)
-        untagged = losses.EmbeddingBatch(
-            embeddings=label.embeddings, class_ids=label.class_ids
-        )
-        loss_plain, _, _ = losses.je_loss(video, untagged, dml)
-        assert loss_tagged == loss_plain
 
     def test_duplicate_label_rejected(self):
         video, label = self.make_inputs()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from openset import model, numcore
-from openset.errors import ConfigError, DimensionError, FormatError, MethodError
+from openset.errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    FormatError,
+    MethodError,
+)
 
 import reference
 
@@ -75,6 +81,22 @@ class TestForward:
         rng = np.random.default_rng(6)
         out, _ = net.embed_label_batch(rng.normal(size=(4, 3)))
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+
+
+class TestZeroNorm:
+    def test_zero_output_layer_is_degenerate(self):
+        net = model.init_model(VE_CFG, seed=0)
+        net.out_layer.weights[:] = 0.0
+        net.out_layer.bias[:] = 0.0
+        with pytest.raises(DegenerateInputError):
+            net.embed_video_batch(random_frames(np.random.default_rng(12)))
+
+    def test_zero_label_projector_is_degenerate(self):
+        net = model.init_model(JE_CFG, seed=0)
+        net.label_projector.weights[:] = 0.0
+        net.label_projector.bias[:] = 0.0
+        with pytest.raises(DegenerateInputError):
+            net.embed_label_batch(np.random.default_rng(13).normal(size=(2, 3)))
 
 
 class TestBackward:

@@ -93,15 +93,28 @@ class TestNormalize:
     def test_backward_matches_central_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            v = rng.normal(size=6)
-            probe = rng.normal(size=6)
+            m = rng.normal(size=(4, 6))
+            probe = rng.normal(size=(4, 6))
 
             def f(x):
-                val = float(np.dot(numcore.l2_normalize(x), probe))
-                return val, numcore.l2_normalize_backward(x, probe)
+                rows = x.reshape(4, 6)
+                val = float(np.sum(numcore.l2_normalize_rows(rows) * probe))
+                return val, numcore.l2_normalize_rows_backward(rows, probe).ravel()
 
-            err = numcore.check_gradient(f, v.copy())
+            err = numcore.check_gradient(f, m.ravel().copy())
             assert err < 1e-7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        v = np.array([1.0, bad, 0.0])
+        with pytest.raises(NumericError):
+            numcore.l2_normalize(v)
+        with pytest.raises(NumericError):
+            numcore.l2_normalize_rows(np.array([[1.0, 0.0, 0.0], v]))
+
+    def test_rows_zero_row_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            numcore.l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_rows_helper_matches_single(self):
         rng = np.random.default_rng(4)
