@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid input or configuration, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -39,57 +40,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 # schema: key -> (converter, default). Converters run on the raw string from
-# either the config file or the flag, so both paths share validation.
+# either the config file or the flag, so both paths share validation. The
+# synth, split and train schemas are read off the config dataclasses, so each
+# default is written once, on its dataclass.
+
+_CONVERTERS = {"int": int, "float": float, "str": str}
+
+
+def _fields_schema(cls, names=None) -> dict:
+    """One entry per scalar field of a config dataclass (or per field in
+    names): the converter is the field's annotation, the default its own."""
+    return {
+        f.name: (_CONVERTERS[f.type], f.default)
+        for f in dataclasses.fields(cls)
+        if f.type in _CONVERTERS and (names is None or f.name in names)
+    }
+
+
+def _fields_kwargs(cls, cfg: dict) -> dict:
+    """The resolved values of those fields of cls that cfg carries."""
+    return {f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}
+
 
 SYNTH_SCHEMA = {
-    "n_verbs": (int, 10),
-    "n_nouns": (int, 10),
-    "class_density": (float, 0.7),
-    "instances_lo": (int, 20),
-    "instances_hi": (int, 30),
-    "d_latent": (int, 8),
-    "input_dim": (int, 64),
-    "frames": (int, 4),
-    "label_dim": (int, 32),
-    "sigma_frame": (float, 0.1),
-    "sigma_instance": (float, 0.1),
-    "seed": (int, 0),
+    **_fields_schema(data.SynthConfig),
+    "instances_lo": (int, data.SynthConfig.instances_per_class[0]),
+    "instances_hi": (int, data.SynthConfig.instances_per_class[1]),
 }
 
 SPLIT_SCHEMA = {
-    "v_lower": (int, 0),
-    "v_upper": (int, 10**9),
-    "n_lower": (int, 0),
-    "n_upper": (int, 10**9),
-    "p_verbs": (int, 0),
-    "p_nouns": (int, 0),
-    "p_verbs_test": (float, 0.5),
-    "p_nouns_test": (float, 0.5),
-    "seeds": (str, "0"),
+    **_fields_schema(splits.SplitSpec),
+    "seeds": (str, str(splits.SplitSpec.seed)),
 }
+del SPLIT_SCHEMA["seed"]
 
 TRAIN_SCHEMA = {
-    "method": (str, "VE"),
-    "dml": (str, "multisim"),
-    "lambda_we": (float, 0.0),
-    "lr0": (float, 1e-3),
-    "decay_factor": (float, 0.8),
-    "decay_every": (int, 1000),
-    "val_every": (int, 100),
-    "val_batches": (int, 50),
-    "max_batches": (int, 5000),
-    "patience": (int, 1500),
-    "batch_classes": (int, 12),
-    "batch_k_max": (int, 8),
-    "batch_min_total": (int, 36),
-    "seed": (int, 0),
-    "bins": (int, 100),
-    "alpha": (float, 2.0),
-    "beta": (float, 50.0),
-    "base": (float, 0.5),
-    "margin": (float, 0.1),
-    "hidden_dim": (int, 64),
-    "embed_dim": (int, 32),
+    **_fields_schema(trainer.TrainConfig),
+    **_fields_schema(HistogramConfig),
+    **_fields_schema(MultiSimConfig),
+    **_fields_schema(model.ModelConfig, ("hidden_dim", "embed_dim")),
 }
 
 EVAL_SCHEMA = {
@@ -107,18 +96,17 @@ EVAL_SCHEMA = {
 def parse_config_file(path: str) -> dict[str, str]:
     """key=value per line; blank lines and #-comments ignored."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in raw:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value.strip()
+    for lineno, line in enumerate(data.read_text(path).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in raw:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value.strip()
     return raw
 
 
@@ -186,17 +174,8 @@ def cmd_synth(args) -> None:
     cfg = _resolve(args, SYNTH_SCHEMA)
     prepare_out(args.out, [_CLASS_TABLE_FILE, _FEATURES_FILE, _LABELS_FILE])
     synth_cfg = data.SynthConfig(
-        n_verbs=cfg["n_verbs"],
-        n_nouns=cfg["n_nouns"],
-        class_density=cfg["class_density"],
+        **_fields_kwargs(data.SynthConfig, cfg),
         instances_per_class=(cfg["instances_lo"], cfg["instances_hi"]),
-        d_latent=cfg["d_latent"],
-        input_dim=cfg["input_dim"],
-        frames=cfg["frames"],
-        label_dim=cfg["label_dim"],
-        sigma_frame=cfg["sigma_frame"],
-        sigma_instance=cfg["sigma_instance"],
-        seed=cfg["seed"],
     )
     dataset = data.synth_generate(synth_cfg)
     data.write_class_table(os.path.join(args.out, _CLASS_TABLE_FILE), dataset.classes)
@@ -229,17 +208,7 @@ def cmd_split(args) -> None:
     results = []
     imbalance_lines = ["seed,imbalance_ratio"]
     for seed, fname in zip(seeds, split_files):
-        spec = splits.SplitSpec(
-            v_lower=cfg["v_lower"],
-            v_upper=cfg["v_upper"],
-            n_lower=cfg["n_lower"],
-            n_upper=cfg["n_upper"],
-            p_verbs=cfg["p_verbs"],
-            p_nouns=cfg["p_nouns"],
-            p_verbs_test=cfg["p_verbs_test"],
-            p_nouns_test=cfg["p_nouns_test"],
-            seed=seed,
-        )
+        spec = splits.SplitSpec(**_fields_kwargs(splits.SplitSpec, cfg), seed=seed)
         result = splits.generate_split(table, spec)
         splits.write_split(os.path.join(args.out, fname), result)
         imbalance_lines.append(f"{seed},{splits.imbalance_ratio(result)!r}")
@@ -268,38 +237,19 @@ def cmd_train(args) -> None:
     cfg = _resolve(args, TRAIN_SCHEMA)
     dataset = _load_data_dir(args.data)
     split = splits.read_split(args.split, dataset.classes)
-    embed_dim = cfg["embed_dim"]
     if cfg["method"] == model.METHOD_WE:
-        embed_dim = dataset.label_dim
-    cfg["embed_dim"] = embed_dim
+        cfg["embed_dim"] = dataset.label_dim
     prepare_out(args.out, [_CHECKPOINT_FILE, _TRAIN_LOG_FILE])
     model_cfg = model.ModelConfig(
-        method=cfg["method"],
+        **_fields_kwargs(model.ModelConfig, cfg),
         input_dim=dataset.input_dim,
-        hidden_dim=cfg["hidden_dim"],
-        embed_dim=embed_dim,
         label_dim=dataset.label_dim,
     )
     net = model.init_model(model_cfg, seed=cfg["seed"])
     train_cfg = trainer.TrainConfig(
-        method=cfg["method"],
-        dml=cfg["dml"],
-        lambda_we=cfg["lambda_we"],
-        lr0=cfg["lr0"],
-        decay_factor=cfg["decay_factor"],
-        decay_every=cfg["decay_every"],
-        val_every=cfg["val_every"],
-        val_batches=cfg["val_batches"],
-        max_batches=cfg["max_batches"],
-        patience=cfg["patience"],
-        batch_classes=cfg["batch_classes"],
-        batch_k_max=cfg["batch_k_max"],
-        batch_min_total=cfg["batch_min_total"],
-        seed=cfg["seed"],
-        histogram=HistogramConfig(bins=cfg["bins"]),
-        multisim=MultiSimConfig(
-            alpha=cfg["alpha"], beta=cfg["beta"], base=cfg["base"], margin=cfg["margin"]
-        ),
+        **_fields_kwargs(trainer.TrainConfig, cfg),
+        histogram=HistogramConfig(**_fields_kwargs(HistogramConfig, cfg)),
+        multisim=MultiSimConfig(**_fields_kwargs(MultiSimConfig, cfg)),
     )
     best, log = trainer.train(net, dataset, split, train_cfg)
     model.save_checkpoint(os.path.join(args.out, _CHECKPOINT_FILE), best)
@@ -347,9 +297,8 @@ def _read_eval_rows(eval_dir: str) -> list[dict[str, str]]:
     for needed in ("method", "dml", "split_name"):
         if needed not in meta:
             raise ParseError(f"{resolved_path}: missing key {needed!r}")
-    with open(eval_path, encoding="utf-8") as fh:
-        lines = [l for l in fh.read().splitlines() if l.strip()]
-    if not lines or lines[0] != "task,subset,n,k,m,episodes,queries,correct,accuracy,seed":
+    lines = [l for l in data.read_text(eval_path).splitlines() if l.strip()]
+    if not lines or lines[0] != episodic.EVAL_HEADER:
         raise ParseError(f"{eval_path}: unexpected header")
     rows = []
     for line in lines[1:]:
@@ -358,22 +307,9 @@ def _read_eval_rows(eval_dir: str) -> list[dict[str, str]]:
         parts = line.split(",")
         if len(parts) != 10:
             raise ParseError(f"{eval_path}: expected 10 fields, got {len(parts)}")
-        rows.append(
-            {
-                "method": meta["method"],
-                "dml": meta["dml"],
-                "task": parts[0],
-                "subset": parts[1],
-                "split": meta["split_name"],
-                "n": parts[2],
-                "k": parts[3],
-                "m": parts[4],
-                "episodes": parts[5],
-                "queries": parts[6],
-                "correct": parts[7],
-                "accuracy": parts[8],
-            }
-        )
+        row = dict(zip(episodic.EVAL_HEADER.split(","), parts))
+        row.update(method=meta["method"], dml=meta["dml"], split=meta["split_name"])
+        rows.append(row)
     return rows
 
 

@@ -104,9 +104,6 @@ class Instance:
                 f"got ndim={self.features.ndim}"
             )
 
-    def frame_mean(self) -> np.ndarray:
-        return self.features.mean(axis=0)
-
 
 @dataclass
 class Dataset:
@@ -289,10 +286,18 @@ def write_class_table(path: str, table: ClassTable) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
 def read_class_table(path: str) -> ClassTable:
     """Parse a class table CSV, reporting the offending line on error."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ParseError(f"{path}: expected header {_CSV_HEADER!r}")
     entries: dict[int, ClassEntry] = {}
@@ -441,6 +446,8 @@ def read_labels(path: str) -> dict[int, np.ndarray]:
     version, n_classes, d_b = struct.unpack("<III", blob[4:16])
     if version != 1:
         raise FormatError(f"{path}: unsupported version {version}")
+    if n_classes == 0:
+        raise FormatError(f"{path}: no label embeddings")
     payload = d_b * 4
     expected = 16 + n_classes * (4 + payload)
     if len(blob) != expected:
@@ -451,6 +458,10 @@ def read_labels(path: str) -> dict[int, np.ndarray]:
     if not finite.all():
         bad = int(records["cid"][np.argmin(finite)])
         raise FormatError(f"{path}: class {bad} has a non-finite label embedding")
+    nonzero = records["embedding"].any(axis=1)
+    if not nonzero.all():
+        bad = int(records["cid"][np.argmin(nonzero)])
+        raise FormatError(f"{path}: class {bad} has an all-zero label embedding")
     embeddings: dict[int, np.ndarray] = {}
     for cid, vec in zip(records["cid"].tolist(), records["embedding"]):
         if cid in embeddings:

@@ -50,9 +50,9 @@ def sample_training_batch(
     dataset: Dataset,
     train_classes: list[int],
     rng: np.random.Generator,
-    n: int = 12,
-    k_max: int = 8,
-    min_total: int = 36,
+    n: int,
+    k_max: int,
+    min_total: int,
 ) -> dict[int, list[Instance]]:
     """n distinct classes with up to k_max instances each, at least min_total
     instances in total; whole draws failing the total are resampled."""
@@ -283,13 +283,13 @@ def evaluate(
     return report
 
 
-_EVAL_HEADER = "task,subset,n,k,m,episodes,queries,correct,accuracy,seed"
+EVAL_HEADER = "task,subset,n,k,m,episodes,queries,correct,accuracy,seed"
 
 
 def write_eval_report(path: str, report: EvalReport) -> None:
     """One CSV row per non-skipped subset; skipped subsets appear only in
     the warnings, which are written as comment lines."""
-    lines = [_EVAL_HEADER]
+    lines = [EVAL_HEADER]
     for warning in report.warnings:
         lines.append(f"# {warning}")
     for name in _SUBSET_ORDER:

@@ -263,7 +263,10 @@ def load_checkpoint(path: str) -> EmbeddingModel:
     named: dict[str, ParamBlock] = {}
     for _ in range(n_blocks):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: block name is not valid UTF-8") from exc
         rows, cols = struct.unpack("<II", take(8))
         weights = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
         (bias_len,) = struct.unpack("<I", take(4))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassTable
+from .data import ClassTable, read_text
 from .errors import ConfigError, EligibilityError, ParseError
 
 CATEGORY_HOV = "HoV"
@@ -283,8 +283,7 @@ def read_split(path: str, table: ClassTable) -> SplitResult:
     HoVN class carries it, placed in the val or test side its classes appear
     in (both, if mixed). Evaluation needs only subsets and categories, so
     this reconstruction is sufficient for round trips through the CLI."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != _SPLIT_HEADER:
         raise ParseError(f"{path}: expected header {_SPLIT_HEADER!r}")
     train: set[int] = set()

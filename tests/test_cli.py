@@ -201,6 +201,16 @@ class TestConfigFile:
         with pytest.raises(ParseError, match="duplicate"):
             cli.parse_config_file(str(cfg))
 
+    def test_invalid_utf8_rejected(self, tmp_path, capsys):
+        from openset.errors import ParseError
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"n_verbs=\xff\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            cli.parse_config_file(str(cfg))
+        code = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "UTF-8" in capsys.readouterr().err
+
 
 def _defaults(cls, skip=()):
     return {f.name: f.default for f in dataclasses.fields(cls)
@@ -238,6 +248,104 @@ class TestSchemaDefaults:
         self.check(cli.TRAIN_SCHEMA, want)
 
 
+class _Built(Exception):
+    """Raised by a stand-in for the library call a command makes, to stop the
+    command once the config it built has been captured."""
+
+
+def _flags(values):
+    return [arg for key, value in values.items()
+            for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+def _assert_fields(cfg, values, schema, skip=()):
+    for f in dataclasses.fields(cfg):
+        if f.name in skip:
+            continue
+        conv, default = schema[f.name]
+        assert conv(values[f.name]) != default, f.name
+        assert getattr(cfg, f.name) == conv(values[f.name]), f.name
+
+
+class TestSchemaRouting:
+    """Every synth, split and train key reaches the dataclass its command
+    builds: each flag gets a non-default value and each field must carry it."""
+
+    SYNTH = {
+        "n_verbs": "7", "n_nouns": "6", "class_density": "0.55",
+        "instances_lo": "3", "instances_hi": "9", "d_latent": "5",
+        "input_dim": "12", "frames": "3", "label_dim": "10",
+        "sigma_frame": "0.4", "sigma_instance": "0.3", "seed": "17",
+    }
+    SPLIT = {
+        "v_lower": "1", "v_upper": "50", "n_lower": "2", "n_upper": "60",
+        "p_verbs": "3", "p_nouns": "4", "p_verbs_test": "0.25",
+        "p_nouns_test": "0.75", "seeds": "9",
+    }
+    TRAIN = {
+        "method": "JE", "dml": "histogram", "lambda_we": "2.5", "lr0": "0.01",
+        "decay_factor": "0.5", "decay_every": "77", "val_every": "11",
+        "val_batches": "3", "max_batches": "40", "patience": "25",
+        "batch_classes": "5", "batch_k_max": "4", "batch_min_total": "9",
+        "seed": "13", "bins": "20", "alpha": "3.0", "beta": "40.0",
+        "base": "0.4", "margin": "0.2", "hidden_dim": "9", "embed_dim": "7",
+    }
+
+    def test_synth_keys_reach_synth_config(self, tmp_path, monkeypatch):
+        assert set(self.SYNTH) == set(cli.SYNTH_SCHEMA)
+
+        def capture(cfg):
+            raise _Built(cfg)
+
+        monkeypatch.setattr(data, "synth_generate", capture)
+        with pytest.raises(_Built) as built:
+            cli.main(["synth", "--out", str(tmp_path / "o")] + _flags(self.SYNTH))
+        (cfg,) = built.value.args
+        _assert_fields(cfg, self.SYNTH, cli.SYNTH_SCHEMA, skip=("instances_per_class",))
+        assert cfg.instances_per_class == (3, 9)
+
+    def test_split_keys_reach_split_spec(self, pipeline, tmp_path, monkeypatch):
+        assert set(self.SPLIT) == set(cli.SPLIT_SCHEMA)
+
+        def capture(table, spec):
+            raise _Built(spec)
+
+        monkeypatch.setattr(splits, "generate_split", capture)
+        with pytest.raises(_Built) as built:
+            cli.main([
+                "split", "--class-table", os.path.join(pipeline["data"], "class_table.csv"),
+                "--out", str(tmp_path / "o"),
+            ] + _flags(self.SPLIT))
+        (spec,) = built.value.args
+        _assert_fields(spec, self.SPLIT, cli.SPLIT_SCHEMA, skip=("seed",))
+        assert spec.seed == 9
+
+    def test_train_keys_reach_model_and_train_configs(self, pipeline, tmp_path, monkeypatch):
+        assert set(self.TRAIN) == set(cli.TRAIN_SCHEMA)
+        captured = {}
+
+        def init(cfg, seed):
+            captured["model"] = cfg
+
+        def train(net, dataset, split, cfg):
+            raise _Built(cfg)
+
+        monkeypatch.setattr(model, "init_model", init)
+        monkeypatch.setattr(trainer, "train", train)
+        with pytest.raises(_Built) as built:
+            cli.main([
+                "train", "--data", pipeline["data"], "--split", pipeline["split_csv"],
+                "--out", str(tmp_path / "o"),
+            ] + _flags(self.TRAIN))
+        (cfg,) = built.value.args
+        _assert_fields(cfg, self.TRAIN, cli.TRAIN_SCHEMA, skip=("histogram", "multisim"))
+        _assert_fields(cfg.histogram, self.TRAIN, cli.TRAIN_SCHEMA)
+        _assert_fields(cfg.multisim, self.TRAIN, cli.TRAIN_SCHEMA)
+        model_cfg = captured["model"]
+        _assert_fields(model_cfg, self.TRAIN, cli.TRAIN_SCHEMA, skip=("input_dim", "label_dim"))
+        assert (model_cfg.input_dim, model_cfg.label_dim) == (10, 6)
+
+
 class TestFailureClasses:
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = cli.main([
@@ -268,6 +376,26 @@ class TestFailureClasses:
         ])
         assert code == 2
         assert "draws below" in capsys.readouterr().err
+
+    def test_invalid_utf8_class_table_exits_one(self, pipeline, tmp_path, capsys):
+        blob = open(os.path.join(pipeline["data"], "class_table.csv"), "rb").read()
+        table = tmp_path / "class_table.csv"
+        table.write_bytes(blob.replace(b"verb00", b"verb\xff0", 1))
+        code = cli.main(["split", "--class-table", str(table), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_eval_file_exits_one(self, pipeline, tmp_path, capsys):
+        from openset.errors import ParseError
+        bad = tmp_path / "eval"
+        bad.mkdir()
+        for name in ("resolved.cfg", "eval.csv"):
+            blob = open(os.path.join(pipeline["eval_fsg"], name), "rb").read()
+            (bad / name).write_bytes(blob + (b"\xfe\n" if name == "eval.csv" else b""))
+        with pytest.raises(ParseError, match="UTF-8"):
+            cli._read_eval_rows(str(bad))
+        assert cli.main(["report", str(bad), "--out", str(tmp_path / "r")]) == 1
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_zero_norm_embedding_exits_two(self, pipeline, tmp_path, capsys):
         # a zeroed output layer maps every clip to the zero vector, which

@@ -75,7 +75,7 @@ class TestSynth:
         )
         ds = data.synth_generate(cfg)
         # leave-one-out nearest neighbour on raw frame means
-        means = [(inst.class_id, inst.frame_mean()) for inst in ds.instances]
+        means = [(inst.class_id, inst.features.mean(axis=0)) for inst in ds.instances]
         for i, (cid, m) in enumerate(means):
             dists = [
                 (np.linalg.norm(m - other), other_cid)
@@ -98,13 +98,13 @@ class TestSynth:
         )
         ds = data.synth_generate(cfg)
         centroids = {
-            cid: np.mean([i.frame_mean() for i in insts], axis=0)
+            cid: np.mean([i.features.mean(axis=0) for i in insts], axis=0)
             for cid, insts in ds.instances_by_class.items()
         }
         within = []
         for cid, insts in ds.instances_by_class.items():
             for inst in insts:
-                within.append(np.linalg.norm(inst.frame_mean() - centroids[cid]))
+                within.append(np.linalg.norm(inst.features.mean(axis=0) - centroids[cid]))
         across = []
         cids = sorted(centroids)
         for i, a in enumerate(cids):
@@ -176,6 +176,15 @@ class TestClassTable:
             "x,1,1,put,plate,4\n"
         )
         with pytest.raises(ParseError, match="3"):
+            data.read_class_table(str(path))
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "ct.csv"
+        data.write_class_table(str(path), data.synth_generate(SMALL).classes)
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"verb00")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="UTF-8"):
             data.read_class_table(str(path))
 
     def test_comma_in_text_rejected_at_write(self, tmp_path):
@@ -341,6 +350,19 @@ class TestLabelFile:
         path = str(tmp_path / "l.osl")
         data.write_labels(path, {0: np.array([1.0, 0.0]), 3: np.array([0.0, bad])})
         with pytest.raises(FormatError, match="class 3 has a non-finite"):
+            data.read_labels(path)
+
+    def test_empty_file_rejected_before_its_dim_is_used(self, tmp_path):
+        import struct
+        path = tmp_path / "l.osl"
+        path.write_bytes(struct.pack("<4sIII", b"OSL1", 1, 0, 2**31))
+        with pytest.raises(FormatError, match="no label embeddings"):
+            data.read_labels(str(path))
+
+    def test_all_zero_label_rejected_at_read(self, tmp_path):
+        path = str(tmp_path / "l.osl")
+        data.write_labels(path, {0: [1, 0], 1: [0, 0]})
+        with pytest.raises(FormatError, match="class 1 has an all-zero"):
             data.read_labels(path)
 
     def test_rejected_write_leaves_no_file_or_old_bytes(self, tmp_path):

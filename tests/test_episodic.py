@@ -93,25 +93,29 @@ class CountingModel:
         return self.net.embed_label_batch(vectors)
 
 
+# the batch shape of the default TrainConfig
+BATCH_SHAPE = dict(n=12, k_max=8, min_total=36)
+
+
 class TestTrainingBatch:
     def test_full_batch_shape(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(0)
-        batch = episodic.sample_training_batch(ds, list(range(15)), rng)
+        batch = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
         assert len(batch) == 12
         assert all(len(v) == 8 for v in batch.values())
 
     def test_short_classes_capped(self):
         ds = tiny_dataset({c: 3 for c in range(12)})
         rng = np.random.default_rng(1)
-        batch = episodic.sample_training_batch(ds, list(range(12)), rng)
+        batch = episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE)
         # 12 classes x 3 instances reaches the floor exactly
         assert sum(len(v) for v in batch.values()) == 36
 
     def test_instances_unique_and_from_their_class(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(2)
-        batch = episodic.sample_training_batch(ds, list(range(15)), rng)
+        batch = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
         seen = set()
         for cid, insts in batch.items():
             for inst in insts:
@@ -123,13 +127,13 @@ class TestTrainingBatch:
         ds = tiny_dataset({c: 2 for c in range(12)})
         rng = np.random.default_rng(3)
         with pytest.raises(SamplingError, match="100 draws"):
-            episodic.sample_training_batch(ds, list(range(12)), rng)
+            episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE)
 
     def test_too_few_classes_rejected(self):
         ds = tiny_dataset({c: 10 for c in range(5)})
         rng = np.random.default_rng(4)
         with pytest.raises(ConfigError):
-            episodic.sample_training_batch(ds, list(range(5)), rng)
+            episodic.sample_training_batch(ds, list(range(5)), rng, **BATCH_SHAPE)
 
 
 class TestEpisodeSampling:

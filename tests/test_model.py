@@ -273,3 +273,13 @@ class TestCheckpoint:
             fh.write(b"\x00")
         with pytest.raises(FormatError):
             model.load_checkpoint(path)
+
+    def test_non_utf8_block_name_rejected(self, tmp_path):
+        net = model.init_model(VE_CFG, seed=5)
+        path = tmp_path / "m.osm"
+        model.save_checkpoint(str(path), net)
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"frame_layer")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8"):
+            model.load_checkpoint(str(path))

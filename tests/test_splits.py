@@ -351,3 +351,10 @@ class TestSplitSerialization:
         path.write_text("class_id,subset,category\n0,train,-\n0,train,-\n")
         with pytest.raises(ParseError, match="duplicate"):
             splits.read_split(str(path), table)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        table = make_table([(0, 0, 0)])
+        path = tmp_path / "split.csv"
+        path.write_bytes(b"class_id,subset,category\n0,tr\xfein,-\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            splits.read_split(str(path), table)

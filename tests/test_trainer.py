@@ -255,7 +255,9 @@ class TestTrainLoop:
 class TestObjectives:
     def batch_for(self, n=12):
         rng = np.random.default_rng(13)
-        return episodic.sample_training_batch(DATASET, sorted(SPLIT.train), rng)
+        return episodic.sample_training_batch(
+            DATASET, sorted(SPLIT.train), rng, n=n, k_max=8, min_total=36
+        )
 
     def test_we_lambda_zero_matches_alignment_only(self):
         from openset import losses
