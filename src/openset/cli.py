@@ -179,11 +179,13 @@ def cmd_synth(args) -> None:
     )
     dataset = data.synth_generate(synth_cfg)
     data.write_class_table(os.path.join(args.out, _CLASS_TABLE_FILE), dataset.classes)
-    data.write_features(os.path.join(args.out, _FEATURES_FILE), dataset.instances)
+    features_path = os.path.join(args.out, _FEATURES_FILE)
+    data.write_features(features_path, dataset.instance_ids, dataset.class_ids, dataset.features)
     data.write_labels(os.path.join(args.out, _LABELS_FILE), dataset.label_embeddings)
     write_resolved(args.out, cfg)
     print(
-        f"synth: {len(dataset.classes)} classes, {len(dataset.instances)} instances -> {args.out}"
+        f"synth: {len(dataset.classes)} classes, {len(dataset.instance_ids)} instances "
+        f"-> {args.out}"
     )
 
 

@@ -14,9 +14,9 @@ On-disk formats:
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,51 +90,58 @@ class ClassTable:
 
 @dataclass
 class Instance:
-    """One video clip: a (frames, input_dim) float feature stack."""
+    """One row of a Dataset as a record; see Dataset.instances."""
 
     instance_id: int
     class_id: int
     features: np.ndarray
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise DimensionError(
-                f"instance {self.instance_id}: features must be 2-D, "
-                f"got ndim={self.features.ndim}"
-            )
+
+def _columns(instance_ids, class_ids, features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three instance columns as arrays, once their shapes agree."""
+    ids, cids, feats = np.asarray(instance_ids), np.asarray(class_ids), np.asarray(features)
+    n = feats.shape[:1]
+    if feats.ndim != 3 or ids.shape != n or cids.shape != n:
+        raise DimensionError(
+            f"features {feats.shape}, instance_ids {ids.shape} and class_ids {cids.shape} "
+            "are not (N, frames, input_dim), (N,), (N,)"
+        )
+    return ids, cids, feats
 
 
 @dataclass
 class Dataset:
-    """Class table, instances, and per-class label embeddings.
+    """Class table, instances as columns, and per-class label embeddings.
 
-    Every instance's class_id must appear in the table; label embeddings are
-    unit-norm vectors sharing one dimensionality. instances_by_class maps
-    class_id to the list of its instances in insertion order.
+    Row i is one instance: id instance_ids[i], class class_ids[i] and the
+    (frames, input_dim) stack features[i]. Every class id must appear in the
+    table; label embeddings are unit-norm vectors sharing one dimensionality.
+    class_rows maps every table class to its rows in file order (possibly
+    none), so batches and episodes are index arrays into features.
     """
 
     classes: ClassTable
-    instances: list[Instance]
+    instance_ids: np.ndarray
+    class_ids: np.ndarray
+    features: np.ndarray
     label_embeddings: dict[int, np.ndarray]
-    instances_by_class: dict[int, list[Instance]] = field(init=False)
+    class_rows: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        ids_seen = set()
-        by_class: dict[int, list[Instance]] = {cid: [] for cid in self.classes.class_ids()}
-        for inst in self.instances:
-            if inst.instance_id in ids_seen:
-                raise ConfigError(f"duplicate instance_id {inst.instance_id}")
-            ids_seen.add(inst.instance_id)
-            if inst.class_id not in self.classes:
-                raise ConfigError(
-                    f"instance {inst.instance_id} references unknown class "
-                    f"{inst.class_id}"
-                )
-            by_class[inst.class_id].append(inst)
-        shapes = {inst.features.shape for inst in self.instances}
-        if len(shapes) > 1:
-            raise DimensionError(f"inconsistent feature shapes: {sorted(shapes)}")
+        ids, cids, feats = _columns(self.instance_ids, self.class_ids, self.features)
+        self.instance_ids = ids.astype(np.int64, copy=False)
+        self.class_ids = cids.astype(np.int64, copy=False)
+        self.features = feats.astype(np.float64, copy=False)
+        ids, counts = np.unique(self.instance_ids, return_counts=True)
+        if (counts > 1).any():
+            raise ConfigError(f"duplicate instance_id {ids[np.argmax(counts > 1)]}")
+        table_ids = self.classes.class_ids()
+        known = np.isin(self.class_ids, table_ids)
+        if not known.all():
+            i = np.argmin(known)
+            raise ConfigError(
+                f"instance {self.instance_ids[i]} references unknown class {self.class_ids[i]}"
+            )
         dims = set()
         for cid, emb in self.label_embeddings.items():
             if cid not in self.classes:
@@ -150,19 +157,34 @@ class Dataset:
             dims.add(emb.shape[0])
         if len(dims) > 1:
             raise DimensionError(f"inconsistent label embedding dims: {sorted(dims)}")
-        self.instances_by_class = by_class
+        # a stable sort keeps each class's rows in file order
+        order = np.argsort(self.class_ids, kind="stable")
+        bounds = np.searchsorted(self.class_ids[order], table_ids[1:])
+        self.class_rows = dict(zip(table_ids, np.split(order, bounds)))
+
+    @cached_property
+    def instances(self) -> list[Instance]:
+        """The rows as Instance records viewing features, built on first use.
+
+        Only the benchmark harness under perfbench/ reads this; nothing in
+        the package does. ROADMAP item 1 removes it together with Instance.
+        """
+        return [
+            Instance(instance_id=i, class_id=c, features=f)
+            for i, c, f in zip(self.instance_ids.tolist(), self.class_ids.tolist(), self.features)
+        ]
 
     @property
     def input_dim(self) -> int:
-        if not self.instances:
+        if not len(self.features):
             raise ConfigError("dataset has no instances")
-        return self.instances[0].features.shape[1]
+        return self.features.shape[2]
 
     @property
     def frames(self) -> int:
-        if not self.instances:
+        if not len(self.features):
             raise ConfigError("dataset has no instances")
-        return self.instances[0].features.shape[0]
+        return self.features.shape[1]
 
     @property
     def label_dim(self) -> int:
@@ -230,13 +252,17 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
 
     entries: dict[int, ClassEntry] = {}
     label_embeddings: dict[int, np.ndarray] = {}
-    instances: list[Instance] = []
     lo, hi = cfg.instances_per_class
-    next_instance = 0
+    # rows for the largest possible draw, filled in place; the pages of rows
+    # past the last one used are never touched, so never resident
+    features = np.empty((n_classes * hi, cfg.frames, cfg.input_dim))
+    counts = []
+    row = 0
     for class_id, (v, n) in enumerate(chosen):
         context = np.concatenate([verb_latent[v], noun_latent[n]])
         label_embeddings[class_id] = l2_normalize(m_label @ context)
         count = int(rng.integers(lo, hi, endpoint=True))
+        counts.append(count)
         entries[class_id] = ClassEntry(
             class_id=class_id,
             label=ActionLabel(
@@ -250,16 +276,14 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         for _ in range(count):
             delta = rng.standard_normal(d2) * cfg.sigma_instance
             frame_noise = rng.standard_normal((cfg.frames, cfg.input_dim)) * cfg.sigma_frame
-            base = m_video @ (context + delta)
-            features = np.tile(base, (cfg.frames, 1)) + frame_noise
-            instances.append(
-                Instance(instance_id=next_instance, class_id=class_id, features=features)
-            )
-            next_instance += 1
+            features[row] = m_video @ (context + delta) + frame_noise
+            row += 1
 
     return Dataset(
         classes=ClassTable(entries),
-        instances=instances,
+        instance_ids=np.arange(row),
+        class_ids=np.repeat(np.arange(n_classes), counts),
+        features=features[:row],
         label_embeddings=label_embeddings,
     )
 
@@ -334,45 +358,58 @@ def read_class_table(path: str) -> ClassTable:
 # --- binary feature / label files ---
 
 
-def _fits_u32(value) -> bool:
-    """True when value is an integer that fits the formats' uint32 id fields."""
-    try:
-        return 0 <= operator.index(value) < 2**32
-    except TypeError:
-        return False
+def _check_u32(what: str, ids: np.ndarray) -> None:
+    """Reject ids that are not integers fitting the formats' uint32 id fields."""
+    if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= 2**32:
+        raise FormatError(f"{what} ids must be integers in [0, 2^32)")
 
 
-def write_features(path: str, instances: list[Instance]) -> None:
-    """Serialize instance feature stacks as OSF1 (float32 little-endian).
+def _feature_record(frames: int, input_dim: int) -> np.dtype:
+    """One OSF1 record: instance id, class id, then the float32 frames."""
+    return np.dtype([("ids", "<u4", (2,)), ("features", "<f4", (frames * input_dim,))])
 
-    Every record is validated before the file is opened, so a rejected write
+
+def _first_non_finite(rows: np.ndarray) -> int | None:
+    """Index of the first float32 row holding a NaN or inf, or None."""
+    # a float64 row sum is finite exactly when every float32 term is, and
+    # needs no (N, frames * input_dim) temporary; +inf and -inf in one row
+    # sum to NaN, which is the answer, not a condition worth a warning
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(rows.sum(axis=1, dtype=np.float64))
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def write_features(path: str, instance_ids, class_ids, features) -> None:
+    """Serialize an (N, frames, input_dim) feature array as OSF1 (float32
+    little-endian), one record per row with its instance and class id.
+
+    Everything is validated before the file is opened, so a rejected write
     leaves no file behind and an existing file untouched.
     """
-    if not instances:
+    ids, cids, features = _columns(instance_ids, class_ids, features)
+    n, frames, input_dim = features.shape
+    if n == 0:
         raise FormatError("write_features: no instances")
-    frames, input_dim = instances[0].features.shape
-    for inst in instances:
-        if inst.features.shape != (frames, input_dim):
-            raise DimensionError(
-                f"write_features: instance {inst.instance_id} shape "
-                f"{inst.features.shape} != ({frames}, {input_dim})"
-            )
-        if not (_fits_u32(inst.instance_id) and _fits_u32(inst.class_id)):
-            raise FormatError(
-                f"write_features: instance {inst.instance_id} class {inst.class_id}: "
-                "ids must be integers in [0, 2^32)"
-            )
+    _check_u32("write_features: instance", ids)
+    _check_u32("write_features: class", cids)
+    records = np.empty(n, dtype=_feature_record(frames, input_dim))
+    records["ids"][:, 0] = ids
+    records["ids"][:, 1] = cids
+    # a float64 beyond the float32 range becomes inf, rejected just below
+    with np.errstate(over="ignore"):
+        records["features"] = features.reshape(n, frames * input_dim)
+    bad = _first_non_finite(records["features"])
+    if bad is not None:
+        raise FormatError(f"write_features: instance {ids[bad]} has non-finite features")
     with open(path, "wb") as fh:
         fh.write(_MAGIC_FEATURES)
-        fh.write(struct.pack("<III", 1, len(instances), frames))
-        fh.write(struct.pack("<I", input_dim))
-        for inst in instances:
-            fh.write(struct.pack("<II", inst.instance_id, inst.class_id))
-            fh.write(inst.features.astype("<f4").tobytes(order="C"))
+        fh.write(struct.pack("<IIII", 1, n, frames, input_dim))
+        fh.write(records)
 
 
-def read_features(path: str) -> list[Instance]:
-    """Load an OSF1 feature file back into Instance objects (float64)."""
+def read_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Load an OSF1 feature file as (instance_ids, class_ids, features):
+    two (N,) int64 columns and an (N, frames, input_dim) float64 array."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC_FEATURES:
@@ -382,36 +419,25 @@ def read_features(path: str) -> list[Instance]:
     version, n_instances, frames, input_dim = struct.unpack("<IIII", blob[4:20])
     if version != 1:
         raise FormatError(f"{path}: unsupported version {version}")
-    payload = frames * input_dim * 4
-    expected = 20 + n_instances * (8 + payload)
+    if n_instances == 0:
+        raise FormatError(f"{path}: no instances")
+    expected = 20 + n_instances * (8 + frames * input_dim * 4)
     if len(blob) != expected:
         raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
-    if n_instances:
-        record = np.dtype([("ids", "<u4", (2,)), ("features", "<f4", (frames * input_dim,))])
-        records = np.frombuffer(blob, dtype=record, offset=20)
-        # a float64 row sum is finite exactly when every float32 term is, and
-        # needs no (N, frames * input_dim) temporary
-        finite = np.isfinite(records["features"].sum(axis=1, dtype=np.float64))
-        if not finite.all():
-            bad = int(records["ids"][np.argmin(finite), 0])
-            raise FormatError(f"{path}: instance {bad} has non-finite features")
-    instances = []
-    off = 20
-    for _ in range(n_instances):
-        instance_id, class_id = struct.unpack("<II", blob[off : off + 8])
-        off += 8
-        feats = np.frombuffer(blob[off : off + payload], dtype="<f4").reshape(
-            frames, input_dim
-        )
-        off += payload
-        instances.append(
-            Instance(
-                instance_id=instance_id,
-                class_id=class_id,
-                features=feats.astype(np.float64),
-            )
-        )
-    return instances
+    records = np.frombuffer(blob, dtype=_feature_record(frames, input_dim), offset=20)
+    bad = _first_non_finite(records["features"])
+    if bad is not None:
+        raise FormatError(f"{path}: instance {records['ids'][bad, 0]} has non-finite features")
+    return (
+        records["ids"][:, 0].astype(np.int64),
+        records["ids"][:, 1].astype(np.int64),
+        records["features"].reshape(n_instances, frames, input_dim).astype(np.float64),
+    )
+
+
+def _label_record(d_b: int) -> np.dtype:
+    """One OSL1 record: class id, then the float32 embedding."""
+    return np.dtype([("cid", "<u4"), ("embedding", "<f4", (d_b,))])
 
 
 def write_labels(path: str, embeddings: dict[int, np.ndarray]) -> None:
@@ -423,15 +449,21 @@ def write_labels(path: str, embeddings: dict[int, np.ndarray]) -> None:
     if len(dims) != 1:
         raise DimensionError(f"write_labels: inconsistent dims {sorted(dims)}")
     (d_b,) = dims.pop()
-    for cid in embeddings:
-        if not _fits_u32(cid):
-            raise FormatError(f"write_labels: class id {cid} must be an integer in [0, 2^32)")
+    cids = np.asarray(list(embeddings))
+    _check_u32("write_labels: class", cids)
+    records = np.empty(len(embeddings), dtype=_label_record(d_b))
+    records["cid"] = np.sort(cids)
+    # a float64 beyond the float32 range becomes inf, rejected just below
+    with np.errstate(over="ignore"):
+        records["embedding"] = [embeddings[cid] for cid in records["cid"].tolist()]
+    finite = np.isfinite(records["embedding"]).all(axis=1)
+    if not finite.all():
+        bad = records["cid"][np.argmin(finite)]
+        raise FormatError(f"write_labels: class {bad} has a non-finite label embedding")
     with open(path, "wb") as fh:
         fh.write(_MAGIC_LABELS)
         fh.write(struct.pack("<III", 1, len(embeddings), d_b))
-        for cid in sorted(embeddings):
-            fh.write(struct.pack("<I", cid))
-            fh.write(np.asarray(embeddings[cid], dtype="<f4").tobytes(order="C"))
+        fh.write(records)
 
 
 def read_labels(path: str) -> dict[int, np.ndarray]:
@@ -452,8 +484,7 @@ def read_labels(path: str) -> dict[int, np.ndarray]:
     expected = 16 + n_classes * (4 + payload)
     if len(blob) != expected:
         raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
-    record = np.dtype([("cid", "<u4"), ("embedding", "<f4", (d_b,))])
-    records = np.frombuffer(blob, dtype=record, offset=16)
+    records = np.frombuffer(blob, dtype=_label_record(d_b), offset=16)
     finite = np.isfinite(records["embedding"]).all(axis=1)
     if not finite.all():
         bad = int(records["cid"][np.argmin(finite)])
@@ -473,9 +504,9 @@ def read_labels(path: str) -> dict[int, np.ndarray]:
 def load_dataset(class_table_path: str, features_path: str, labels_path: str) -> Dataset:
     """Assemble a Dataset from its three on-disk parts."""
     table = read_class_table(class_table_path)
-    instances = read_features(features_path)
+    instance_ids, class_ids, features = read_features(features_path)
     embeddings = read_labels(labels_path)
     missing = [cid for cid in table.class_ids() if cid not in embeddings]
     if missing:
         raise FormatError(f"labels file missing classes {missing}")
-    return Dataset(classes=table, instances=instances, label_embeddings=embeddings)
+    return Dataset(table, instance_ids, class_ids, features, embeddings)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Instance
+from .data import Dataset
 from .errors import ConfigError, MethodError, SamplingError
 from .model import METHOD_JE, METHOD_VE, METHOD_WE, EmbeddingModel
 from .splits import CATEGORY_HON, CATEGORY_HOV, SplitResult
@@ -35,17 +35,6 @@ _SUBSET_ORDER = ("All", "HoV", "HoN")
 _RESAMPLE_LIMIT = 100
 
 
-@dataclass
-class Episode:
-    """support items are Instances (FSG) or label-embedding vectors (CM-FSG),
-    each tagged with its class; queries are always (Instance, true class)."""
-
-    task: str
-    classes: list[int]
-    support: list[tuple[object, int]]
-    queries: list[tuple[Instance, int]]
-
-
 def sample_training_batch(
     dataset: Dataset,
     train_classes: list[int],
@@ -53,24 +42,25 @@ def sample_training_batch(
     n: int,
     k_max: int,
     min_total: int,
-) -> dict[int, list[Instance]]:
+) -> tuple[list[int], np.ndarray]:
     """n distinct classes with up to k_max instances each, at least min_total
-    instances in total; whole draws failing the total are resampled."""
+    instances in total; whole draws failing the total are resampled.
+
+    Returns the picked classes and the dataset rows of the batch, both in
+    draw order (each class's rows follow the class's place in picked)."""
     pool = sorted(train_classes)
     if len(pool) < n:
         raise ConfigError(f"batch sampling: need {n} classes, have {len(pool)}")
     for _ in range(_RESAMPLE_LIMIT):
         picked = [pool[i] for i in rng.choice(len(pool), size=n, replace=False)]
-        batch: dict[int, list[Instance]] = {}
-        total = 0
+        rows = []
         for cid in picked:
-            avail = dataset.instances_by_class[cid]
+            avail = dataset.class_rows[cid]
             take = min(k_max, len(avail))
-            idx = rng.choice(len(avail), size=take, replace=False)
-            batch[cid] = [avail[i] for i in idx]
-            total += take
-        if total >= min_total:
-            return batch
+            rows.append(avail[rng.choice(len(avail), size=take, replace=False)])
+        rows = np.concatenate(rows)
+        if len(rows) >= min_total:
+            return picked, rows
     raise SamplingError(
         f"batch sampling: {_RESAMPLE_LIMIT} draws below {min_total} total instances"
     )
@@ -82,45 +72,18 @@ def eligible_episode_classes(
     """Classes with enough instances for one episode: k supports plus at
     least one query (FSG), or at least one query (CM-FSG)."""
     need = k + 1 if task == TASK_FSG else 1
-    return [
-        cid
-        for cid in sorted(classes)
-        if len(dataset.instances_by_class.get(cid, [])) >= need
-    ]
+    return [cid for cid in sorted(classes) if len(dataset.class_rows.get(cid, ())) >= need]
 
 
-def sample_episode(
-    dataset: Dataset,
-    eval_classes: set[int],
-    task: str,
-    rng: np.random.Generator,
-    n: int,
-    k: int,
-    m: int,
-) -> Episode:
-    """Draw one episode. FSG supports and queries are disjoint instances of
-    the same class; the cross-modal task supports each class with its single
-    label embedding (k must be 1)."""
-    picked, drawn = _draw_episode(dataset, eval_classes, task, rng, n, k, m)
-    support: list[tuple[object, int]] = []
-    queries: list[tuple[Instance, int]] = []
-    for cid, idx in zip(picked, drawn):
-        avail = dataset.instances_by_class[cid]
-        if task == TASK_FSG:
-            support.extend((avail[i], cid) for i in idx[:k])
-            idx = idx[k:]
-        else:
-            support.append((dataset.label_embeddings[cid], cid))
-        queries.extend((avail[i], cid) for i in idx)
-    return Episode(task=task, classes=picked, support=support, queries=queries)
-
-
-def _draw_episode(
+def draw_episode(
     dataset: Dataset, eval_classes: set[int], task: str, rng: np.random.Generator,
     n: int, k: int, m: int,
 ) -> tuple[list[int], list[np.ndarray]]:
-    """The episode's classes and, per class, the drawn positions into
-    instances_by_class: FSG supports first (k of them), then queries."""
+    """Draw one episode: its n classes and, per class, the drawn positions
+    into class_rows. FSG positions hold k supports, then the queries,
+    disjoint instances of the same class; the cross-modal task supports each
+    class with its single label embedding (k must be 1), so every position
+    is a query. Each class gets up to m queries."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if n < 1 or k < 1 or m < 1:
@@ -132,7 +95,7 @@ def _draw_episode(
         raise SamplingError(f"episode: need {n} eligible classes, have {len(eligible)}")
     picked = [eligible[i] for i in rng.choice(len(eligible), size=n, replace=False)]
     n_support = k if task == TASK_FSG else 0
-    sizes = [len(dataset.instances_by_class[cid]) for cid in picked]
+    sizes = [len(dataset.class_rows[cid]) for cid in picked]
     return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
 
 
@@ -259,8 +222,7 @@ def evaluate(
             )
             continue
         for cid in sorted(set(eligible) - video.keys()):
-            frames = np.stack([inst.features for inst in dataset.instances_by_class[cid]])
-            video[cid], _ = model.embed_video_batch(frames)
+            video[cid], _ = model.embed_video_batch(dataset.features[dataset.class_rows[cid]])
             if support_mode == SUPPORT_LABEL_RAW:
                 labels[cid] = dataset.label_embeddings[cid]
             elif support_mode == SUPPORT_LABEL_PROJECTED:
@@ -268,7 +230,7 @@ def evaluate(
         result = SubsetResult()
         for episode_idx in range(n_episodes):
             rng = np.random.default_rng([seed, subset_idx, episode_idx])
-            picked, drawn = _draw_episode(dataset, classes, task, rng, n, k, m)
+            picked, drawn = draw_episode(dataset, classes, task, rng, n, k, m)
             if support_mode == SUPPORT_VIDEO:
                 sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
             else:

@@ -271,6 +271,8 @@ def load_checkpoint(path: str) -> EmbeddingModel:
         weights = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
         (bias_len,) = struct.unpack("<I", take(4))
         bias = np.frombuffer(take(bias_len * 8), dtype="<f8")
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise FormatError(f"{path}: block {name!r} has non-finite parameters")
         named[name] = ParamBlock(name=name, weights=weights.copy(), bias=bias.copy())
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes")

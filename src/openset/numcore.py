@@ -1,5 +1,4 @@
-"""Dense numeric substrate: affine layers, L2 normalization, Adam, and a
-finite-difference gradient checker.
+"""Dense numeric substrate: affine layers, L2 normalization and Adam.
 
 Tensors are plain 2-D float64 numpy arrays in row-major order. There is no
 implicit computation graph: forward functions return outputs, backward
@@ -204,28 +203,6 @@ def adam_step(params: ParamBlock, state: AdamState, lr: float) -> None:
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
     state.step_count = t
     params.zero_grad()
-
-
-def check_gradient(f, point: np.ndarray, h: float = 1e-5) -> float:
-    """Compare an analytic gradient against central finite differences.
-
-    `f` maps a 1-D point to (scalar value, gradient vector). Returns the
-    maximum over coordinates of |analytic - numeric| / max(1, |analytic|).
-    """
-    point = np.asarray(point, dtype=np.float64)
-    _, grad = f(point)
-    grad = np.asarray(grad, dtype=np.float64)
-    worst = 0.0
-    for i in range(point.size):
-        bumped = point.copy()
-        bumped[i] += h
-        hi, _ = f(bumped)
-        bumped[i] -= 2.0 * h
-        lo, _ = f(bumped)
-        numeric = (hi - lo) / (2.0 * h)
-        err = abs(grad[i] - numeric) / max(1.0, abs(grad[i]))
-        worst = max(worst, err)
-    return worst
 
 
 def log1p_sum_exp(xs: np.ndarray) -> float:

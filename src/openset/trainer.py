@@ -106,28 +106,21 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.decay_factor ** (step // cfg.decay_every)
 
 
-def _flatten_batch(batch: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a class-grouped batch into (frames, class_ids) arrays."""
-    frames = []
-    class_ids = []
-    for cid, instances in batch.items():
-        for inst in instances:
-            frames.append(inst.features)
-            class_ids.append(cid)
-    return np.stack(frames), np.array(class_ids, dtype=np.int64)
-
-
 def batch_objective(
     model: EmbeddingModel,
-    batch: dict,
-    dataset: Dataset,
-    cfg: TrainConfig,
+    frames: np.ndarray,
+    class_ids: np.ndarray,
+    labels: dict[int, np.ndarray],
     with_grads: bool,
+    cfg: TrainConfig,
 ) -> float:
     """Compute the method objective on one batch; when with_grads, backprop
-    into the model's gradient buffers (caller steps and zeroes them)."""
+    into the model's gradient buffers (caller steps and zeroes them).
+
+    frames and class_ids are the batch's rows of the dataset columns;
+    labels maps each class the batch drew (even one that gave no rows) to
+    its label embedding."""
     dml = make_dml(cfg.dml, cfg.histogram, cfg.multisim)
-    frames, class_ids = _flatten_batch(batch)
     video_emb, video_cache = model.embed_video_batch(frames)
     video_batch = EmbeddingBatch(embeddings=video_emb, class_ids=class_ids)
 
@@ -138,15 +131,15 @@ def batch_objective(
         return loss
 
     if cfg.method == METHOD_WE:
-        label_rows = np.stack([dataset.label_embeddings[int(c)] for c in class_ids])
+        label_rows = np.stack([labels[int(c)] for c in class_ids])
         loss, grads = we_loss(video_batch, label_rows, cfg.lambda_we, dml)
         if with_grads:
             model.backward_video_batch(video_cache, grads)
         return loss
 
-    # JE: one projected label item per class present in the batch
-    classes = sorted(batch)
-    raw_labels = np.stack([dataset.label_embeddings[c] for c in classes])
+    # JE: one projected label item per class of the batch
+    classes = sorted(labels)
+    raw_labels = np.stack([labels[c] for c in classes])
     label_emb, label_cache = model.embed_label_batch(raw_labels)
     label_batch = EmbeddingBatch(
         embeddings=label_emb, class_ids=np.array(classes, dtype=np.int64)
@@ -156,6 +149,25 @@ def batch_objective(
         model.backward_video_batch(video_cache, grads_video)
         model.backward_label_batch(label_cache, grads_label)
     return loss
+
+
+def _batch_loss(
+    model: EmbeddingModel,
+    dataset: Dataset,
+    classes: list[int],
+    rng: np.random.Generator,
+    cfg: TrainConfig,
+    with_grads: bool,
+) -> float:
+    """Draw one batch from classes and return its objective."""
+    picked, rows = episodic.sample_training_batch(
+        dataset, classes, rng,
+        n=cfg.batch_classes, k_max=cfg.batch_k_max, min_total=cfg.batch_min_total,
+    )
+    labels = {c: dataset.label_embeddings[c] for c in picked}
+    return batch_objective(
+        model, dataset.features[rows], dataset.class_ids[rows], labels, with_grads, cfg
+    )
 
 
 def _validation_loss(
@@ -169,16 +181,8 @@ def _validation_loss(
     total = 0.0
     counted = 0
     for _ in range(cfg.val_batches):
-        batch = episodic.sample_training_batch(
-            dataset,
-            val_classes,
-            rng,
-            n=cfg.batch_classes,
-            k_max=cfg.batch_k_max,
-            min_total=cfg.batch_min_total,
-        )
         try:
-            total += batch_objective(model, batch, dataset, cfg, with_grads=False)
+            total += _batch_loss(model, dataset, val_classes, rng, cfg, with_grads=False)
         except DegenerateInputError:
             continue
         counted += 1
@@ -230,16 +234,8 @@ def train(
     for step in range(1, cfg.max_batches + 1):
         loss = None
         for _ in range(_DEGENERATE_LIMIT):
-            batch = episodic.sample_training_batch(
-                dataset,
-                train_classes,
-                rng,
-                n=cfg.batch_classes,
-                k_max=cfg.batch_k_max,
-                min_total=cfg.batch_min_total,
-            )
             try:
-                loss = batch_objective(model, batch, dataset, cfg, with_grads=True)
+                loss = _batch_loss(model, dataset, train_classes, rng, cfg, with_grads=True)
                 break
             except DegenerateInputError:
                 model.zero_grad()

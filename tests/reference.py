@@ -14,6 +14,28 @@ import math
 import numpy as np
 
 
+def check_gradient(f, point: np.ndarray, h: float = 1e-5) -> float:
+    """Compare an analytic gradient against central finite differences.
+
+    `f` maps a 1-D point to (scalar value, gradient vector). Returns the
+    maximum over coordinates of |analytic - numeric| / max(1, |analytic|).
+    """
+    point = np.asarray(point, dtype=np.float64)
+    _, grad = f(point)
+    grad = np.asarray(grad, dtype=np.float64)
+    worst = 0.0
+    for i in range(point.size):
+        bumped = point.copy()
+        bumped[i] += h
+        hi, _ = f(bumped)
+        bumped[i] -= 2.0 * h
+        lo, _ = f(bumped)
+        numeric = (hi - lo) / (2.0 * h)
+        err = abs(grad[i] - numeric) / max(1.0, abs(grad[i]))
+        worst = max(worst, err)
+    return worst
+
+
 def naive_affine(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Triple-loop inp @ weights + bias."""
     n, d_in = inp.shape

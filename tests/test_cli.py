@@ -412,3 +412,17 @@ class TestFailureClasses:
         ])
         assert code == 2
         assert "zero-norm" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_one(self, pipeline, tmp_path, capsys):
+        # a checkpoint holding a NaN is a malformed file, not a runtime failure
+        net = model.load_checkpoint(os.path.join(pipeline["ve"], "checkpoint.osm"))
+        net.frame_layer.bias[0] = float("nan")
+        ckpt = str(tmp_path / "nan.osm")
+        model.save_checkpoint(ckpt, net)
+        code = cli.main([
+            "eval", "--checkpoint", ckpt, "--data", pipeline["data"],
+            "--split", pipeline["split_csv"], "--out", str(tmp_path / "o"),
+            "--episodes", "2", "--m", "5",
+        ])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err

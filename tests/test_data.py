@@ -1,5 +1,7 @@
 """Tests for the synthetic generator, class table, and binary formats."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,10 @@ class TestSynth:
         a = data.synth_generate(SMALL)
         b = data.synth_generate(SMALL)
         assert a.classes.entries == b.classes.entries
-        assert len(a.instances) == len(b.instances)
-        for x, y in zip(a.instances, b.instances):
-            assert x.instance_id == y.instance_id
-            assert np.array_equal(x.features, y.features)
+        assert len(a.instance_ids) == len(b.instance_ids)
+        assert np.array_equal(a.instance_ids, b.instance_ids)
+        assert np.array_equal(a.class_ids, b.class_ids)
+        assert np.array_equal(a.features, b.features)
         for cid in a.label_embeddings:
             assert np.array_equal(a.label_embeddings[cid], b.label_embeddings[cid])
 
@@ -31,7 +33,7 @@ class TestSynth:
         import dataclasses
         a = data.synth_generate(SMALL)
         b = data.synth_generate(dataclasses.replace(SMALL, seed=12))
-        assert not np.array_equal(a.instances[0].features, b.instances[0].features)
+        assert not np.array_equal(a.features[0], b.features[0])
 
     def test_shapes_and_counts(self):
         ds = data.synth_generate(SMALL)
@@ -41,9 +43,11 @@ class TestSynth:
         assert ds.frames == 3
         assert ds.label_dim == 6
         lo, hi = SMALL.instances_per_class
-        for cid, insts in ds.instances_by_class.items():
-            assert lo <= len(insts) <= hi
-            assert len(insts) == ds.classes.entries[cid].instance_count
+        assert ds.features.shape == (len(ds.instance_ids), 3, 12)
+        for cid, rows in ds.class_rows.items():
+            assert lo <= len(rows) <= hi
+            assert len(rows) == ds.classes.entries[cid].instance_count
+            assert (ds.class_ids[rows] == cid).all()
 
     def test_verb_noun_pairs_unique_and_in_grid(self):
         ds = data.synth_generate(SMALL)
@@ -60,12 +64,12 @@ class TestSynth:
             sigma_frame=0.0, sigma_instance=0.0, seed=5,
         )
         ds = data.synth_generate(cfg)
-        for insts in ds.instances_by_class.values():
-            base = insts[0].features
+        for rows in ds.class_rows.values():
+            base = ds.features[rows[0]]
             # frames within an instance coincide, as do sibling instances
             assert np.array_equal(base[0], base[1])
-            for other in insts[1:]:
-                assert np.array_equal(base, other.features)
+            for other in rows[1:]:
+                assert np.array_equal(base, ds.features[other])
 
     def test_low_noise_frame_means_classify_perfectly(self):
         cfg = data.SynthConfig(
@@ -75,7 +79,7 @@ class TestSynth:
         )
         ds = data.synth_generate(cfg)
         # leave-one-out nearest neighbour on raw frame means
-        means = [(inst.class_id, inst.features.mean(axis=0)) for inst in ds.instances]
+        means = list(zip(ds.class_ids, ds.features.mean(axis=1)))
         for i, (cid, m) in enumerate(means):
             dists = [
                 (np.linalg.norm(m - other), other_cid)
@@ -98,13 +102,13 @@ class TestSynth:
         )
         ds = data.synth_generate(cfg)
         centroids = {
-            cid: np.mean([i.features.mean(axis=0) for i in insts], axis=0)
-            for cid, insts in ds.instances_by_class.items()
+            cid: np.mean([ds.features[r].mean(axis=0) for r in rows], axis=0)
+            for cid, rows in ds.class_rows.items()
         }
         within = []
-        for cid, insts in ds.instances_by_class.items():
-            for inst in insts:
-                within.append(np.linalg.norm(inst.features.mean(axis=0) - centroids[cid]))
+        for cid, rows in ds.class_rows.items():
+            for r in rows:
+                within.append(np.linalg.norm(ds.features[r].mean(axis=0) - centroids[cid]))
         across = []
         cids = sorted(centroids)
         for i, a in enumerate(cids):
@@ -195,25 +199,27 @@ class TestClassTable:
             data.write_class_table(str(tmp_path / "c.csv"), table)
 
 
+def patch_float32(path, offset, values):
+    """Overwrite float32 values of a written file at a byte offset."""
+    blob = bytearray(pathlib.Path(path).read_bytes())
+    raw = np.asarray(values, dtype="<f4").tobytes()
+    blob[offset:offset + len(raw)] = raw
+    pathlib.Path(path).write_bytes(bytes(blob))
+
+
 class TestFeatureFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        insts = [
-            data.Instance(7, 2, rng.normal(size=(3, 5)).astype(np.float32))
-            for _ in range(4)
-        ]
+        feats = rng.normal(size=(4, 3, 5)).astype(np.float32)
         # distinct ids
-        insts = [
-            data.Instance(i, 2, inst.features) for i, inst in enumerate(insts)
-        ]
+        ids, cids = np.arange(4), np.full(4, 2)
         path = str(tmp_path / "f.osf")
-        data.write_features(path, insts)
-        back = data.read_features(path)
-        assert len(back) == 4
-        for a, b in zip(insts, back):
-            assert a.instance_id == b.instance_id
-            assert a.class_id == b.class_id
-            assert np.array_equal(a.features, b.features)
+        data.write_features(path, ids, cids, feats)
+        back_ids, back_cids, back_feats = data.read_features(path)
+        assert len(back_ids) == 4
+        assert np.array_equal(back_ids, ids)
+        assert np.array_equal(back_cids, cids)
+        assert np.array_equal(back_feats, feats)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -222,17 +228,14 @@ class TestFeatureFile:
     )
     def test_round_trip_property(self, tmp_path_factory, n, frames, dim, seed):
         rng = np.random.default_rng(seed)
-        insts = [
-            data.Instance(i, int(rng.integers(0, 3)),
-                          rng.normal(size=(frames, dim)).astype(np.float32))
-            for i in range(n)
-        ]
+        cids = rng.integers(0, 3, size=n)
+        feats = rng.normal(size=(n, frames, dim)).astype(np.float32)
         path = str(tmp_path_factory.mktemp("osf") / "f.osf")
-        data.write_features(path, insts)
-        back = data.read_features(path)
-        for a, b in zip(insts, back):
-            assert a.instance_id == b.instance_id
-            assert np.array_equal(a.features, b.features)
+        data.write_features(path, np.arange(n), cids, feats)
+        back_ids, back_cids, back_feats = data.read_features(path)
+        assert np.array_equal(back_ids, np.arange(n))
+        assert np.array_equal(back_cids, cids)
+        assert np.array_equal(back_feats, feats)
 
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "f.osf"
@@ -242,9 +245,8 @@ class TestFeatureFile:
 
     def test_truncated_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
-        insts = [data.Instance(0, 0, rng.normal(size=(2, 3)))]
         path = str(tmp_path / "f.osf")
-        data.write_features(path, insts)
+        data.write_features(path, [0], [0], rng.normal(size=(1, 2, 3)))
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-4])
         with pytest.raises(FormatError):
@@ -252,49 +254,75 @@ class TestFeatureFile:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
-        insts = [data.Instance(0, 0, rng.normal(size=(2, 3)))]
         path = str(tmp_path / "f.osf")
-        data.write_features(path, insts)
+        data.write_features(path, [0], [0], rng.normal(size=(1, 2, 3)))
         with open(path, "ab") as fh:
             fh.write(b"\x00\x00")
         with pytest.raises(FormatError):
             data.read_features(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        import struct
+        path = tmp_path / "f.osf"
+        path.write_bytes(struct.pack("<4sIIII", b"OSF1", 1, 0, 2**31, 2**31))
+        with pytest.raises(FormatError, match="no instances"):
+            data.read_features(str(path))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, tmp_path, bad):
-        feats = np.zeros((3, 2, 3))
-        feats[1, 1, 2] = bad
-        insts = [data.Instance(i, 0, f) for i, f in enumerate(feats)]
         path = str(tmp_path / "f.osf")
-        data.write_features(path, insts)
+        data.write_features(path, np.arange(3), np.zeros(3, int), np.zeros((3, 2, 3)))
+        # header 20 bytes, records of 8 id bytes + 6 floats; frame 1, column 2
+        patch_float32(path, 20 + 32 + 8 + 4 * (1 * 3 + 2), [bad])
         with pytest.raises(FormatError, match="instance 1 has non-finite"):
             data.read_features(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_mixed_infinities_rejected_with_warnings_as_errors(self, tmp_path):
+        # +inf and -inf in one row sum to NaN; that must end in the typed
+        # error, not in numpy's invalid-value warning
+        path = str(tmp_path / "f.osf")
+        data.write_features(path, np.arange(2), np.zeros(2, int), np.zeros((2, 2, 3)))
+        patch_float32(path, 20 + 32 + 8, [np.inf, -np.inf])
+        with pytest.raises(FormatError, match="instance 1 has non-finite"):
+            data.read_features(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_features_rejected_at_write(self, tmp_path, bad):
+        feats = np.zeros((3, 2, 3))
+        feats[1, 1, 2] = bad
+        path = tmp_path / "f.osf"
+        with pytest.raises(FormatError, match="instance 1 has non-finite"):
+            data.write_features(str(path), np.arange(3), np.zeros(3, int), feats)
+        assert not path.exists()
+        data.write_features(str(path), [7], [1], np.ones((1, 2, 3)))
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            data.write_features(str(path), np.arange(3), np.zeros(3, int), feats)
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("ids", [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)])
     def test_out_of_range_ids_rejected_at_write(self, tmp_path, ids):
-        insts = [data.Instance(ids[0], ids[1], np.zeros((2, 3)))]
         with pytest.raises(FormatError):
-            data.write_features(str(tmp_path / "f.osf"), insts)
+            data.write_features(str(tmp_path / "f.osf"), [ids[0]], [ids[1]], np.zeros((1, 2, 3)))
 
-    @pytest.mark.parametrize("bad, error", [
-        ([(0, 0, (2, 3)), (-1, 0, (2, 3))], FormatError),
-        ([(0, 0, (2, 3)), (1, 0, (3, 3))], DimensionError),
+    @pytest.mark.parametrize("ids, shape, error", [
+        ([0, -1], (2, 2, 3), FormatError),
+        ([0, 1], (3, 2, 3), DimensionError),
     ], ids=["bad_id", "bad_shape"])
-    def test_rejected_write_leaves_no_file(self, tmp_path, bad, error):
-        insts = [data.Instance(i, c, np.zeros(shape)) for i, c, shape in bad]
+    def test_rejected_write_leaves_no_file(self, tmp_path, ids, shape, error):
         path = tmp_path / "f.osf"
         with pytest.raises(error):
-            data.write_features(str(path), insts)
+            data.write_features(str(path), ids, [0, 0], np.zeros(shape))
         assert not path.exists()
 
     def test_rejected_write_keeps_existing_file(self, tmp_path):
         path = tmp_path / "f.osf"
-        data.write_features(str(path), [data.Instance(7, 1, np.ones((2, 3)))])
+        data.write_features(str(path), [7], [1], np.ones((1, 2, 3)))
         before = path.read_bytes()
-        insts = [data.Instance(0, 0, np.zeros((2, 3))), data.Instance(-1, 0, np.zeros((2, 3)))]
         with pytest.raises(FormatError):
-            data.write_features(str(path), insts)
+            data.write_features(str(path), [0, -1], [0, 0], np.zeros((2, 2, 3)))
         assert path.read_bytes() == before
 
 
@@ -348,9 +376,25 @@ class TestLabelFile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_label_rejected_at_read(self, tmp_path, bad):
         path = str(tmp_path / "l.osl")
-        data.write_labels(path, {0: np.array([1.0, 0.0]), 3: np.array([0.0, bad])})
+        data.write_labels(path, {0: np.array([1.0, 0.0]), 3: np.array([0.0, 1.0])})
+        # header 16 bytes, records of 4 id bytes + 2 floats; class 3, column 1
+        patch_float32(path, 16 + 12 + 4 + 4, [bad])
         with pytest.raises(FormatError, match="class 3 has a non-finite"):
             data.read_labels(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_label_rejected_at_write(self, tmp_path, bad):
+        path = tmp_path / "l.osl"
+        embs = {0: np.array([1.0, 0.0]), 3: np.array([0.0, bad])}
+        with pytest.raises(FormatError, match="class 3 has a non-finite"):
+            data.write_labels(str(path), embs)
+        assert not path.exists()
+        data.write_labels(str(path), {4: np.array([0.6, 0.8])})
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            data.write_labels(str(path), embs)
+        assert path.read_bytes() == before
 
     def test_empty_file_rejected_before_its_dim_is_used(self, tmp_path):
         import struct
@@ -385,15 +429,18 @@ class TestLoadDataset:
         ff = str(tmp_path / "features.osf")
         lf = str(tmp_path / "labels.osl")
         data.write_class_table(ct, ds.classes)
-        data.write_features(ff, ds.instances)
+        data.write_features(ff, ds.instance_ids, ds.class_ids, ds.features)
         data.write_labels(lf, ds.label_embeddings)
         back = data.load_dataset(ct, ff, lf)
         assert back.classes.entries == ds.classes.entries
-        assert len(back.instances) == len(ds.instances)
+        assert len(back.instance_ids) == len(ds.instance_ids)
+        assert np.array_equal(back.instance_ids, ds.instance_ids)
+        assert np.array_equal(back.class_ids, ds.class_ids)
         # features survive the float32 container exactly when written from
         # float32-representable data; synth emits float64, so compare loosely
-        for a, b in zip(ds.instances, back.instances):
-            assert np.allclose(a.features, b.features, atol=1e-6)
+        assert np.allclose(ds.features, back.features, atol=1e-6)
+        for cid, rows in ds.class_rows.items():
+            assert np.array_equal(back.class_rows[cid], rows)
 
     def test_missing_label_rejected(self, tmp_path):
         ds = data.synth_generate(SMALL)
@@ -401,7 +448,7 @@ class TestLoadDataset:
         ff = str(tmp_path / "features.osf")
         lf = str(tmp_path / "labels.osl")
         data.write_class_table(ct, ds.classes)
-        data.write_features(ff, ds.instances)
+        data.write_features(ff, ds.instance_ids, ds.class_ids, ds.features)
         partial = dict(ds.label_embeddings)
         partial.pop(next(iter(partial)))
         data.write_labels(lf, partial)
@@ -415,7 +462,7 @@ class TestLoadDataset:
         with pytest.raises(ConfigError):
             data.Dataset(
                 classes=table,
-                instances=[data.Instance(0, 99, np.zeros((2, 3)))],
+                instance_ids=[0], class_ids=[99], features=np.zeros((1, 2, 3)),
                 label_embeddings={0: np.array([1.0, 0.0])},
             )
 
@@ -426,7 +473,7 @@ class TestLoadDataset:
         with pytest.raises(ConfigError):
             data.Dataset(
                 classes=table,
-                instances=[data.Instance(0, 0, np.zeros((2, 3)))],
+                instance_ids=[0], class_ids=[0], features=np.zeros((1, 2, 3)),
                 label_embeddings={0: np.array([2.0, 0.0])},
             )
 
@@ -438,6 +485,51 @@ class TestLoadDataset:
         with pytest.raises(ConfigError, match="not finite"):
             data.Dataset(
                 classes=table,
-                instances=[data.Instance(0, 0, np.zeros((2, 3)))],
+                instance_ids=[0], class_ids=[0], features=np.zeros((1, 2, 3)),
                 label_embeddings={0: np.array([bad, 0.0])},
             )
+
+
+def one_class_table(*cids):
+    return data.ClassTable(entries={
+        c: data.ClassEntry(c, data.ActionLabel(c, c, "v", "n"), 1) for c in cids
+    })
+
+
+class TestDatasetColumns:
+    def test_class_rows_keep_file_order_and_cover_every_class(self):
+        ds = data.Dataset(
+            classes=one_class_table(0, 1, 5),
+            instance_ids=[10, 11, 12, 13, 14], class_ids=[5, 0, 5, 0, 5],
+            features=np.arange(30.0).reshape(5, 2, 3), label_embeddings={},
+        )
+        assert {c: r.tolist() for c, r in ds.class_rows.items()} == {
+            0: [1, 3], 1: [], 5: [0, 2, 4]}
+        assert ds.frames == 2 and ds.input_dim == 3
+
+    def test_duplicate_instance_id_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate instance_id 4"):
+            data.Dataset(
+                classes=one_class_table(0), instance_ids=[4, 2, 4], class_ids=[0, 0, 0],
+                features=np.zeros((3, 2, 3)), label_embeddings={},
+            )
+
+    @pytest.mark.parametrize("ids, features", [
+        ([0, 1], np.zeros((2, 3))),
+        ([0, 1], np.zeros((3, 2, 3))),
+        ([[0, 1]], np.zeros((1, 2, 3))),
+    ], ids=["2d_features", "length_mismatch", "2d_ids"])
+    def test_column_shapes_checked(self, ids, features):
+        with pytest.raises(DimensionError):
+            data.Dataset(
+                classes=one_class_table(0), instance_ids=ids, class_ids=[0] * len(ids),
+                features=features, label_embeddings={},
+            )
+
+    def test_instances_view_features_and_are_built_once(self):
+        ds = data.synth_generate(SMALL)
+        insts = ds.instances
+        assert ds.instances is insts
+        assert [i.instance_id for i in insts] == ds.instance_ids.tolist()
+        assert [i.class_id for i in insts] == ds.class_ids.tolist()
+        assert all(np.shares_memory(i.features, ds.features) for i in insts)

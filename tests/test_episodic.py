@@ -19,24 +19,37 @@ def tiny_dataset(counts, frames=2, dim=4, label_dim=6, seed=0, noise=1.0):
     classes), which turns content-equality into a perfect class signal.
     """
     rng = np.random.default_rng(seed)
-    entries, instances, labels = {}, [], {}
-    iid = 0
+    entries, class_ids, features, labels = {}, [], [], {}
     for cid, cnt in sorted(counts.items()):
         entries[cid] = data.ClassEntry(
             cid, data.ActionLabel(cid, cid, f"v{cid:02d}", f"n{cid:02d}"), cnt
         )
         base = rng.normal(size=(frames, dim))
         for _ in range(cnt):
-            feats = base + noise * rng.normal(size=(frames, dim))
-            instances.append(data.Instance(iid, cid, feats))
-            iid += 1
+            features.append(base + noise * rng.normal(size=(frames, dim)))
+            class_ids.append(cid)
         vec = rng.normal(size=label_dim)
         labels[cid] = vec / np.linalg.norm(vec)
     return data.Dataset(
         classes=data.ClassTable(entries=entries),
-        instances=instances,
+        instance_ids=np.arange(len(class_ids)),
+        class_ids=class_ids,
+        features=np.array(features).reshape(len(class_ids), frames, dim),
         label_embeddings=labels,
     )
+
+
+def episode_rows(ds, task, k, picked, drawn):
+    """A drawn episode as dataset rows: (support, queries), each a list of
+    (row, class). FSG takes the first k positions per class as supports;
+    cross-modal supports are label embeddings, so it has no support rows."""
+    n_support = k if task == "FSG" else 0
+    support, queries = [], []
+    for cid, idx in zip(picked, drawn):
+        rows = ds.class_rows[cid][idx]
+        support += [(int(r), cid) for r in rows[:n_support]]
+        queries += [(int(r), cid) for r in rows[n_support:]]
+    return support, queries
 
 
 def make_split(cids, category=None):
@@ -101,27 +114,29 @@ class TestTrainingBatch:
     def test_full_batch_shape(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(0)
-        batch = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
-        assert len(batch) == 12
-        assert all(len(v) == 8 for v in batch.values())
+        picked, rows = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
+        assert len(picked) == 12
+        assert all(count == 8 for count in Counter(ds.class_ids[rows]).values())
+        # rows come in draw order: each picked class's rows, in turn
+        assert ds.class_ids[rows].tolist() == np.repeat(picked, 8).tolist()
 
     def test_short_classes_capped(self):
         ds = tiny_dataset({c: 3 for c in range(12)})
         rng = np.random.default_rng(1)
-        batch = episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE)
+        picked, rows = episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE)
         # 12 classes x 3 instances reaches the floor exactly
-        assert sum(len(v) for v in batch.values()) == 36
+        assert len(rows) == 36
 
     def test_instances_unique_and_from_their_class(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(2)
-        batch = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
+        picked, rows = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
         seen = set()
-        for cid, insts in batch.items():
-            for inst in insts:
-                assert inst.class_id == cid
-                assert inst.instance_id not in seen
-                seen.add(inst.instance_id)
+        assert set(ds.class_ids[rows]) <= set(picked)
+        for row in rows:
+            assert ds.class_ids[row] in picked
+            assert ds.instance_ids[row] not in seen
+            seen.add(ds.instance_ids[row])
 
     def test_undersized_total_exhausts_retries(self):
         ds = tiny_dataset({c: 2 for c in range(12)})
@@ -143,26 +158,28 @@ class TestEpisodeSampling:
         pool = set(counts)
         for trial in range(500):
             rng = np.random.default_rng([9, trial])
-            ep = episodic.sample_episode(ds, pool, "FSG", rng, n=3, k=2, m=4)
-            assert len(ep.classes) == 3
-            assert len(set(ep.classes)) == 3
-            assert set(ep.classes) <= pool
-            support_ids = {inst.instance_id for inst, _ in ep.support}
-            query_ids = {inst.instance_id for inst, _ in ep.queries}
+            picked, drawn = episodic.draw_episode(ds, pool, "FSG", rng, n=3, k=2, m=4)
+            support, queries = episode_rows(ds, "FSG", 2, picked, drawn)
+            assert len(picked) == 3
+            assert len(set(picked)) == 3
+            assert set(picked) <= pool
+            support_ids = {ds.instance_ids[r] for r, _ in support}
+            query_ids = {ds.instance_ids[r] for r, _ in queries}
             assert not (support_ids & query_ids)
-            for cid in ep.classes:
-                k_c = sum(1 for _, c in ep.support if c == cid)
-                q_c = sum(1 for _, c in ep.queries if c == cid)
+            for cid in picked:
+                k_c = sum(1 for _, c in support if c == cid)
+                q_c = sum(1 for _, c in queries if c == cid)
                 assert k_c == 2
                 assert q_c == min(4, counts[cid] - 2)
-            for inst, cid in ep.support + ep.queries:
-                assert inst.class_id == cid
+            for row, cid in support + queries:
+                assert ds.class_ids[row] == cid
 
     def test_fsg_minimal_class_gets_one_query(self):
         ds = tiny_dataset({0: 3})
         rng = np.random.default_rng(5)
-        ep = episodic.sample_episode(ds, {0}, "FSG", rng, n=1, k=2, m=10)
-        assert len(ep.queries) == 1
+        picked, drawn = episodic.draw_episode(ds, {0}, "FSG", rng, n=1, k=2, m=10)
+        _, queries = episode_rows(ds, "FSG", 2, picked, drawn)
+        assert len(queries) == 1
 
     def test_fsg_eligibility_excludes_exact_k(self):
         # a class with exactly k instances cannot field a query
@@ -171,18 +188,18 @@ class TestEpisodeSampling:
         assert eligible == [1, 2, 3]
         rng = np.random.default_rng(6)
         with pytest.raises(SamplingError):
-            episodic.sample_episode(ds, {0, 1, 2}, "FSG", rng, n=3, k=2, m=4)
+            episodic.draw_episode(ds, {0, 1, 2}, "FSG", rng, n=3, k=2, m=4)
 
     def test_cmfsg_supports_are_label_embeddings(self):
         counts = {0: 3, 1: 4, 2: 6}
         ds = tiny_dataset(counts)
         rng = np.random.default_rng(7)
-        ep = episodic.sample_episode(ds, set(counts), "CM-FSG", rng, n=3, k=1, m=5)
-        assert len(ep.support) == 3
-        for item, cid in ep.support:
-            assert np.array_equal(item, ds.label_embeddings[cid])
-        for cid in ep.classes:
-            q_c = sum(1 for _, c in ep.queries if c == cid)
+        picked, drawn = episodic.draw_episode(ds, set(counts), "CM-FSG", rng, n=3, k=1, m=5)
+        support, queries = episode_rows(ds, "CM-FSG", 1, picked, drawn)
+        # one label per class supports it, so no instance is drawn as a support
+        assert len(picked) == 3 and not support
+        for cid in picked:
+            q_c = sum(1 for _, c in queries if c == cid)
             # every instance is a fair query in the cross-modal task
             assert q_c == min(5, counts[cid])
 
@@ -190,26 +207,24 @@ class TestEpisodeSampling:
         ds = tiny_dataset({0: 3, 1: 3})
         rng = np.random.default_rng(8)
         with pytest.raises(MethodError):
-            episodic.sample_episode(ds, {0, 1}, "CM-FSG", rng, n=2, k=2, m=3)
+            episodic.draw_episode(ds, {0, 1}, "CM-FSG", rng, n=2, k=2, m=3)
 
     def test_unknown_task_rejected(self):
         ds = tiny_dataset({0: 3})
         rng = np.random.default_rng(9)
         with pytest.raises(ConfigError):
-            episodic.sample_episode(ds, {0}, "ZSG", rng, n=1, k=1, m=1)
+            episodic.draw_episode(ds, {0}, "ZSG", rng, n=1, k=1, m=1)
 
     def test_deterministic_per_seed(self):
         ds = tiny_dataset({c: 6 for c in range(6)})
-        a = episodic.sample_episode(
+        a = episodic.draw_episode(
             ds, set(range(6)), "FSG", np.random.default_rng([1, 2]), n=3, k=2, m=3
         )
-        b = episodic.sample_episode(
+        b = episodic.draw_episode(
             ds, set(range(6)), "FSG", np.random.default_rng([1, 2]), n=3, k=2, m=3
         )
-        assert a.classes == b.classes
-        assert [(i.instance_id, c) for i, c in a.support] == [
-            (i.instance_id, c) for i, c in b.support
-        ]
+        assert a[0] == b[0]
+        assert episode_rows(ds, "FSG", 2, *a) == episode_rows(ds, "FSG", 2, *b)
 
 
 class TestKnn:
@@ -405,16 +420,17 @@ class TestEvaluate:
         queries = []
         for episode_idx in range(25):
             rng = np.random.default_rng([4, 0, episode_idx])
-            ep = episodic.sample_episode(ds, set(range(6)), "FSG", rng, n=4, k=2, m=3)
-            sup = np.stack([inst.features for inst, _ in ep.support])
+            picked, drawn = episodic.draw_episode(ds, set(range(6)), "FSG", rng, n=4, k=2, m=3)
+            support, ep_queries = episode_rows(ds, "FSG", 2, picked, drawn)
+            sup = np.stack([ds.features[r] for r, _ in support])
             sup_emb, _ = net.embed_video_batch(sup)
-            sup_ids = np.array([cid for _, cid in ep.support])
+            sup_ids = np.array([cid for _, cid in support])
             c = 0
-            for inst, true_cid in ep.queries:
-                q = net.embed_video_batch(inst.features[None])[0][0]
+            for row, true_cid in ep_queries:
+                q = net.embed_video_batch(ds.features[row][None])[0][0]
                 c += int(episodic.knn_classify(sup_emb, sup_ids, q, 2) == true_cid)
             correct.append(c)
-            queries.append(len(ep.queries))
+            queries.append(len(ep_queries))
         assert res.queries == sum(queries)
         assert res.correct == sum(correct)
         assert res.accuracy == reference.pooled_accuracy(correct, queries)
@@ -473,7 +489,7 @@ class TestEmbedOnce:
         report = episodic.evaluate(counting, ds, make_split(range(10), self.CATEGORY),
                                    task, n=3, k=1, m=4, n_episodes=30, seed=15)
         assert all(report.subsets[name].episodes == 30 for name in ("All", "HoV", "HoN"))
-        assert counting.video == Counter(inst.features.tobytes() for inst in ds.instances)
+        assert counting.video == Counter(stack.tobytes() for stack in ds.features)
         if method == "JE":
             assert counting.labels == Counter(
                 ds.label_embeddings[c].tobytes() for c in self.COUNTS)
@@ -492,13 +508,15 @@ class TestEmbedOnce:
             correct = queries = 0
             for episode_idx in range(40):
                 rng = np.random.default_rng([18, subset_idx, episode_idx])
-                ep = episodic.sample_episode(ds, subsets[name], "CM-FSG", rng, n=3, k=1, m=4)
-                labels = np.stack([vec for vec, _ in ep.support])
+                picked, drawn = episodic.draw_episode(
+                    ds, subsets[name], "CM-FSG", rng, n=3, k=1, m=4)
+                _, ep_queries = episode_rows(ds, "CM-FSG", 1, picked, drawn)
+                labels = np.stack([ds.label_embeddings[cid] for cid in picked])
                 if method == "JE":
                     labels = net.embed_label_batch(labels)[0]
-                sup_ids = np.array([cid for _, cid in ep.support])
-                for inst, true_cid in ep.queries:
-                    q = net.embed_video_batch(inst.features[None])[0][0]
+                sup_ids = np.array(picked)
+                for row, true_cid in ep_queries:
+                    q = net.embed_video_batch(ds.features[row][None])[0][0]
                     correct += int(episodic.knn_classify(labels, sup_ids, q, 1) == true_cid)
                     queries += 1
             res = report.subsets[name]

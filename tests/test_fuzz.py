@@ -32,7 +32,7 @@ def _valid_files(tmp):
     )
     split = splits.generate_split(TABLE, splits.SplitSpec(p_verbs=1, p_nouns=1, seed=1))
     writers = {
-        "osf": lambda p: data.write_features(p, ds.instances),
+        "osf": lambda p: data.write_features(p, ds.instance_ids, ds.class_ids, ds.features),
         "osl": lambda p: data.write_labels(p, ds.label_embeddings),
         "osm": lambda p: model.save_checkpoint(p, net),
         "class_table": lambda p: data.write_class_table(p, TABLE),

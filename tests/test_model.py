@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from openset import model, numcore
+from openset import model
 from openset.errors import (
     ConfigError,
     DegenerateInputError,
@@ -121,7 +121,7 @@ class TestBackward:
                 m2.backward_video_batch(cache, probe)
                 return val, blk.grad_weights.ravel().copy()
 
-            err = numcore.check_gradient(f, block.weights.ravel().copy())
+            err = reference.check_gradient(f, block.weights.ravel().copy())
             assert err < 1e-6, block.name
 
     def test_video_bias_gradients_match_central_differences(self):
@@ -138,7 +138,7 @@ class TestBackward:
             m2.backward_video_batch(cache, probe)
             return val, m2.frame_layer.grad_bias.copy()
 
-        err = numcore.check_gradient(f, net.frame_layer.bias.copy())
+        err = reference.check_gradient(f, net.frame_layer.bias.copy())
         assert err < 1e-6
 
     def test_label_gradients_match_central_differences(self):
@@ -157,7 +157,7 @@ class TestBackward:
             m2.backward_label_batch(cache, probe)
             return val, m2.label_projector.grad_weights.ravel().copy()
 
-        err = numcore.check_gradient(f, net.label_projector.weights.ravel().copy())
+        err = reference.check_gradient(f, net.label_projector.weights.ravel().copy())
         assert err < 1e-6
 
     def test_gradients_accumulate_across_calls(self):
@@ -283,3 +283,14 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="UTF-8"):
             model.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("block", ["frame_layer", "out_layer", "label_projector"])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, block, part, bad):
+        net = model.init_model(JE_CFG, seed=6)
+        getattr(getattr(net, block), part).flat[-1] = bad
+        path = str(tmp_path / "m.osm")
+        model.save_checkpoint(path, net)
+        with pytest.raises(FormatError, match=f"block '{block}' has non-finite"):
+            model.load_checkpoint(path)

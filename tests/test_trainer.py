@@ -220,13 +220,12 @@ class TestTrainLoop:
         state = {"first": True}
 
         def fake(dataset, classes, rng, **kw):
-            batch = real(dataset, classes, rng, **kw)
+            picked, rows = real(dataset, classes, rng, **kw)
             if state["first"]:
                 state["first"] = False
-                cid = next(iter(batch))
                 # single-class batch has no negative pairs
-                return {cid: batch[cid]}
-            return batch
+                return picked[:1], rows[dataset.class_ids[rows] == picked[0]]
+            return picked, rows
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", fake)
         net = make_net(seed=10)
@@ -240,9 +239,8 @@ class TestTrainLoop:
         real = episodic.sample_training_batch
 
         def fake(dataset, classes, rng, **kw):
-            batch = real(dataset, classes, rng, **kw)
-            cid = next(iter(batch))
-            return {cid: batch[cid]}
+            picked, rows = real(dataset, classes, rng, **kw)
+            return picked[:1], rows[dataset.class_ids[rows] == picked[0]]
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", fake)
         with pytest.raises(SamplingError, match="degenerate"):
@@ -254,18 +252,20 @@ class TestTrainLoop:
 
 class TestObjectives:
     def batch_for(self, n=12):
+        """A drawn batch as batch_objective's inputs: (frames, class ids, labels)."""
         rng = np.random.default_rng(13)
-        return episodic.sample_training_batch(
+        picked, rows = episodic.sample_training_batch(
             DATASET, sorted(SPLIT.train), rng, n=n, k_max=8, min_total=36
         )
+        labels = {c: DATASET.label_embeddings[c] for c in picked}
+        return DATASET.features[rows], DATASET.class_ids[rows], labels
 
     def test_we_lambda_zero_matches_alignment_only(self):
         from openset import losses
         net = make_net("WE", embed_dim=6, seed=12)
-        batch = self.batch_for()
+        frames, ids, labels = self.batch_for()
         cfg = fast_cfg(method="WE", lambda_we=0.0)
-        loss = trainer.batch_objective(net, batch, DATASET, cfg, with_grads=False)
-        frames, ids = trainer._flatten_batch(batch)
+        loss = trainer.batch_objective(net, frames, ids, labels, False, cfg)
         emb, _ = net.embed_video_batch(frames)
         targets = np.stack([DATASET.label_embeddings[int(c)] for c in ids])
         want, _ = losses.alignment_mse(losses.PairedBatch(emb, targets))
@@ -274,14 +274,13 @@ class TestObjectives:
     def test_we_lambda_shifts_loss_by_metric_term(self):
         from openset import losses
         net = make_net("WE", embed_dim=6, seed=12)
-        batch = self.batch_for()
+        frames, ids, labels = self.batch_for()
         base = trainer.batch_objective(
-            net, batch, DATASET, fast_cfg(method="WE", lambda_we=0.0), False
+            net, frames, ids, labels, False, fast_cfg(method="WE", lambda_we=0.0)
         )
         shifted = trainer.batch_objective(
-            net, batch, DATASET, fast_cfg(method="WE", lambda_we=2.0), False
+            net, frames, ids, labels, False, fast_cfg(method="WE", lambda_we=2.0)
         )
-        frames, ids = trainer._flatten_batch(batch)
         emb, _ = net.embed_video_batch(frames)
         dml_val, _ = losses.multisim_loss(
             losses.EmbeddingBatch(embeddings=emb, class_ids=ids),
@@ -292,12 +291,11 @@ class TestObjectives:
     def test_je_objective_includes_one_label_per_class(self):
         from openset import losses
         net = make_net("JE", embed_dim=5, seed=13)
-        batch = self.batch_for()
+        frames, ids, labels = self.batch_for()
         cfg = fast_cfg(method="JE")
-        loss = trainer.batch_objective(net, batch, DATASET, cfg, with_grads=False)
-        frames, ids = trainer._flatten_batch(batch)
+        loss = trainer.batch_objective(net, frames, ids, labels, False, cfg)
         video_emb, _ = net.embed_video_batch(frames)
-        classes = sorted(batch)
+        classes = sorted(set(ids.tolist()))
         raw = np.stack([DATASET.label_embeddings[c] for c in classes])
         label_emb, _ = net.embed_label_batch(raw)
         union = losses.EmbeddingBatch(
