@@ -446,8 +446,8 @@ def write_labels(path: str, embeddings: dict[int, np.ndarray]) -> None:
     if not embeddings:
         raise FormatError("write_labels: no embeddings")
     dims = {np.asarray(e).shape for e in embeddings.values()}
-    if len(dims) != 1:
-        raise DimensionError(f"write_labels: inconsistent dims {sorted(dims)}")
+    if len(dims) != 1 or len(next(iter(dims))) != 1:
+        raise DimensionError(f"write_labels: need one 1-D shape, got {sorted(dims)}")
     (d_b,) = dims.pop()
     cids = np.asarray(list(embeddings))
     _check_u32("write_labels: class", cids)

@@ -192,31 +192,28 @@ def multisim_loss(
     e = batch.embeddings
     sims = e @ e.T
     pos_mask, neg_mask = _pair_masks(batch.class_ids)
+    no_pos = ~pos_mask.any(axis=1, keepdims=True)
+    no_neg = ~neg_mask.any(axis=1, keepdims=True)
+    closest_pos = np.where(pos_mask, sims, np.inf).min(axis=1, keepdims=True)
+    farthest_neg = np.where(neg_mask, sims, -np.inf).max(axis=1, keepdims=True)
+    mined_neg = neg_mask & ((sims > closest_pos - cfg.margin) | no_pos)
+    mined_pos = pos_mask & ((sims < farthest_neg + cfg.margin) | no_neg)
 
-    total = 0.0
     w = np.zeros((n, n))
-    for i in range(n):
-        pos_idx = np.flatnonzero(pos_mask[i])
-        neg_idx = np.flatnonzero(neg_mask[i])
-
-        mined_pos = pos_idx
-        mined_neg = neg_idx
-        if pos_idx.size and neg_idx.size:
-            neg_thresh = sims[i, pos_idx].min() - cfg.margin
-            mined_neg = neg_idx[sims[i, neg_idx] > neg_thresh]
-            pos_thresh = sims[i, neg_idx].max() + cfg.margin
-            mined_pos = pos_idx[sims[i, pos_idx] < pos_thresh]
-
-        if pos_idx.size and mined_pos.size:
-            x = -cfg.alpha * (sims[i, mined_pos] - cfg.base)
-            lse = log1p_sum_exp(x)
-            total += lse / cfg.alpha
-            w[i, mined_pos] -= np.exp(x - lse)
-        if neg_idx.size and mined_neg.size:
-            x = cfg.beta * (sims[i, mined_neg] - cfg.base)
-            lse = log1p_sum_exp(x)
-            total += lse / cfg.beta
-            w[i, mined_neg] += np.exp(x - lse)
+    terms = []
+    for mined, x, scale, sign in (
+        (mined_pos, -cfg.alpha * (sims - cfg.base), cfg.alpha, -1.0),
+        (mined_neg, cfg.beta * (sims - cfg.base), cfg.beta, 1.0),
+    ):
+        lse = log1p_sum_exp(x, mined)
+        terms.append((lse / scale).tolist())
+        # w is +0.0 and the masks are disjoint: each entry becomes 0 -/+ weight
+        w[mined] += sign * np.exp((x - lse[:, None])[mined])
+    # anchor by anchor, positive term first, as a loop sums; absent terms add +0.0
+    total = 0.0
+    for pos_term, neg_term in zip(*terms):
+        total += pos_term
+        total += neg_term
 
     loss = total / n
     grads = (w + w.T) @ e / n

@@ -205,10 +205,13 @@ def adam_step(params: ParamBlock, state: AdamState, lr: float) -> None:
     params.zero_grad()
 
 
-def log1p_sum_exp(xs: np.ndarray) -> float:
-    """Numerically stable log(1 + sum(exp(xs))); xs may be empty."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.size == 0:
-        return 0.0
-    m = max(float(xs.max()), 0.0)
-    return m + float(np.log(np.exp(-m) + np.exp(xs - m).sum()))
+def log1p_sum_exp(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row-wise stable log(1 + sum(exp(xs[i, keep[i]]))); 0 for a row keeping
+    nothing. A row's kept entries are summed in column order by one 1-D
+    `.sum()` of their compacted run: the bits of a 1-D array of just them,
+    which a padded `sum(axis=1)` or `np.add.reduceat` would change."""
+    m = np.maximum(np.where(keep, xs, -np.inf).max(axis=1, initial=-np.inf), 0.0)
+    kept = np.exp((xs - m[:, None])[keep])
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    sums = np.array([kept[start:end].sum() for start, end in zip([0] + ends, ends)])
+    return m + np.log(np.exp(-m) + sums)

@@ -134,6 +134,57 @@ def multisim_loss_naive(
     return total / n
 
 
+def _log1p_sum_exp(xs: np.ndarray) -> float:
+    """Stable log(1 + sum(exp(xs))) of one 1-D array; 0 for an empty one."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.size == 0:
+        return 0.0
+    m = max(float(xs.max()), 0.0)
+    return m + float(np.log(np.exp(-m) + np.exp(xs - m).sum()))
+
+
+def multisim_loss_loop(batch, cfg) -> tuple[float, np.ndarray]:
+    """The multi-similarity loss and its gradient, mined and weighted one
+    anchor at a time. This is the bit-exact referee of the vectorized
+    kernel: its floating-point operations, and their order, define the
+    bits the package must reproduce."""
+    n = len(batch)
+    e = batch.embeddings
+    sims = e @ e.T
+    same = batch.class_ids[:, None] == batch.class_ids[None, :]
+    off_diag = ~np.eye(n, dtype=bool)
+    pos_mask, neg_mask = same & off_diag, (~same) & off_diag
+
+    total = 0.0
+    w = np.zeros((n, n))
+    for i in range(n):
+        pos_idx = np.flatnonzero(pos_mask[i])
+        neg_idx = np.flatnonzero(neg_mask[i])
+
+        mined_pos = pos_idx
+        mined_neg = neg_idx
+        if pos_idx.size and neg_idx.size:
+            neg_thresh = sims[i, pos_idx].min() - cfg.margin
+            mined_neg = neg_idx[sims[i, neg_idx] > neg_thresh]
+            pos_thresh = sims[i, neg_idx].max() + cfg.margin
+            mined_pos = pos_idx[sims[i, pos_idx] < pos_thresh]
+
+        if pos_idx.size and mined_pos.size:
+            x = -cfg.alpha * (sims[i, mined_pos] - cfg.base)
+            lse = _log1p_sum_exp(x)
+            total += lse / cfg.alpha
+            w[i, mined_pos] -= np.exp(x - lse)
+        if neg_idx.size and mined_neg.size:
+            x = cfg.beta * (sims[i, mined_neg] - cfg.base)
+            lse = _log1p_sum_exp(x)
+            total += lse / cfg.beta
+            w[i, mined_neg] += np.exp(x - lse)
+
+    loss = total / n
+    grads = (w + w.T) @ e / n
+    return loss, grads
+
+
 def knn_oracle(
     support_embeddings: np.ndarray,
     support_classes: np.ndarray,

@@ -1,6 +1,7 @@
 """Tests for the synthetic generator, class table, and binary formats."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -408,6 +409,19 @@ class TestLabelFile:
         data.write_labels(path, {0: [1, 0], 1: [0, 0]})
         with pytest.raises(FormatError, match="class 1 has an all-zero"):
             data.read_labels(path)
+
+    @pytest.mark.parametrize("bad", [np.eye(2), 1.0], ids=["2-D", "scalar"])
+    def test_non_vector_embedding_rejected_at_write(self, tmp_path, bad):
+        path = tmp_path / "l.osl"
+        shape = str(np.shape(bad))
+        with pytest.raises(DimensionError, match=re.escape(shape)):
+            data.write_labels(str(path), {0: bad})
+        assert not path.exists()
+        data.write_labels(str(path), {4: np.array([0.6, 0.8])})
+        before = path.read_bytes()
+        with pytest.raises(DimensionError, match=re.escape(shape)):
+            data.write_labels(str(path), {0: bad})
+        assert path.read_bytes() == before
 
     def test_rejected_write_leaves_no_file_or_old_bytes(self, tmp_path):
         path = tmp_path / "l.osl"

@@ -173,7 +173,76 @@ class TestHistogram:
             losses.histogram_loss(batch, losses.HistogramConfig())
 
 
+# Class layouts for the bit-exact referee: a VE/WE batch (12 classes x 8),
+# a JE union (the same plus one label item per class), and the two batches
+# where one kind of pair is absent.
+REFEREE_LAYOUTS = {
+    "n96": np.repeat(np.arange(12), 8),
+    "n108": np.concatenate([np.repeat(np.arange(12), 8), np.arange(12)]),
+    "singletons": np.arange(20),
+    "single_class": np.zeros(16, dtype=np.int64),
+}
+REFEREE_CFGS = (
+    losses.MultiSimConfig(),
+    losses.MultiSimConfig(margin=0.0),
+    losses.MultiSimConfig(base=1.0),
+    losses.MultiSimConfig(margin=0.0, base=1.0),
+    losses.MultiSimConfig(alpha=0.5, beta=10.0, margin=0.5),
+)
+
+
+def referee_batch(rng, ids, style, d=16):
+    """Unit rows in one of three styles: 0 spread at random; 1 tight class
+    clusters, so an anchor's positives all beat its farthest negative and
+    are mined away; 2 every row copied from a pool of three, so
+    similarities tie exactly at the mining thresholds."""
+    if style == 0:
+        emb = unit_rows(rng, len(ids), d)
+    elif style == 1:
+        centres = unit_rows(rng, int(ids.max()) + 1, d)
+        emb = centres[ids] + 0.05 * rng.normal(size=(len(ids), d))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    else:
+        emb = unit_rows(rng, 3, d)[rng.integers(0, 3, size=len(ids))]
+    return losses.EmbeddingBatch(embeddings=emb, class_ids=ids, check_norms=False)
+
+
+def mining_coverage(batch, cfg):
+    """(anchors with a similarity exactly at a mining threshold, anchors
+    whose positives are all mined away)."""
+    sims = batch.embeddings @ batch.embeddings.T
+    ties = away = 0
+    for i in range(len(batch)):
+        same = batch.class_ids == batch.class_ids[i]
+        pos = sims[i, same & (np.arange(len(batch)) != i)]
+        neg = sims[i, ~same]
+        if pos.size and neg.size:
+            ties += bool(np.any(neg == pos.min() - cfg.margin)
+                         or np.any(pos == neg.max() + cfg.margin))
+            away += bool(np.all(pos >= neg.max() + cfg.margin))
+    return ties, away
+
+
 class TestMultiSim:
+    def test_bits_equal_per_anchor_loop(self):
+        # the vectorized kernel must reproduce the loop's bits, not just
+        # its value: training trajectories and checkpoints depend on them
+        cases = ties = away = 0
+        for name, ids in REFEREE_LAYOUTS.items():
+            for c, cfg in enumerate(REFEREE_CFGS):
+                for seed in range(15):
+                    rng = np.random.default_rng([len(ids), c, seed])
+                    batch = referee_batch(rng, ids, style=seed % 3)
+                    loss, grads = losses.multisim_loss(batch, cfg)
+                    ref_loss, ref_grads = reference.multisim_loss_loop(batch, cfg)
+                    assert loss == ref_loss, (name, cfg, seed)
+                    assert np.array_equal(grads, ref_grads), (name, cfg, seed)
+                    assert grads.tobytes() == ref_grads.tobytes(), (name, cfg, seed)
+                    t, a = mining_coverage(batch, cfg)
+                    cases, ties, away = cases + 1, ties + t, away + a
+        assert cases >= 300
+        assert ties > 0 and away > 0
+
     def test_two_item_negative_closed_form(self):
         # one negative pair at similarity == base: each anchor has no
         # positives, keeps its sole negative, contributing log(2)/beta

@@ -210,21 +210,34 @@ class TestCheckGradient:
         assert err > 1e-2
 
 
+def log1p_sum_exp_row(xs):
+    """log1p_sum_exp of a single 1-D row that keeps every entry."""
+    xs = np.asarray(xs, dtype=np.float64)[None, :]
+    return float(numcore.log1p_sum_exp(xs, np.ones(xs.shape, dtype=bool))[0])
+
+
 class TestLog1pSumExp:
     def test_empty_is_zero(self):
-        assert numcore.log1p_sum_exp(np.array([])) == 0.0
+        assert log1p_sum_exp_row(np.array([])) == 0.0
 
     def test_matches_direct_small(self):
         xs = np.array([-1.0, 0.0, 2.0])
         want = np.log(1.0 + np.sum(np.exp(xs)))
-        assert abs(numcore.log1p_sum_exp(xs) - want) < 1e-12
+        assert abs(log1p_sum_exp_row(xs) - want) < 1e-12
 
     def test_stable_for_large_inputs(self):
         xs = np.array([800.0, 799.0])
-        out = numcore.log1p_sum_exp(xs)
+        out = log1p_sum_exp_row(xs)
         assert np.isfinite(out)
         # dominated by the max term
         assert abs(out - (800.0 + np.log(1.0 + np.exp(-1.0)))) < 1e-9
+
+    def test_row_keeping_nothing_is_zero_beside_a_kept_row(self):
+        xs = np.array([[-1.0, 0.0, 2.0], [900.0, 5.0, -3.0]])
+        keep = np.array([[True, False, True], [False, False, False]])
+        out = numcore.log1p_sum_exp(xs, keep)
+        assert abs(out[0] - np.log(1.0 + np.exp(-1.0) + np.exp(2.0))) < 1e-12
+        assert out[1] == 0.0
 
 
 @settings(max_examples=30)
