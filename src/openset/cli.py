@@ -172,11 +172,12 @@ def _resolve(args: argparse.Namespace, schema: dict) -> dict:
 
 def cmd_synth(args) -> None:
     cfg = _resolve(args, SYNTH_SCHEMA)
-    prepare_out(args.out, [_CLASS_TABLE_FILE, _FEATURES_FILE, _LABELS_FILE])
     synth_cfg = data.SynthConfig(
         **_fields_kwargs(data.SynthConfig, cfg),
         instances_per_class=(cfg["instances_lo"], cfg["instances_hi"]),
     )
+    synth_cfg.validate()
+    prepare_out(args.out, [_CLASS_TABLE_FILE, _FEATURES_FILE, _LABELS_FILE])
     dataset = data.synth_generate(synth_cfg)
     data.write_class_table(os.path.join(args.out, _CLASS_TABLE_FILE), dataset.classes)
     features_path = os.path.join(args.out, _FEATURES_FILE)
@@ -398,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except (*VALIDATION_ERRORS, FileNotFoundError) as exc:
         print(f"openset {args.command}: {exc}", file=sys.stderr)
         return 1
-    except (OpensetError, OSError, ValueError, ArithmeticError) as exc:
+    except (OpensetError, OSError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"openset {args.command}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -226,6 +226,13 @@ class SynthConfig:
             raise ConfigError("synth: dimensions must be positive")
         if self.sigma_frame < 0 or self.sigma_instance < 0:
             raise ConfigError("synth: noise scales must be nonnegative")
+        if self.n_classes * hi >= 2**32:
+            raise ConfigError(f"synth: {self.n_classes} classes of {hi} instances reach 2^32 ids")
+
+    @property
+    def n_classes(self) -> int:
+        """Classes realized: class_density of the grid's cells, at least one."""
+        return max(1, round(self.class_density * (self.n_verbs * self.n_nouns)))
 
 
 def synth_generate(cfg: SynthConfig) -> Dataset:
@@ -246,8 +253,7 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     m_label = rng.standard_normal((cfg.label_dim, d2)) / np.sqrt(d2)
 
     all_pairs = [(v, n) for v in range(cfg.n_verbs) for n in range(cfg.n_nouns)]
-    n_classes = max(1, round(cfg.class_density * len(all_pairs)))
-    chosen_idx = rng.choice(len(all_pairs), size=n_classes, replace=False)
+    chosen_idx = rng.choice(len(all_pairs), size=cfg.n_classes, replace=False)
     chosen = sorted(all_pairs[i] for i in chosen_idx)
 
     entries: dict[int, ClassEntry] = {}
@@ -255,14 +261,12 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     lo, hi = cfg.instances_per_class
     # rows for the largest possible draw, filled in place; the pages of rows
     # past the last one used are never touched, so never resident
-    features = np.empty((n_classes * hi, cfg.frames, cfg.input_dim))
-    counts = []
+    features = np.empty((cfg.n_classes * hi, cfg.frames, cfg.input_dim))
     row = 0
     for class_id, (v, n) in enumerate(chosen):
         context = np.concatenate([verb_latent[v], noun_latent[n]])
         label_embeddings[class_id] = l2_normalize(m_label @ context)
         count = int(rng.integers(lo, hi, endpoint=True))
-        counts.append(count)
         entries[class_id] = ClassEntry(
             class_id=class_id,
             label=ActionLabel(
@@ -273,16 +277,19 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
             ),
             instance_count=count,
         )
-        for _ in range(count):
-            delta = rng.standard_normal(d2) * cfg.sigma_instance
-            frame_noise = rng.standard_normal((cfg.frames, cfg.input_dim)) * cfg.sigma_frame
-            features[row] = m_video @ (context + delta) + frame_noise
-            row += 1
+        # row i holds instance i's normals in the loop's draw order, delta then frame noise;
+        # np.matmul runs one gemv per row, which keeps the loop's bits (a 2-D gemm does not)
+        draws = rng.standard_normal((count, d2 + cfg.frames * cfg.input_dim))
+        delta = draws[:, :d2] * cfg.sigma_instance
+        noise = draws[:, d2:].reshape(count, cfg.frames, cfg.input_dim) * cfg.sigma_frame
+        video = np.matmul(m_video, (context + delta)[:, :, None])
+        features[row : row + count] = video[:, None, :, 0] + noise
+        row += count
 
     return Dataset(
         classes=ClassTable(entries),
         instance_ids=np.arange(row),
-        class_ids=np.repeat(np.arange(n_classes), counts),
+        class_ids=np.repeat(np.arange(cfg.n_classes), [e.instance_count for e in entries.values()]),
         features=features[:row],
         label_embeddings=label_embeddings,
     )

@@ -130,20 +130,19 @@ def batch_objective(
             model.backward_video_batch(video_cache, grads)
         return loss
 
+    classes = np.array(sorted(labels), dtype=np.int64)
+    raw_labels = np.stack([labels[c] for c in classes.tolist()])
     if cfg.method == METHOD_WE:
-        label_rows = np.stack([labels[int(c)] for c in class_ids])
+        # each row's own label embedding, gathered from the drawn classes' stack
+        label_rows = raw_labels[np.searchsorted(classes, class_ids)]
         loss, grads = we_loss(video_batch, label_rows, cfg.lambda_we, dml)
         if with_grads:
             model.backward_video_batch(video_cache, grads)
         return loss
 
     # JE: one projected label item per class of the batch
-    classes = sorted(labels)
-    raw_labels = np.stack([labels[c] for c in classes])
     label_emb, label_cache = model.embed_label_batch(raw_labels)
-    label_batch = EmbeddingBatch(
-        embeddings=label_emb, class_ids=np.array(classes, dtype=np.int64)
-    )
+    label_batch = EmbeddingBatch(embeddings=label_emb, class_ids=classes)
     loss, grads_video, grads_label = je_loss(video_batch, label_batch, dml)
     if with_grads:
         model.backward_video_batch(video_cache, grads_video)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in this module is deliberately written the slow, obvious way:
-explicit loops, no vectorization, no shared code with ``src/openset``.
+explicit loops, no vectorization, no shared code with ``src/openset``
+beyond the record types a referee returns.
 A test that compares the package against one of these oracles is checking
 two separately derived implementations against each other.
 """
@@ -12,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from openset.data import ActionLabel, ClassEntry, ClassTable, Dataset
 
 
 def check_gradient(f, point: np.ndarray, h: float = 1e-5) -> float:
@@ -309,3 +312,59 @@ def split_reference(
 def pooled_accuracy(correct_per_episode: list[int], queries_per_episode: list[int]) -> float:
     """Micro-averaged accuracy over a subset's episodes."""
     return sum(correct_per_episode) / sum(queries_per_episode)
+
+
+def synth_generate_loop(cfg) -> Dataset:
+    """The synthetic generator with one pair of normal draws, one gemv and one
+    row store per instance. This is the bit-exact referee of
+    data.synth_generate: its draw order and its per-instance matrix-vector
+    products define the bits every feature must have."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    d2 = 2 * cfg.d_latent
+
+    verb_latent = rng.standard_normal((cfg.n_verbs, cfg.d_latent))
+    noun_latent = rng.standard_normal((cfg.n_nouns, cfg.d_latent))
+    m_video = rng.standard_normal((cfg.input_dim, d2)) / np.sqrt(d2)
+    m_label = rng.standard_normal((cfg.label_dim, d2)) / np.sqrt(d2)
+
+    all_pairs = [(v, n) for v in range(cfg.n_verbs) for n in range(cfg.n_nouns)]
+    n_classes = max(1, round(cfg.class_density * len(all_pairs)))
+    chosen_idx = rng.choice(len(all_pairs), size=n_classes, replace=False)
+    chosen = sorted(all_pairs[i] for i in chosen_idx)
+
+    entries: dict[int, ClassEntry] = {}
+    label_embeddings: dict[int, np.ndarray] = {}
+    lo, hi = cfg.instances_per_class
+    features = np.empty((n_classes * hi, cfg.frames, cfg.input_dim))
+    counts = []
+    row = 0
+    for class_id, (v, n) in enumerate(chosen):
+        context = np.concatenate([verb_latent[v], noun_latent[n]])
+        label = m_label @ context
+        label_embeddings[class_id] = label / float(np.linalg.norm(label))
+        count = int(rng.integers(lo, hi, endpoint=True))
+        counts.append(count)
+        entries[class_id] = ClassEntry(
+            class_id=class_id,
+            label=ActionLabel(
+                verb_id=v,
+                noun_id=n,
+                verb_text=f"verb{v:02d}",
+                noun_text=f"noun{n:02d}",
+            ),
+            instance_count=count,
+        )
+        for _ in range(count):
+            delta = rng.standard_normal(d2) * cfg.sigma_instance
+            frame_noise = rng.standard_normal((cfg.frames, cfg.input_dim)) * cfg.sigma_frame
+            features[row] = m_video @ (context + delta) + frame_noise
+            row += 1
+
+    return Dataset(
+        classes=ClassTable(entries),
+        instance_ids=np.arange(row),
+        class_ids=np.repeat(np.arange(n_classes), counts),
+        features=features[:row],
+        label_embeddings=label_embeddings,
+    )

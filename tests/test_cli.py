@@ -377,6 +377,30 @@ class TestFailureClasses:
         assert code == 2
         assert "draws below" in capsys.readouterr().err
 
+    def test_synth_beyond_uint32_ids_exits_one(self, tmp_path, capsys):
+        # 70 classes of up to 10^9 instances cannot get uint32 ids; the
+        # config is rejected before anything is allocated or written
+        out = tmp_path / "o"
+        code = cli.main([
+            "synth", "--out", str(out), "--instances-lo", "1", "--instances-hi", "1000000000",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "2^32" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_synth_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 130. TiB")
+
+        monkeypatch.setattr(data, "synth_generate", no_memory)
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "openset synth: Unable to allocate 130. TiB\n"
+        assert not (out / "features.osf").exists()
+
     def test_invalid_utf8_class_table_exits_one(self, pipeline, tmp_path, capsys):
         blob = open(os.path.join(pipeline["data"], "class_table.csv"), "rb").read()
         table = tmp_path / "class_table.csv"

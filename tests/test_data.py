@@ -1,5 +1,6 @@
 """Tests for the synthetic generator, class table, and binary formats."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from openset import data
 from openset.errors import ConfigError, DimensionError, FormatError, ParseError
+
+import reference
 
 
 SMALL = data.SynthConfig(
@@ -31,7 +34,6 @@ class TestSynth:
             assert np.array_equal(a.label_embeddings[cid], b.label_embeddings[cid])
 
     def test_seed_changes_output(self):
-        import dataclasses
         a = data.synth_generate(SMALL)
         b = data.synth_generate(dataclasses.replace(SMALL, seed=12))
         assert not np.array_equal(a.features[0], b.features[0])
@@ -124,6 +126,52 @@ class TestSynth:
     def test_validation_rejects_bad_instance_range(self):
         with pytest.raises(ConfigError):
             data.synth_generate(data.SynthConfig(instances_per_class=(5, 2)))
+
+    def test_validation_rejects_more_instances_than_uint32_ids(self):
+        # 70 classes of up to 61,356,676 instances reach 2^32 ids; nothing
+        # is allocated, because validation comes first
+        with pytest.raises(ConfigError, match="2\\^32"):
+            data.synth_generate(data.SynthConfig(instances_per_class=(1, 61_356_676)))
+        data.SynthConfig(instances_per_class=(1, 61_356_675)).validate()
+
+
+REFERENCE = data.SynthConfig(instances_per_class=(30, 30))
+RAGGED = data.SynthConfig(instances_per_class=(1, 5), frames=3, input_dim=17, d_latent=5)
+REFEREE_CONFIGS = [
+    *(dataclasses.replace(REFERENCE, seed=s) for s in (0, 1, 2)),
+    dataclasses.replace(REFERENCE, sigma_frame=2.0),
+    *(dataclasses.replace(RAGGED, seed=s) for s in (0, 1, 2, 3)),
+    dataclasses.replace(RAGGED, sigma_instance=0.0, sigma_frame=0.0, seed=4),
+    *(data.SynthConfig(seed=s) for s in (0, 5)),
+    data.SynthConfig(frames=1, seed=1),
+    data.SynthConfig(frames=1, instances_per_class=(1, 5), seed=2),
+    data.SynthConfig(input_dim=17, seed=3),
+    data.SynthConfig(d_latent=5, label_dim=7, seed=4),
+    data.SynthConfig(sigma_instance=0.0, seed=6),
+    data.SynthConfig(sigma_frame=0.0, seed=7),
+    data.SynthConfig(class_density=1.0, seed=8),
+    data.SynthConfig(n_verbs=1, n_nouns=1, instances_per_class=(1, 5), seed=9),
+    data.SynthConfig(n_verbs=1, n_nouns=1, instances_per_class=(1, 1), frames=1, seed=10),
+    SMALL,
+    # the data_roundtrip benchmark's 40x40 grid, 33,600 instances
+    data.SynthConfig(n_verbs=40, n_nouns=40, instances_per_class=(30, 30), seed=1),
+]
+
+
+class TestSynthReferee:
+    """synth_generate against the per-instance loop in reference.py, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", REFEREE_CONFIGS)
+    def test_matches_per_instance_loop(self, cfg):
+        got, want = data.synth_generate(cfg), reference.synth_generate_loop(cfg)
+        assert got.features.shape == want.features.shape
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.class_ids, want.class_ids)
+        assert np.array_equal(got.instance_ids, want.instance_ids)
+        assert got.classes.entries == want.classes.entries
+        assert list(got.label_embeddings) == list(want.label_embeddings)
+        for cid, emb in want.label_embeddings.items():
+            assert got.label_embeddings[cid].tobytes() == emb.tobytes()
 
 
 class TestClassTable:
