@@ -176,7 +176,6 @@ def cmd_synth(args) -> None:
         **_fields_kwargs(data.SynthConfig, cfg),
         instances_per_class=(cfg["instances_lo"], cfg["instances_hi"]),
     )
-    synth_cfg.validate()
     prepare_out(args.out, [_CLASS_TABLE_FILE, _FEATURES_FILE, _LABELS_FILE])
     dataset = data.synth_generate(synth_cfg)
     data.write_class_table(os.path.join(args.out, _CLASS_TABLE_FILE), dataset.classes)
@@ -205,13 +204,13 @@ def _parse_seed_list(raw: str) -> list[int]:
 def cmd_split(args) -> None:
     cfg = _resolve(args, SPLIT_SCHEMA)
     seeds = _parse_seed_list(cfg["seeds"])
+    specs = [splits.SplitSpec(**_fields_kwargs(splits.SplitSpec, cfg), seed=s) for s in seeds]
     split_files = [f"split_{seed}.csv" for seed in seeds]
     prepare_out(args.out, split_files + [_OVERLAP_FILE, _IMBALANCE_FILE])
     table = data.read_class_table(args.class_table)
     results = []
     imbalance_lines = ["seed,imbalance_ratio"]
-    for seed, fname in zip(seeds, split_files):
-        spec = splits.SplitSpec(**_fields_kwargs(splits.SplitSpec, cfg), seed=seed)
+    for seed, spec, fname in zip(seeds, specs, split_files):
         result = splits.generate_split(table, spec)
         splits.write_split(os.path.join(args.out, fname), result)
         imbalance_lines.append(f"{seed},{splits.imbalance_ratio(result)!r}")
@@ -242,18 +241,18 @@ def cmd_train(args) -> None:
     split = splits.read_split(args.split, dataset.classes)
     if cfg["method"] == model.METHOD_WE:
         cfg["embed_dim"] = dataset.label_dim
-    prepare_out(args.out, [_CHECKPOINT_FILE, _TRAIN_LOG_FILE])
     model_cfg = model.ModelConfig(
         **_fields_kwargs(model.ModelConfig, cfg),
         input_dim=dataset.input_dim,
         label_dim=dataset.label_dim,
     )
-    net = model.init_model(model_cfg, seed=cfg["seed"])
     train_cfg = trainer.TrainConfig(
         **_fields_kwargs(trainer.TrainConfig, cfg),
         histogram=HistogramConfig(**_fields_kwargs(HistogramConfig, cfg)),
         multisim=MultiSimConfig(**_fields_kwargs(MultiSimConfig, cfg)),
     )
+    prepare_out(args.out, [_CHECKPOINT_FILE, _TRAIN_LOG_FILE])
+    net = model.init_model(model_cfg, seed=cfg["seed"])
     best, log = trainer.train(net, dataset, split, train_cfg)
     model.save_checkpoint(os.path.join(args.out, _CHECKPOINT_FILE), best)
     trainer.write_train_log(os.path.join(args.out, _TRAIN_LOG_FILE), log)

@@ -25,6 +25,7 @@ from .errors import (
     DimensionError,
     FormatError,
     ParseError,
+    check_finite_fields,
 )
 from .numcore import l2_normalize
 
@@ -214,7 +215,8 @@ class SynthConfig:
     sigma_instance: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_finite_fields(self)
         if self.n_verbs < 1 or self.n_nouns < 1:
             raise ConfigError("synth: need at least one verb and one noun")
         if not (0.0 < self.class_density <= 1.0):
@@ -243,7 +245,6 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     tiled across frames; the label embedding is a different affine image of
     the same c, unit-normalized. Deterministic in cfg.seed.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     d2 = 2 * cfg.d_latent
 

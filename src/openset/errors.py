@@ -2,8 +2,12 @@
 
 Validation-style errors (bad inputs, bad files, impossible requests)
 are distinguished from runtime errors (numerical blow-ups, exhausted
-retries) so the CLI can map them to distinct exit codes.
+retries) so the CLI can map them to distinct exit codes. Every config
+dataclass runs check_finite_fields on construction.
 """
+
+import dataclasses
+import math
 
 
 class OpensetError(Exception):
@@ -55,3 +59,12 @@ VALIDATION_ERRORS = (
     EligibilityError,
     MethodError,
 )
+
+
+def check_finite_fields(cfg) -> None:
+    """Raise ConfigError if any float field of a config dataclass is NaN or
+    infinite; range checks compare, and every comparison with NaN is false."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{type(cfg).__name__}: {f.name} must be finite, got {value!r}")

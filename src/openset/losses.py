@@ -9,6 +9,10 @@ All losses return (scalar, gradient array(s) w.r.t. the input embeddings).
 Similarity is the plain dot product, which on unit vectors is the cosine.
 Pairs are positive iff their class_ids match; modality never matters, so
 batches carry no modality tags.
+
+Embeddings are plain (n, d) float64 arrays of unit rows, as the encoders'
+row normalization returns them, with an (n,) int array of class ids; the
+losses do not check them again.
 """
 
 from __future__ import annotations
@@ -17,71 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, DimensionError
+from .errors import ConfigError, DegenerateInputError, DimensionError, check_finite_fields
 from .numcore import log1p_sum_exp
-
-_NORM_TOL = 1e-6
-
-
-@dataclass
-class EmbeddingBatch:
-    """A batch of embeddings with their class ids.
-
-    check_norms=False skips the unit-norm invariant; finite-difference tests
-    need it because coordinate perturbations move points off the sphere.
-    """
-
-    embeddings: np.ndarray
-    class_ids: np.ndarray
-    check_norms: bool = True
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
-        if self.embeddings.ndim != 2:
-            raise DimensionError("EmbeddingBatch: embeddings must be 2-D")
-        n = self.embeddings.shape[0]
-        if self.class_ids.shape != (n,):
-            raise DimensionError("EmbeddingBatch: class_ids length mismatch")
-        if self.check_norms and n:
-            norms = np.linalg.norm(self.embeddings, axis=1)
-            worst = float(np.abs(norms - 1.0).max())
-            if worst > _NORM_TOL:
-                raise ConfigError(
-                    f"EmbeddingBatch: embedding norm off unit by {worst:.2e}"
-                )
-
-    def __len__(self) -> int:
-        return self.embeddings.shape[0]
-
-
-@dataclass
-class PairedBatch:
-    """Aligned (video embedding, label embedding) rows of equal dimension."""
-
-    video_embeddings: np.ndarray
-    label_embeddings: np.ndarray
-
-    def __post_init__(self):
-        self.video_embeddings = np.asarray(self.video_embeddings, dtype=np.float64)
-        self.label_embeddings = np.asarray(self.label_embeddings, dtype=np.float64)
-        if self.video_embeddings.ndim != 2 or self.label_embeddings.ndim != 2:
-            raise DimensionError("PairedBatch: embeddings must be 2-D")
-        if self.video_embeddings.shape != self.label_embeddings.shape:
-            raise DimensionError(
-                f"PairedBatch: shape mismatch {self.video_embeddings.shape} vs "
-                f"{self.label_embeddings.shape}"
-            )
-
-    def __len__(self) -> int:
-        return self.video_embeddings.shape[0]
 
 
 @dataclass(frozen=True)
 class HistogramConfig:
     bins: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.bins < 2:
             raise ConfigError("histogram: need at least 2 bins")
 
@@ -96,7 +44,8 @@ class MultiSimConfig:
     base: float = 0.5
     margin: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_finite_fields(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("multisim: alpha and beta must be positive")
         if self.margin < 0:
@@ -111,7 +60,7 @@ def _pair_masks(class_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def histogram_loss(
-    batch: EmbeddingBatch, cfg: HistogramConfig = HistogramConfig()
+    embeddings: np.ndarray, class_ids: np.ndarray, cfg: HistogramConfig = HistogramConfig()
 ) -> tuple[float, np.ndarray]:
     """Probability that a random negative pair is at least as similar as a
     random positive pair, estimated from soft histograms.
@@ -122,10 +71,9 @@ def histogram_loss(
     the loss is sum_r p-_r * cumsum(p+)_r, always within [0, 1]. Gradients
     flow through the piecewise-linear weights (kinked at bin nodes).
     """
-    cfg.validate()
-    n = len(batch)
-    e = batch.embeddings
-    pos_mask, neg_mask = _pair_masks(batch.class_ids)
+    n = len(embeddings)
+    e = embeddings
+    pos_mask, neg_mask = _pair_masks(class_ids)
     iu = np.triu_indices(n, k=1)
     pos_pairs = pos_mask[iu]
     neg_pairs = neg_mask[iu]
@@ -175,7 +123,7 @@ def histogram_loss(
 
 
 def multisim_loss(
-    batch: EmbeddingBatch, cfg: MultiSimConfig = MultiSimConfig()
+    embeddings: np.ndarray, class_ids: np.ndarray, cfg: MultiSimConfig = MultiSimConfig()
 ) -> tuple[float, np.ndarray]:
     """Per-anchor mined log-sum-exp loss.
 
@@ -185,13 +133,12 @@ def multisim_loss(
     negatives skip the negative term (all positives kept). Mining is a fixed
     selection: gradients do not flow through the thresholds.
     """
-    cfg.validate()
-    n = len(batch)
+    n = len(embeddings)
     if n < 2:
         raise DegenerateInputError("multisim_loss: need at least 2 items")
-    e = batch.embeddings
+    e = embeddings
     sims = e @ e.T
-    pos_mask, neg_mask = _pair_masks(batch.class_ids)
+    pos_mask, neg_mask = _pair_masks(class_ids)
     no_pos = ~pos_mask.any(axis=1, keepdims=True)
     no_neg = ~neg_mask.any(axis=1, keepdims=True)
     closest_pos = np.where(pos_mask, sims, np.inf).min(axis=1, keepdims=True)
@@ -220,60 +167,60 @@ def multisim_loss(
     return loss, grads
 
 
-def alignment_mse(paired: PairedBatch) -> tuple[float, np.ndarray]:
+def alignment_mse(video: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared distance between each video embedding and its (frozen)
-    label embedding; gradient is for the video side only."""
-    if len(paired) == 0:
+    label embedding, row by row; gradient is for the video side only."""
+    if video.shape != labels.shape:
+        raise DimensionError(f"alignment_mse: shape mismatch {video.shape} vs {labels.shape}")
+    n = len(video)
+    if n == 0:
         raise DegenerateInputError("alignment_mse: empty batch")
-    diff = paired.video_embeddings - paired.label_embeddings
-    loss = float((diff * diff).sum() / len(paired))
-    grads = 2.0 * diff / len(paired)
+    diff = video - labels
+    loss = float((diff * diff).sum() / n)
+    grads = 2.0 * diff / n
     return loss, grads
 
 
 def we_loss(
-    video_batch: EmbeddingBatch,
+    video: np.ndarray,
+    class_ids: np.ndarray,
     label_rows: np.ndarray,
     lam: float,
     dml,
 ) -> tuple[float, np.ndarray]:
-    """Alignment objective: lam * dml(video batch) + alignment_mse of each
-    video embedding against its row of label_rows (the frozen embedding of
-    its class, in batch order); the combined gradient is returned per item.
+    """Alignment objective: lam * dml(video, class_ids) + alignment_mse of
+    each video embedding against its row of label_rows (the frozen embedding
+    of its class, in batch order); the combined gradient is returned per item.
     With lam = 0 the metric term is skipped entirely, so its degenerate-batch
     precondition never applies.
     """
-    mse, grads = alignment_mse(PairedBatch(video_batch.embeddings, label_rows))
+    mse, grads = alignment_mse(video, label_rows)
     loss = mse
     if lam != 0.0:
-        dml_val, dml_grads = dml(video_batch)
+        dml_val, dml_grads = dml(video, class_ids)
         loss += lam * dml_val
         grads = grads + lam * dml_grads
     return loss, grads
 
 
 def je_loss(
-    video_batch: EmbeddingBatch,
-    label_batch: EmbeddingBatch,
+    video: np.ndarray,
+    video_ids: np.ndarray,
+    labels: np.ndarray,
+    label_ids: np.ndarray,
     dml,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Joint objective: the metric loss over video items plus exactly one
     projected label item per class in the batch. Returns gradients split
     back into (video, label) blocks."""
-    label_ids = label_batch.class_ids
     if len(set(label_ids.tolist())) != label_ids.shape[0]:
         raise ConfigError("je_loss: duplicate label items for a class")
-    if set(label_ids.tolist()) != set(video_batch.class_ids.tolist()):
+    if set(label_ids.tolist()) != set(video_ids.tolist()):
         raise ConfigError("je_loss: label classes must match video batch classes")
-    if video_batch.embeddings.shape[1] != label_batch.embeddings.shape[1]:
+    if video.shape[1] != labels.shape[1]:
         raise DimensionError("je_loss: embedding dimension mismatch")
-    union = EmbeddingBatch(
-        embeddings=np.vstack([video_batch.embeddings, label_batch.embeddings]),
-        class_ids=np.concatenate([video_batch.class_ids, label_batch.class_ids]),
-        check_norms=video_batch.check_norms and label_batch.check_norms,
-    )
-    loss, grads = dml(union)
-    n_video = len(video_batch)
+    loss, grads = dml(np.vstack([video, labels]), np.concatenate([video_ids, label_ids]))
+    n_video = len(video)
     return loss, grads[:n_video], grads[n_video:]
 
 
@@ -282,9 +229,10 @@ def make_dml(
     hist_cfg: HistogramConfig = HistogramConfig(),
     ms_cfg: MultiSimConfig = MultiSimConfig(),
 ):
-    """Loss selector: 'histogram' or 'multisim' -> batch -> (loss, grads)."""
+    """Loss selector: 'histogram' or 'multisim' ->
+    (embeddings, class_ids) -> (loss, grads)."""
     if kind == "histogram":
-        return lambda batch: histogram_loss(batch, hist_cfg)
+        return lambda embeddings, class_ids: histogram_loss(embeddings, class_ids, hist_cfg)
     if kind == "multisim":
-        return lambda batch: multisim_loss(batch, ms_cfg)
+        return lambda embeddings, class_ids: multisim_loss(embeddings, class_ids, ms_cfg)
     raise ConfigError(f"unknown metric loss {kind!r}")

@@ -52,7 +52,7 @@ class ModelConfig:
     embed_dim: int = 32
     label_dim: int = 32
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if min(self.input_dim, self.hidden_dim, self.embed_dim, self.label_dim) < 1:
@@ -66,19 +66,23 @@ class ModelConfig:
 
 @dataclass
 class VideoForwardCache:
-    """Intermediates of embed_video_batch needed for the backward pass."""
+    """Intermediates of embed_video_batch needed for the backward pass.
+    unit is the returned embedding array itself, so callers must not modify
+    it before the backward pass."""
 
     flat_frames: np.ndarray
     activations: np.ndarray
     pooled: np.ndarray
-    pre_norm: np.ndarray
+    unit: np.ndarray
+    norms: np.ndarray
     n_frames: int
 
 
 @dataclass
 class LabelForwardCache:
     inputs: np.ndarray
-    pre_norm: np.ndarray
+    unit: np.ndarray
+    norms: np.ndarray
 
 
 class EmbeddingModel:
@@ -91,7 +95,6 @@ class EmbeddingModel:
         out_layer: ParamBlock,
         label_projector: ParamBlock | None,
     ):
-        config.validate()
         if frame_layer.weights.shape != (config.input_dim, config.hidden_dim):
             raise DimensionError("frame_layer shape mismatch")
         if out_layer.weights.shape != (config.hidden_dim, config.embed_dim):
@@ -146,15 +149,15 @@ class EmbeddingModel:
         act = np.tanh(affine_forward(flat, self.frame_layer))
         pooled = act.reshape(b, f, self.config.hidden_dim).mean(axis=1)
         pre = affine_forward(pooled, self.out_layer)
-        out = l2_normalize_rows(pre)
+        out, norms = l2_normalize_rows(pre)
         cache = VideoForwardCache(
-            flat_frames=flat, activations=act, pooled=pooled, pre_norm=pre, n_frames=f
+            flat_frames=flat, activations=act, pooled=pooled, unit=out, norms=norms, n_frames=f
         )
         return out, cache
 
     def backward_video_batch(self, cache: VideoForwardCache, grad_out: np.ndarray) -> None:
         """Accumulate parameter gradients for a prior embed_video_batch call."""
-        g_pre = l2_normalize_rows_backward(cache.pre_norm, grad_out)
+        g_pre = l2_normalize_rows_backward(cache.unit, cache.norms, grad_out)
         affine_backward(cache.pooled, self.out_layer, g_pre)
         g_pooled = g_pre @ self.out_layer.weights.T
         f = cache.n_frames
@@ -172,10 +175,11 @@ class EmbeddingModel:
             raise MethodError(f"{self.method} model has no label projector")
         x = np.asarray(label_embeddings, dtype=np.float64)
         pre = affine_forward(x, self.label_projector)
-        return l2_normalize_rows(pre), LabelForwardCache(inputs=x, pre_norm=pre)
+        out, norms = l2_normalize_rows(pre)
+        return out, LabelForwardCache(inputs=x, unit=out, norms=norms)
 
     def backward_label_batch(self, cache: LabelForwardCache, grad_out: np.ndarray) -> None:
-        g_pre = l2_normalize_rows_backward(cache.pre_norm, grad_out)
+        g_pre = l2_normalize_rows_backward(cache.unit, cache.norms, grad_out)
         affine_backward(cache.inputs, self.label_projector, g_pre)
 
 
@@ -185,7 +189,6 @@ def init_model(config: ModelConfig, seed: int) -> EmbeddingModel:
     Block draw order is fixed (frame layer, output layer, projector) so the
     same seed gives bit-identical parameters.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
 
     def block(name: str, fan_in: int, fan_out: int) -> ParamBlock:

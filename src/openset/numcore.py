@@ -123,30 +123,29 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise unit normalization of a 2-D array."""
+def l2_normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise unit normalization of a 2-D array: (unit rows, row norms)."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
     if not np.isfinite(norms).all():
         raise NumericError("l2_normalize_rows: non-finite row")
     if np.any(norms < _ZERO_NORM_TOL):
         raise DegenerateInputError("l2_normalize_rows: zero-norm row")
-    return m / norms[:, None]
+    return m / norms[:, None], norms
 
 
-def l2_normalize_rows_backward(m: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Backward pass of l2_normalize_rows at input m: row i of grad_out
-    times (I - u u^T) / ||m_i||, where u = m_i / ||m_i||."""
-    m = np.asarray(m, dtype=np.float64)
+def l2_normalize_rows_backward(
+    unit: np.ndarray, norms: np.ndarray, grad_out: np.ndarray
+) -> np.ndarray:
+    """Backward pass of l2_normalize_rows from its outputs: row i of grad_out
+    times (I - u u^T) / norms[i], where u = unit[i]."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != m.shape:
+    if grad_out.shape != unit.shape:
         raise DimensionError(
-            f"l2_normalize_rows_backward: grad_out shape {grad_out.shape} != {m.shape}"
+            f"l2_normalize_rows_backward: grad_out shape {grad_out.shape} != {unit.shape}"
         )
-    norms = np.linalg.norm(m, axis=1)
-    u = m / norms[:, None]
-    inner = (u * grad_out).sum(axis=1, keepdims=True)
-    return (grad_out - u * inner) / norms[:, None]
+    inner = (unit * grad_out).sum(axis=1, keepdims=True)
+    return (grad_out - unit * inner) / norms[:, None]
 
 
 @dataclass
@@ -163,21 +162,12 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_block(
-        cls,
-        block: ParamBlock,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "AdamState":
+    def for_block(cls, block: ParamBlock) -> "AdamState":
         return cls(
             m_weights=np.zeros_like(block.weights),
             v_weights=np.zeros_like(block.weights),
             m_bias=np.zeros_like(block.bias),
             v_bias=np.zeros_like(block.bias),
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
         )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClassTable, read_text
-from .errors import ConfigError, EligibilityError, ParseError
+from .errors import ConfigError, EligibilityError, ParseError, check_finite_fields
 
 CATEGORY_HOV = "HoV"
 CATEGORY_HON = "HoN"
@@ -43,7 +43,8 @@ class SplitSpec:
     p_nouns_test: float = 0.5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_finite_fields(self)
         if self.v_lower > self.v_upper or self.n_lower > self.n_upper:
             raise ConfigError("split: lower cutoff exceeds upper cutoff")
         if self.p_verbs < 0 or self.p_nouns < 0:
@@ -125,7 +126,6 @@ def generate_split(table: ClassTable, spec: SplitSpec) -> SplitResult:
     """Draw one split: sample held-out verbs/nouns from the eligible pools,
     then assign classes test-first so a class with a test-held item never
     reaches validation or train. Deterministic in spec.seed."""
-    spec.validate()
     verb_counts, noun_counts = context_counts(table)
     eligible_verbs = eligible_items(verb_counts, spec.v_lower, spec.v_upper)
     eligible_nouns = eligible_items(noun_counts, spec.n_lower, spec.n_upper)

@@ -25,15 +25,10 @@ import numpy as np
 
 from . import episodic
 from .data import Dataset
-from .errors import ConfigError, DegenerateInputError, NumericError, SamplingError
-from .losses import (
-    EmbeddingBatch,
-    HistogramConfig,
-    MultiSimConfig,
-    je_loss,
-    make_dml,
-    we_loss,
+from .errors import (
+    ConfigError, DegenerateInputError, NumericError, SamplingError, check_finite_fields
 )
+from .losses import HistogramConfig, MultiSimConfig, je_loss, make_dml, we_loss
 from .model import METHOD_JE, METHOD_VE, METHOD_WE, METHODS, EmbeddingModel
 from .numcore import AdamState, adam_step
 from .splits import SplitResult
@@ -63,7 +58,8 @@ class TrainConfig:
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
     multisim: MultiSimConfig = field(default_factory=MultiSimConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_finite_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.dml not in ("histogram", "multisim"):
@@ -122,10 +118,9 @@ def batch_objective(
     its label embedding."""
     dml = make_dml(cfg.dml, cfg.histogram, cfg.multisim)
     video_emb, video_cache = model.embed_video_batch(frames)
-    video_batch = EmbeddingBatch(embeddings=video_emb, class_ids=class_ids)
 
     if cfg.method == METHOD_VE:
-        loss, grads = dml(video_batch)
+        loss, grads = dml(video_emb, class_ids)
         if with_grads:
             model.backward_video_batch(video_cache, grads)
         return loss
@@ -135,15 +130,14 @@ def batch_objective(
     if cfg.method == METHOD_WE:
         # each row's own label embedding, gathered from the drawn classes' stack
         label_rows = raw_labels[np.searchsorted(classes, class_ids)]
-        loss, grads = we_loss(video_batch, label_rows, cfg.lambda_we, dml)
+        loss, grads = we_loss(video_emb, class_ids, label_rows, cfg.lambda_we, dml)
         if with_grads:
             model.backward_video_batch(video_cache, grads)
         return loss
 
     # JE: one projected label item per class of the batch
     label_emb, label_cache = model.embed_label_batch(raw_labels)
-    label_batch = EmbeddingBatch(embeddings=label_emb, class_ids=classes)
-    loss, grads_video, grads_label = je_loss(video_batch, label_batch, dml)
+    loss, grads_video, grads_label = je_loss(video_emb, class_ids, label_emb, classes, dml)
     if with_grads:
         model.backward_video_batch(video_cache, grads_video)
         model.backward_label_batch(label_cache, grads_label)
@@ -202,7 +196,6 @@ def train(
     If no validation round ever runs (max_batches < val_every), the final
     parameters are returned instead and the log records no best step.
     """
-    cfg.validate()
     if cfg.method != model.method:
         raise ConfigError(
             f"config method {cfg.method} != model method {model.method}"

@@ -146,15 +146,14 @@ def _log1p_sum_exp(xs: np.ndarray) -> float:
     return m + float(np.log(np.exp(-m) + np.exp(xs - m).sum()))
 
 
-def multisim_loss_loop(batch, cfg) -> tuple[float, np.ndarray]:
+def multisim_loss_loop(e, class_ids, cfg) -> tuple[float, np.ndarray]:
     """The multi-similarity loss and its gradient, mined and weighted one
     anchor at a time. This is the bit-exact referee of the vectorized
     kernel: its floating-point operations, and their order, define the
     bits the package must reproduce."""
-    n = len(batch)
-    e = batch.embeddings
+    n = len(e)
     sims = e @ e.T
-    same = batch.class_ids[:, None] == batch.class_ids[None, :]
+    same = class_ids[:, None] == class_ids[None, :]
     off_diag = ~np.eye(n, dtype=bool)
     pos_mask, neg_mask = same & off_diag, (~same) & off_diag
 
@@ -319,7 +318,6 @@ def synth_generate_loop(cfg) -> Dataset:
     row store per instance. This is the bit-exact referee of
     data.synth_generate: its draw order and its per-instance matrix-vector
     products define the bits every feature must have."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     d2 = 2 * cfg.d_latent
 

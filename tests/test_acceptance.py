@@ -59,27 +59,27 @@ def rel_errs(analytic, fd):
 
 def loss_fd_err(fn, emb, ids, h=1e-5):
     """Max relative error of fn's gradient against central differences."""
-    _, grads = fn(losses.EmbeddingBatch(embeddings=emb, class_ids=ids, check_norms=False))
+    _, grads = fn(emb, ids)
     worst = 0.0
     for idx in np.ndindex(emb.shape):
         shifted = emb.copy()
         shifted[idx] += h
-        hi, _ = fn(losses.EmbeddingBatch(embeddings=shifted, class_ids=ids, check_norms=False))
+        hi, _ = fn(shifted, ids)
         shifted[idx] -= 2 * h
-        lo, _ = fn(losses.EmbeddingBatch(embeddings=shifted, class_ids=ids, check_norms=False))
+        lo, _ = fn(shifted, ids)
         worst = max(worst, float(rel_errs(grads[idx], (hi - lo) / (2 * h))))
     return worst
 
 
 def mse_fd_err(video, targets, h=1e-5):
-    _, grads = losses.alignment_mse(losses.PairedBatch(video, targets))
+    _, grads = losses.alignment_mse(video, targets)
     worst = 0.0
     for idx in np.ndindex(video.shape):
         shifted = video.copy()
         shifted[idx] += h
-        hi, _ = losses.alignment_mse(losses.PairedBatch(shifted, targets))
+        hi, _ = losses.alignment_mse(shifted, targets)
         shifted[idx] -= 2 * h
-        lo, _ = losses.alignment_mse(losses.PairedBatch(shifted, targets))
+        lo, _ = losses.alignment_mse(shifted, targets)
         worst = max(worst, float(rel_errs(grads[idx], (hi - lo) / (2 * h))))
     return worst
 
@@ -149,22 +149,17 @@ def test_2_loss_oracles():
         sizes[0] = max(2, sizes[0])  # guarantee a positive pair
         ids = np.repeat(np.arange(len(sizes)), sizes)
         emb = unit_rows(rng, len(ids), 6)
-        batch = losses.EmbeddingBatch(embeddings=emb, class_ids=ids)
-
-        h_val, _ = losses.histogram_loss(batch)
+        h_val, _ = losses.histogram_loss(emb, ids)
         worst = max(worst, abs(h_val - reference.histogram_loss_naive(emb, ids)))
-        m_val, _ = losses.multisim_loss(batch)
+        m_val, _ = losses.multisim_loss(emb, ids)
         worst = max(worst, abs(m_val - reference.multisim_loss_naive(
             emb, ids, **dataclasses.asdict(losses.MultiSimConfig()))))
 
         perm = rng.permutation(len(ids))
         rot, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        for variant in (
-            losses.EmbeddingBatch(embeddings=emb[perm], class_ids=ids[perm]),
-            losses.EmbeddingBatch(embeddings=emb @ rot, class_ids=ids, check_norms=False),
-        ):
-            worst = max(worst, abs(losses.histogram_loss(variant)[0] - h_val))
-            worst = max(worst, abs(losses.multisim_loss(variant)[0] - m_val))
+        for variant in ((emb[perm], ids[perm]), (emb @ rot, ids)):
+            worst = max(worst, abs(losses.histogram_loss(*variant)[0] - h_val))
+            worst = max(worst, abs(losses.multisim_loss(*variant)[0] - m_val))
     ok = worst <= ORACLE_TOL
     assert verdict("2", "loss oracles and invariances", ok, f"max dev {worst:.2e}"), worst
 
@@ -172,17 +167,14 @@ def test_2_loss_oracles():
 def test_3_closed_forms():
     e1, e2 = np.eye(4)[0], np.eye(4)[1]
     ids = np.array([0, 0, 1, 1])
-    separated = losses.EmbeddingBatch(embeddings=np.stack([e1, e1, e2, e2]), class_ids=ids)
-    inverted = losses.EmbeddingBatch(embeddings=np.stack([e1, -e1, e2, -e2]), class_ids=ids)
-    dev = abs(losses.histogram_loss(separated)[0] - 0.0)
-    dev = max(dev, abs(losses.histogram_loss(inverted)[0] - 1.0))
+    separated = np.stack([e1, e1, e2, e2])
+    inverted = np.stack([e1, -e1, e2, -e2])
+    dev = abs(losses.histogram_loss(separated, ids)[0] - 0.0)
+    dev = max(dev, abs(losses.histogram_loss(inverted, ids)[0] - 1.0))
 
-    pair = losses.EmbeddingBatch(
-        embeddings=np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]]),
-        class_ids=np.array([0, 1]),
-    )
+    pair = np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])
     two_item, _ = losses.multisim_loss(
-        pair, losses.MultiSimConfig(alpha=2.0, beta=2.0, base=0.5)
+        pair, np.array([0, 1]), losses.MultiSimConfig(alpha=2.0, beta=2.0, base=0.5)
     )
     dev = max(dev, abs(two_item - math.log(2) / 2))
 
@@ -193,8 +185,7 @@ def test_3_closed_forms():
     dml = losses.make_dml("multisim")
 
     def weighted(lam):
-        batch = losses.EmbeddingBatch(embeddings=video, class_ids=ids8)
-        return losses.we_loss(batch, targets, lam, dml)[0]
+        return losses.we_loss(video, ids8, targets, lam, dml)[0]
 
     base = weighted(0.0)
     affine_dev = abs((weighted(10.0) - base) - 20.0 * (weighted(0.5) - base))

@@ -346,7 +346,42 @@ class TestSchemaRouting:
         assert (model_cfg.input_dim, model_cfg.label_dim) == (10, 6)
 
 
+# one non-finite value per float field of the synth, split and train configs
+NON_FINITE = [
+    ("synth", "class_density", "nan"),
+    ("synth", "sigma_frame", "inf"),
+    ("synth", "sigma_instance", "inf"),
+    ("split", "p_verbs_test", "nan"),
+    ("split", "p_nouns_test", "nan"),
+    ("train", "lambda_we", "nan"),
+    ("train", "lr0", "nan"),
+    ("train", "decay_factor", "nan"),
+    ("train", "alpha", "nan"),
+    ("train", "beta", "inf"),
+    ("train", "base", "nan"),
+    ("train", "margin", "nan"),
+]
+
+
 class TestFailureClasses:
+    @pytest.mark.parametrize("command,key,value", NON_FINITE)
+    def test_non_finite_config_value_exits_one(
+        self, pipeline, tmp_path, capsys, command, key, value
+    ):
+        argv = {
+            "synth": ["synth"] + SYNTH_FLAGS,
+            "split": ["split", "--class-table", os.path.join(pipeline["data"], "class_table.csv")],
+            "train": ["train", "--data", pipeline["data"], "--split", pipeline["split_csv"]]
+            + TRAIN_FLAGS,
+        }[command]
+        out = tmp_path / "o"
+        code = cli.main(argv + ["--out", str(out), f"--{key.replace('_', '-')}", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err and "Traceback" not in err
+        # rejected before the output directory is made: no artifact, no resolved.cfg
+        assert not out.exists()
+
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = cli.main([
             "train", "--data", str(tmp_path / "nowhere"),

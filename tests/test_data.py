@@ -132,7 +132,7 @@ class TestSynth:
         # is allocated, because validation comes first
         with pytest.raises(ConfigError, match="2\\^32"):
             data.synth_generate(data.SynthConfig(instances_per_class=(1, 61_356_676)))
-        data.SynthConfig(instances_per_class=(1, 61_356_675)).validate()
+        data.SynthConfig(instances_per_class=(1, 61_356_675))
 
 
 REFERENCE = data.SynthConfig(instances_per_class=(30, 30))

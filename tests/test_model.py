@@ -195,7 +195,7 @@ class TestInit:
     def test_we_requires_matching_dims(self):
         with pytest.raises(ConfigError):
             model.ModelConfig(method="WE", input_dim=6, hidden_dim=5,
-                              embed_dim=4, label_dim=3).validate()
+                              embed_dim=4, label_dim=3)
 
     def test_we_valid_when_dims_match(self):
         cfg = model.ModelConfig(method="WE", input_dim=6, hidden_dim=5,
@@ -210,7 +210,7 @@ class TestInit:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
-            model.ModelConfig(method="XX", input_dim=6).validate()
+            model.ModelConfig(method="XX", input_dim=6)
 
     def test_non_je_must_not_carry_projector(self):
         je = model.init_model(JE_CFG, seed=10)

@@ -97,9 +97,9 @@ class TestNormalize:
             probe = rng.normal(size=(4, 6))
 
             def f(x):
-                rows = x.reshape(4, 6)
-                val = float(np.sum(numcore.l2_normalize_rows(rows) * probe))
-                return val, numcore.l2_normalize_rows_backward(rows, probe).ravel()
+                unit, norms = numcore.l2_normalize_rows(x.reshape(4, 6))
+                val = float(np.sum(unit * probe))
+                return val, numcore.l2_normalize_rows_backward(unit, norms, probe).ravel()
 
             err = reference.check_gradient(f, m.ravel().copy())
             assert err < 1e-7
@@ -119,7 +119,8 @@ class TestNormalize:
     def test_rows_helper_matches_single(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(5, 3))
-        rows = numcore.l2_normalize_rows(m)
+        rows, norms = numcore.l2_normalize_rows(m)
+        assert np.array_equal(norms, np.linalg.norm(m, axis=1))
         for i in range(5):
             assert np.allclose(rows[i], numcore.l2_normalize(m[i]), atol=1e-15)
 

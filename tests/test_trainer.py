@@ -55,15 +55,15 @@ class TestLrSchedule:
 class TestConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
-            fast_cfg(method="QQ").validate()
+            fast_cfg(method="QQ")
 
     def test_unknown_dml(self):
         with pytest.raises(ConfigError):
-            fast_cfg(dml="contrastive").validate()
+            fast_cfg(dml="contrastive")
 
     def test_negative_lambda(self):
         with pytest.raises(ConfigError):
-            fast_cfg(lambda_we=-1.0).validate()
+            fast_cfg(lambda_we=-1.0)
 
     def test_method_model_mismatch(self):
         with pytest.raises(ConfigError):
@@ -268,7 +268,7 @@ class TestObjectives:
         loss = trainer.batch_objective(net, frames, ids, labels, False, cfg)
         emb, _ = net.embed_video_batch(frames)
         targets = np.stack([DATASET.label_embeddings[int(c)] for c in ids])
-        want, _ = losses.alignment_mse(losses.PairedBatch(emb, targets))
+        want, _ = losses.alignment_mse(emb, targets)
         assert loss == want
 
     def test_we_lambda_shifts_loss_by_metric_term(self):
@@ -282,10 +282,7 @@ class TestObjectives:
             net, frames, ids, labels, False, fast_cfg(method="WE", lambda_we=2.0)
         )
         emb, _ = net.embed_video_batch(frames)
-        dml_val, _ = losses.multisim_loss(
-            losses.EmbeddingBatch(embeddings=emb, class_ids=ids),
-            losses.MultiSimConfig(),
-        )
+        dml_val, _ = losses.multisim_loss(emb, ids, losses.MultiSimConfig())
         assert shifted == pytest.approx(base + 2.0 * dml_val, abs=1e-12)
 
     def test_je_objective_includes_one_label_per_class(self):
@@ -298,12 +295,37 @@ class TestObjectives:
         classes = sorted(set(ids.tolist()))
         raw = np.stack([DATASET.label_embeddings[c] for c in classes])
         label_emb, _ = net.embed_label_batch(raw)
-        union = losses.EmbeddingBatch(
-            embeddings=np.vstack([video_emb, label_emb]),
-            class_ids=np.concatenate([ids, np.array(classes)]),
+        want, _ = losses.multisim_loss(
+            np.vstack([video_emb, label_emb]),
+            np.concatenate([ids, np.array(classes)]),
+            losses.MultiSimConfig(),
         )
-        want, _ = losses.multisim_loss(union, losses.MultiSimConfig())
         assert loss == want
+
+    @pytest.mark.parametrize(
+        "method,embed_dim,lam", [("VE", 6, 0.0), ("WE", 6, 10.0), ("JE", 5, 0.0)]
+    )
+    def test_metric_loss_sees_unit_rows(self, monkeypatch, method, embed_dim, lam):
+        # the losses do not check norms, so batch_objective must hand them unit rows
+        seen = []
+        real_make_dml = trainer.make_dml
+
+        def spy_make_dml(*args):
+            dml = real_make_dml(*args)
+
+            def spy(embeddings, class_ids):
+                seen.append(embeddings.copy())
+                return dml(embeddings, class_ids)
+
+            return spy
+
+        monkeypatch.setattr(trainer, "make_dml", spy_make_dml)
+        net = make_net(method, embed_dim=embed_dim, seed=12)
+        frames, ids, labels = self.batch_for()
+        cfg = fast_cfg(method=method, lambda_we=lam)
+        trainer.batch_objective(net, frames, ids, labels, True, cfg)
+        (rows,) = seen
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
 
 class TestTrainLogFile:
