@@ -40,9 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # schema: key -> (converter, default). Converters run on the raw string from
-# either the config file or the flag, so both paths share validation. The
-# synth, split and train schemas are read off the config dataclasses, so each
-# default is written once, on its dataclass.
+# either the config file or the flag, so both paths share validation. Each
+# schema is read off its command's config dataclasses, so each default is
+# written once, on its dataclass.
 
 _CONVERTERS = {"int": int, "float": float, "str": str}
 
@@ -82,12 +82,7 @@ TRAIN_SCHEMA = {
 }
 
 EVAL_SCHEMA = {
-    "task": (str, "FSG"),
-    "n": (int, 5),
-    "k": (int, 1),
-    "m": (int, 20),
-    "episodes": (int, 500),
-    "seed": (int, 0),
+    **_fields_schema(episodic.EvalConfig),
     "dml": (str, "-"),
     "split_name": (str, "-"),
 }
@@ -264,29 +259,27 @@ def cmd_train(args) -> None:
     )
 
 
+def _check_report_label(key: str, value: str, error: type[OpensetError]) -> None:
+    """A label copied into report rows must hold no comma and no line break
+    (anything str.splitlines splits at), either of which would break a row."""
+    if "," in value or "".join(value.splitlines()) != value:
+        raise error(f"{key} {value!r} must not hold a comma or a line break")
+
+
 def cmd_eval(args) -> None:
     cfg = _resolve(args, EVAL_SCHEMA)
+    eval_cfg = episodic.EvalConfig(**_fields_kwargs(episodic.EvalConfig, cfg))
+    if cfg["split_name"] == "-":
+        cfg["split_name"] = os.path.splitext(os.path.basename(args.split))[0]
+    for key in ("dml", "split_name"):
+        _check_report_label(key, cfg[key], ConfigError)
     net = model.load_checkpoint(args.checkpoint)
     dataset = _load_data_dir(args.data)
     split = splits.read_split(args.split, dataset.classes)
-    if cfg["split_name"] == "-":
-        cfg["split_name"] = os.path.splitext(os.path.basename(args.split))[0]
     prepare_out(args.out, [_EVAL_FILE])
-    report = episodic.evaluate(
-        net,
-        dataset,
-        split,
-        task=cfg["task"],
-        n=cfg["n"],
-        k=cfg["k"],
-        m=cfg["m"],
-        n_episodes=cfg["episodes"],
-        seed=cfg["seed"],
-    )
+    report = episodic.evaluate(net, dataset, split, eval_cfg)
     episodic.write_eval_report(os.path.join(args.out, _EVAL_FILE), report)
-    resolved = dict(cfg)
-    resolved["method"] = net.method
-    write_resolved(args.out, resolved)
+    write_resolved(args.out, {**cfg, "method": net.method})
     for name, res in report.subsets.items():
         status = "skipped" if res.skipped else f"accuracy {res.correct}/{res.queries}"
         print(f"eval: {cfg['task']} {name}: {status}")
@@ -299,6 +292,7 @@ def _read_eval_rows(eval_dir: str) -> list[dict[str, str]]:
     for needed in ("method", "dml", "split_name"):
         if needed not in meta:
             raise ParseError(f"{resolved_path}: missing key {needed!r}")
+        _check_report_label(f"{resolved_path}: {needed}", meta[needed], ParseError)
     lines = [l for l in data.read_text(eval_path).splitlines() if l.strip()]
     if not lines or lines[0] != episodic.EVAL_HEADER:
         raise ParseError(f"{eval_path}: unexpected header")
@@ -334,10 +328,10 @@ _REPORT_COLUMNS = (
 def cmd_report(args) -> None:
     """Merge evaluation outputs into one long-form table. Accuracy cells are
     copied verbatim from the inputs, never recomputed."""
-    prepare_out(args.out, [_REPORT_FILE])
     rows = []
     for eval_dir in args.eval_dirs:
         rows.extend(_read_eval_rows(eval_dir))
+    prepare_out(args.out, [_REPORT_FILE])
     rows.sort(key=lambda r: tuple(r[c] for c in ("method", "dml", "task", "subset", "split")))
     lines = [",".join(_REPORT_COLUMNS)]
     for row in rows:

@@ -25,7 +25,7 @@ from .errors import (
     DimensionError,
     FormatError,
     ParseError,
-    check_finite_fields,
+    check_fields,
 )
 from .numcore import l2_normalize
 
@@ -216,7 +216,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.n_verbs < 1 or self.n_nouns < 1:
             raise ConfigError("synth: need at least one verb and one noun")
         if not (0.0 < self.class_density <= 1.0):

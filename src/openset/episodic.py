@@ -19,20 +19,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, MethodError, SamplingError
-from .model import METHOD_JE, METHOD_VE, METHOD_WE, EmbeddingModel
+from .errors import ConfigError, MethodError, SamplingError, check_fields
+from .model import METHOD_VE, METHOD_WE, EmbeddingModel
 from .splits import CATEGORY_HON, CATEGORY_HOV, SplitResult
 
 TASK_FSG = "FSG"
 TASK_CMFSG = "CM-FSG"
 TASKS = (TASK_FSG, TASK_CMFSG)
 
-SUPPORT_VIDEO = "video"
-SUPPORT_LABEL_RAW = "label_raw"
-SUPPORT_LABEL_PROJECTED = "label_projected"
-
-_SUBSET_ORDER = ("All", "HoV", "HoN")
 _RESAMPLE_LIMIT = 100
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """One episodic protocol: n-way, k-shot, up to m queries per class, the
+    given number of episodes per subset. The cross-modal task supports each
+    class with its one label embedding, so it needs k = 1."""
+
+    task: str = TASK_FSG
+    n: int = 5
+    k: int = 1
+    m: int = 20
+    episodes: int = 500
+    seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.task not in TASKS:
+            raise ConfigError(f"unknown task {self.task!r}")
+        if min(self.n, self.k, self.m, self.episodes) < 1:
+            raise ConfigError("eval: n, k, m and episodes must be positive")
+        if self.task == TASK_CMFSG and self.k != 1:
+            raise MethodError("cross-modal episodes provide one label per class; k must be 1")
+
+    @property
+    def n_support(self) -> int:
+        """Video supports per episode class: k for FSG, none cross-modally."""
+        return self.k if self.task == TASK_FSG else 0
 
 
 def sample_training_batch(
@@ -66,35 +89,23 @@ def sample_training_batch(
     )
 
 
-def eligible_episode_classes(
-    dataset: Dataset, classes: set[int], task: str, k: int
-) -> list[int]:
-    """Classes with enough instances for one episode: k supports plus at
-    least one query (FSG), or at least one query (CM-FSG)."""
-    need = k + 1 if task == TASK_FSG else 1
+def eligible_episode_classes(dataset: Dataset, classes: set[int], cfg: EvalConfig) -> list[int]:
+    """Classes with enough instances for one episode: the supports plus at
+    least one query."""
+    need = cfg.n_support + 1
     return [cid for cid in sorted(classes) if len(dataset.class_rows.get(cid, ())) >= need]
 
 
 def draw_episode(
-    dataset: Dataset, eval_classes: set[int], task: str, rng: np.random.Generator,
-    n: int, k: int, m: int,
+    dataset: Dataset, eligible: list[int], rng: np.random.Generator, cfg: EvalConfig
 ) -> tuple[list[int], list[np.ndarray]]:
-    """Draw one episode: its n classes and, per class, the drawn positions
-    into class_rows. FSG positions hold k supports, then the queries,
-    disjoint instances of the same class; the cross-modal task supports each
-    class with its single label embedding (k must be 1), so every position
-    is a query. Each class gets up to m queries."""
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}")
-    if n < 1 or k < 1 or m < 1:
-        raise ConfigError("episode: n, k, m must be positive")
-    if task == TASK_CMFSG and k != 1:
-        raise MethodError("cross-modal episodes provide one label per class; k must be 1")
-    eligible = eligible_episode_classes(dataset, eval_classes, task, k)
-    if len(eligible) < n:
-        raise SamplingError(f"episode: need {n} eligible classes, have {len(eligible)}")
-    picked = [eligible[i] for i in rng.choice(len(eligible), size=n, replace=False)]
-    n_support = k if task == TASK_FSG else 0
+    """Draw one episode from at least n eligible classes: its n classes and,
+    per class, the drawn positions into class_rows. FSG positions hold k
+    supports, then the queries, disjoint instances of the same class; the
+    cross-modal task supports each class with its label embedding, so every
+    position is a query. Each class gets up to m queries."""
+    picked = [eligible[i] for i in rng.choice(len(eligible), size=cfg.n, replace=False)]
+    n_support, m = cfg.n_support, cfg.m
     sizes = [len(dataset.class_rows[cid]) for cid in picked]
     return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
 
@@ -152,34 +163,13 @@ class SubsetResult:
 
 @dataclass
 class EvalReport:
-    task: str
-    n: int
-    k: int
-    m: int
-    n_episodes: int
-    seed: int
-    support_mode: str
+    cfg: EvalConfig
     subsets: dict[str, SubsetResult] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
 
-def support_mode_for(model: EmbeddingModel, task: str) -> str:
-    """How support items are embedded: video encoder for FSG; for the
-    cross-modal task, raw label embeddings (WE trains into that space) or
-    the label projector (JE). VE has no label path at all."""
-    if task == TASK_FSG:
-        return SUPPORT_VIDEO
-    if task == TASK_CMFSG:
-        if model.method == METHOD_WE:
-            return SUPPORT_LABEL_RAW
-        if model.method == METHOD_JE:
-            return SUPPORT_LABEL_PROJECTED
-        if model.method == METHOD_VE:
-            raise MethodError("VE has no label-embedding path; cannot run CM-FSG")
-    raise ConfigError(f"unknown task {task!r}")
-
-
 def _episode_subsets(split: SplitResult) -> list[tuple[str, set[int]]]:
+    """The evaluation subsets, in report order."""
     return [
         ("All", set(split.test)),
         ("HoV", split.classes_in_category(split.test, CATEGORY_HOV)),
@@ -188,53 +178,46 @@ def _episode_subsets(split: SplitResult) -> list[tuple[str, set[int]]]:
 
 
 def evaluate(
-    model: EmbeddingModel,
-    dataset: Dataset,
-    split: SplitResult,
-    task: str,
-    n: int,
-    k: int,
-    m: int,
-    n_episodes: int,
-    seed: int,
+    model: EmbeddingModel, dataset: Dataset, split: SplitResult, cfg: EvalConfig
 ) -> EvalReport:
-    """Pooled κ-NN accuracy (κ = k) over n_episodes per subset.
+    """Pooled κ-NN accuracy (κ = k) over cfg.episodes per subset.
 
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
     the whole run. Each eligible class is embedded once per call, and every
-    episode indexes those rows. Deterministic in seed.
+    episode indexes those rows. FSG supports are video embeddings; the
+    cross-modal task supports each class with its raw label embedding (WE
+    trains into that space) or its projected one (JE). Deterministic in seed.
     """
-    support_mode = support_mode_for(model, task)
-    if n_episodes < 1:
-        raise ConfigError("evaluate: n_episodes must be positive")
-    report = EvalReport(task=task, n=n, k=k, m=m, n_episodes=n_episodes, seed=seed,
-                        support_mode=support_mode)
-    n_support = k if support_mode == SUPPORT_VIDEO else 0
+    cross_modal = cfg.task == TASK_CMFSG
+    if cross_modal and model.method == METHOD_VE:
+        raise MethodError("VE has no label-embedding path; cannot run CM-FSG")
+    report = EvalReport(cfg)
+    k, n_support = cfg.k, cfg.n_support
     video: dict[int, np.ndarray] = {}
     labels: dict[int, np.ndarray] = {}
     for subset_idx, (name, classes) in enumerate(_episode_subsets(split)):
-        eligible = eligible_episode_classes(dataset, classes, task, k)
-        if len(eligible) < n:
+        eligible = eligible_episode_classes(dataset, classes, cfg)
+        if len(eligible) < cfg.n:
             report.subsets[name] = SubsetResult(skipped=True)
             report.warnings.append(
-                f"subset {name}: {len(eligible)} eligible classes < n={n}; skipped"
+                f"subset {name}: {len(eligible)} eligible classes < n={cfg.n}; skipped"
             )
             continue
         for cid in sorted(set(eligible) - video.keys()):
             video[cid], _ = model.embed_video_batch(dataset.features[dataset.class_rows[cid]])
-            if support_mode == SUPPORT_LABEL_RAW:
-                labels[cid] = dataset.label_embeddings[cid]
-            elif support_mode == SUPPORT_LABEL_PROJECTED:
-                labels[cid] = model.embed_label_batch(dataset.label_embeddings[cid][None])[0][0]
+            if cross_modal:
+                label = dataset.label_embeddings[cid]
+                labels[cid] = (label if model.method == METHOD_WE
+                               else model.embed_label_batch(label[None])[0][0])
         result = SubsetResult()
-        for episode_idx in range(n_episodes):
-            rng = np.random.default_rng([seed, subset_idx, episode_idx])
-            picked, drawn = draw_episode(dataset, classes, task, rng, n, k, m)
-            if support_mode == SUPPORT_VIDEO:
-                sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
-            else:
+        for episode_idx in range(cfg.episodes):
+            rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
+            picked, drawn = draw_episode(dataset, eligible, rng, cfg)
+            if cross_modal:
                 sup_emb = np.stack([labels[c] for c in picked])
+            else:
+                sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
             query_emb = np.concatenate([video[c][i[n_support:]] for c, i in zip(picked, drawn)])
             true_cid = np.repeat(picked, [len(i) - n_support for i in drawn])
             pred = knn_classify(sup_emb, np.repeat(picked, k), query_emb, kappa=k)
@@ -249,18 +232,18 @@ EVAL_HEADER = "task,subset,n,k,m,episodes,queries,correct,accuracy,seed"
 
 
 def write_eval_report(path: str, report: EvalReport) -> None:
-    """One CSV row per non-skipped subset; skipped subsets appear only in
-    the warnings, which are written as comment lines."""
+    """One CSV row per non-skipped subset, in evaluation order; skipped
+    subsets appear only in the warnings, which are written as comment lines."""
+    cfg = report.cfg
     lines = [EVAL_HEADER]
     for warning in report.warnings:
         lines.append(f"# {warning}")
-    for name in _SUBSET_ORDER:
-        res = report.subsets.get(name)
-        if res is None or res.skipped:
+    for name, res in report.subsets.items():
+        if res.skipped:
             continue
         lines.append(
-            f"{report.task},{name},{report.n},{report.k},{report.m},"
-            f"{res.episodes},{res.queries},{res.correct},{res.accuracy!r},{report.seed}"
+            f"{cfg.task},{name},{cfg.n},{cfg.k},{cfg.m},"
+            f"{res.episodes},{res.queries},{res.correct},{res.accuracy!r},{cfg.seed}"
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

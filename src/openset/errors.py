@@ -3,7 +3,7 @@
 Validation-style errors (bad inputs, bad files, impossible requests)
 are distinguished from runtime errors (numerical blow-ups, exhausted
 retries) so the CLI can map them to distinct exit codes. Every config
-dataclass runs check_finite_fields on construction.
+dataclass runs check_fields on construction.
 """
 
 import dataclasses
@@ -61,10 +61,13 @@ VALIDATION_ERRORS = (
 )
 
 
-def check_finite_fields(cfg) -> None:
+def check_fields(cfg) -> None:
     """Raise ConfigError if any float field of a config dataclass is NaN or
-    infinite; range checks compare, and every comparison with NaN is false."""
+    infinite (range checks compare, and every comparison with NaN is false),
+    or if its seed is negative (numpy seeds only from nonnegative integers)."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{type(cfg).__name__}: {f.name} must be finite, got {value!r}")
+        if f.name == "seed" and value < 0:
+            raise ConfigError(f"{type(cfg).__name__}: seed must be nonnegative, got {value}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, DimensionError, check_finite_fields
+from .errors import ConfigError, DegenerateInputError, DimensionError, check_fields
 from .numcore import log1p_sum_exp
 
 
@@ -45,7 +45,7 @@ class MultiSimConfig:
     margin: float = 0.1
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("multisim: alpha and beta must be positive")
         if self.margin < 0:

@@ -126,7 +126,8 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 def l2_normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise unit normalization of a 2-D array: (unit rows, row norms)."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed norm is the NumericError below
+        norms = np.linalg.norm(m, axis=1)
     if not np.isfinite(norms).all():
         raise NumericError("l2_normalize_rows: non-finite row")
     if np.any(norms < _ZERO_NORM_TOL):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClassTable, read_text
-from .errors import ConfigError, EligibilityError, ParseError, check_finite_fields
+from .errors import ConfigError, EligibilityError, ParseError, check_fields
 
 CATEGORY_HOV = "HoV"
 CATEGORY_HON = "HoN"
@@ -44,7 +44,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.v_lower > self.v_upper or self.n_lower > self.n_upper:
             raise ConfigError("split: lower cutoff exceeds upper cutoff")
         if self.p_verbs < 0 or self.p_nouns < 0:

@@ -26,7 +26,7 @@ import numpy as np
 from . import episodic
 from .data import Dataset
 from .errors import (
-    ConfigError, DegenerateInputError, NumericError, SamplingError, check_finite_fields
+    ConfigError, DegenerateInputError, NumericError, SamplingError, check_fields
 )
 from .losses import HistogramConfig, MultiSimConfig, je_loss, make_dml, we_loss
 from .model import METHOD_JE, METHOD_VE, METHOD_WE, METHODS, EmbeddingModel
@@ -59,15 +59,14 @@ class TrainConfig:
     multisim: MultiSimConfig = field(default_factory=MultiSimConfig)
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.dml not in ("histogram", "multisim"):
             raise ConfigError(f"unknown metric loss {self.dml!r}")
-        if self.lambda_we < 0:
-            raise ConfigError("lambda_we must be nonnegative")
-        if self.lr0 < 0:
-            raise ConfigError("lr0 must be nonnegative")
+        for name in ("lambda_we", "lr0", "max_batches"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if not (0.0 < self.decay_factor <= 1.0):
             raise ConfigError("decay_factor must be in (0, 1]")
         for name in (
@@ -81,8 +80,6 @@ class TrainConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.max_batches < 0:
-            raise ConfigError("max_batches must be nonnegative")
 
 
 @dataclass
@@ -223,37 +220,41 @@ def train(
     best_step = 0
     val_round = 0
 
-    for step in range(1, cfg.max_batches + 1):
-        loss = None
-        for _ in range(_DEGENERATE_LIMIT):
-            try:
-                loss = _batch_loss(model, dataset, train_classes, rng, cfg, with_grads=True)
-                break
-            except DegenerateInputError:
-                model.zero_grad()
-                log.degenerate_resamples += 1
-        if loss is None:
-            raise SamplingError(
-                f"step {step}: {_DEGENERATE_LIMIT} degenerate batches in a row"
-            )
-        if not np.isfinite(loss):
-            raise NumericError(f"step {step}: non-finite loss {loss}")
-        lr = lr_at(step - 1, cfg)
-        for blk in model.blocks():
-            adam_step(blk, states[blk.name], lr)
-        log.step_losses.append(float(loss))
+    # a numeric blow-up anywhere in a step (forward, Adam or validation) names it
+    try:
+        for step in range(1, cfg.max_batches + 1):
+            loss = None
+            for _ in range(_DEGENERATE_LIMIT):
+                try:
+                    loss = _batch_loss(model, dataset, train_classes, rng, cfg, with_grads=True)
+                    break
+                except DegenerateInputError:
+                    model.zero_grad()
+                    log.degenerate_resamples += 1
+            if loss is None:
+                raise SamplingError(
+                    f"step {step}: {_DEGENERATE_LIMIT} degenerate batches in a row"
+                )
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss {loss}")
+            lr = lr_at(step - 1, cfg)
+            for blk in model.blocks():
+                adam_step(blk, states[blk.name], lr)
+            log.step_losses.append(float(loss))
 
-        if step % cfg.val_every == 0:
-            val_round += 1
-            val_loss = _validation_loss(model, dataset, val_classes, cfg, val_round)
-            log.validations.append((step, float(val_loss)))
-            if val_loss < best_val:
-                best_val = float(val_loss)
-                best_step = step
-                best_model = model.copy()
-            elif step - best_step >= cfg.patience:
-                log.stop_reason = "patience"
-                break
+            if step % cfg.val_every == 0:
+                val_round += 1
+                val_loss = _validation_loss(model, dataset, val_classes, cfg, val_round)
+                log.validations.append((step, float(val_loss)))
+                if val_loss < best_val:
+                    best_val = float(val_loss)
+                    best_step = step
+                    best_model = model.copy()
+                elif step - best_step >= cfg.patience:
+                    log.stop_reason = "patience"
+                    break
+    except NumericError as exc:
+        raise NumericError(f"step {step}: {exc}") from exc
 
     if best_model is None:
         return model.copy(), log

@@ -10,6 +10,7 @@ report honest measurements; thresholds are never tuned to fit a run.
 import dataclasses
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from openset import cli, data, episodic, losses, model, splits
 import reference
-from test_episodic import HashEmbedModel, episode_rows, make_split, tiny_dataset
+from test_episodic import HashEmbedModel, draw, episode_rows, make_split, tiny_dataset
 
 FD_TOL = 1e-4             # check 1: max relative error, central differences
 FD_TIME_BUDGET = 10.0     # check 1: seconds
@@ -277,7 +278,7 @@ def test_5_episodic_suite():
     pool = set(range(12))
     for i in range(1000):
         rng = np.random.default_rng([505, i])
-        picked, drawn = episodic.draw_episode(ds, pool, episodic.TASK_FSG, rng, n=5, k=2, m=3)
+        picked, drawn = draw(ds, pool, rng, task=episodic.TASK_FSG, n=5, k=2, m=3)
         support, queries = episode_rows(ds, episodic.TASK_FSG, 2, picked, drawn)
         assert len(set(picked)) == 5 and set(picked) <= pool
         support_ids = {ds.instance_ids[r] for r, _ in support}
@@ -306,13 +307,13 @@ def test_5_episodic_suite():
     exact = tiny_dataset({cid: 6 for cid in range(8)}, noise=0.0, seed=2)
     report = episodic.evaluate(
         HashEmbedModel(), exact, make_split(range(8)),
-        task=episodic.TASK_FSG, n=5, k=1, m=4, n_episodes=60, seed=8)
+        episodic.EvalConfig(episodic.TASK_FSG, n=5, k=1, m=4, episodes=60, seed=8))
     res = report.subsets["All"]
     assert res.accuracy == res.correct / res.queries
     per_episode = []
     for i in range(60):
         rng = np.random.default_rng([8, 0, i])
-        picked, drawn = episodic.draw_episode(exact, set(range(8)), "FSG", rng, 5, 1, 4)
+        picked, drawn = draw(exact, set(range(8)), rng, task="FSG", n=5, k=1, m=4)
         support, queries = episode_rows(exact, episodic.TASK_FSG, 1, picked, drawn)
         stub = HashEmbedModel()
         sup_emb, _ = stub.embed_video_batch(
@@ -330,7 +331,7 @@ def test_5_episodic_suite():
     noisy = tiny_dataset({cid: 8 for cid in range(10)}, noise=1.0, seed=3)
     chance = episodic.evaluate(
         HashEmbedModel(), noisy, make_split(range(10)),
-        task=episodic.TASK_FSG, n=5, k=1, m=4, n_episodes=500, seed=9)
+        episodic.EvalConfig(episodic.TASK_FSG, n=5, k=1, m=4, episodes=500, seed=9))
     acc = chance.subsets["All"].accuracy
     ok = abs(acc - 0.2) <= STUB_TOL
     assert verdict("5", "episodic evaluation properties", ok,
@@ -342,7 +343,7 @@ def test_5_episodic_suite():
 
 def read_subset_accuracies(path):
     out = {}
-    for line in open(path, encoding="utf-8").read().splitlines()[1:]:
+    for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines()[1:]:
         if line.startswith("#"):
             continue
         parts = line.split(",")

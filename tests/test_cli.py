@@ -6,10 +6,11 @@ artifacts are checked without spawning interpreters.
 
 import dataclasses
 import os
+from pathlib import Path
 
 import pytest
 
-from openset import cli, data, losses, model, splits, trainer
+from openset import cli, data, episodic, losses, model, splits, trainer
 
 SYNTH_FLAGS = [
     "--n-verbs", "8", "--n-nouns", "8", "--class-density", "0.9",
@@ -91,14 +92,14 @@ class TestPipeline:
         assert meta["split_name"] == "split_0"
 
     def test_imbalance_file(self, pipeline):
-        lines = open(os.path.join(pipeline["splits"], "imbalance.csv")).read().splitlines()
+        lines = Path(pipeline["splits"], "imbalance.csv").read_text().splitlines()
         assert lines[0] == "seed,imbalance_ratio"
         seed, ratio = lines[1].split(",")
         assert seed == "0"
         assert float(ratio) >= 1.0
 
     def test_report_rows_verbatim(self, pipeline):
-        report = open(os.path.join(pipeline["report"], "report.csv")).read().splitlines()
+        report = Path(pipeline["report"], "report.csv").read_text().splitlines()
         assert report[0] == ",".join(cli._REPORT_COLUMNS)
         rows = [line.split(",") for line in report[1:]]
         assert rows
@@ -106,7 +107,7 @@ class TestPipeline:
         # accuracy strings must be copied unmodified from each eval.csv
         source = {}
         for key, meth in (("eval_fsg", "VE"), ("eval_cm", "WE")):
-            for line in open(os.path.join(pipeline[key], "eval.csv")).read().splitlines()[1:]:
+            for line in Path(pipeline[key], "eval.csv").read_text().splitlines()[1:]:
                 if line.startswith("#"):
                     continue
                 parts = line.split(",")
@@ -120,7 +121,7 @@ class TestPipeline:
         assert sort_keys == sorted(sort_keys)
 
     def test_train_log_has_losses(self, pipeline):
-        lines = open(os.path.join(pipeline["ve"], "train_log.csv")).read().splitlines()
+        lines = Path(pipeline["ve"], "train_log.csv").read_text().splitlines()
         assert lines[0] == "kind,step,value"
         assert sum(1 for l in lines if l.startswith("loss,")) == 30
 
@@ -145,8 +146,8 @@ class TestSynth:
         assert cli.main(["synth", "--out", a] + SYNTH_FLAGS) == 0
         assert cli.main(["synth", "--out", b] + SYNTH_FLAGS) == 0
         for name in ("class_table.csv", "features.osf", "labels.osl"):
-            wa = open(os.path.join(a, name), "rb").read()
-            wb = open(os.path.join(b, name), "rb").read()
+            wa = Path(a, name).read_bytes()
+            wb = Path(b, name).read_bytes()
             assert wa == wb, name
 
     def test_flag_overrides_config_file(self, tmp_path):
@@ -237,6 +238,11 @@ class TestSchemaDefaults:
         _, seeds = schema.pop("seeds")
         assert cli._parse_seed_list(seeds) == [splits.SplitSpec().seed]
         self.check(schema, want)
+
+    def test_eval_schema(self):
+        want = _defaults(episodic.EvalConfig)
+        want.update(dml="-", split_name="-")
+        self.check(cli.EVAL_SCHEMA, want)
 
     def test_train_schema(self):
         want = _defaults(trainer.TrainConfig)
@@ -346,6 +352,19 @@ class TestSchemaRouting:
         assert (model_cfg.input_dim, model_cfg.label_dim) == (10, 6)
 
 
+def _command_argv(pipeline, command):
+    """A valid invocation of command on the pipeline's inputs, without --out."""
+    return {
+        "synth": ["synth"] + SYNTH_FLAGS,
+        "split": ["split", "--class-table", os.path.join(pipeline["data"], "class_table.csv")],
+        "train": ["train", "--data", pipeline["data"], "--split", pipeline["split_csv"]]
+        + TRAIN_FLAGS,
+        "eval": ["eval", "--checkpoint", os.path.join(pipeline["ve"], "checkpoint.osm"),
+                 "--data", pipeline["data"], "--split", pipeline["split_csv"],
+                 "--episodes", "2", "--m", "5"],
+    }[command]
+
+
 # one non-finite value per float field of the synth, split and train configs
 NON_FINITE = [
     ("synth", "class_density", "nan"),
@@ -362,25 +381,100 @@ NON_FINITE = [
     ("train", "margin", "nan"),
 ]
 
+# each eval protocol the EvalConfig rejects, and a word of its message
+BAD_EVAL = [
+    (["--n", "0"], "positive"),
+    (["--k", "0"], "positive"),
+    (["--m", "0"], "positive"),
+    (["--episodes", "0"], "positive"),
+    (["--task", "ZSG"], "unknown task"),
+    (["--task", "CM-FSG", "--k", "2"], "k must be 1"),
+]
+
 
 class TestFailureClasses:
     @pytest.mark.parametrize("command,key,value", NON_FINITE)
     def test_non_finite_config_value_exits_one(
         self, pipeline, tmp_path, capsys, command, key, value
     ):
-        argv = {
-            "synth": ["synth"] + SYNTH_FLAGS,
-            "split": ["split", "--class-table", os.path.join(pipeline["data"], "class_table.csv")],
-            "train": ["train", "--data", pipeline["data"], "--split", pipeline["split_csv"]]
-            + TRAIN_FLAGS,
-        }[command]
         out = tmp_path / "o"
-        code = cli.main(argv + ["--out", str(out), f"--{key.replace('_', '-')}", value])
+        code = cli.main(_command_argv(pipeline, command)
+                        + ["--out", str(out), f"--{key.replace('_', '-')}", value])
         assert code == 1
         err = capsys.readouterr().err
         assert f"{key} must be finite" in err and "Traceback" not in err
         # rejected before the output directory is made: no artifact, no resolved.cfg
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("synth", "--seed=-1"), ("split", "--seeds=-2"), ("train", "--seed=-3"),
+        ("eval", "--seed=-1"),
+    ])
+    def test_negative_seed_exits_one(self, pipeline, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        code = cli.main(_command_argv(pipeline, command) + ["--out", str(out), flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "seed must be nonnegative" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", BAD_EVAL)
+    def test_bad_eval_protocol_exits_one(self, pipeline, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        code = cli.main(_command_argv(pipeline, "eval") + ["--out", str(out)] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["dml", "split_name", "split_file"])
+    def test_eval_label_that_breaks_report_rows_exits_one(
+        self, pipeline, tmp_path, capsys, label
+    ):
+        # every report row carries dml and split_name, so a comma or a line
+        # break in either would shift or split the row
+        argv = _command_argv(pipeline, "eval")
+        if label == "split_file":  # split_name defaults to the split's file name
+            renamed = tmp_path / "a,b.csv"
+            renamed.write_bytes(Path(pipeline["split_csv"]).read_bytes())
+            argv[argv.index(pipeline["split_csv"])] = str(renamed)
+        else:
+            value = {"dml": "multi,sim", "split_name": "a\nb"}[label]
+            argv += [f"--{label.replace('_', '-')}", value]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "comma or a line break" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("method", "V,E"), ("dml", "multi,sim"), ("split_name", "a\u2028b"),
+    ])
+    def test_report_label_that_breaks_rows_exits_one(self, pipeline, tmp_path, capsys, key, value):
+        from openset.errors import ParseError
+        bad = tmp_path / "eval"
+        bad.mkdir()
+        (bad / "eval.csv").write_bytes(Path(pipeline["eval_fsg"], "eval.csv").read_bytes())
+        meta = cli.parse_config_file(os.path.join(pipeline["eval_fsg"], "resolved.cfg"))
+        meta[key] = value
+        (bad / "resolved.cfg").write_text(
+            "".join(f"{k}={v}\n" for k, v in meta.items()), encoding="utf-8")
+        with pytest.raises(ParseError, match="comma or a line break"):
+            cli._read_eval_rows(str(bad))
+        out = tmp_path / "r"
+        assert cli.main(["report", str(bad), "--out", str(out)]) == 1
+        assert "comma or a line break" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_lr_exits_two_naming_the_step(self, pipeline, tmp_path, capsys):
+        # the first Adam step at lr0 1e300 blows the weights up, and the next
+        # forward pass overflows: a runtime failure, reported without a warning
+        code = cli.main(_command_argv(pipeline, "train")
+                        + ["--out", str(tmp_path / "o"), "--lr0", "1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("openset train: step 2: ") and "non-finite" in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = cli.main([
@@ -437,7 +531,7 @@ class TestFailureClasses:
         assert not (out / "features.osf").exists()
 
     def test_invalid_utf8_class_table_exits_one(self, pipeline, tmp_path, capsys):
-        blob = open(os.path.join(pipeline["data"], "class_table.csv"), "rb").read()
+        blob = Path(pipeline["data"], "class_table.csv").read_bytes()
         table = tmp_path / "class_table.csv"
         table.write_bytes(blob.replace(b"verb00", b"verb\xff0", 1))
         code = cli.main(["split", "--class-table", str(table), "--out", str(tmp_path / "o")])
@@ -449,7 +543,7 @@ class TestFailureClasses:
         bad = tmp_path / "eval"
         bad.mkdir()
         for name in ("resolved.cfg", "eval.csv"):
-            blob = open(os.path.join(pipeline["eval_fsg"], name), "rb").read()
+            blob = Path(pipeline["eval_fsg"], name).read_bytes()
             (bad / name).write_bytes(blob + (b"\xfe\n" if name == "eval.csv" else b""))
         with pytest.raises(ParseError, match="UTF-8"):
             cli._read_eval_rows(str(bad))

@@ -186,7 +186,7 @@ class TestClassTable:
         ds = data.synth_generate(SMALL)
         path = str(tmp_path / "classes.csv")
         data.write_class_table(path, ds.classes)
-        first = open(path).readline().strip()
+        first = pathlib.Path(path).read_text().splitlines()[0].strip()
         assert first == "class_id,verb_id,noun_id,verb_text,noun_text,n_instances"
 
     def test_header_only_is_empty_table(self, tmp_path):
@@ -296,8 +296,8 @@ class TestFeatureFile:
         rng = np.random.default_rng(1)
         path = str(tmp_path / "f.osf")
         data.write_features(path, [0], [0], rng.normal(size=(1, 2, 3)))
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-4])
+        blob = pathlib.Path(path).read_bytes()
+        pathlib.Path(path).write_bytes(blob[:-4])
         with pytest.raises(FormatError):
             data.read_features(path)
 

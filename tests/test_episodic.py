@@ -52,6 +52,14 @@ def episode_rows(ds, task, k, picked, drawn):
     return support, queries
 
 
+def draw(ds, classes, rng, **protocol):
+    """One episode over classes under the EvalConfig built from protocol,
+    drawn from their eligible classes as evaluate draws it."""
+    cfg = episodic.EvalConfig(**protocol)
+    return episodic.draw_episode(
+        ds, episodic.eligible_episode_classes(ds, classes, cfg), rng, cfg)
+
+
 def make_split(cids, category=None):
     """SplitResult with everything in test; category maps are optional."""
     return splits.SplitResult(
@@ -158,7 +166,7 @@ class TestEpisodeSampling:
         pool = set(counts)
         for trial in range(500):
             rng = np.random.default_rng([9, trial])
-            picked, drawn = episodic.draw_episode(ds, pool, "FSG", rng, n=3, k=2, m=4)
+            picked, drawn = draw(ds, pool, rng, task="FSG", n=3, k=2, m=4)
             support, queries = episode_rows(ds, "FSG", 2, picked, drawn)
             assert len(picked) == 3
             assert len(set(picked)) == 3
@@ -177,24 +185,27 @@ class TestEpisodeSampling:
     def test_fsg_minimal_class_gets_one_query(self):
         ds = tiny_dataset({0: 3})
         rng = np.random.default_rng(5)
-        picked, drawn = episodic.draw_episode(ds, {0}, "FSG", rng, n=1, k=2, m=10)
+        picked, drawn = draw(ds, {0}, rng, task="FSG", n=1, k=2, m=10)
         _, queries = episode_rows(ds, "FSG", 2, picked, drawn)
         assert len(queries) == 1
 
     def test_fsg_eligibility_excludes_exact_k(self):
         # a class with exactly k instances cannot field a query
         ds = tiny_dataset({0: 2, 1: 5, 2: 5, 3: 5})
-        eligible = episodic.eligible_episode_classes(ds, {0, 1, 2, 3}, "FSG", k=2)
-        assert eligible == [1, 2, 3]
-        rng = np.random.default_rng(6)
-        with pytest.raises(SamplingError):
-            episodic.draw_episode(ds, {0, 1, 2}, "FSG", rng, n=3, k=2, m=4)
+        cfg = episodic.EvalConfig(task="FSG", n=3, k=2, m=4, episodes=6)
+        assert episodic.eligible_episode_classes(ds, {0, 1, 2, 3}, cfg) == [1, 2, 3]
+        # so HoV, whose classes 0-2 leave two eligible, is skipped with a warning
+        split = make_split(range(4), {0: "HoV", 1: "HoV", 2: "HoV", 3: "HoN"})
+        report = episodic.evaluate(HashEmbedModel(), ds, split, cfg)
+        assert report.subsets["All"].episodes == 6
+        assert report.subsets["HoV"].skipped and report.subsets["HoN"].skipped
+        assert "subset HoV: 2 eligible classes < n=3; skipped" in report.warnings
 
     def test_cmfsg_supports_are_label_embeddings(self):
         counts = {0: 3, 1: 4, 2: 6}
         ds = tiny_dataset(counts)
         rng = np.random.default_rng(7)
-        picked, drawn = episodic.draw_episode(ds, set(counts), "CM-FSG", rng, n=3, k=1, m=5)
+        picked, drawn = draw(ds, set(counts), rng, task="CM-FSG", n=3, k=1, m=5)
         support, queries = episode_rows(ds, "CM-FSG", 1, picked, drawn)
         # one label per class supports it, so no instance is drawn as a support
         assert len(picked) == 3 and not support
@@ -204,25 +215,26 @@ class TestEpisodeSampling:
             assert q_c == min(5, counts[cid])
 
     def test_cmfsg_rejects_k_not_one(self):
-        ds = tiny_dataset({0: 3, 1: 3})
-        rng = np.random.default_rng(8)
-        with pytest.raises(MethodError):
-            episodic.draw_episode(ds, {0, 1}, "CM-FSG", rng, n=2, k=2, m=3)
+        with pytest.raises(MethodError, match="k must be 1"):
+            episodic.EvalConfig(task="CM-FSG", n=2, k=2, m=3)
 
     def test_unknown_task_rejected(self):
-        ds = tiny_dataset({0: 3})
-        rng = np.random.default_rng(9)
-        with pytest.raises(ConfigError):
-            episodic.draw_episode(ds, {0}, "ZSG", rng, n=1, k=1, m=1)
+        with pytest.raises(ConfigError, match="ZSG"):
+            episodic.EvalConfig(task="ZSG", n=1, k=1, m=1)
+
+    @pytest.mark.parametrize("field", ["n", "k", "m", "episodes"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match="positive"):
+            episodic.EvalConfig(**{field: 0})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            episodic.EvalConfig(seed=-1)
 
     def test_deterministic_per_seed(self):
         ds = tiny_dataset({c: 6 for c in range(6)})
-        a = episodic.draw_episode(
-            ds, set(range(6)), "FSG", np.random.default_rng([1, 2]), n=3, k=2, m=3
-        )
-        b = episodic.draw_episode(
-            ds, set(range(6)), "FSG", np.random.default_rng([1, 2]), n=3, k=2, m=3
-        )
+        a = draw(ds, set(range(6)), np.random.default_rng([1, 2]), task="FSG", n=3, k=2, m=3)
+        b = draw(ds, set(range(6)), np.random.default_rng([1, 2]), task="FSG", n=3, k=2, m=3)
         assert a[0] == b[0]
         assert episode_rows(ds, "FSG", 2, *a) == episode_rows(ds, "FSG", 2, *b)
 
@@ -334,42 +346,13 @@ class TestKnn:
         assert type(pred) is int and pred == 4
 
 
-class TestSupportMode:
-    def test_fsg_always_video(self):
-        cfg = model.ModelConfig(method="VE", input_dim=4, hidden_dim=5,
-                                embed_dim=6, label_dim=6)
-        net = model.init_model(cfg, seed=0)
-        assert episodic.support_mode_for(net, "FSG") == episodic.SUPPORT_VIDEO
-
-    def test_cmfsg_we_uses_raw_labels(self):
-        cfg = model.ModelConfig(method="WE", input_dim=4, hidden_dim=5,
-                                embed_dim=6, label_dim=6)
-        net = model.init_model(cfg, seed=0)
-        assert episodic.support_mode_for(net, "CM-FSG") == episodic.SUPPORT_LABEL_RAW
-
-    def test_cmfsg_je_uses_projector(self):
-        cfg = model.ModelConfig(method="JE", input_dim=4, hidden_dim=5,
-                                embed_dim=6, label_dim=6)
-        net = model.init_model(cfg, seed=0)
-        assert episodic.support_mode_for(net, "CM-FSG") == episodic.SUPPORT_LABEL_PROJECTED
-
-    def test_cmfsg_ve_rejected(self):
-        cfg = model.ModelConfig(method="VE", input_dim=4, hidden_dim=5,
-                                embed_dim=6, label_dim=6)
-        net = model.init_model(cfg, seed=0)
-        with pytest.raises(MethodError):
-            episodic.support_mode_for(net, "CM-FSG")
-
-
 class TestEvaluate:
     def test_content_equality_scores_perfectly(self):
         counts = {c: 25 for c in range(8)}
         ds = tiny_dataset(counts, noise=0.0)
         split = make_split(range(8), {c: "HoV" for c in range(8)})
-        report = episodic.evaluate(
-            HashEmbedModel(), ds, split, "FSG", n=5, k=1, m=20,
-            n_episodes=50, seed=0,
-        )
+        report = episodic.evaluate(HashEmbedModel(), ds, split, episodic.EvalConfig(
+            "FSG", n=5, k=1, m=20, episodes=50, seed=0))
         assert report.subsets["All"].accuracy == 1.0
 
     def test_class_blind_embeddings_score_at_chance(self):
@@ -378,10 +361,8 @@ class TestEvaluate:
         # leave HoV and HoN too small to run, so only All accumulates
         category = {c: ("HoV" if c < 4 else "HoN") for c in range(8)}
         split = make_split(range(8), category)
-        report = episodic.evaluate(
-            HashEmbedModel(), ds, split, "FSG", n=5, k=1, m=20,
-            n_episodes=300, seed=1,
-        )
+        report = episodic.evaluate(HashEmbedModel(), ds, split, episodic.EvalConfig(
+            "FSG", n=5, k=1, m=20, episodes=300, seed=1))
         acc = report.subsets["All"].accuracy
         assert abs(acc - 0.2) < 0.03
         assert report.subsets["HoV"].skipped
@@ -396,9 +377,8 @@ class TestEvaluate:
         cfg = model.ModelConfig(method="VE", input_dim=4, hidden_dim=5,
                                 embed_dim=6, label_dim=6)
         net = model.init_model(cfg, seed=1)
-        report = episodic.evaluate(
-            net, ds, split, "FSG", n=5, k=1, m=3, n_episodes=20, seed=2,
-        )
+        report = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+            "FSG", n=5, k=1, m=3, episodes=20, seed=2))
         # every subset ran: All over 10 classes, HoV/HoN over their 5
         for name in ("All", "HoV", "HoN"):
             assert not report.subsets[name].skipped
@@ -411,16 +391,15 @@ class TestEvaluate:
         cfg = model.ModelConfig(method="VE", input_dim=4, hidden_dim=5,
                                 embed_dim=6, label_dim=6)
         net = model.init_model(cfg, seed=3)
-        report = episodic.evaluate(
-            net, ds, split, "FSG", n=4, k=2, m=3, n_episodes=25, seed=4,
-        )
+        report = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+            "FSG", n=4, k=2, m=3, episodes=25, seed=4))
         res = report.subsets["All"]
         # recompute episode by episode with the same derived generators
         correct = []
         queries = []
         for episode_idx in range(25):
             rng = np.random.default_rng([4, 0, episode_idx])
-            picked, drawn = episodic.draw_episode(ds, set(range(6)), "FSG", rng, n=4, k=2, m=3)
+            picked, drawn = draw(ds, set(range(6)), rng, task="FSG", n=4, k=2, m=3)
             support, ep_queries = episode_rows(ds, "FSG", 2, picked, drawn)
             sup = np.stack([ds.features[r] for r, _ in support])
             sup_emb, _ = net.embed_video_batch(sup)
@@ -442,10 +421,10 @@ class TestEvaluate:
         cfg = model.ModelConfig(method="VE", input_dim=4, hidden_dim=5,
                                 embed_dim=6, label_dim=6)
         net = model.init_model(cfg, seed=5)
-        a = episodic.evaluate(net, ds, split, "FSG", n=3, k=1, m=4,
-                              n_episodes=15, seed=6)
-        b = episodic.evaluate(net, ds, split, "FSG", n=3, k=1, m=4,
-                              n_episodes=15, seed=6)
+        a = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+            "FSG", n=3, k=1, m=4, episodes=15, seed=6))
+        b = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+            "FSG", n=3, k=1, m=4, episodes=15, seed=6))
         for name in a.subsets:
             assert a.subsets[name] == b.subsets[name]
 
@@ -456,8 +435,8 @@ class TestEvaluate:
                                 embed_dim=6, label_dim=6)
         net = model.init_model(cfg, seed=7)
         with pytest.raises(MethodError):
-            episodic.evaluate(net, ds, split, "CM-FSG", n=3, k=1, m=4,
-                              n_episodes=5, seed=8)
+            episodic.evaluate(net, ds, split, episodic.EvalConfig(
+                "CM-FSG", n=3, k=1, m=4, episodes=5, seed=8))
 
     def test_cmfsg_we_and_je_run(self):
         ds = tiny_dataset({c: 5 for c in range(5)}, dim=4, label_dim=6)
@@ -466,8 +445,8 @@ class TestEvaluate:
             cfg = model.ModelConfig(method=method, input_dim=4, hidden_dim=5,
                                     embed_dim=embed_dim, label_dim=6)
             net = model.init_model(cfg, seed=9)
-            report = episodic.evaluate(net, ds, split, "CM-FSG", n=3, k=1, m=4,
-                                       n_episodes=5, seed=10)
+            report = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+                "CM-FSG", n=3, k=1, m=4, episodes=5, seed=10))
             assert report.subsets["All"].episodes == 5
 
 
@@ -481,16 +460,20 @@ class TestEmbedOnce:
         return model.init_model(cfg, seed=seed)
 
     @pytest.mark.parametrize("task,method,embed_dim", [
-        ("FSG", "VE", 6), ("CM-FSG", "WE", 6), ("CM-FSG", "JE", 3),
+        ("FSG", "VE", 6), ("FSG", "WE", 6), ("FSG", "JE", 3),
+        ("CM-FSG", "WE", 6), ("CM-FSG", "JE", 3),
     ])
     def test_each_test_instance_embedded_once(self, task, method, embed_dim):
         ds = tiny_dataset(self.COUNTS)
         counting = CountingModel(self.net(method, embed_dim))
-        report = episodic.evaluate(counting, ds, make_split(range(10), self.CATEGORY),
-                                   task, n=3, k=1, m=4, n_episodes=30, seed=15)
+        split = make_split(range(10), self.CATEGORY)
+        report = episodic.evaluate(counting, ds, split, episodic.EvalConfig(
+            task, n=3, k=1, m=4, episodes=30, seed=15))
         assert all(report.subsets[name].episodes == 30 for name in ("All", "HoV", "HoN"))
         assert counting.video == Counter(stack.tobytes() for stack in ds.features)
-        if method == "JE":
+        # only JE's cross-modal supports pass through the label projector;
+        # FSG supports are videos, and WE's are the raw labels
+        if (task, method) == ("CM-FSG", "JE"):
             assert counting.labels == Counter(
                 ds.label_embeddings[c].tobytes() for c in self.COUNTS)
         else:
@@ -501,15 +484,14 @@ class TestEmbedOnce:
         ds = tiny_dataset(self.COUNTS, noise=0.5, seed=16)
         split = make_split(range(10), self.CATEGORY)
         net = self.net(method, embed_dim, seed=17)
-        report = episodic.evaluate(net, ds, split, "CM-FSG", n=3, k=1, m=4,
-                                   n_episodes=40, seed=18)
+        report = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+            "CM-FSG", n=3, k=1, m=4, episodes=40, seed=18))
         subsets = {"All": set(range(10)), "HoV": set(range(5)), "HoN": set(range(5, 10))}
         for subset_idx, name in enumerate(("All", "HoV", "HoN")):
             correct = queries = 0
             for episode_idx in range(40):
                 rng = np.random.default_rng([18, subset_idx, episode_idx])
-                picked, drawn = episodic.draw_episode(
-                    ds, subsets[name], "CM-FSG", rng, n=3, k=1, m=4)
+                picked, drawn = draw(ds, subsets[name], rng, task="CM-FSG", n=3, k=1, m=4)
                 _, ep_queries = episode_rows(ds, "CM-FSG", 1, picked, drawn)
                 labels = np.stack([ds.label_embeddings[cid] for cid in picked])
                 if method == "JE":
@@ -530,8 +512,8 @@ class TestEvalReportFile:
         cfg = model.ModelConfig(method="VE", input_dim=4, hidden_dim=5,
                                 embed_dim=6, label_dim=6)
         net = model.init_model(cfg, seed=11)
-        report = episodic.evaluate(net, ds, split, "FSG", n=3, k=2, m=3,
-                                   n_episodes=10, seed=12)
+        report = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+            "FSG", n=3, k=2, m=3, episodes=10, seed=12))
         path = tmp_path / "eval.csv"
         episodic.write_eval_report(str(path), report)
         lines = path.read_text().splitlines()

@@ -1,5 +1,7 @@
 """Tests for the video encoder, label projector, and checkpoint format."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,7 @@ class TestCheckpoint:
                 assert np.array_equal(x.weights, y.weights)
                 assert np.array_equal(x.bias, y.bias)
             model.save_checkpoint(p2, back)
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
     def test_embeddings_survive_round_trip(self, tmp_path):
         net = model.init_model(VE_CFG, seed=2)
@@ -260,8 +262,8 @@ class TestCheckpoint:
         net = model.init_model(VE_CFG, seed=3)
         path = str(tmp_path / "m.osm")
         model.save_checkpoint(path, net)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
+        blob = pathlib.Path(path).read_bytes()
+        pathlib.Path(path).write_bytes(blob[:-8])
         with pytest.raises(FormatError):
             model.load_checkpoint(path)
 
