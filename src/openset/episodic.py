@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, MethodError, SamplingError, check_fields
+from .errors import ConfigError, EligibilityError, MethodError, SamplingError, check_fields
 from .model import METHOD_VE, METHOD_WE, EmbeddingModel
 from .splits import CATEGORY_HON, CATEGORY_HOV, SplitResult
 
@@ -168,13 +168,27 @@ class EvalReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _episode_subsets(split: SplitResult) -> list[tuple[str, set[int]]]:
-    """The evaluation subsets, in report order."""
-    return [
-        ("All", set(split.test)),
-        ("HoV", split.classes_in_category(split.test, CATEGORY_HOV)),
-        ("HoN", split.classes_in_category(split.test, CATEGORY_HON)),
+def eval_subsets(
+    method: str, dataset: Dataset, split: SplitResult, cfg: EvalConfig
+) -> list[tuple[str, list[int]]]:
+    """Each evaluation subset's eligible classes, in report order: All (every
+    test class), HoV and HoN. Raises MethodError if the method cannot run the
+    task, and EligibilityError if no subset has n eligible classes, so a
+    caller can reject the request before it writes anything."""
+    if cfg.task == TASK_CMFSG and method == METHOD_VE:
+        raise MethodError("VE has no label-embedding path; cannot run CM-FSG")
+    subsets = [
+        (name, eligible_episode_classes(dataset, classes, cfg))
+        for name, classes in (
+            ("All", set(split.test)),
+            ("HoV", split.classes_in_category(split.test, CATEGORY_HOV)),
+            ("HoN", split.classes_in_category(split.test, CATEGORY_HON)),
+        )
     ]
+    if all(len(eligible) < cfg.n for _, eligible in subsets):
+        counts = ", ".join(f"{name} {len(eligible)}" for name, eligible in subsets)
+        raise EligibilityError(f"eval: no subset has n={cfg.n} eligible classes ({counts})")
+    return subsets
 
 
 def evaluate(
@@ -184,20 +198,18 @@ def evaluate(
 
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
-    the whole run. Each eligible class is embedded once per call, and every
-    episode indexes those rows. FSG supports are video embeddings; the
-    cross-modal task supports each class with its raw label embedding (WE
-    trains into that space) or its projected one (JE). Deterministic in seed.
+    the whole run, unless every subset is (see eval_subsets). Each eligible
+    class is embedded once per call, and every episode indexes those rows.
+    FSG supports are video embeddings; the cross-modal task supports each
+    class with its raw label embedding (WE trains into that space) or its
+    projected one (JE). Deterministic in seed.
     """
     cross_modal = cfg.task == TASK_CMFSG
-    if cross_modal and model.method == METHOD_VE:
-        raise MethodError("VE has no label-embedding path; cannot run CM-FSG")
     report = EvalReport(cfg)
     k, n_support = cfg.k, cfg.n_support
     video: dict[int, np.ndarray] = {}
     labels: dict[int, np.ndarray] = {}
-    for subset_idx, (name, classes) in enumerate(_episode_subsets(split)):
-        eligible = eligible_episode_classes(dataset, classes, cfg)
+    for subset_idx, (name, eligible) in enumerate(eval_subsets(model.method, dataset, split, cfg)):
         if len(eligible) < cfg.n:
             report.subsets[name] = SubsetResult(skipped=True)
             report.warnings.append(

@@ -40,7 +40,9 @@ class FormatError(OpensetError):
 
 
 class EligibilityError(OpensetError):
-    """Split generation cannot satisfy the requested hold-out counts."""
+    """Too few eligible items for the request: split generation cannot
+    satisfy the requested hold-out counts, or no evaluation subset has n
+    classes with enough instances for an episode."""
 
 
 class SamplingError(OpensetError):

@@ -198,11 +198,17 @@ def adam_step(params: ParamBlock, state: AdamState, lr: float) -> None:
 
 def log1p_sum_exp(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Row-wise stable log(1 + sum(exp(xs[i, keep[i]]))); 0 for a row keeping
-    nothing. A row's kept entries are summed in column order by one 1-D
-    `.sum()` of their compacted run: the bits of a 1-D array of just them,
-    which a padded `sum(axis=1)` or `np.add.reduceat` would change."""
+    nothing. A row's kept entries are summed in column order with the bits
+    of a 1-D `.sum()` of just them, which a padded `sum(axis=1)` or
+    `np.add.reduceat` would change: the rows that keep L entries have their
+    compacted runs gathered into one contiguous (rows, L) block, and its
+    `sum(axis=1)` runs that 1-D pairwise sum along each row, one per count L."""
     m = np.maximum(np.where(keep, xs, -np.inf).max(axis=1, initial=-np.inf), 0.0)
     kept = np.exp((xs - m[:, None])[keep])
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    sums = np.array([kept[start:end].sum() for start, end in zip([0] + ends, ends)])
+    counts = keep.sum(axis=1)
+    ends = np.cumsum(counts)
+    sums = np.zeros(len(xs))
+    for length in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = counts == length
+        sums[rows] = kept[ends[rows, None] + np.arange(-length, 0)].sum(axis=1)
     return m + np.log(np.exp(-m) + sums)

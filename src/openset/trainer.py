@@ -11,8 +11,9 @@ method objective is computed over its embeddings:
       per class in the batch.
 
 Validation runs the same objective forward-only on batches drawn from the
-validation classes; the parameters with the lowest validation loss are
-returned. Early stop when no new best appears within `patience` steps.
+validation classes, gathered from one embedding of every validation row per
+round; the parameters with the lowest validation loss are returned. Early
+stop when no new best appears within `patience` steps.
 Training is deterministic in (config, dataset, split): the batch stream and
 each validation round use generators derived from the config seed.
 """
@@ -99,6 +100,24 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.decay_factor ** (step // cfg.decay_every)
 
 
+def _objective(
+    video: np.ndarray, class_ids: np.ndarray, classes: np.ndarray, labels: np.ndarray,
+    cfg: TrainConfig,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The method objective from one batch's embeddings: (loss, video grads,
+    label grads or None). classes are the batch's drawn classes, sorted, and
+    labels their rows: raw label embeddings for WE, projected ones for JE."""
+    dml = make_dml(cfg.dml, cfg.histogram, cfg.multisim)
+    if cfg.method == METHOD_VE:
+        return *dml(video, class_ids), None
+    if cfg.method == METHOD_WE:
+        # each row's own label embedding, gathered from the drawn classes' stack
+        label_rows = labels[np.searchsorted(classes, class_ids)]
+        return *we_loss(video, class_ids, label_rows, cfg.lambda_we, dml), None
+    # JE: one projected label item per class of the batch
+    return je_loss(video, class_ids, labels, classes, dml)
+
+
 def batch_objective(
     model: EmbeddingModel,
     frames: np.ndarray,
@@ -113,51 +132,23 @@ def batch_objective(
     frames and class_ids are the batch's rows of the dataset columns;
     labels maps each class the batch drew (even one that gave no rows) to
     its label embedding."""
-    dml = make_dml(cfg.dml, cfg.histogram, cfg.multisim)
     video_emb, video_cache = model.embed_video_batch(frames)
-
-    if cfg.method == METHOD_VE:
-        loss, grads = dml(video_emb, class_ids)
-        if with_grads:
-            model.backward_video_batch(video_cache, grads)
-        return loss
-
     classes = np.array(sorted(labels), dtype=np.int64)
-    raw_labels = np.stack([labels[c] for c in classes.tolist()])
-    if cfg.method == METHOD_WE:
-        # each row's own label embedding, gathered from the drawn classes' stack
-        label_rows = raw_labels[np.searchsorted(classes, class_ids)]
-        loss, grads = we_loss(video_emb, class_ids, label_rows, cfg.lambda_we, dml)
-        if with_grads:
-            model.backward_video_batch(video_cache, grads)
-        return loss
-
-    # JE: one projected label item per class of the batch
-    label_emb, label_cache = model.embed_label_batch(raw_labels)
-    loss, grads_video, grads_label = je_loss(video_emb, class_ids, label_emb, classes, dml)
+    label_emb = np.stack([labels[c] for c in classes.tolist()])
+    if cfg.method == METHOD_JE:
+        label_emb, label_cache = model.embed_label_batch(label_emb)
+    loss, grads_video, grads_label = _objective(video_emb, class_ids, classes, label_emb, cfg)
     if with_grads:
         model.backward_video_batch(video_cache, grads_video)
-        model.backward_label_batch(label_cache, grads_label)
+        if grads_label is not None:
+            model.backward_label_batch(label_cache, grads_label)
     return loss
 
 
-def _batch_loss(
-    model: EmbeddingModel,
-    dataset: Dataset,
-    classes: list[int],
-    rng: np.random.Generator,
-    cfg: TrainConfig,
-    with_grads: bool,
-) -> float:
-    """Draw one batch from classes and return its objective."""
-    picked, rows = episodic.sample_training_batch(
-        dataset, classes, rng,
-        n=cfg.batch_classes, k_max=cfg.batch_k_max, min_total=cfg.batch_min_total,
-    )
-    labels = {c: dataset.label_embeddings[c] for c in picked}
-    return batch_objective(
-        model, dataset.features[rows], dataset.class_ids[rows], labels, with_grads, cfg
-    )
+def _draw(dataset: Dataset, classes: list[int], rng: np.random.Generator, cfg: TrainConfig):
+    """One batch drawn from classes: (the classes it picked, its rows)."""
+    shape = dict(n=cfg.batch_classes, k_max=cfg.batch_k_max, min_total=cfg.batch_min_total)
+    return episodic.sample_training_batch(dataset, classes, rng, **shape)
 
 
 def _validation_loss(
@@ -167,18 +158,35 @@ def _validation_loss(
     cfg: TrainConfig,
     round_idx: int,
 ) -> float:
+    """Mean objective over the round's batches, skipping degenerate ones.
+    Each validation row is embedded once, in blocks of at most one batch's
+    size, and each batch gathers its rows. A 1-row remainder joins the block
+    before it: a 1-row product takes BLAS's gemv path, with other bits."""
+    rows = np.flatnonzero(np.isin(dataset.class_ids, val_classes))
+    size = cfg.batch_classes * cfg.batch_k_max
+    blocks = np.split(rows, range(size, len(rows) - (len(rows) % size == 1), size))
+    video = np.concatenate([model.embed_video_batch(dataset.features[b])[0] for b in blocks])
+    classes = np.array(sorted(val_classes), dtype=np.int64)
+    labels = np.stack([dataset.label_embeddings[c] for c in classes.tolist()])
+    if cfg.method == METHOD_JE:
+        labels, _ = model.embed_label_batch(labels)
+
     rng = np.random.default_rng([cfg.seed, 1, round_idx])
-    total = 0.0
-    counted = 0
+    batch_losses = []
     for _ in range(cfg.val_batches):
+        picked, batch = _draw(dataset, val_classes, rng, cfg)
+        drawn = np.array(sorted(picked), dtype=np.int64)
         try:
-            total += _batch_loss(model, dataset, val_classes, rng, cfg, with_grads=False)
+            batch_losses.append(_objective(
+                video[np.searchsorted(rows, batch)], dataset.class_ids[batch], drawn,
+                labels[np.searchsorted(classes, drawn)], cfg,
+            )[0])
         except DegenerateInputError:
             continue
-        counted += 1
-    if counted == 0:
+    if not batch_losses:
         raise SamplingError("validation: every batch was degenerate")
-    return total / counted
+    # sum() adds in batch order, as the running total of a loop would
+    return sum(batch_losses) / len(batch_losses)
 
 
 def train(
@@ -225,8 +233,11 @@ def train(
         for step in range(1, cfg.max_batches + 1):
             loss = None
             for _ in range(_DEGENERATE_LIMIT):
+                picked, rows = _draw(dataset, train_classes, rng, cfg)
+                labels = {c: dataset.label_embeddings[c] for c in picked}
                 try:
-                    loss = _batch_loss(model, dataset, train_classes, rng, cfg, with_grads=True)
+                    loss = batch_objective(model, dataset.features[rows], dataset.class_ids[rows],
+                                           labels, True, cfg)
                     break
                 except DegenerateInputError:
                     model.zero_grad()

@@ -4,7 +4,10 @@ Everything in this module is deliberately written the slow, obvious way:
 explicit loops, no vectorization, no shared code with ``src/openset``
 beyond the record types a referee returns.
 A test that compares the package against one of these oracles is checking
-two separately derived implementations against each other.
+two separately derived implementations against each other. The one
+exception is ``validation_loss_per_batch``, a referee of orchestration, not
+of arithmetic: it runs the package's encoders, sampler and losses in the
+order the validation round used before it embedded each row once.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ import math
 
 import numpy as np
 
+from openset import episodic
 from openset.data import ActionLabel, ClassEntry, ClassTable, Dataset
+from openset.errors import DegenerateInputError, SamplingError
+from openset.losses import je_loss, make_dml, we_loss
+from openset.model import METHOD_VE, METHOD_WE
 
 
 def check_gradient(f, point: np.ndarray, h: float = 1e-5) -> float:
@@ -144,6 +151,17 @@ def _log1p_sum_exp(xs: np.ndarray) -> float:
         return 0.0
     m = max(float(xs.max()), 0.0)
     return m + float(np.log(np.exp(-m) + np.exp(xs - m).sum()))
+
+
+def log1p_sum_exp_rows(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row-wise stable log(1 + sum(exp(xs[i, keep[i]]))), each row's kept
+    entries summed by one 1-D `.sum()` of their compacted run. This is the
+    bit-exact referee of numcore.log1p_sum_exp's grouped row sums."""
+    m = np.maximum(np.where(keep, xs, -np.inf).max(axis=1, initial=-np.inf), 0.0)
+    kept = np.exp((xs - m[:, None])[keep])
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    sums = np.array([kept[start:end].sum() for start, end in zip([0] + ends, ends)])
+    return m + np.log(np.exp(-m) + sums)
 
 
 def multisim_loss_loop(e, class_ids, cfg) -> tuple[float, np.ndarray]:
@@ -366,3 +384,41 @@ def synth_generate_loop(cfg) -> Dataset:
         features=features[:row],
         label_embeddings=label_embeddings,
     )
+
+
+def validation_loss_per_batch(model, dataset: Dataset, val_classes, cfg, round_idx: int) -> float:
+    """One validation round that embeds every batch on its own: draw a batch,
+    embed its rows (and, for JE, project its classes' labels), take the
+    method objective, and average over the batches that are not degenerate.
+    This is the bit-exact referee of trainer._validation_loss, which embeds
+    each validation row once and gathers the batches from those rows."""
+    rng = np.random.default_rng([cfg.seed, 1, round_idx])
+    dml = make_dml(cfg.dml, cfg.histogram, cfg.multisim)
+    total = 0.0
+    counted = 0
+    for _ in range(cfg.val_batches):
+        picked, rows = episodic.sample_training_batch(
+            dataset, val_classes, rng,
+            n=cfg.batch_classes, k_max=cfg.batch_k_max, min_total=cfg.batch_min_total,
+        )
+        class_ids = dataset.class_ids[rows]
+        try:
+            video_emb, _ = model.embed_video_batch(dataset.features[rows])
+            if cfg.method == METHOD_VE:
+                loss, _ = dml(video_emb, class_ids)
+            else:
+                classes = np.array(sorted(picked), dtype=np.int64)
+                raw_labels = np.stack([dataset.label_embeddings[c] for c in classes.tolist()])
+                if cfg.method == METHOD_WE:
+                    label_rows = raw_labels[np.searchsorted(classes, class_ids)]
+                    loss, _ = we_loss(video_emb, class_ids, label_rows, cfg.lambda_we, dml)
+                else:
+                    label_emb, _ = model.embed_label_batch(raw_labels)
+                    loss, _, _ = je_loss(video_emb, class_ids, label_emb, classes, dml)
+        except DegenerateInputError:
+            continue
+        total += loss
+        counted += 1
+    if counted == 0:
+        raise SamplingError("validation: every batch was degenerate")
+    return total / counted

@@ -131,13 +131,34 @@ class TestPipeline:
         assert "refusing to overwrite" in capsys.readouterr().err
 
     def test_cross_modal_needs_label_support(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "bad"
         code = cli.main([
             "eval", "--checkpoint", os.path.join(pipeline["ve"], "checkpoint.osm"),
             "--data", pipeline["data"], "--split", pipeline["split_csv"],
-            "--out", str(tmp_path / "bad"), "--task", "CM-FSG", "--episodes", "2",
+            "--out", str(out), "--task", "CM-FSG", "--episodes", "2",
         ])
         assert code == 1
-        assert "VE" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "openset eval: VE has no label-embedding path; cannot run CM-FSG\n"
+        # rejected before the output directory is made
+        assert not out.exists()
+
+    def test_eval_with_every_subset_skipped_exits_one(self, pipeline, tmp_path, capsys):
+        # the split's test subsets hold 13 (All), 5 (HoV) and 5 (HoN) classes
+        out = tmp_path / "none"
+        code = cli.main(_command_argv(pipeline, "eval") + ["--out", str(out), "--n", "14"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("openset eval: eval: no subset has n=14 eligible classes "
+                       "(All 13, HoV 5, HoN 5)\n")
+        assert not out.exists()
+        # a partial skip still runs: a warning line per skipped subset, exit 0
+        out = tmp_path / "some"
+        assert cli.main(_command_argv(pipeline, "eval") + ["--out", str(out), "--n", "6"]) == 0
+        lines = Path(out, "eval.csv").read_text().splitlines()
+        assert lines[1:3] == [f"# subset {name}: 5 eligible classes < n=6; skipped"
+                              for name in ("HoV", "HoN")]
+        assert [line.split(",")[1] for line in lines[3:]] == ["All"]
 
 
 class TestSynth:
@@ -565,6 +586,25 @@ class TestFailureClasses:
         ])
         assert code == 2
         assert "zero-norm" in capsys.readouterr().err
+
+    def test_zero_norm_validation_embedding_exits_two(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        # the round embeds every validation row before any batch is drawn, so
+        # an encoder that maps them all to zero fails the round as a runtime
+        # degeneracy, as it failed every batch of a round that embedded per batch
+        real = trainer._validation_loss
+
+        def zeroed(net, *args):
+            net = net.copy()
+            net.out_layer.weights[:] = 0.0
+            net.out_layer.bias[:] = 0.0
+            return real(net, *args)
+
+        monkeypatch.setattr(trainer, "_validation_loss", zeroed)
+        code = cli.main(_command_argv(pipeline, "train") + ["--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "openset train: l2_normalize_rows: zero-norm row\n"
 
     def test_non_finite_checkpoint_exits_one(self, pipeline, tmp_path, capsys):
         # a checkpoint holding a NaN is a malformed file, not a runtime failure

@@ -240,6 +240,25 @@ class TestLog1pSumExp:
         assert abs(out[0] - np.log(1.0 + np.exp(-1.0) + np.exp(2.0))) < 1e-12
         assert out[1] == 0.0
 
+    def test_grouped_sums_equal_per_row_sums_past_the_pairwise_block(self):
+        # numpy sums a contiguous run pairwise in blocks of 128 elements, so
+        # rows must keep well past 128 terms; each block draws its rows'
+        # counts from a few values, so several rows share one group
+        rng = np.random.default_rng(2024)
+        longest = 0
+        for _ in range(2500):
+            n_rows, n_cols = int(rng.integers(1, 13)), int(rng.integers(1, 420))
+            options = rng.integers(0, n_cols + 1, size=int(rng.integers(1, 5)))
+            counts = rng.choice(options, size=n_rows)
+            keep = np.zeros((n_rows, n_cols), dtype=bool)
+            for row, count in enumerate(counts):
+                keep[row, rng.choice(n_cols, size=count, replace=False)] = True
+            xs = rng.normal(scale=float(rng.choice([0.5, 5.0, 40.0])), size=(n_rows, n_cols))
+            got = numcore.log1p_sum_exp(xs, keep)
+            assert got.tobytes() == reference.log1p_sum_exp_rows(xs, keep).tobytes()
+            longest = max(longest, int(counts.max()))
+        assert longest >= 300
+
 
 @settings(max_examples=30)
 @given(

@@ -8,6 +8,8 @@ import pytest
 from openset import data, episodic, model, splits, trainer
 from openset.errors import ConfigError, NumericError, SamplingError
 
+import reference
+
 
 def desk_data():
     cfg = data.SynthConfig(
@@ -326,6 +328,74 @@ class TestObjectives:
         trainer.batch_objective(net, frames, ids, labels, True, cfg)
         (rows,) = seen
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
+
+
+VAL_CLASSES = sorted(SPLIT.validation)
+METHOD_CASES = [("VE", 6, 0.0), ("WE", 6, 0.0), ("WE", 6, 10.0), ("JE", 5, 0.0)]
+
+
+class TestValidationRound:
+    # 66 validation rows: one block at 12 x 8, blocks of 30, 30 and 6 at
+    # 6 x 5, and at 5 x 1 a 1-row remainder that joins the block before it
+    @pytest.mark.parametrize("shape", [(12, 8, 36), (6, 5, 12), (5, 1, 5)])
+    @pytest.mark.parametrize("dml", ["multisim", "histogram"])
+    @pytest.mark.parametrize("method,embed_dim,lam", METHOD_CASES)
+    def test_equals_per_batch_referee(self, method, embed_dim, lam, dml, shape):
+        net = make_net(method, embed_dim=embed_dim, seed=15)
+        classes, k_max, min_total = shape
+        cfg = fast_cfg(method=method, lambda_we=lam, dml=dml, val_batches=40, batch_classes=classes,
+                       batch_k_max=k_max, batch_min_total=min_total)
+
+        def loss_or_error(fn, round_idx):
+            # one row per class (5 x 1) leaves the histogram no positive pair
+            try:
+                return fn(net, DATASET, VAL_CLASSES, cfg, round_idx)
+            except SamplingError as exc:
+                return str(exc)
+
+        for round_idx in (1, 2):
+            got = loss_or_error(trainer._validation_loss, round_idx)
+            want = loss_or_error(reference.validation_loss_per_batch, round_idx)
+            assert got == want, (method, lam, dml, shape, round_idx)
+
+    def test_one_row_batches_keep_their_bits(self):
+        # every batch is one row, so every block is too: the gemv path the
+        # per-batch round took, with the same bits
+        net = make_net("WE", seed=16)
+        cfg = fast_cfg(method="WE", batch_classes=1, batch_k_max=1, batch_min_total=1)
+        got = trainer._validation_loss(net, DATASET, VAL_CLASSES, cfg, 1)
+        want = reference.validation_loss_per_batch(net, DATASET, VAL_CLASSES, cfg, 1)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("shape,blocks", [
+        ((12, 8, 36), [66]), ((6, 5, 12), [30, 30, 6]), ((5, 1, 5), [5] * 12 + [6]),
+    ])
+    def test_embeds_each_validation_row_once(self, monkeypatch, shape, blocks):
+        seen, label_calls = [], []
+        real_video = model.EmbeddingModel.embed_video_batch
+        real_label = model.EmbeddingModel.embed_label_batch
+
+        def spy_video(self, frames):
+            seen.append(np.array(frames))
+            return real_video(self, frames)
+
+        def spy_label(self, labels):
+            label_calls.append(len(labels))
+            return real_label(self, labels)
+
+        monkeypatch.setattr(model.EmbeddingModel, "embed_video_batch", spy_video)
+        monkeypatch.setattr(model.EmbeddingModel, "embed_label_batch", spy_label)
+        classes, k_max, min_total = shape
+        cfg = fast_cfg(method="JE", val_batches=20, batch_classes=classes, batch_k_max=k_max,
+                       batch_min_total=min_total)
+        trainer._validation_loss(make_net("JE", embed_dim=5, seed=17), DATASET, VAL_CLASSES, cfg, 1)
+        index = {DATASET.features[i].tobytes(): i for i in range(len(DATASET.class_ids))}
+        embedded = sorted(index[row.tobytes()] for frames in seen for row in frames)
+        want = np.flatnonzero(np.isin(DATASET.class_ids, VAL_CLASSES)).tolist()
+        assert embedded == want
+        # no 1-row block: its product would take BLAS's gemv path
+        assert [len(frames) for frames in seen] == blocks
+        assert label_calls == [len(VAL_CLASSES)]
 
 
 class TestTrainLogFile:
