@@ -28,6 +28,7 @@ TASK_CMFSG = "CM-FSG"
 TASKS = (TASK_FSG, TASK_CMFSG)
 
 _RESAMPLE_LIMIT = 100
+_VOTE_BLOCK = 32  # episodes per knn_classify call in evaluate; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -110,41 +111,34 @@ def draw_episode(
     return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
 
 
-def knn_classify(
-    support_embeddings: np.ndarray,
-    support_classes: np.ndarray,
-    query_embedding: np.ndarray,
-    kappa: int,
-) -> int | np.ndarray:
-    """Predict the majority class of the kappa most similar support items.
+def knn_classify(sims: np.ndarray, support_classes: np.ndarray, kappa: int) -> np.ndarray:
+    """Predict, per row of a (Q, S) similarity block, the majority class of
+    its kappa most similar supports: an int64 array of Q predictions.
 
-    A (Q, D) block of queries gives an int64 array of Q predictions; one
-    1-D query gives an int. Deterministic and order-free: neighbor ties
-    broken by smaller class_id, vote ties by larger summed similarity then
-    smaller class_id.
+    support_classes is (S,), shared by every row, or (Q, S), one per row.
+    Order-free: neighbor ties go to the smaller class id, vote ties to the
+    larger summed similarity, then the smaller class id. Ties are those of
+    sims as given: BLAS can give two equal support rows unequal similarities.
     """
-    support_embeddings = np.asarray(support_embeddings, dtype=np.float64)
-    support_classes = np.asarray(support_classes, dtype=np.int64)
-    if support_embeddings.ndim != 2 or support_embeddings.shape[0] == 0:
-        raise ConfigError("knn: support must be a nonempty 2-D array")
-    if not (1 <= kappa <= support_embeddings.shape[0]):
-        raise ConfigError(f"knn: kappa {kappa} out of range 1..{support_embeddings.shape[0]}")
-    queries = np.asarray(query_embedding, dtype=np.float64)
-    sims = np.atleast_2d(queries) @ support_embeddings.T
-    order = np.lexsort((np.broadcast_to(support_classes, sims.shape), -sims), axis=-1)
-    classes, slot = np.unique(support_classes, return_inverse=True)
-    rows = np.arange(sims.shape[0])
-    votes = np.zeros((sims.shape[0], len(classes)), dtype=np.int64)
-    sum_sim = np.zeros(votes.shape)
-    # one rank at a time, so each class's similarities add in top-kappa order
-    for col in order[:, :kappa].T:
-        votes[rows, slot[col]] += 1
-        sum_sim[rows, slot[col]] += sims[rows, col]
-    best = votes == votes.max(axis=1, keepdims=True)
-    sum_sim[~best] = -np.inf
-    best &= sum_sim == sum_sim.max(axis=1, keepdims=True)
-    pred = classes[np.argmax(best, axis=1)]
-    return int(pred[0]) if queries.ndim == 1 else pred
+    if sims.ndim != 2 or sims.shape[1] == 0:
+        raise ConfigError("knn: need a 2-D similarity block with at least one support")
+    if not (1 <= kappa <= sims.shape[1]):
+        raise ConfigError(f"knn: kappa {kappa} out of range 1..{sims.shape[1]}")
+    support_classes = np.broadcast_to(support_classes, sims.shape)
+    top = np.lexsort((support_classes, -sims), axis=-1)[:, :kappa]
+    top_classes = np.take_along_axis(support_classes, top, axis=1)
+    top_sims = np.take_along_axis(sims, top, axis=1)
+    # each candidate's class counts its votes and sums its similarities in
+    # rank order; +0.0 for another class's rank leaves the sum's bits alone
+    votes = np.zeros(top.shape, dtype=np.int64)
+    sum_sim = np.zeros(top.shape)
+    for rank in range(kappa):
+        same = top_classes == top_classes[:, rank:rank + 1]
+        votes += same
+        sum_sim += np.where(same, top_sims[:, rank:rank + 1], 0.0)
+    # the candidate with most votes, then the largest sum, then the smallest class
+    winner = np.lexsort((-top_classes, sum_sim, votes), axis=1)[:, -1:]
+    return np.take_along_axis(top_classes, winner, axis=1)[:, 0]
 
 
 @dataclass
@@ -199,7 +193,8 @@ def evaluate(
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
     the whole run, unless every subset is (see eval_subsets). Each eligible
-    class is embedded once per call, and every episode indexes those rows.
+    class is embedded once per call; every episode indexes those rows into
+    one similarity block, and votes are cast once per _VOTE_BLOCK episodes.
     FSG supports are video embeddings; the cross-modal task supports each
     class with its raw label embedding (WE trains into that space) or its
     projected one (JE). Deterministic in seed.
@@ -222,21 +217,25 @@ def evaluate(
                 label = dataset.label_embeddings[cid]
                 labels[cid] = (label if model.method == METHOD_WE
                                else model.embed_label_batch(label[None])[0][0])
-        result = SubsetResult()
-        for episode_idx in range(cfg.episodes):
-            rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
-            picked, drawn = draw_episode(dataset, eligible, rng, cfg)
-            if cross_modal:
-                sup_emb = np.stack([labels[c] for c in picked])
-            else:
-                sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
-            query_emb = np.concatenate([video[c][i[n_support:]] for c, i in zip(picked, drawn)])
-            true_cid = np.repeat(picked, [len(i) - n_support for i in drawn])
-            pred = knn_classify(sup_emb, np.repeat(picked, k), query_emb, kappa=k)
-            result.episodes += 1
-            result.queries += len(true_cid)
-            result.correct += int(np.count_nonzero(pred == true_cid))
-        report.subsets[name] = result
+        result = report.subsets[name] = SubsetResult()
+        for start in range(0, cfg.episodes, _VOTE_BLOCK):
+            sims, support_classes, true_cid = [], [], []
+            for episode_idx in range(start, min(start + _VOTE_BLOCK, cfg.episodes)):
+                rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
+                picked, drawn = draw_episode(dataset, eligible, rng, cfg)
+                if cross_modal:
+                    sup_emb = np.stack([labels[c] for c in picked])
+                else:
+                    sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
+                query_emb = np.concatenate([video[c][i[n_support:]] for c, i in zip(picked, drawn)])
+                sims.append(query_emb @ sup_emb.T)
+                support_classes.append(np.repeat(picked, k))
+                true_cid.append(np.repeat(picked, [len(i) - n_support for i in drawn]))
+            queries = [len(t) for t in true_cid]
+            pred = knn_classify(np.concatenate(sims), np.repeat(support_classes, queries, 0), k)
+            result.episodes += len(queries)
+            result.queries += sum(queries)
+            result.correct += int(np.count_nonzero(pred == np.concatenate(true_cid)))
     return report
 
 

@@ -160,16 +160,27 @@ def _validation_loss(
 ) -> float:
     """Mean objective over the round's batches, skipping degenerate ones.
     Each validation row is embedded once, in blocks of at most one batch's
-    size, and each batch gathers its rows. A 1-row remainder joins the block
-    before it: a 1-row product takes BLAS's gemv path, with other bits."""
+    size, and each batch gathers its rows. A 1-row product takes BLAS's gemv
+    path, with other bits: a row whose batch can hold no other row is
+    embedded alone, a JE label whose batch holds one class is projected
+    alone, and any other 1-row remainder joins the block before it."""
     rows = np.flatnonzero(np.isin(dataset.class_ids, val_classes))
+    single = cfg.batch_classes == 1
+    lone = single & np.isin(dataset.class_ids[rows], [
+        c for c in val_classes if min(cfg.batch_k_max, len(dataset.class_rows[c])) == 1
+    ])
+    rest = np.flatnonzero(~lone)
     size = cfg.batch_classes * cfg.batch_k_max
-    blocks = np.split(rows, range(size, len(rows) - (len(rows) % size == 1), size))
-    video = np.concatenate([model.embed_video_batch(dataset.features[b])[0] for b in blocks])
+    blocks = np.split(rest, range(size, len(rest) - (len(rest) % size == 1), size))
+    blocks = [b for b in blocks if len(b)] + [[i] for i in np.flatnonzero(lone)]
+    video = np.empty((len(rows), model.config.embed_dim))
+    for block in blocks:
+        video[block] = model.embed_video_batch(dataset.features[rows[block]])[0]
     classes = np.array(sorted(val_classes), dtype=np.int64)
     labels = np.stack([dataset.label_embeddings[c] for c in classes.tolist()])
     if cfg.method == METHOD_JE:
-        labels, _ = model.embed_label_batch(labels)
+        labels = np.concatenate([model.embed_label_batch(part)[0]
+                                 for part in (labels[:, None] if single else [labels])])
 
     rng = np.random.default_rng([cfg.seed, 1, round_idx])
     batch_losses = []

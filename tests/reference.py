@@ -4,10 +4,13 @@ Everything in this module is deliberately written the slow, obvious way:
 explicit loops, no vectorization, no shared code with ``src/openset``
 beyond the record types a referee returns.
 A test that compares the package against one of these oracles is checking
-two separately derived implementations against each other. The one
-exception is ``validation_loss_per_batch``, a referee of orchestration, not
-of arithmetic: it runs the package's encoders, sampler and losses in the
-order the validation round used before it embedded each row once.
+two separately derived implementations against each other. The
+exceptions are referees of orchestration, not of arithmetic:
+``validation_loss_per_batch`` runs the package's encoders, sampler and
+losses in the order the validation round used before it embedded each row
+once, and ``evaluate_per_episode`` runs the package's episode draws with
+the one-block κ-NN (``knn_classify_one_block``) that voted each episode on
+its own before evaluation voted a block of episodes at once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from openset import episodic
 from openset.data import ActionLabel, ClassEntry, ClassTable, Dataset
-from openset.errors import DegenerateInputError, SamplingError
+from openset.errors import ConfigError, DegenerateInputError, SamplingError
 from openset.losses import je_loss, make_dml, we_loss
 from openset.model import METHOD_VE, METHOD_WE
 
@@ -422,3 +425,98 @@ def validation_loss_per_batch(model, dataset: Dataset, val_classes, cfg, round_i
     if counted == 0:
         raise SamplingError("validation: every batch was degenerate")
     return total / counted
+
+
+def knn_classify_one_block(
+    support_embeddings: np.ndarray,
+    support_classes: np.ndarray,
+    query_embedding: np.ndarray,
+    kappa: int,
+) -> int | np.ndarray:
+    """Predict the majority class of the kappa most similar support items.
+
+    A (Q, D) block of queries gives an int64 array of Q predictions; one
+    1-D query gives an int. Deterministic and order-free: neighbor ties
+    broken by smaller class_id, vote ties by larger summed similarity then
+    smaller class_id.
+
+    The package's κ-NN before it voted a block of episodes at once, kept
+    verbatim as the referee of episodic.knn_classify inside
+    evaluate_per_episode.
+    """
+    support_embeddings = np.asarray(support_embeddings, dtype=np.float64)
+    support_classes = np.asarray(support_classes, dtype=np.int64)
+    if support_embeddings.ndim != 2 or support_embeddings.shape[0] == 0:
+        raise ConfigError("knn: support must be a nonempty 2-D array")
+    if not (1 <= kappa <= support_embeddings.shape[0]):
+        raise ConfigError(f"knn: kappa {kappa} out of range 1..{support_embeddings.shape[0]}")
+    queries = np.asarray(query_embedding, dtype=np.float64)
+    sims = np.atleast_2d(queries) @ support_embeddings.T
+    order = np.lexsort((np.broadcast_to(support_classes, sims.shape), -sims), axis=-1)
+    classes, slot = np.unique(support_classes, return_inverse=True)
+    rows = np.arange(sims.shape[0])
+    votes = np.zeros((sims.shape[0], len(classes)), dtype=np.int64)
+    sum_sim = np.zeros(votes.shape)
+    # one rank at a time, so each class's similarities add in top-kappa order
+    for col in order[:, :kappa].T:
+        votes[rows, slot[col]] += 1
+        sum_sim[rows, slot[col]] += sims[rows, col]
+    best = votes == votes.max(axis=1, keepdims=True)
+    sum_sim[~best] = -np.inf
+    best &= sum_sim == sum_sim.max(axis=1, keepdims=True)
+    pred = classes[np.argmax(best, axis=1)]
+    return int(pred[0]) if queries.ndim == 1 else pred
+
+
+def evaluate_per_episode(
+    model, dataset: Dataset, split, cfg: episodic.EvalConfig
+) -> episodic.EvalReport:
+    """Pooled κ-NN accuracy (κ = k) over cfg.episodes per subset.
+
+    Episode classes and queries are drawn from the subset alone; subsets with
+    too few eligible classes are skipped with a warning instead of failing
+    the whole run, unless every subset is (see eval_subsets). Each eligible
+    class is embedded once per call, and every episode indexes those rows.
+    FSG supports are video embeddings; the cross-modal task supports each
+    class with its raw label embedding (WE trains into that space) or its
+    projected one (JE). Deterministic in seed.
+
+    The package's evaluate before it voted a block of episodes at once, kept
+    verbatim as the bit-exact referee of episodic.evaluate: one κ-NN call
+    per episode.
+    """
+    cross_modal = cfg.task == episodic.TASK_CMFSG
+    report = episodic.EvalReport(cfg)
+    k, n_support = cfg.k, cfg.n_support
+    video: dict[int, np.ndarray] = {}
+    labels: dict[int, np.ndarray] = {}
+    subsets = episodic.eval_subsets(model.method, dataset, split, cfg)
+    for subset_idx, (name, eligible) in enumerate(subsets):
+        if len(eligible) < cfg.n:
+            report.subsets[name] = episodic.SubsetResult(skipped=True)
+            report.warnings.append(
+                f"subset {name}: {len(eligible)} eligible classes < n={cfg.n}; skipped"
+            )
+            continue
+        for cid in sorted(set(eligible) - video.keys()):
+            video[cid], _ = model.embed_video_batch(dataset.features[dataset.class_rows[cid]])
+            if cross_modal:
+                label = dataset.label_embeddings[cid]
+                labels[cid] = (label if model.method == METHOD_WE
+                               else model.embed_label_batch(label[None])[0][0])
+        result = episodic.SubsetResult()
+        for episode_idx in range(cfg.episodes):
+            rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
+            picked, drawn = episodic.draw_episode(dataset, eligible, rng, cfg)
+            if cross_modal:
+                sup_emb = np.stack([labels[c] for c in picked])
+            else:
+                sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
+            query_emb = np.concatenate([video[c][i[n_support:]] for c, i in zip(picked, drawn)])
+            true_cid = np.repeat(picked, [len(i) - n_support for i in drawn])
+            pred = knn_classify_one_block(sup_emb, np.repeat(picked, k), query_emb, kappa=k)
+            result.episodes += 1
+            result.queries += len(true_cid)
+            result.correct += int(np.count_nonzero(pred == true_cid))
+        report.subsets[name] = result
+    return report

@@ -301,7 +301,8 @@ def test_5_episodic_suite():
             emb = unit_rows(rng, n_sup, 5)
             query = unit_rows(rng, 1, 5)[0]
         kappa = int(rng.integers(1, n_sup + 1))
-        assert episodic.knn_classify(emb, classes, query, kappa) == reference.knn_oracle(
+        sims = np.atleast_2d(query) @ emb.T
+        assert episodic.knn_classify(sims, classes, kappa)[0] == reference.knn_oracle(
             emb, classes, query, kappa)
 
     exact = tiny_dataset({cid: 6 for cid in range(8)}, noise=0.0, seed=2)
@@ -322,7 +323,8 @@ def test_5_episodic_suite():
         hits = 0
         for row, cid in queries:
             q_emb, _ = stub.embed_video_batch(exact.features[row][None])
-            hits += int(episodic.knn_classify(sup_emb, sup_cls, q_emb[0], 1) == cid)
+            hits += int(episodic.knn_classify(np.atleast_2d(q_emb[0]) @ sup_emb.T, sup_cls, 1)[0]
+                        == cid)
         per_episode.append((hits, len(queries)))
     assert res.correct == sum(h for h, _ in per_episode)
     assert res.accuracy == reference.pooled_accuracy(

@@ -242,27 +242,28 @@ class TestEpisodeSampling:
 class TestKnn:
     def test_kappa_one_exact_match(self):
         support = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert episodic.knn_classify(support, np.array([3, 4]), np.array([0.9, 0.1]), 1) == 3
+        sims = np.atleast_2d([0.9, 0.1]) @ support.T
+        assert episodic.knn_classify(sims, np.array([3, 4]), 1)[0] == 3
 
     def test_majority_beats_best_single(self):
         # closest neighbor is class A, but two B votes win at kappa 3
         support = np.array([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8]])
         classes = np.array([1, 2, 2])
         query = np.array([1.0, 0.0])
-        assert episodic.knn_classify(support, classes, query, 3) == 2
+        assert episodic.knn_classify(np.atleast_2d(query) @ support.T, classes, 3)[0] == 2
 
     def test_vote_tie_broken_by_summed_similarity(self):
         support = np.array([[1.0, 0.0], [0.8, 0.6]])
         classes = np.array([5, 4])
         query = np.array([1.0, 0.0])
         # one vote each; class 5 has similarity 1.0 vs 0.8
-        assert episodic.knn_classify(support, classes, query, 2) == 5
+        assert episodic.knn_classify(np.atleast_2d(query) @ support.T, classes, 2)[0] == 5
 
     def test_full_tie_broken_by_smaller_class_id(self):
         support = np.array([[1.0, 0.0], [1.0, 0.0]])
         classes = np.array([7, 3])
         query = np.array([1.0, 0.0])
-        assert episodic.knn_classify(support, classes, query, 2) == 3
+        assert episodic.knn_classify(np.atleast_2d(query) @ support.T, classes, 2)[0] == 3
 
     def test_neighbor_tie_at_cutoff_prefers_smaller_class(self):
         support = np.array([[1.0, 0.0], [0.8, 0.6], [0.8, -0.6]])
@@ -270,7 +271,7 @@ class TestKnn:
         query = np.array([1.0, 0.0])
         # items 1 and 2 tie at similarity 0.8 for the second slot; class 2
         # enters, then loses the vote tie to class 1 on summed similarity
-        assert episodic.knn_classify(support, classes, query, 2) == 1
+        assert episodic.knn_classify(np.atleast_2d(query) @ support.T, classes, 2)[0] == 1
 
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(10)
@@ -282,7 +283,7 @@ class TestKnn:
             q = rng.normal(size=5)
             q /= np.linalg.norm(q)
             for kappa in (1, 3, n_sup):
-                got = episodic.knn_classify(support, classes, q, kappa)
+                got = episodic.knn_classify(np.atleast_2d(q) @ support.T, classes, kappa)[0]
                 want = reference.knn_oracle(support, classes, q, kappa)
                 assert got == want
 
@@ -296,7 +297,7 @@ class TestKnn:
             classes = rng.integers(0, 3, size=6)
             q = pool[rng.integers(0, 4)]
             for kappa in (2, 4):
-                got = episodic.knn_classify(support, classes, q, kappa)
+                got = episodic.knn_classify(np.atleast_2d(q) @ support.T, classes, kappa)[0]
                 want = reference.knn_oracle(support, classes, q, kappa)
                 assert got == want
 
@@ -307,19 +308,20 @@ class TestKnn:
         classes = np.array([0, 0, 1, 1, 2, 2, 3, 3])
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        base = episodic.knn_classify(support, classes, q, 3)
+        base = episodic.knn_classify(np.atleast_2d(q) @ support.T, classes, 3)[0]
         for _ in range(20):
             perm = rng.permutation(8)
-            assert episodic.knn_classify(support[perm], classes[perm], q, 3) == base
+            sims = np.atleast_2d(q) @ support[perm].T
+            assert episodic.knn_classify(sims, classes[perm], 3)[0] == base
 
     def test_empty_support_rejected(self):
         with pytest.raises(ConfigError):
-            episodic.knn_classify(np.zeros((0, 3)), np.array([]), np.zeros(3), 1)
+            episodic.knn_classify(np.atleast_2d(np.zeros(3)) @ np.zeros((0, 3)).T, np.array([]), 1)
 
     def test_kappa_out_of_range_rejected(self):
         support = np.array([[1.0, 0.0]])
         with pytest.raises(ConfigError):
-            episodic.knn_classify(support, np.array([0]), np.array([1.0, 0.0]), 2)
+            episodic.knn_classify(np.atleast_2d([1.0, 0.0]) @ support.T, np.array([0]), 2)
 
     def test_block_matches_oracle_row_by_row(self):
         rng = np.random.default_rng(13)
@@ -335,15 +337,46 @@ class TestKnn:
                 support = rng.normal(size=(n_sup, 5))
                 queries = rng.normal(size=(n_query, 5))
             for kappa in range(1, n_sup + 1):
-                got = episodic.knn_classify(support, classes, queries, kappa)
+                got = episodic.knn_classify(queries @ support.T, classes, kappa)
                 assert got.dtype == np.int64 and got.shape == (n_query,)
                 want = [reference.knn_oracle(support, classes, q, kappa) for q in queries]
                 assert got.tolist() == want
 
-    def test_single_query_returns_python_int(self):
+    def test_one_row_block_gives_one_int64_prediction(self):
         support = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pred = episodic.knn_classify(support, np.array([3, 4]), np.array([0.2, 0.9]), 1)
-        assert type(pred) is int and pred == 4
+        pred = episodic.knn_classify(np.atleast_2d([0.2, 0.9]) @ support.T, np.array([3, 4]), 1)
+        assert pred.dtype == np.int64 and pred.tolist() == [4]
+
+    def test_vote_sums_add_in_rank_order(self):
+        # three votes each; class 1 sums (0.7 + 0.2) + 0.1 = 0.9999999999999999
+        # in rank order, against 1.0 for class 2 (any other order gives class
+        # 1 a sum of 1.0, a full tie that class 1 would win)
+        sims = np.array([[0.7, 0.5, 0.4, 0.2, 0.1, 0.1]])
+        assert episodic.knn_classify(sims, np.array([1, 2, 2, 1, 1, 2]), 6).tolist() == [2]
+
+    def test_row_wise_classes_match_oracle_row_by_row(self):
+        # every row of the block holds its own episode: its own supports,
+        # classes and query, with the oracle's similarities
+        rng = np.random.default_rng(19)
+        pool = rng.normal(size=(4, 5))
+        for trial in range(300):
+            n_sup = int(rng.integers(1, 11))
+            n_query = int(rng.integers(1, 9))
+            classes = rng.integers(0, 4, size=(n_query, n_sup))
+            if trial % 3 == 0:  # tie-heavy: supports and queries reuse a tiny vector pool
+                support = pool[rng.integers(0, 4, size=(n_query, n_sup))]
+                queries = pool[rng.integers(0, 4, size=n_query)]
+            else:
+                support = rng.normal(size=(n_query, n_sup, 5))
+                queries = rng.normal(size=(n_query, 5))
+            sims = np.array([[float(np.dot(s, q)) for s in sup]
+                             for sup, q in zip(support, queries)])
+            for kappa in range(1, n_sup + 1):
+                got = episodic.knn_classify(sims, classes, kappa)
+                assert got.dtype == np.int64 and got.shape == (n_query,)
+                want = [reference.knn_oracle(sup, cls, q, kappa)
+                        for sup, cls, q in zip(support, classes, queries)]
+                assert got.tolist() == want, (trial, kappa)
 
 
 class TestEvaluate:
@@ -407,7 +440,8 @@ class TestEvaluate:
             c = 0
             for row, true_cid in ep_queries:
                 q = net.embed_video_batch(ds.features[row][None])[0][0]
-                c += int(episodic.knn_classify(sup_emb, sup_ids, q, 2) == true_cid)
+                sims = np.atleast_2d(q) @ sup_emb.T
+                c += int(episodic.knn_classify(sims, sup_ids, 2)[0] == true_cid)
             correct.append(c)
             queries.append(len(ep_queries))
         assert res.queries == sum(queries)
@@ -499,10 +533,65 @@ class TestEmbedOnce:
                 sup_ids = np.array(picked)
                 for row, true_cid in ep_queries:
                     q = net.embed_video_batch(ds.features[row][None])[0][0]
-                    correct += int(episodic.knn_classify(labels, sup_ids, q, 1) == true_cid)
+                    sims = np.atleast_2d(q) @ labels.T
+                    correct += int(episodic.knn_classify(sims, sup_ids, 1)[0] == true_cid)
                     queries += 1
             res = report.subsets[name]
             assert (res.episodes, res.queries, res.correct) == (40, queries, correct)
+
+
+class TestBlockVote:
+    COUNTS = {c: 5 + c % 4 for c in range(12)}
+    CATEGORY = {c: ("HoV" if c < 6 else "HoN") for c in range(12)}
+    CASES = [("FSG", method, embed_dim, k)
+             for method, embed_dim in (("VE", 6), ("WE", 6), ("JE", 3)) for k in (1, 2, 3)]
+    CASES += [("CM-FSG", "WE", 6, 1), ("CM-FSG", "JE", 3, 1)]
+
+    def dataset(self, kind):
+        if kind == "noisy":
+            return tiny_dataset(self.COUNTS, noise=0.5, seed=20)
+        if kind == "exact":
+            return tiny_dataset(self.COUNTS, noise=0.0, seed=20)
+        # shared: classes c, c + 3, c + 6 and c + 9 (c < 3) cycle through class
+        # c's instances, so equal embeddings meet across classes and tie
+        ds = tiny_dataset(self.COUNTS, noise=0.5, seed=20)
+        for cid in self.COUNTS:
+            source = ds.features[ds.class_rows[cid % 3]]
+            rows = ds.class_rows[cid]
+            ds.features[rows] = source[np.arange(len(rows)) % len(source)]
+        return ds
+
+    # 150 episodes: four full blocks of 32 and a last one of 22
+    @pytest.mark.parametrize("kind", ["noisy", "exact", "shared"])
+    @pytest.mark.parametrize("task,method,embed_dim,k", CASES)
+    def test_equals_per_episode_referee(self, kind, task, method, embed_dim, k):
+        ds = self.dataset(kind)
+        split = make_split(self.COUNTS, self.CATEGORY)
+        cfg = model.ModelConfig(method=method, input_dim=4, hidden_dim=5,
+                                embed_dim=embed_dim, label_dim=6)
+        net = model.init_model(cfg, seed=21)
+        protocol = episodic.EvalConfig(task, n=4, k=k, m=5, episodes=150, seed=22)
+        got = episodic.evaluate(net, ds, split, protocol)
+        want = reference.evaluate_per_episode(net, ds, split, protocol)
+        assert got.subsets == want.subsets
+        assert got.warnings == want.warnings
+
+    @pytest.mark.parametrize("episodes", [1, 31, 32, 33, 150])
+    def test_votes_once_per_block_of_episodes(self, monkeypatch, episodes):
+        calls = []
+        real = episodic.knn_classify
+
+        def spy(sims, support_classes, kappa):
+            calls.append(len(sims))
+            return real(sims, support_classes, kappa)
+
+        monkeypatch.setattr(episodic, "knn_classify", spy)
+        ds = self.dataset("noisy")
+        report = episodic.evaluate(HashEmbedModel(), ds, make_split(self.COUNTS, self.CATEGORY),
+                                   episodic.EvalConfig("FSG", n=4, k=2, m=5, episodes=episodes))
+        per_subset = -(-episodes // episodic._VOTE_BLOCK)
+        assert len(calls) <= 3 * per_subset
+        assert sum(calls) == sum(res.queries for res in report.subsets.values())
 
 
 class TestEvalReportFile:

@@ -32,6 +32,19 @@ def make_net(method="VE", embed_dim=6, seed=0):
 DATASET, SPLIT = desk_data()
 
 
+def few_instance_data():
+    """Reference dims (input 64, label 32) with 1-3 instances per class, and
+    the validation classes of its split."""
+    cfg = data.SynthConfig(
+        n_verbs=8, n_nouns=8, class_density=0.9, instances_per_class=(1, 3),
+        d_latent=8, input_dim=64, frames=4, label_dim=32,
+        sigma_frame=0.3, sigma_instance=0.3, seed=21,
+    )
+    ds = data.synth_generate(cfg)
+    split = splits.generate_split(ds.classes, splits.SplitSpec(p_verbs=2, p_nouns=2, seed=0))
+    return ds, sorted(split.validation)
+
+
 def fast_cfg(**kw):
     base = dict(
         method="VE", dml="multisim", lr0=1e-3,
@@ -366,6 +379,19 @@ class TestValidationRound:
         got = trainer._validation_loss(net, DATASET, VAL_CLASSES, cfg, 1)
         want = reference.validation_loss_per_batch(net, DATASET, VAL_CLASSES, cfg, 1)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # one class per batch at reference dims, on classes of 1-3 instances: a
+        # 1-instance class's batch is one row, and JE projects one label per batch
+        ds, val_classes = few_instance_data()
+        for method, k_max in (("JE", 1), ("WE", 8)):
+            cfg = fast_cfg(method=method, val_batches=50, batch_classes=1, batch_k_max=k_max,
+                           batch_min_total=1)
+            for seed in range(13):
+                net = model.init_model(model.ModelConfig(method=method, input_dim=64), seed=seed)
+                for round_idx in (1, 2):
+                    got = trainer._validation_loss(net, ds, val_classes, cfg, round_idx)
+                    want = reference.validation_loss_per_batch(net, ds, val_classes, cfg, round_idx)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                        method, seed, round_idx)
 
     @pytest.mark.parametrize("shape,blocks", [
         ((12, 8, 36), [66]), ((6, 5, 12), [30, 30, 6]), ((5, 1, 5), [5] * 12 + [6]),
