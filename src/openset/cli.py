@@ -201,15 +201,14 @@ def cmd_split(args) -> None:
     seeds = _parse_seed_list(cfg["seeds"])
     specs = [splits.SplitSpec(**_fields_kwargs(splits.SplitSpec, cfg), seed=s) for s in seeds]
     split_files = [f"split_{seed}.csv" for seed in seeds]
-    prepare_out(args.out, split_files + [_OVERLAP_FILE, _IMBALANCE_FILE])
     table = data.read_class_table(args.class_table)
-    results = []
+    # a split the table cannot serve fails before --out exists
+    results = [splits.generate_split(table, spec) for spec in specs]
+    prepare_out(args.out, split_files + [_OVERLAP_FILE, _IMBALANCE_FILE])
     imbalance_lines = ["seed,imbalance_ratio"]
-    for seed, spec, fname in zip(seeds, specs, split_files):
-        result = splits.generate_split(table, spec)
+    for seed, result, fname in zip(seeds, results, split_files):
         splits.write_split(os.path.join(args.out, fname), result)
         imbalance_lines.append(f"{seed},{splits.imbalance_ratio(result)!r}")
-        results.append(result)
     stats = splits.overlap_stats(results, table)
     splits.write_overlap_stats(os.path.join(args.out, _OVERLAP_FILE), stats)
     with open(os.path.join(args.out, _IMBALANCE_FILE), "w", encoding="utf-8") as fh:
@@ -231,10 +230,13 @@ def _load_data_dir(data_dir: str) -> data.Dataset:
 
 
 def cmd_train(args) -> None:
-    cfg = _resolve(args, TRAIN_SCHEMA)
+    file_values = parse_config_file(args.config) if args.config else {}
+    flag_values = _flag_values(args, TRAIN_SCHEMA)
+    cfg = resolve_config(TRAIN_SCHEMA, file_values, flag_values)
     dataset = _load_data_dir(args.data)
     split = splits.read_split(args.split, dataset.classes)
-    if cfg["method"] == model.METHOD_WE:
+    # WE embeds into the label space: its dim is the data's unless one is given
+    if cfg["method"] == model.METHOD_WE and "embed_dim" not in file_values | flag_values:
         cfg["embed_dim"] = dataset.label_dim
     model_cfg = model.ModelConfig(
         **_fields_kwargs(model.ModelConfig, cfg),
@@ -246,6 +248,8 @@ def cmd_train(args) -> None:
         histogram=HistogramConfig(**_fields_kwargs(HistogramConfig, cfg)),
         multisim=MultiSimConfig(**_fields_kwargs(MultiSimConfig, cfg)),
     )
+    # a split too small for the batch shape fails before --out exists
+    trainer.check_split(split, train_cfg)
     prepare_out(args.out, [_CHECKPOINT_FILE, _TRAIN_LOG_FILE])
     net = model.init_model(model_cfg, seed=cfg["seed"])
     best, log = trainer.train(net, dataset, split, train_cfg)
@@ -330,8 +334,13 @@ _REPORT_COLUMNS = (
 def cmd_report(args) -> None:
     """Merge evaluation outputs into one long-form table. Accuracy cells are
     copied verbatim from the inputs, never recomputed."""
-    rows = []
+    rows, seen = [], set()
     for eval_dir in args.eval_dirs:
+        # a directory given twice would count each of its rows twice
+        real = os.path.realpath(eval_dir)
+        if real in seen:
+            raise ConfigError(f"report: eval directory {eval_dir!r} given twice")
+        seen.add(real)
         rows.extend(_read_eval_rows(eval_dir))
     prepare_out(args.out, [_REPORT_FILE])
     rows.sort(key=lambda r: tuple(r[c] for c in ("method", "dml", "task", "subset", "split")))

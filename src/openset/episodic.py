@@ -193,49 +193,64 @@ def evaluate(
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
     the whole run, unless every subset is (see eval_subsets). Each eligible
-    class is embedded once per call; every episode indexes those rows into
-    one similarity block, and votes are cast once per _VOTE_BLOCK episodes.
+    class is embedded once per call, into one array of rows. Per _VOTE_BLOCK
+    episodes, every drawn position becomes a row of that array at once, and
+    votes are cast once; each episode still takes its own (queries, n·k)
+    similarity product, since BLAS bits depend on the product's shape.
     FSG supports are video embeddings; the cross-modal task supports each
     class with its raw label embedding (WE trains into that space) or its
     projected one (JE). Deterministic in seed.
     """
     cross_modal = cfg.task == TASK_CMFSG
     report = EvalReport(cfg)
-    k, n_support = cfg.k, cfg.n_support
-    video: dict[int, np.ndarray] = {}
-    labels: dict[int, np.ndarray] = {}
-    for subset_idx, (name, eligible) in enumerate(eval_subsets(model.method, dataset, split, cfg)):
-        if len(eligible) < cfg.n:
+    n, k, n_support = cfg.n, cfg.k, cfg.n_support
+    subsets = eval_subsets(model.method, dataset, split, cfg)
+    # All runs whenever any subset does, and its classes hold every other
+    # subset's: embed them, one call per class, into one array of rows
+    classes = subsets[0][1]
+    emb = np.concatenate([model.embed_video_batch(dataset.features[dataset.class_rows[c]])[0]
+                          for c in classes])
+    class_start = np.cumsum([0] + [len(dataset.class_rows[c]) for c in classes[:-1]])
+    if cross_modal:
+        labels = np.stack([
+            dataset.label_embeddings[c] if model.method == METHOD_WE
+            else model.embed_label_batch(dataset.label_embeddings[c][None])[0][0]
+            for c in classes
+        ])
+    for subset_idx, (name, eligible) in enumerate(subsets):
+        if len(eligible) < n:
             report.subsets[name] = SubsetResult(skipped=True)
             report.warnings.append(
-                f"subset {name}: {len(eligible)} eligible classes < n={cfg.n}; skipped"
+                f"subset {name}: {len(eligible)} eligible classes < n={n}; skipped"
             )
             continue
-        for cid in sorted(set(eligible) - video.keys()):
-            video[cid], _ = model.embed_video_batch(dataset.features[dataset.class_rows[cid]])
-            if cross_modal:
-                label = dataset.label_embeddings[cid]
-                labels[cid] = (label if model.method == METHOD_WE
-                               else model.embed_label_batch(label[None])[0][0])
         result = report.subsets[name] = SubsetResult()
         for start in range(0, cfg.episodes, _VOTE_BLOCK):
-            sims, support_classes, true_cid = [], [], []
+            picked, drawn = [], []
             for episode_idx in range(start, min(start + _VOTE_BLOCK, cfg.episodes)):
                 rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
-                picked, drawn = draw_episode(dataset, eligible, rng, cfg)
-                if cross_modal:
-                    sup_emb = np.stack([labels[c] for c in picked])
-                else:
-                    sup_emb = np.concatenate([video[c][i[:k]] for c, i in zip(picked, drawn)])
-                query_emb = np.concatenate([video[c][i[n_support:]] for c, i in zip(picked, drawn)])
-                sims.append(query_emb @ sup_emb.T)
-                support_classes.append(np.repeat(picked, k))
-                true_cid.append(np.repeat(picked, [len(i) - n_support for i in drawn]))
-            queries = [len(t) for t in true_cid]
+                episode_picked, episode_drawn = draw_episode(dataset, eligible, rng, cfg)
+                picked += episode_picked
+                drawn += episode_drawn
+            # one entry per (episode, class); classes is sorted
+            picked = np.array(picked)
+            class_idx = np.searchsorted(classes, picked)
+            counts = np.fromiter(map(len, drawn), np.intp, len(drawn))
+            rows = np.repeat(class_start[class_idx], counts) + np.concatenate(drawn)
+            # each class's first n_support positions are its supports
+            rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+            is_support = rank < n_support
+            support = labels[class_idx] if cross_modal else emb[rows[is_support]]
+            support = support.reshape(-1, n * k, emb.shape[1])
+            queries = (counts - n_support).reshape(-1, n).sum(axis=1)
+            query_rows = np.split(rows[~is_support], np.cumsum(queries[:-1]))
+            sims = [emb[q] @ s.T for q, s in zip(query_rows, support)]
+            support_classes = np.repeat(picked.reshape(-1, n), k, axis=1)
             pred = knn_classify(np.concatenate(sims), np.repeat(support_classes, queries, 0), k)
+            true_cid = np.repeat(picked, counts - n_support)
             result.episodes += len(queries)
-            result.queries += sum(queries)
-            result.correct += int(np.count_nonzero(pred == np.concatenate(true_cid)))
+            result.queries += len(true_cid)
+            result.correct += int(np.count_nonzero(pred == true_cid))
     return report
 
 

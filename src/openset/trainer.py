@@ -200,6 +200,21 @@ def _validation_loss(
     return sum(batch_losses) / len(batch_losses)
 
 
+def check_split(split: SplitResult, cfg: TrainConfig) -> None:
+    """Raise ConfigError if the split has fewer training classes than one
+    batch draws, or fewer validation classes when a validation round will
+    run, so a caller can reject the request before it writes anything."""
+    if len(split.train) < cfg.batch_classes:
+        raise ConfigError(
+            f"train: need {cfg.batch_classes} training classes, have {len(split.train)}"
+        )
+    will_validate = cfg.max_batches >= cfg.val_every
+    if will_validate and len(split.validation) < cfg.batch_classes:
+        raise ConfigError(
+            f"train: need {cfg.batch_classes} validation classes, have {len(split.validation)}"
+        )
+
+
 def train(
     model: EmbeddingModel,
     dataset: Dataset,
@@ -216,17 +231,9 @@ def train(
         raise ConfigError(
             f"config method {cfg.method} != model method {model.method}"
         )
+    check_split(split, cfg)
     train_classes = sorted(split.train)
     val_classes = sorted(split.validation)
-    if len(train_classes) < cfg.batch_classes:
-        raise ConfigError(
-            f"train: need {cfg.batch_classes} training classes, have {len(train_classes)}"
-        )
-    will_validate = cfg.max_batches >= cfg.val_every
-    if will_validate and len(val_classes) < cfg.batch_classes:
-        raise ConfigError(
-            f"train: need {cfg.batch_classes} validation classes, have {len(val_classes)}"
-        )
 
     log = TrainLog()
     if cfg.max_batches == 0:

@@ -619,3 +619,64 @@ class TestFailureClasses:
         ])
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+
+    # the pipeline's split holds 33 training and 12 validation classes, and
+    # its 8 x 8 table 8 eligible verbs
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ["--batch-classes", "40"], "train: need 40 training classes, have 33"),
+        ("train", ["--batch-classes", "13"], "train: need 13 validation classes, have 12"),
+        ("split", ["--p-verbs", "20"], "split: need 20 eligible verbs, only 8 available"),
+        ("split", ["--seeds", "0,1", "--p-nouns", "9"],
+         "split: need 9 eligible nouns, only 8 available"),
+    ])
+    def test_split_too_small_exits_one_before_out(
+        self, pipeline, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "o"
+        assert cli.main(_command_argv(pipeline, command) + ["--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err == f"openset {command}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_we_embed_dim_given_must_equal_label_dim(self, pipeline, tmp_path, capsys, source):
+        argv = _command_argv(pipeline, "train") + ["--method", "WE"]
+        if source == "flag":
+            argv += ["--embed-dim", "16"]
+        else:
+            argv.remove("--embed-dim")
+            argv.remove("6")
+            cfg_file = tmp_path / "train.cfg"
+            cfg_file.write_text("embed_dim=16\n", encoding="utf-8")
+            argv += ["--config", str(cfg_file)]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "openset train: WE embeds directly into the label space: "
+            "embed_dim 16 must equal label_dim 6\n")
+        assert not out.exists()
+
+    def test_we_embed_dim_not_given_takes_label_dim(self, pipeline, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main([
+            "train", "--data", pipeline["data"], "--split", pipeline["split_csv"],
+            "--out", str(out), "--method", "WE", "--max-batches", "0",
+        ]) == 0
+        assert cli.parse_config_file(str(out / "resolved.cfg"))["embed_dim"] == "6"
+        assert model.load_checkpoint(str(out / "checkpoint.osm")).config.embed_dim == 6
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_report_eval_dir_given_twice_exits_one(self, pipeline, tmp_path, capsys, spelling):
+        again = {
+            "same": pipeline["eval_fsg"],
+            "dot": os.path.join(pipeline["eval_fsg"], "."),
+            "symlink": str(tmp_path / "link"),
+        }[spelling]
+        if spelling == "symlink":
+            os.symlink(pipeline["eval_fsg"], again)
+        out = tmp_path / "r"
+        code = cli.main(["report", pipeline["eval_fsg"], pipeline["eval_cm"], again,
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"openset report: report: eval directory {again!r} given twice\n")
+        assert not out.exists()

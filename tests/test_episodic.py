@@ -561,20 +561,35 @@ class TestBlockVote:
             ds.features[rows] = source[np.arange(len(rows)) % len(source)]
         return ds
 
-    # 150 episodes: four full blocks of 32 and a last one of 22
-    @pytest.mark.parametrize("kind", ["noisy", "exact", "shared"])
-    @pytest.mark.parametrize("task,method,embed_dim,k", CASES)
-    def test_equals_per_episode_referee(self, kind, task, method, embed_dim, k):
-        ds = self.dataset(kind)
-        split = make_split(self.COUNTS, self.CATEGORY)
+    def assert_equals_referee(self, ds, category, task, method, embed_dim, **protocol):
+        split = make_split(self.COUNTS, category)
         cfg = model.ModelConfig(method=method, input_dim=4, hidden_dim=5,
                                 embed_dim=embed_dim, label_dim=6)
         net = model.init_model(cfg, seed=21)
-        protocol = episodic.EvalConfig(task, n=4, k=k, m=5, episodes=150, seed=22)
+        protocol = episodic.EvalConfig(task, n=4, seed=22, **protocol)
         got = episodic.evaluate(net, ds, split, protocol)
         want = reference.evaluate_per_episode(net, ds, split, protocol)
         assert got.subsets == want.subsets
         assert got.warnings == want.warnings
+
+    # 150 episodes: four full blocks of 32 and a last one of 22
+    @pytest.mark.parametrize("kind", ["noisy", "exact", "shared"])
+    @pytest.mark.parametrize("task,method,embed_dim,k", CASES)
+    def test_equals_per_episode_referee(self, kind, task, method, embed_dim, k):
+        self.assert_equals_referee(self.dataset(kind), self.CATEGORY, task, method, embed_dim,
+                                   k=k, m=5, episodes=150)
+
+    # m past every class's size (5 to 8) takes each class's every non-support
+    # instance, so the episodes of one block hold different query counts;
+    # HoV with exactly n = 4 classes draws all of them in every episode
+    @pytest.mark.parametrize("m,hov_classes", [(20, 6), (5, 4)])
+    @pytest.mark.parametrize("task,method,embed_dim,k", CASES)
+    def test_uneven_queries_and_exactly_n_classes_equal_referee(
+        self, m, hov_classes, task, method, embed_dim, k
+    ):
+        category = {c: ("HoV" if c < hov_classes else "HoN") for c in self.COUNTS}
+        self.assert_equals_referee(self.dataset("noisy"), category, task, method, embed_dim,
+                                   k=k, m=m, episodes=70)
 
     @pytest.mark.parametrize("episodes", [1, 31, 32, 33, 150])
     def test_votes_once_per_block_of_episodes(self, monkeypatch, episodes):
