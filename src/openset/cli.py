@@ -130,8 +130,7 @@ def write_resolved(out_dir: str, resolved: dict) -> None:
         value = resolved[key]
         text = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{key}={text}")
-    with open(os.path.join(out_dir, _RESOLVED_FILE), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data.write_lines(os.path.join(out_dir, _RESOLVED_FILE), lines)
 
 
 def prepare_out(out_dir: str, filenames: list[str]) -> None:
@@ -211,8 +210,7 @@ def cmd_split(args) -> None:
         imbalance_lines.append(f"{seed},{splits.imbalance_ratio(result)!r}")
     stats = splits.overlap_stats(results, table)
     splits.write_overlap_stats(os.path.join(args.out, _OVERLAP_FILE), stats)
-    with open(os.path.join(args.out, _IMBALANCE_FILE), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(imbalance_lines) + "\n")
+    data.write_lines(os.path.join(args.out, _IMBALANCE_FILE), imbalance_lines)
     write_resolved(args.out, cfg)
     for fname, result in zip(split_files, results):
         print(
@@ -299,16 +297,8 @@ def _read_eval_rows(eval_dir: str) -> list[dict[str, str]]:
         if needed not in meta:
             raise ParseError(f"{resolved_path}: missing key {needed!r}")
         _check_report_label(f"{resolved_path}: {needed}", meta[needed], ParseError)
-    lines = [l for l in data.read_text(eval_path).splitlines() if l.strip()]
-    if not lines or lines[0] != episodic.EVAL_HEADER:
-        raise ParseError(f"{eval_path}: unexpected header")
     rows = []
-    for line in lines[1:]:
-        if line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise ParseError(f"{eval_path}: expected 10 fields, got {len(parts)}")
+    for _, parts in data.read_rows(eval_path, episodic.EVAL_HEADER, comments=True):
         row = dict(zip(episodic.EVAL_HEADER.split(","), parts))
         row.update(method=meta["method"], dml=meta["dml"], split=meta["split_name"])
         rows.append(row)
@@ -347,8 +337,7 @@ def cmd_report(args) -> None:
     lines = [",".join(_REPORT_COLUMNS)]
     for row in rows:
         lines.append(",".join(row[c] for c in _REPORT_COLUMNS))
-    with open(os.path.join(args.out, _REPORT_FILE), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data.write_lines(os.path.join(args.out, _REPORT_FILE), lines)
     write_resolved(args.out, {"inputs": ";".join(args.eval_dirs)})
     print(f"report: {len(rows)} rows -> {args.out}")
 

@@ -6,10 +6,26 @@ norm. Synthetic data is generated from latent verb/noun vectors so that video
 features and label embeddings share structure, which is what the alignment
 methods exploit.
 
-On-disk formats:
-  class table  CSV   class_id,verb_id,noun_id,verb_text,noun_text,n_instances
-  features     OSF1  binary, float32 little-endian frames
-  labels       OSL1  binary, float32 little-endian embedding per class
+Every file is opened here. A binary file is a magic, uint32 version 1 and
+uint32 header fields, then its payload: ContainerReader checks the framing
+and hands out the payload, write_container writes it. Text files are UTF-8
+lines written by write_lines; read_rows checks a CSV's header and field
+counts and names path:line on error.
+
+On-disk formats (binary fields little-endian; writer in parentheses if not here):
+  features.osf      OSF1 header n, frames, input_dim, all nonzero; per
+                    instance its id, class id and float32 frames
+  labels.osl        OSL1 header n, dim, both nonzero; per class its id and
+                    float32 embedding
+  checkpoint.osm    OSM1 header method tag, four dims, block count; per block
+                    its name, shape, float64 weights and bias (model)
+  class_table.csv   class_id,verb_id,noun_id,verb_text,noun_text,n_instances
+  split_<seed>.csv  class_id,subset,category; beside it overlap_stats.csv and
+                    imbalance.csv (splits, cli)
+  train_log.csv     kind,step,value (trainer)
+  eval.csv          task,subset,n,k,m,episodes,queries,correct,accuracy,seed
+                    and '#' warning lines (episodic); report.csv merges them (cli)
+  resolved.cfg      key=value per line (cli)
 """
 
 from __future__ import annotations
@@ -296,9 +312,40 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     )
 
 
-# --- class table CSV ---
+# --- text files ---
 
 _CSV_HEADER = "class_id,verb_id,noun_id,verb_text,noun_text,n_instances"
+
+
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write lines as a UTF-8 text file, each ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
+def read_rows(path: str, header: str, *, comments: bool = False):
+    """Yield (line number, fields) for each row of a CSV whose first line is
+    header, skipping blank lines and, with comments, lines starting '#'."""
+    lines = read_text(path).splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"{path}:1: expected header {header!r}")
+    n_fields = header.count(",") + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip() or (comments and line.startswith("#")):
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        yield lineno, parts
 
 
 def write_class_table(path: str, table: ClassTable) -> None:
@@ -314,31 +361,13 @@ def write_class_table(path: str, table: ClassTable) -> None:
             f"{cid},{lab.verb_id},{lab.noun_id},{lab.verb_text},{lab.noun_text},"
             f"{entry.instance_count}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_text(path: str) -> str:
-    """A UTF-8 text file's contents; bytes that do not decode are a ParseError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    write_lines(path, lines)
 
 
 def read_class_table(path: str) -> ClassTable:
     """Parse a class table CSV, reporting the offending line on error."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != _CSV_HEADER:
-        raise ParseError(f"{path}: expected header {_CSV_HEADER!r}")
     entries: dict[int, ClassEntry] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+    for lineno, parts in read_rows(path, _CSV_HEADER):
         try:
             cid = int(parts[0])
             verb_id = int(parts[1])
@@ -363,7 +392,53 @@ def read_class_table(path: str) -> ClassTable:
     return ClassTable(entries)
 
 
-# --- binary feature / label files ---
+# --- binary files ---
+
+
+class ContainerReader:
+    """A binary file read whole: its magic and version 1 checked, the
+    n_fields uint32 header fields after the version in header, and the
+    payload handed out in order by take, as views of the file's bytes."""
+
+    def __init__(self, path: str, magic: bytes, n_fields: int):
+        with open(path, "rb") as fh:
+            self._blob = memoryview(fh.read())
+        self.path, self._off = path, 4
+        if self._blob[:4] != magic:
+            raise FormatError(f"{path}: bad magic {bytes(self._blob[:4])!r}")
+        version, *self.header = self.take_u32(1 + n_fields)
+        if version != 1:
+            raise FormatError(f"{path}: unsupported version {version}")
+
+    def take(self, n: int) -> memoryview:
+        """The next n bytes."""
+        if self._off + n > len(self._blob):
+            raise FormatError(f"{self.path}: truncated at byte {self._off}, need {n} more")
+        self._off += n
+        return self._blob[self._off - n : self._off]
+
+    def take_u32(self, count: int) -> tuple[int, ...]:
+        """The next count fields, each a little-endian uint32."""
+        return struct.unpack(f"<{count}I", self.take(4 * count))
+
+    def end(self) -> None:
+        """Reject bytes past the last one taken."""
+        if self._off != len(self._blob):
+            raise FormatError(f"{self.path}: {len(self._blob) - self._off} trailing bytes")
+
+
+def pack_u32(*values: int) -> bytes:
+    """values as little-endian uint32 fields."""
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def write_container(path: str, magic: bytes, header: tuple[int, ...], payload) -> None:
+    """Write magic, version 1 and the uint32 header fields, then each
+    buffer of payload in order."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(pack_u32(1, *header))
+        fh.writelines(payload)
 
 
 def _check_u32(what: str, ids: np.ndarray) -> None:
@@ -380,7 +455,7 @@ def _feature_record(frames: int, input_dim: int) -> np.dtype:
 def _first_non_finite(rows: np.ndarray) -> int | None:
     """Index of the first float32 row holding a NaN or inf, or None."""
     # a float64 row sum is finite exactly when every float32 term is, and
-    # needs no (N, frames * input_dim) temporary; +inf and -inf in one row
+    # needs no temporary of the rows' shape; +inf and -inf in one row
     # sum to NaN, which is the answer, not a condition worth a warning
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(rows.sum(axis=1, dtype=np.float64))
@@ -409,30 +484,23 @@ def write_features(path: str, instance_ids, class_ids, features) -> None:
     bad = _first_non_finite(records["features"])
     if bad is not None:
         raise FormatError(f"write_features: instance {ids[bad]} has non-finite features")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_FEATURES)
-        fh.write(struct.pack("<IIII", 1, n, frames, input_dim))
-        fh.write(records)
+    write_container(path, _MAGIC_FEATURES, (n, frames, input_dim), [records])
 
 
 def read_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Load an OSF1 feature file as (instance_ids, class_ids, features):
     two (N,) int64 columns and an (N, frames, input_dim) float64 array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC_FEATURES:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 20:
-        raise FormatError(f"{path}: truncated header")
-    version, n_instances, frames, input_dim = struct.unpack("<IIII", blob[4:20])
-    if version != 1:
-        raise FormatError(f"{path}: unsupported version {version}")
+    reader = ContainerReader(path, _MAGIC_FEATURES, 3)
+    n_instances, frames, input_dim = reader.header
     if n_instances == 0:
         raise FormatError(f"{path}: no instances")
-    expected = 20 + n_instances * (8 + frames * input_dim * 4)
-    if len(blob) != expected:
-        raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
-    records = np.frombuffer(blob, dtype=_feature_record(frames, input_dim), offset=20)
+    if frames == 0 or input_dim == 0:
+        raise FormatError(f"{path}: frames {frames} and input_dim {input_dim} must be nonzero")
+    # take checks the size before the record dtype exists, which would
+    # raise ValueError for frames * input_dim past a C int
+    size = n_instances * (8 + frames * input_dim * 4)
+    records = np.frombuffer(reader.take(size), dtype=_feature_record(frames, input_dim))
+    reader.end()
     bad = _first_non_finite(records["features"])
     if bad is not None:
         raise FormatError(f"{path}: instance {records['ids'][bad, 0]} has non-finite features")
@@ -464,39 +532,27 @@ def write_labels(path: str, embeddings: dict[int, np.ndarray]) -> None:
     # a float64 beyond the float32 range becomes inf, rejected just below
     with np.errstate(over="ignore"):
         records["embedding"] = [embeddings[cid] for cid in records["cid"].tolist()]
-    finite = np.isfinite(records["embedding"]).all(axis=1)
-    if not finite.all():
-        bad = records["cid"][np.argmin(finite)]
-        raise FormatError(f"write_labels: class {bad} has a non-finite label embedding")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_LABELS)
-        fh.write(struct.pack("<III", 1, len(embeddings), d_b))
-        fh.write(records)
+    bad = _first_non_finite(records["embedding"])
+    if bad is not None:
+        cid = records["cid"][bad]
+        raise FormatError(f"write_labels: class {cid} has a non-finite label embedding")
+    write_container(path, _MAGIC_LABELS, (len(embeddings), d_b), [records])
 
 
 def read_labels(path: str) -> dict[int, np.ndarray]:
     """Load an OSL1 label file; embeddings are re-normalized after the
     float32 round trip so they are exactly unit norm in float64."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC_LABELS:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated header")
-    version, n_classes, d_b = struct.unpack("<III", blob[4:16])
-    if version != 1:
-        raise FormatError(f"{path}: unsupported version {version}")
+    reader = ContainerReader(path, _MAGIC_LABELS, 2)
+    n_classes, d_b = reader.header
     if n_classes == 0:
         raise FormatError(f"{path}: no label embeddings")
-    payload = d_b * 4
-    expected = 16 + n_classes * (4 + payload)
-    if len(blob) != expected:
-        raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
-    records = np.frombuffer(blob, dtype=_label_record(d_b), offset=16)
-    finite = np.isfinite(records["embedding"]).all(axis=1)
-    if not finite.all():
-        bad = int(records["cid"][np.argmin(finite)])
-        raise FormatError(f"{path}: class {bad} has a non-finite label embedding")
+    if d_b == 0:
+        raise FormatError(f"{path}: label embedding dim must be nonzero")
+    records = np.frombuffer(reader.take(n_classes * (4 + d_b * 4)), dtype=_label_record(d_b))
+    reader.end()
+    bad = _first_non_finite(records["embedding"])
+    if bad is not None:
+        raise FormatError(f"{path}: class {records['cid'][bad]} has a non-finite label embedding")
     nonzero = records["embedding"].any(axis=1)
     if not nonzero.all():
         bad = int(records["cid"][np.argmin(nonzero)])

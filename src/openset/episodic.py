@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_lines
 from .errors import ConfigError, EligibilityError, MethodError, SamplingError, check_fields
 from .model import METHOD_VE, METHOD_WE, EmbeddingModel
 from .splits import CATEGORY_HON, CATEGORY_HOV, SplitResult
@@ -271,5 +271,4 @@ def write_eval_report(path: str, report: EvalReport) -> None:
             f"{cfg.task},{name},{cfg.n},{cfg.k},{cfg.m},"
             f"{res.episodes},{res.queries},{res.correct},{res.accuracy!r},{cfg.seed}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

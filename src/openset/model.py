@@ -20,11 +20,11 @@ float64 little-endian).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import ContainerReader, pack_u32, write_container
 from .errors import ConfigError, DimensionError, FormatError, MethodError
 from .numcore import (
     ParamBlock,
@@ -214,85 +214,47 @@ def save_checkpoint(path: str, model: EmbeddingModel) -> None:
     """OSM1: header (magic, version, method tag, dims, block count), then
     each block as name, shape, float64 little-endian weights and bias."""
     cfg = model.config
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIIII",
-                1,
-                _METHOD_TAGS[cfg.method],
-                cfg.input_dim,
-                cfg.hidden_dim,
-                cfg.embed_dim,
-                cfg.label_dim,
-            )
-        )
-        blocks = model.blocks()
-        fh.write(struct.pack("<I", len(blocks)))
-        for blk in blocks:
-            name = blk.name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            rows, cols = blk.weights.shape
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(blk.weights.astype("<f8").tobytes(order="C"))
-            fh.write(struct.pack("<I", blk.bias.shape[0]))
-            fh.write(blk.bias.astype("<f8").tobytes(order="C"))
+    blocks = model.blocks()
+    payload = []
+    for blk in blocks:
+        name = blk.name.encode("utf-8")
+        payload += [pack_u32(len(name)), name]
+        payload += [pack_u32(*blk.weights.shape), blk.weights.astype("<f8").tobytes()]
+        payload += [pack_u32(len(blk.bias)), blk.bias.astype("<f8").tobytes()]
+    # the header's dims in ModelConfig's field order
+    dims = (cfg.input_dim, cfg.hidden_dim, cfg.embed_dim, cfg.label_dim)
+    write_container(path, _MAGIC, (_METHOD_TAGS[cfg.method], *dims, len(blocks)), payload)
 
 
 def load_checkpoint(path: str) -> EmbeddingModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 32:
-        raise FormatError(f"{path}: truncated header")
-    version, tag, d_in, d_h, d_e, d_b = struct.unpack("<IIIIII", blob[4:28])
-    if version != 1:
-        raise FormatError(f"{path}: unsupported version {version}")
+    reader = ContainerReader(path, _MAGIC, 6)
+    tag, *dims, n_blocks = reader.header
     if tag not in _TAG_METHODS:
         raise FormatError(f"{path}: unknown method tag {tag}")
-    (n_blocks,) = struct.unpack("<I", blob[28:32])
-    off = 32
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"{path}: truncated at byte {off}, need {n} more")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
-
     named: dict[str, ParamBlock] = {}
     for _ in range(n_blocks):
-        (name_len,) = struct.unpack("<I", take(4))
+        (name_len,) = reader.take_u32(1)
         try:
-            name = take(name_len).decode("utf-8")
+            name = bytes(reader.take(name_len)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: block name is not valid UTF-8") from exc
-        rows, cols = struct.unpack("<II", take(8))
-        weights = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-        (bias_len,) = struct.unpack("<I", take(4))
-        bias = np.frombuffer(take(bias_len * 8), dtype="<f8")
+        if name in named:
+            raise FormatError(f"{path}: duplicate block {name!r}")
+        rows, cols = reader.take_u32(2)
+        weights = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+        (bias_len,) = reader.take_u32(1)
+        bias = np.frombuffer(reader.take(bias_len * 8), dtype="<f8")
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise FormatError(f"{path}: block {name!r} has non-finite parameters")
         named[name] = ParamBlock(name=name, weights=weights.copy(), bias=bias.copy())
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+    reader.end()
     expected = {"frame_layer", "out_layer"}
     if _TAG_METHODS[tag] == METHOD_JE:
         expected.add("label_projector")
     if set(named) != expected:
         raise FormatError(f"{path}: blocks {sorted(named)} != expected {sorted(expected)}")
-    config = ModelConfig(
-        method=_TAG_METHODS[tag],
-        input_dim=d_in,
-        hidden_dim=d_h,
-        embed_dim=d_e,
-        label_dim=d_b,
-    )
     return EmbeddingModel(
-        config=config,
+        config=ModelConfig(_TAG_METHODS[tag], *dims),
         frame_layer=named["frame_layer"],
         out_layer=named["out_layer"],
         label_projector=named.get("label_projector"),

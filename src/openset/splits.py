@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassTable, read_text
+from .data import ClassTable, read_rows, write_lines
 from .errors import ConfigError, EligibilityError, ParseError, check_fields
 
 CATEGORY_HOV = "HoV"
@@ -273,8 +273,7 @@ def write_split(path: str, result: SplitResult) -> None:
         subset = result.subset_of(cid)
         category = result.category.get(cid, "-")
         lines.append(f"{cid},{subset},{category}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_split(path: str, table: ClassTable) -> SplitResult:
@@ -283,19 +282,11 @@ def read_split(path: str, table: ClassTable) -> SplitResult:
     HoVN class carries it, placed in the val or test side its classes appear
     in (both, if mixed). Evaluation needs only subsets and categories, so
     this reconstruction is sufficient for round trips through the CLI."""
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != _SPLIT_HEADER:
-        raise ParseError(f"{path}: expected header {_SPLIT_HEADER!r}")
     train: set[int] = set()
     validation: set[int] = set()
     test: set[int] = set()
     category: dict[int, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+    for lineno, parts in read_rows(path, _SPLIT_HEADER):
         try:
             cid = int(parts[0])
         except ValueError as exc:
@@ -359,5 +350,4 @@ def write_overlap_stats(path: str, stats: OverlapStats) -> None:
             for key in sorted(regions):
                 region = "+".join(key)
                 lines.append(f"within,-,{idx},{gran},{region},{regions[key]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

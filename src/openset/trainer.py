@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import episodic
-from .data import Dataset
+from .data import Dataset, write_lines
 from .errors import (
     ConfigError, DegenerateInputError, NumericError, SamplingError, check_fields
 )
@@ -306,5 +306,4 @@ def write_train_log(path: str, log: TrainLog) -> None:
         lines.append(f"best,{log.best_step},{log.best_val_loss!r}")
     lines.append(f"stop,{len(log.step_losses)},{log.stop_reason}")
     lines.append(f"resamples,0,{log.degenerate_resamples}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

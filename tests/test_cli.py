@@ -571,6 +571,25 @@ class TestFailureClasses:
         assert cli.main(["report", str(bad), "--out", str(tmp_path / "r")]) == 1
         assert "UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["short_row", "header"])
+    def test_bad_eval_file_names_its_line(self, pipeline, tmp_path, capsys, damage):
+        from openset.errors import ParseError
+        bad = tmp_path / "eval"
+        bad.mkdir()
+        (bad / "resolved.cfg").write_bytes(Path(pipeline["eval_fsg"], "resolved.cfg").read_bytes())
+        lines = Path(pipeline["eval_fsg"], "eval.csv").read_text().splitlines()
+        if damage == "short_row":
+            lines.append("FSG,All,5")
+            where = f"eval.csv:{len(lines)}: expected 10 fields, got 3"
+        else:
+            lines[0] = lines[0].replace("queries", "query")
+            where = "eval.csv:1: expected header"
+        (bad / "eval.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=where):
+            cli._read_eval_rows(str(bad))
+        assert cli.main(["report", str(bad), "--out", str(tmp_path / "r")]) == 1
+        assert where in capsys.readouterr().err
+
     def test_zero_norm_embedding_exits_two(self, pipeline, tmp_path, capsys):
         # a zeroed output layer maps every clip to the zero vector, which
         # cannot be normalized: a runtime degeneracy, not an invalid input

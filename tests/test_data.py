@@ -317,6 +317,17 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="no instances"):
             data.read_features(str(path))
 
+    @pytest.mark.parametrize("frames, input_dim", [(0, 3), (2, 0)])
+    def test_zero_header_dim_rejected(self, tmp_path, frames, input_dim):
+        # a zero dim reads back as an (N, 0, D) or (N, F, 0) array, whose
+        # frame mean is empty; it must stop at read time as a malformed file
+        import struct
+        path = tmp_path / "f.osf"
+        records = struct.pack("<II", 0, 0) + b"\x00" * (4 * frames * input_dim)
+        path.write_bytes(struct.pack("<4sIIII", b"OSF1", 1, 1, frames, input_dim) + records)
+        with pytest.raises(FormatError, match="must be nonzero"):
+            data.read_features(str(path))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, tmp_path, bad):
         path = str(tmp_path / "f.osf")
@@ -450,6 +461,13 @@ class TestLabelFile:
         path = tmp_path / "l.osl"
         path.write_bytes(struct.pack("<4sIII", b"OSL1", 1, 0, 2**31))
         with pytest.raises(FormatError, match="no label embeddings"):
+            data.read_labels(str(path))
+
+    def test_zero_dim_rejected(self, tmp_path):
+        import struct
+        path = tmp_path / "l.osl"
+        path.write_bytes(struct.pack("<4sIIIII", b"OSL1", 1, 2, 0, 0, 1))
+        with pytest.raises(FormatError, match="dim must be nonzero"):
             data.read_labels(str(path))
 
     def test_all_zero_label_rejected_at_read(self, tmp_path):

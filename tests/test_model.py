@@ -276,6 +276,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             model.load_checkpoint(path)
 
+    def test_duplicate_block_name_rejected(self, tmp_path):
+        # blocks are keyed by name, so a repeated block would silently
+        # replace the first one
+        net = model.init_model(VE_CFG, seed=5)
+        path = tmp_path / "m.osm"
+        model.save_checkpoint(str(path), net)
+        blob = path.read_bytes()
+        start = blob.index(b"frame_layer") - 4
+        end = blob.index(b"out_layer") - 4
+        patched = blob[:28] + (3).to_bytes(4, "little") + blob[32:] + blob[start:end]
+        path.write_bytes(patched)
+        with pytest.raises(FormatError, match="duplicate block 'frame_layer'"):
+            model.load_checkpoint(str(path))
+
     def test_non_utf8_block_name_rejected(self, tmp_path):
         net = model.init_model(VE_CFG, seed=5)
         path = tmp_path / "m.osm"
