@@ -132,34 +132,41 @@ def multisim_loss(
     no positives skip the positive term (all negatives kept), anchors with no
     negatives skip the negative term (all positives kept). Mining is a fixed
     selection: gradients do not flow through the thresholds.
+
+    Every anchor is mined at once, and the positive rows stacked over the
+    negative rows go through one log1p_sum_exp pass; the bits are those of
+    the anchor-by-anchor loop, `multisim_loss_loop` in tests/reference.py.
     """
     n = len(embeddings)
     if n < 2:
         raise DegenerateInputError("multisim_loss: need at least 2 items")
     e = embeddings
     sims = e @ e.T
-    pos_mask, neg_mask = _pair_masks(class_ids)
-    no_pos = ~pos_mask.any(axis=1, keepdims=True)
-    no_neg = ~neg_mask.any(axis=1, keepdims=True)
-    closest_pos = np.where(pos_mask, sims, np.inf).min(axis=1, keepdims=True)
-    farthest_neg = np.where(neg_mask, sims, -np.inf).max(axis=1, keepdims=True)
-    mined_neg = neg_mask & ((sims > closest_pos - cfg.margin) | no_pos)
-    mined_pos = pos_mask & ((sims < farthest_neg + cfg.margin) | no_neg)
-
-    w = np.zeros((n, n))
-    terms = []
-    for mined, x, scale, sign in (
-        (mined_pos, -cfg.alpha * (sims - cfg.base), cfg.alpha, -1.0),
-        (mined_neg, cfg.beta * (sims - cfg.base), cfg.beta, 1.0),
-    ):
-        lse = log1p_sum_exp(x, mined)
-        terms.append(lse / scale)
-        # w is +0.0 and the masks are disjoint: each entry becomes 0 -/+ weight
-        w[mined] += sign * np.exp((x - lse[:, None])[mined])
+    pos_mask = class_ids[:, None] == class_ids[None, :]
+    neg_mask = ~pos_mask
+    pos_mask.ravel()[:: n + 1] = False
+    closest_pos = np.min(sims, axis=1, where=pos_mask, initial=np.inf, keepdims=True)
+    farthest_neg = np.max(sims, axis=1, where=neg_mask, initial=-np.inf, keepdims=True)
+    # rows 0..n-1 hold each anchor's positive term, rows n..2n-1 its negative
+    # one; an anchor with no negatives (farthest_neg -inf) keeps every
+    # positive, one with no positives (closest_pos inf) every negative
+    keep = np.concatenate([
+        pos_mask & ((sims < farthest_neg + cfg.margin) | (farthest_neg == -np.inf)),
+        neg_mask & ((sims > closest_pos - cfg.margin) | (closest_pos == np.inf)),
+    ])
+    xs = (np.array([-cfg.alpha, cfg.beta])[:, None, None] * (sims - cfg.base)).reshape(2 * n, n)
+    lse = log1p_sum_exp(xs, keep)
+    # each mined pair's weight is set once; the halves are disjoint, so w is
+    # 0.0 - weight or weight - 0.0, the loop's w[...] -=/+= weight, +0.0 too
+    mined = np.flatnonzero(keep)
+    w2 = np.zeros((2 * n, n))
+    w2.ravel()[mined] = np.exp(np.take(xs, mined) - lse[mined // n])
+    w = w2[n:] - w2[:n]
     # anchor by anchor, positive term first, as a loop sums: the cumsum adds
     # the interleaved terms in that order, and since every term is >= +0.0
     # (absent ones are +0.0) it starts from the loop's 0.0 with the same bits
-    loss = float(np.cumsum(np.stack(terms, axis=1))[-1]) / n
+    terms = lse.reshape(2, n) / np.array([[cfg.alpha], [cfg.beta]])
+    loss = float(np.cumsum(terms.T)[-1]) / n
     grads = (w + w.T) @ e / n
     return loss, grads
 

@@ -200,15 +200,28 @@ def log1p_sum_exp(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Row-wise stable log(1 + sum(exp(xs[i, keep[i]]))); 0 for a row keeping
     nothing. A row's kept entries are summed in column order with the bits
     of a 1-D `.sum()` of just them, which a padded `sum(axis=1)` or
-    `np.add.reduceat` would change: the rows that keep L entries have their
-    compacted runs gathered into one contiguous (rows, L) block, and its
-    `sum(axis=1)` runs that 1-D pairwise sum along each row, one per count L."""
-    m = np.maximum(np.where(keep, xs, -np.inf).max(axis=1, initial=-np.inf), 0.0)
-    kept = np.exp((xs - m[:, None])[keep])
-    counts = keep.sum(axis=1)
-    ends = np.cumsum(counts)
-    sums = np.zeros(len(xs))
-    for length in np.flatnonzero(np.bincount(counts)).tolist():
-        rows = counts == length
-        sums[rows] = kept[ends[rows, None] + np.arange(-length, 0)].sum(axis=1)
+    `np.add.reduceat` would change. Only the kept entries are touched: they
+    are gathered once, their row maxima taken with `np.maximum.at` (a max is
+    exact), and one stable sort by kept count makes the rows that keep L
+    entries one contiguous (rows, L) block of the compacted terms, whose
+    `sum(axis=1)` runs that 1-D pairwise sum along each row."""
+    n_rows, n_cols = xs.shape
+    flat = np.flatnonzero(keep)
+    rows = flat // n_cols
+    counts = np.bincount(rows, minlength=n_rows)
+    vals = np.take(xs, flat)
+    m = np.zeros(n_rows)
+    np.maximum.at(m, rows, vals)
+    kept = np.exp(vals - m[rows])[np.argsort(counts[rows], kind="stable")]
+    order = np.argsort(counts, kind="stable")
+    sorted_sums = np.zeros(n_rows)
+    row = term = 0
+    for length, n_len in enumerate(np.bincount(counts).tolist()):
+        if n_len and length:
+            block = kept[term:term + n_len * length].reshape(n_len, length)
+            np.add.reduce(block, axis=1, out=sorted_sums[row:row + n_len])
+        row += n_len
+        term += n_len * length
+    sums = np.empty(n_rows)
+    sums[order] = sorted_sums
     return m + np.log(np.exp(-m) + sums)

@@ -81,6 +81,11 @@ class TrainConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.batch_classes * self.batch_k_max < self.batch_min_total:
+            raise ConfigError(
+                f"batch_min_total {self.batch_min_total} exceeds the largest batch, "
+                f"batch_classes {self.batch_classes} x batch_k_max {self.batch_k_max}"
+            )
 
 
 @dataclass

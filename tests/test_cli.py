@@ -439,6 +439,20 @@ class TestFailureClasses:
         assert "seed must be nonnegative" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_batch_floor_above_largest_batch_exits_one(self, pipeline, tmp_path, capsys):
+        # 12 classes of at most 1 instance can never reach 13 items, whatever
+        # the data: rejected when the config is built, not after 100 draws
+        out = tmp_path / "o"
+        code = cli.main(_command_argv(pipeline, "train") + [
+            "--out", str(out), "--batch-k-max", "1", "--batch-min-total", "13",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "openset train: batch_min_total 13 exceeds the largest batch, "
+            "batch_classes 12 x batch_k_max 1\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,message", BAD_EVAL)
     def test_bad_eval_protocol_exits_one(self, pipeline, tmp_path, capsys, flags, message):
         out = tmp_path / "o"

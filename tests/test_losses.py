@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from openset import losses
+from openset import data, losses, model, splits, trainer
 from openset.errors import ConfigError, DegenerateInputError, DimensionError
 
 import reference
@@ -215,6 +215,32 @@ class TestMultiSim:
         assert cases >= 300
         assert ties > 0 and away > 0
 
+    def test_bits_equal_per_anchor_loop_on_ragged_interleaved_batches(self):
+        # classes of 1-8 rows whose rows are shuffled together, so no class is
+        # a contiguous run; alpha = beta = 2000 makes every mined weight far
+        # below its row's hardest term underflow to zero (the loop's w -= +0.0
+        # leaves +0.0; with BLAS's sums started at +0.0, a -0.0 weight would
+        # not change the gradient bits either)
+        cfgs = (losses.MultiSimConfig(), losses.MultiSimConfig(alpha=2000.0, beta=2000.0))
+        cases = zero_rows = 0
+        for seed in range(60):
+            rng = np.random.default_rng([8, seed])
+            sizes = rng.integers(1, 9, size=int(rng.integers(1, 14)))
+            ids = rng.permutation(np.repeat(rng.permutation(40)[:len(sizes)], sizes))
+            if len(ids) < 2:
+                continue
+            emb = referee_batch(rng, ids, style=seed % 3)
+            for cfg in cfgs:
+                loss, grads = losses.multisim_loss(emb, ids, cfg)
+                ref_loss, ref_grads = reference.multisim_loss_loop(emb, ids, cfg)
+                assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), (seed, cfg)
+                assert grads.tobytes() == ref_grads.tobytes(), (seed, cfg)
+                cases += 1
+                zero_rows += int(np.all(ref_grads == 0.0, axis=1).sum())
+        assert cases >= 100
+        # rows whose every weight underflowed: their gradient is a sum of zeros
+        assert zero_rows > 0
+
     def test_two_item_negative_closed_form(self):
         # one negative pair at similarity == base: each anchor has no
         # positives, keeps its sole negative, contributing log(2)/beta
@@ -316,6 +342,39 @@ class TestMultiSim:
         a, _ = losses.multisim_loss(emb, ids, losses.MultiSimConfig())
         b, _ = losses.multisim_loss(emb @ q, ids, losses.MultiSimConfig())
         assert a == pytest.approx(b, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def reference_shaped():
+    """Data at the reference dims and grid (input 64, label 32, 10 x 10 at
+    density 0.7) with fewer instances per class, split as the reference is."""
+    ds = data.synth_generate(data.SynthConfig(instances_per_class=(8, 12)))
+    split = splits.generate_split(ds.classes, splits.SplitSpec(p_verbs=4, p_nouns=4, seed=3))
+    return ds, split
+
+
+@pytest.mark.parametrize("method,lam", [("JE", 0.0), ("VE", 0.0), ("WE", 10.0)])
+def test_multisim_bits_equal_loop_on_training_batches(reference_shaped, monkeypatch, method, lam):
+    # every batch a short run feeds the kernel, from training steps and from
+    # both validation rounds, must give the per-anchor loop's bits
+    ds, split = reference_shaped
+    kernel, seen = losses.multisim_loss, []
+
+    def refereed(embeddings, class_ids, cfg):
+        loss, grads = kernel(embeddings, class_ids, cfg)
+        ref_loss, ref_grads = reference.multisim_loss_loop(embeddings, class_ids, cfg)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grads.tobytes() == ref_grads.tobytes()
+        seen.append(len(embeddings))
+        return loss, grads
+
+    monkeypatch.setattr(losses, "multisim_loss", refereed)
+    cfg = trainer.TrainConfig(method=method, lambda_we=lam, max_batches=30, val_every=15,
+                              val_batches=5, seed=1)
+    net = model.init_model(model.ModelConfig(method=method, input_dim=64), seed=1)
+    trainer.train(net, ds, split, cfg)
+    assert len(seen) == 30 + 2 * 5
+    assert max(seen) == (108 if method == "JE" else 96)
 
 
 class TestAlignment:

@@ -259,6 +259,26 @@ class TestLog1pSumExp:
             longest = max(longest, int(counts.max()))
         assert longest >= 300
 
+    @pytest.mark.parametrize("layout", ["keeps_nothing", "single_row", "one_count"])
+    def test_edge_blocks_equal_per_row_sums(self, layout):
+        rng = np.random.default_rng(["keeps_nothing", "single_row", "one_count"].index(layout))
+        for _ in range(50):
+            n_rows = 1 if layout == "single_row" else int(rng.integers(2, 20))
+            n_cols = int(rng.integers(1, 300))
+            xs = rng.normal(scale=float(rng.choice([0.5, 5.0, 40.0])), size=(n_rows, n_cols))
+            keep = np.zeros((n_rows, n_cols), dtype=bool)
+            if layout != "keeps_nothing":
+                # one_count: every row keeps the same number of entries, one group
+                count = int(rng.integers(1, n_cols + 1))
+                for row in range(n_rows):
+                    if layout == "single_row":
+                        count = int(rng.integers(0, n_cols + 1))
+                    keep[row, rng.choice(n_cols, size=count, replace=False)] = True
+            got = numcore.log1p_sum_exp(xs, keep)
+            assert got.tobytes() == reference.log1p_sum_exp_rows(xs, keep).tobytes()
+            if layout == "keeps_nothing":
+                assert got.tobytes() == np.zeros(n_rows).tobytes()
+
 
 @settings(max_examples=30)
 @given(

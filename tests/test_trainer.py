@@ -80,6 +80,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             fast_cfg(lambda_we=-1.0)
 
+    def test_batch_floor_above_largest_batch(self):
+        # batch_classes x batch_k_max caps every batch, so a higher floor can
+        # never be drawn: a ConfigError (exit 1) at construction
+        with pytest.raises(ConfigError) as exc:
+            fast_cfg(batch_k_max=1, batch_min_total=13)
+        assert str(exc.value) == (
+            "batch_min_total 13 exceeds the largest batch, batch_classes 12 x batch_k_max 1"
+        )
+        assert fast_cfg(batch_k_max=1, batch_min_total=12).batch_min_total == 12
+
     def test_method_model_mismatch(self):
         with pytest.raises(ConfigError):
             trainer.train(make_net("VE"), DATASET, SPLIT, fast_cfg(method="JE"))
