@@ -8,7 +8,11 @@ methods exploit.
 
 Every file is opened here. A binary file is a magic, uint32 version 1 and
 uint32 header fields, then its payload: ContainerReader checks the framing
-and hands out the payload, write_container writes it. Text files are UTF-8
+and reads the payload in order, each request checked against the file's
+size first, and write_container writes it. OSF1 records, the largest
+payload, move between the file and the columns one chunk of at most
+_CHUNK_BYTES at a time, so neither side holds a second copy of the
+features. Text files are UTF-8
 lines written by write_lines; read_rows checks a CSV's header and field
 counts and names path:line on error.
 
@@ -30,6 +34,7 @@ On-disk formats (binary fields little-endian; writer in parentheses if not here)
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +52,8 @@ from .numcore import l2_normalize
 
 _MAGIC_FEATURES = b"OSF1"
 _MAGIC_LABELS = b"OSL1"
+# the most record bytes an OSF1 read or write holds at once
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -396,35 +403,75 @@ def read_class_table(path: str) -> ClassTable:
 
 
 class ContainerReader:
-    """A binary file read whole: its magic and version 1 checked, the
-    n_fields uint32 header fields after the version in header, and the
-    payload handed out in order by take, as views of the file's bytes."""
+    """A binary file read in order from its open handle: its magic and
+    version 1 checked, the n_fields uint32 header fields after the version
+    in header, and the payload handed out by take and take_chunks.
+
+    Each request is checked against the file's size before anything is read
+    or allocated, so a header that claims more than the file holds ends in
+    a FormatError. Use it in a with block, which closes the handle; a bad
+    magic or version closes it at once.
+    """
 
     def __init__(self, path: str, magic: bytes, n_fields: int):
-        with open(path, "rb") as fh:
-            self._blob = memoryview(fh.read())
         self.path, self._off = path, 4
-        if self._blob[:4] != magic:
-            raise FormatError(f"{path}: bad magic {bytes(self._blob[:4])!r}")
-        version, *self.header = self.take_u32(1 + n_fields)
-        if version != 1:
-            raise FormatError(f"{path}: unsupported version {version}")
+        self._fh = open(path, "rb")
+        try:
+            self._size = os.fstat(self._fh.fileno()).st_size
+            head = self._fh.read(4)
+            if head != magic:
+                raise FormatError(f"{path}: bad magic {head!r}")
+            version, *self.header = self.take_u32(1 + n_fields)
+            if version != 1:
+                raise FormatError(f"{path}: unsupported version {version}")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> ContainerReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _claim(self, n: int) -> None:
+        """Count the next n bytes as handed out, if the file holds them."""
+        if self._off + n > self._size:
+            raise FormatError(f"{self.path}: truncated at byte {self._off}, need {n} more")
+        self._off += n
+
+    def _fill(self, buf: memoryview) -> memoryview:
+        """buf, filled with the next len(buf) bytes of the file."""
+        if self._fh.readinto(buf) != len(buf):
+            raise FormatError(f"{self.path}: shorter than its size when opened")
+        return buf
 
     def take(self, n: int) -> memoryview:
         """The next n bytes."""
-        if self._off + n > len(self._blob):
-            raise FormatError(f"{self.path}: truncated at byte {self._off}, need {n} more")
-        self._off += n
-        return self._blob[self._off - n : self._off]
+        self._claim(n)
+        return self._fill(memoryview(bytearray(n)))
 
     def take_u32(self, count: int) -> tuple[int, ...]:
         """The next count fields, each a little-endian uint32."""
         return struct.unpack(f"<{count}I", self.take(4 * count))
 
+    def take_chunks(self, count: int, size: int):
+        """The next count records of size bytes, checked against the file
+        now and read as the result is iterated, before the next take:
+        (first record, records) pairs of at most _CHUNK_BYTES (at least one
+        record), each a view of one reused buffer."""
+        self._claim(count * size)
+        per = max(1, _CHUNK_BYTES // size)
+        buf = memoryview(bytearray(min(count, per) * size))
+        return (
+            (start, self._fill(buf[: min(count - start, per) * size]))
+            for start in range(0, count, per)
+        )
+
     def end(self) -> None:
         """Reject bytes past the last one taken."""
-        if self._off != len(self._blob):
-            raise FormatError(f"{self.path}: {len(self._blob) - self._off} trailing bytes")
+        if self._off != self._size:
+            raise FormatError(f"{self.path}: {self._size - self._off} trailing bytes")
 
 
 def pack_u32(*values: int) -> bytes:
@@ -462,12 +509,31 @@ def _first_non_finite(rows: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
+def _feature_chunks(ids: np.ndarray, cids: np.ndarray, features: np.ndarray):
+    """The OSF1 records of the rows as (first row, records) pairs, at most
+    _CHUNK_BYTES of records at a time, each a view of one reused buffer."""
+    n, frames, input_dim = features.shape
+    record = _feature_record(frames, input_dim)
+    buf = np.empty(min(n, max(1, _CHUNK_BYTES // record.itemsize)), dtype=record)
+    for start in range(0, n, len(buf)):
+        block = buf[: min(n - start, len(buf))]
+        stop = start + len(block)
+        block["ids"][:, 0] = ids[start:stop]
+        block["ids"][:, 1] = cids[start:stop]
+        # a float64 beyond the float32 range becomes inf, which the writer rejects
+        with np.errstate(over="ignore"):
+            block["features"] = features[start:stop].reshape(len(block), -1)
+        yield start, block
+
+
 def write_features(path: str, instance_ids, class_ids, features) -> None:
     """Serialize an (N, frames, input_dim) feature array as OSF1 (float32
     little-endian), one record per row with its instance and class id.
 
     Everything is validated before the file is opened, so a rejected write
-    leaves no file behind and an existing file untouched.
+    leaves no file behind and an existing file untouched. The rows go
+    through one chunk of records at a time: once to check them, once to
+    write them.
     """
     ids, cids, features = _columns(instance_ids, class_ids, features)
     n, frames, input_dim = features.shape
@@ -475,40 +541,43 @@ def write_features(path: str, instance_ids, class_ids, features) -> None:
         raise FormatError("write_features: no instances")
     _check_u32("write_features: instance", ids)
     _check_u32("write_features: class", cids)
-    records = np.empty(n, dtype=_feature_record(frames, input_dim))
-    records["ids"][:, 0] = ids
-    records["ids"][:, 1] = cids
-    # a float64 beyond the float32 range becomes inf, rejected just below
-    with np.errstate(over="ignore"):
-        records["features"] = features.reshape(n, frames * input_dim)
-    bad = _first_non_finite(records["features"])
-    if bad is not None:
-        raise FormatError(f"write_features: instance {ids[bad]} has non-finite features")
-    write_container(path, _MAGIC_FEATURES, (n, frames, input_dim), [records])
+    for start, block in _feature_chunks(ids, cids, features):
+        bad = _first_non_finite(block["features"])
+        if bad is not None:
+            raise FormatError(f"write_features: instance {ids[start + bad]} has non-finite features")
+    del block  # the writing pass fills a buffer of its own
+    records = (block for _, block in _feature_chunks(ids, cids, features))
+    write_container(path, _MAGIC_FEATURES, (n, frames, input_dim), records)
 
 
 def read_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Load an OSF1 feature file as (instance_ids, class_ids, features):
-    two (N,) int64 columns and an (N, frames, input_dim) float64 array."""
-    reader = ContainerReader(path, _MAGIC_FEATURES, 3)
-    n_instances, frames, input_dim = reader.header
-    if n_instances == 0:
-        raise FormatError(f"{path}: no instances")
-    if frames == 0 or input_dim == 0:
-        raise FormatError(f"{path}: frames {frames} and input_dim {input_dim} must be nonzero")
-    # take checks the size before the record dtype exists, which would
-    # raise ValueError for frames * input_dim past a C int
-    size = n_instances * (8 + frames * input_dim * 4)
-    records = np.frombuffer(reader.take(size), dtype=_feature_record(frames, input_dim))
-    reader.end()
-    bad = _first_non_finite(records["features"])
-    if bad is not None:
-        raise FormatError(f"{path}: instance {records['ids'][bad, 0]} has non-finite features")
-    return (
-        records["ids"][:, 0].astype(np.int64),
-        records["ids"][:, 1].astype(np.int64),
-        records["features"].reshape(n_instances, frames, input_dim).astype(np.float64),
-    )
+    two (N,) int64 columns and an (N, frames, input_dim) float64 array,
+    filled one chunk of records at a time."""
+    with ContainerReader(path, _MAGIC_FEATURES, 3) as reader:
+        n_instances, frames, input_dim = reader.header
+        if n_instances == 0:
+            raise FormatError(f"{path}: no instances")
+        if frames == 0 or input_dim == 0:
+            raise FormatError(f"{path}: frames {frames} and input_dim {input_dim} must be nonzero")
+        # the size is checked before the record dtype exists, which would
+        # raise ValueError for frames * input_dim past a C int
+        chunks = reader.take_chunks(n_instances, 8 + frames * input_dim * 4)
+        reader.end()
+        record = _feature_record(frames, input_dim)
+        ids = np.empty(n_instances, dtype=np.int64)
+        cids = np.empty(n_instances, dtype=np.int64)
+        features = np.empty((n_instances, frames, input_dim))
+        for start, part in chunks:
+            block = np.frombuffer(part, dtype=record)
+            bad = _first_non_finite(block["features"])
+            if bad is not None:
+                raise FormatError(f"{path}: instance {block['ids'][bad, 0]} has non-finite features")
+            stop = start + len(block)
+            ids[start:stop] = block["ids"][:, 0]
+            cids[start:stop] = block["ids"][:, 1]
+            features[start:stop] = block["features"].reshape(len(block), frames, input_dim)
+    return ids, cids, features
 
 
 def _label_record(d_b: int) -> np.dtype:
@@ -542,14 +611,14 @@ def write_labels(path: str, embeddings: dict[int, np.ndarray]) -> None:
 def read_labels(path: str) -> dict[int, np.ndarray]:
     """Load an OSL1 label file; embeddings are re-normalized after the
     float32 round trip so they are exactly unit norm in float64."""
-    reader = ContainerReader(path, _MAGIC_LABELS, 2)
-    n_classes, d_b = reader.header
-    if n_classes == 0:
-        raise FormatError(f"{path}: no label embeddings")
-    if d_b == 0:
-        raise FormatError(f"{path}: label embedding dim must be nonzero")
-    records = np.frombuffer(reader.take(n_classes * (4 + d_b * 4)), dtype=_label_record(d_b))
-    reader.end()
+    with ContainerReader(path, _MAGIC_LABELS, 2) as reader:
+        n_classes, d_b = reader.header
+        if n_classes == 0:
+            raise FormatError(f"{path}: no label embeddings")
+        if d_b == 0:
+            raise FormatError(f"{path}: label embedding dim must be nonzero")
+        records = np.frombuffer(reader.take(n_classes * (4 + d_b * 4)), dtype=_label_record(d_b))
+        reader.end()
     bad = _first_non_finite(records["embedding"])
     if bad is not None:
         raise FormatError(f"{path}: class {records['cid'][bad]} has a non-finite label embedding")

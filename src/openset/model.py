@@ -227,27 +227,27 @@ def save_checkpoint(path: str, model: EmbeddingModel) -> None:
 
 
 def load_checkpoint(path: str) -> EmbeddingModel:
-    reader = ContainerReader(path, _MAGIC, 6)
-    tag, *dims, n_blocks = reader.header
-    if tag not in _TAG_METHODS:
-        raise FormatError(f"{path}: unknown method tag {tag}")
-    named: dict[str, ParamBlock] = {}
-    for _ in range(n_blocks):
-        (name_len,) = reader.take_u32(1)
-        try:
-            name = bytes(reader.take(name_len)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: block name is not valid UTF-8") from exc
-        if name in named:
-            raise FormatError(f"{path}: duplicate block {name!r}")
-        rows, cols = reader.take_u32(2)
-        weights = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-        (bias_len,) = reader.take_u32(1)
-        bias = np.frombuffer(reader.take(bias_len * 8), dtype="<f8")
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise FormatError(f"{path}: block {name!r} has non-finite parameters")
-        named[name] = ParamBlock(name=name, weights=weights.copy(), bias=bias.copy())
-    reader.end()
+    with ContainerReader(path, _MAGIC, 6) as reader:
+        tag, *dims, n_blocks = reader.header
+        if tag not in _TAG_METHODS:
+            raise FormatError(f"{path}: unknown method tag {tag}")
+        named: dict[str, ParamBlock] = {}
+        for _ in range(n_blocks):
+            (name_len,) = reader.take_u32(1)
+            try:
+                name = bytes(reader.take(name_len)).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: block name is not valid UTF-8") from exc
+            if name in named:
+                raise FormatError(f"{path}: duplicate block {name!r}")
+            rows, cols = reader.take_u32(2)
+            weights = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+            (bias_len,) = reader.take_u32(1)
+            bias = np.frombuffer(reader.take(bias_len * 8), dtype="<f8")
+            if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+                raise FormatError(f"{path}: block {name!r} has non-finite parameters")
+            named[name] = ParamBlock(name=name, weights=weights.copy(), bias=bias.copy())
+        reader.end()
     expected = {"frame_layer", "out_layer"}
     if _TAG_METHODS[tag] == METHOD_JE:
         expected.add("label_projector")

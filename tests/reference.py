@@ -10,19 +10,23 @@ exceptions are referees of orchestration, not of arithmetic:
 losses in the order the validation round used before it embedded each row
 once, and ``evaluate_per_episode`` runs the package's episode draws with
 the one-block κ-NN (``knn_classify_one_block``) that voted each episode on
-its own before evaluation voted a block of episodes at once.
+its own before evaluation voted a block of episodes at once. So are the
+whole-file OSF1 writer and reader (``write_features_whole``,
+``read_features_whole``), which hold every record at once where the package
+streams them one chunk at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 
 from openset import episodic
 from openset.data import ActionLabel, ClassEntry, ClassTable, Dataset
-from openset.errors import ConfigError, DegenerateInputError, SamplingError
+from openset.errors import ConfigError, DegenerateInputError, FormatError, SamplingError
 from openset.losses import je_loss, make_dml, we_loss
 from openset.model import METHOD_VE, METHOD_WE
 
@@ -386,6 +390,59 @@ def synth_generate_loop(cfg) -> Dataset:
         class_ids=np.repeat(np.arange(n_classes), counts),
         features=features[:row],
         label_embeddings=label_embeddings,
+    )
+
+
+def _osf_record(frames: int, input_dim: int) -> np.dtype:
+    return np.dtype([("ids", "<u4", (2,)), ("features", "<f4", (frames * input_dim,))])
+
+
+def write_features_whole(path: str, instance_ids, class_ids, features) -> None:
+    """data.write_features before it streamed: every OSF1 record built in one
+    structured array, checked for non-finite rows, then written at once.
+    The referee of the chunked writer's bytes and messages."""
+    ids, cids = np.asarray(instance_ids), np.asarray(class_ids)
+    features = np.asarray(features)
+    n, frames, input_dim = features.shape
+    records = np.empty(n, dtype=_osf_record(frames, input_dim))
+    records["ids"][:, 0] = ids
+    records["ids"][:, 1] = cids
+    with np.errstate(over="ignore"):
+        records["features"] = features.reshape(n, frames * input_dim)
+    finite = np.isfinite(records["features"]).all(axis=1)
+    if not finite.all():
+        raise FormatError(
+            f"write_features: instance {ids[np.argmin(finite)]} has non-finite features")
+    with open(path, "wb") as fh:
+        fh.write(b"OSF1" + struct.pack("<4I", 1, n, frames, input_dim))
+        fh.write(records.tobytes())
+
+
+def read_features_whole(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """data.read_features before it streamed: the file read whole, its
+    records viewed in place, checked, and converted at once. The referee
+    of the chunked reader's arrays and messages."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != b"OSF1":
+        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 20:
+        raise FormatError(f"{path}: truncated at byte 4, need 16 more")
+    _, n, frames, input_dim = struct.unpack_from("<4I", blob, 4)
+    size = n * (8 + frames * input_dim * 4)
+    if 20 + size > len(blob):
+        raise FormatError(f"{path}: truncated at byte 20, need {size} more")
+    if 20 + size < len(blob):
+        raise FormatError(f"{path}: {len(blob) - 20 - size} trailing bytes")
+    records = np.frombuffer(blob, dtype=_osf_record(frames, input_dim), count=n, offset=20)
+    finite = np.isfinite(records["features"]).all(axis=1)
+    if not finite.all():
+        bad = records["ids"][np.argmin(finite), 0]
+        raise FormatError(f"{path}: instance {bad} has non-finite features")
+    return (
+        records["ids"][:, 0].astype(np.int64),
+        records["ids"][:, 1].astype(np.int64),
+        records["features"].reshape(n, frames, input_dim).astype(np.float64),
     )
 
 

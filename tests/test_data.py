@@ -1,15 +1,18 @@
 """Tests for the synthetic generator, class table, and binary formats."""
 
 import dataclasses
+import os
 import pathlib
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset import data
+from openset import data, model
 from openset.errors import ConfigError, DimensionError, FormatError, ParseError
 
 import reference
@@ -384,6 +387,145 @@ class TestFeatureFile:
         with pytest.raises(FormatError):
             data.write_features(str(path), [0, -1], [0, 0], np.zeros((2, 2, 3)))
         assert path.read_bytes() == before
+
+
+# records of 4 frames x 64 dims (the reference shape) are 1032 bytes each
+RECORD_BYTES = 8 + 4 * 4 * 64
+CHUNK_ROWS = data._CHUNK_BYTES // RECORD_BYTES
+
+
+def chunk_case(n, seed=0):
+    """n rows of the reference shape with spread-out ids."""
+    rng = np.random.default_rng(seed)
+    return np.arange(n) * 3 + 1, rng.integers(0, 50, size=n), rng.standard_normal((n, 4, 64))
+
+
+def traced_peak(fn, *args):
+    """fn's result and the most bytes it held at once, as tracemalloc sees
+    them; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFeatureChunks:
+    """The OSF1 writer and reader move one chunk of records at a time; the
+    whole-file referees in tests/reference.py define their bytes, arrays
+    and messages."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1],
+                             ids=["one_row", "one_chunk", "two_chunks_and_a_row"])
+    def test_matches_whole_file_referee(self, tmp_path, n):
+        ids, cids, feats = chunk_case(n)
+        path, ref = tmp_path / "f.osf", tmp_path / "ref.osf"
+        data.write_features(str(path), ids, cids, feats)
+        reference.write_features_whole(str(ref), ids, cids, feats)
+        assert path.read_bytes() == ref.read_bytes()
+        for got, want in zip(data.read_features(str(path)), reference.read_features_whole(str(ref))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, 1e39])
+    def test_non_finite_in_last_chunk_rejected_at_write(self, tmp_path, bad):
+        ids, cids, feats = chunk_case(2 * CHUNK_ROWS + 1)
+        feats[-1, 3, 63] = bad
+        with pytest.raises(FormatError) as referee:
+            reference.write_features_whole(str(tmp_path / "ref.osf"), ids, cids, feats)
+        path = tmp_path / "f.osf"
+        with pytest.raises(FormatError, match=f"instance {ids[-1]} has non-finite") as exc:
+            data.write_features(str(path), ids, cids, feats)
+        assert str(exc.value) == str(referee.value)
+        assert not path.exists()
+        data.write_features(str(path), [7], [1], np.ones((1, 2, 3)))
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            data.write_features(str(path), ids, cids, feats)
+        assert path.read_bytes() == before
+
+    def test_non_finite_in_later_chunk_rejected_at_read(self, tmp_path):
+        ids, cids, feats = chunk_case(2 * CHUNK_ROWS + 1)
+        path = str(tmp_path / "f.osf")
+        data.write_features(path, ids, cids, feats)
+        row = CHUNK_ROWS + 7
+        patch_float32(path, 20 + row * RECORD_BYTES + 8 + 4 * 100, [np.inf])
+        with pytest.raises(FormatError) as referee:
+            reference.read_features_whole(path)
+        with pytest.raises(FormatError, match=f"instance {ids[row]} has non-finite") as exc:
+            data.read_features(path)
+        assert str(exc.value) == str(referee.value)
+
+    def test_truncated_inside_later_chunk(self, tmp_path):
+        n = 2 * CHUNK_ROWS + 1
+        path = str(tmp_path / "f.osf")
+        data.write_features(path, *chunk_case(n))
+        os.truncate(path, 20 + (CHUNK_ROWS + 3) * RECORD_BYTES + 100)
+        with pytest.raises(FormatError) as referee:
+            reference.read_features_whole(path)
+        with pytest.raises(FormatError, match=f"truncated at byte 20, need {n * RECORD_BYTES} more") as exc:
+            data.read_features(path)
+        assert str(exc.value) == str(referee.value)
+
+    def test_file_shrunk_while_read_rejected(self, tmp_path):
+        n = 2 * CHUNK_ROWS + 1
+        path = str(tmp_path / "f.osf")
+        data.write_features(path, *chunk_case(n))
+        with data.ContainerReader(path, b"OSF1", 3) as reader:
+            chunks = reader.take_chunks(n, RECORD_BYTES)
+            os.truncate(path, 20 + CHUNK_ROWS * RECORD_BYTES + 5)
+            with pytest.raises(FormatError, match="shorter than its size when opened"):
+                list(chunks)
+
+    # the instances of a 20 x 20 grid at density 0.7 and 30 per class
+    GRID_20 = 8400
+    SLACK = 256 * 1024
+
+    def test_read_peak_is_the_arrays_and_one_chunk(self, tmp_path):
+        path = str(tmp_path / "f.osf")
+        data.write_features(path, *chunk_case(self.GRID_20))
+        arrays, peak = traced_peak(data.read_features, path)
+        assert peak <= sum(a.nbytes for a in arrays) + data._CHUNK_BYTES + self.SLACK
+
+    def test_write_peak_is_at_most_two_chunks(self, tmp_path):
+        args = (str(tmp_path / "f.osf"), *chunk_case(self.GRID_20))
+        _, peak = traced_peak(data.write_features, *args)
+        assert peak <= 2 * data._CHUNK_BYTES + self.SLACK
+
+
+def _oversized(fmt, tmp_path):
+    """A file whose header (or first block shape) claims far more payload
+    than it holds, and the message that must reject it."""
+    if fmt == "osf":
+        n = 2**32 - 1
+        blob = struct.pack("<4s4I", b"OSF1", 1, n, 4, 64) + bytes(RECORD_BYTES)
+        return blob, f"truncated at byte 20, need {n * RECORD_BYTES} more"
+    if fmt == "osl":
+        blob = struct.pack("<4s3I", b"OSL1", 1, 2**32 - 1, 32) + bytes(132)
+        return blob, f"truncated at byte 16, need {(2**32 - 1) * 132} more"
+    path = tmp_path / "m.osm"
+    cfg = model.ModelConfig("JE", input_dim=3, hidden_dim=2, embed_dim=2, label_dim=4)
+    model.save_checkpoint(str(path), model.init_model(cfg, seed=0))
+    # the first block is frame_layer: name length at 32, its 11 bytes, then rows and cols
+    blob = bytearray(path.read_bytes())
+    blob[47:55] = struct.pack("<2I", 4096, 4096)
+    return bytes(blob), f"truncated at byte 55, need {4096 * 4096 * 8} more"
+
+
+@pytest.mark.parametrize("fmt", ["osf", "osl", "osm"])
+def test_oversized_header_rejected_before_any_allocation_it_sizes(tmp_path, fmt):
+    blob, message = _oversized(fmt, tmp_path)
+    path = tmp_path / f"big.{fmt}"
+    path.write_bytes(blob)
+    read = {"osf": data.read_features, "osl": data.read_labels, "osm": model.load_checkpoint}[fmt]
+
+    def rejected():
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(str(path))
+
+    _, peak = traced_peak(rejected)
+    # every claim is 128 MiB or more
+    assert peak < 1 << 20
 
 
 class TestLabelFile:
