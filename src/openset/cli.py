@@ -133,13 +133,14 @@ def write_resolved(out_dir: str, resolved: dict) -> None:
     data.write_lines(os.path.join(out_dir, _RESOLVED_FILE), lines)
 
 
-def prepare_out(out_dir: str, filenames: list[str]) -> None:
-    """Create the directory; refuse to clobber a previous run's artifacts."""
-    os.makedirs(out_dir, exist_ok=True)
+def prepare_out(out_dir: str, filenames: list[str], create: bool = True) -> None:
+    """Refuse to clobber a previous run's artifacts; then, with create, make the directory."""
     for name in filenames + [_RESOLVED_FILE]:
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
             raise ConfigError(f"refusing to overwrite {path}")
+    if create:
+        os.makedirs(out_dir, exist_ok=True)
 
 
 def _add_schema_flags(parser: argparse.ArgumentParser, schema: dict) -> None:
@@ -148,12 +149,8 @@ def _add_schema_flags(parser: argparse.ArgumentParser, schema: dict) -> None:
 
 
 def _flag_values(args: argparse.Namespace, schema: dict) -> dict[str, str]:
-    out = {}
-    for key in schema:
-        value = getattr(args, f"cfg_{key}", None)
-        if value is not None:
-            out[key] = value
-    return out
+    flags = {key: getattr(args, f"cfg_{key}", None) for key in schema}
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def _resolve(args: argparse.Namespace, schema: dict) -> dict:
@@ -170,8 +167,10 @@ def cmd_synth(args) -> None:
         **_fields_kwargs(data.SynthConfig, cfg),
         instances_per_class=(cfg["instances_lo"], cfg["instances_hi"]),
     )
-    prepare_out(args.out, [_CLASS_TABLE_FILE, _FEATURES_FILE, _LABELS_FILE])
+    files = [_CLASS_TABLE_FILE, _FEATURES_FILE, _LABELS_FILE]
+    prepare_out(args.out, files, create=False)  # a failed generation leaves no --out
     dataset = data.synth_generate(synth_cfg)
+    prepare_out(args.out, files)
     data.write_class_table(os.path.join(args.out, _CLASS_TABLE_FILE), dataset.classes)
     features_path = os.path.join(args.out, _FEATURES_FILE)
     data.write_features(features_path, dataset.instance_ids, dataset.class_ids, dataset.features)

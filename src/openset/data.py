@@ -133,15 +133,26 @@ def _columns(instance_ids, class_ids, features) -> tuple[np.ndarray, np.ndarray,
     return ids, cids, feats
 
 
+def _as_float32(ids, feats: np.ndarray) -> np.ndarray:
+    """feats as float32; a finite value the cast overflows is a ConfigError naming its instance."""
+    try:
+        with np.errstate(over="raise"):
+            return feats.astype(np.float32, copy=False)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):  # nonzero lists rows in order; take the first
+            row = np.nonzero(np.isfinite(feats) > np.isfinite(feats.astype(np.float32)))[0][0]
+        raise ConfigError(f"instance {ids[row]} has features beyond the float32 range") from None
+
+
 @dataclass
 class Dataset:
     """Class table, instances as columns, and per-class label embeddings.
 
     Row i is one instance: id instance_ids[i], class class_ids[i] and the
-    (frames, input_dim) stack features[i]. Every class id must appear in the
-    table; label embeddings are unit-norm vectors sharing one dimensionality.
-    class_rows maps every table class to its rows in file order (possibly
-    none), so batches and episodes are index arrays into features.
+    float32 (frames, input_dim) stack features[i], widened per batch by the
+    encoder. Every class id must be in the table; label embeddings are unit
+    vectors of one dimensionality. class_rows maps every table class to its
+    rows in file order (possibly none): batches and episodes index features.
     """
 
     classes: ClassTable
@@ -155,7 +166,7 @@ class Dataset:
         ids, cids, feats = _columns(self.instance_ids, self.class_ids, self.features)
         self.instance_ids = ids.astype(np.int64, copy=False)
         self.class_ids = cids.astype(np.int64, copy=False)
-        self.features = feats.astype(np.float64, copy=False)
+        self.features = _as_float32(ids, feats)
         ids, counts = np.unique(self.instance_ids, return_counts=True)
         if (counts > 1).any():
             raise ConfigError(f"duplicate instance_id {ids[np.argmax(counts > 1)]}")
@@ -265,8 +276,8 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
 
     Each class concatenates its verb and noun latents into a context vector c.
     Video features are an affine image of c plus instance and frame noise,
-    tiled across frames; the label embedding is a different affine image of
-    the same c, unit-normalized. Deterministic in cfg.seed.
+    tiled across frames and rounded to float32; the label embedding is a
+    different affine image of the same c, unit-normalized. Deterministic in cfg.seed.
     """
     rng = np.random.default_rng(cfg.seed)
     d2 = 2 * cfg.d_latent
@@ -285,7 +296,7 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     lo, hi = cfg.instances_per_class
     # rows for the largest possible draw, filled in place; the pages of rows
     # past the last one used are never touched, so never resident
-    features = np.empty((cfg.n_classes * hi, cfg.frames, cfg.input_dim))
+    features = np.empty((cfg.n_classes * hi, cfg.frames, cfg.input_dim), dtype=np.float32)
     row = 0
     for class_id, (v, n) in enumerate(chosen):
         context = np.concatenate([verb_latent[v], noun_latent[n]])
@@ -307,7 +318,8 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         delta = draws[:, :d2] * cfg.sigma_instance
         noise = draws[:, d2:].reshape(count, cfg.frames, cfg.input_dim) * cfg.sigma_frame
         video = np.matmul(m_video, (context + delta)[:, :, None])
-        features[row : row + count] = video[:, None, :, 0] + noise
+        block = video[:, None, :, 0] + noise
+        features[row : row + count] = _as_float32(np.arange(row, row + count), block)
         row += count
 
     return Dataset(
@@ -552,7 +564,7 @@ def write_features(path: str, instance_ids, class_ids, features) -> None:
 
 def read_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Load an OSF1 feature file as (instance_ids, class_ids, features):
-    two (N,) int64 columns and an (N, frames, input_dim) float64 array,
+    two (N,) int64 columns and an (N, frames, input_dim) float32 array,
     filled one chunk of records at a time."""
     with ContainerReader(path, _MAGIC_FEATURES, 3) as reader:
         n_instances, frames, input_dim = reader.header
@@ -565,19 +577,17 @@ def read_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         chunks = reader.take_chunks(n_instances, 8 + frames * input_dim * 4)
         reader.end()
         record = _feature_record(frames, input_dim)
-        ids = np.empty(n_instances, dtype=np.int64)
-        cids = np.empty(n_instances, dtype=np.int64)
-        features = np.empty((n_instances, frames, input_dim))
+        ids = np.empty((2, n_instances), dtype=np.int64)  # instance ids over class ids
+        features = np.empty((n_instances, frames, input_dim), dtype=np.float32)
         for start, part in chunks:
             block = np.frombuffer(part, dtype=record)
             bad = _first_non_finite(block["features"])
             if bad is not None:
                 raise FormatError(f"{path}: instance {block['ids'][bad, 0]} has non-finite features")
             stop = start + len(block)
-            ids[start:stop] = block["ids"][:, 0]
-            cids[start:stop] = block["ids"][:, 1]
+            ids[:, start:stop] = block["ids"].T
             features[start:stop] = block["features"].reshape(len(block), frames, input_dim)
-    return ids, cids, features
+    return ids[0], ids[1], features
 
 
 def _label_record(d_b: int) -> np.dtype:

@@ -420,8 +420,9 @@ def write_features_whole(path: str, instance_ids, class_ids, features) -> None:
 
 def read_features_whole(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """data.read_features before it streamed: the file read whole, its
-    records viewed in place, checked, and converted at once. The referee
-    of the chunked reader's arrays and messages."""
+    records viewed in place, checked, and copied out at once, the features
+    at the file's float32. The referee of the chunked reader's arrays and
+    messages."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != b"OSF1":
@@ -442,7 +443,7 @@ def read_features_whole(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (
         records["ids"][:, 0].astype(np.int64),
         records["ids"][:, 1].astype(np.int64),
-        records["features"].reshape(n, frames, input_dim).astype(np.float64),
+        records["features"].reshape(n, frames, input_dim).astype(np.float32),
     )
 
 

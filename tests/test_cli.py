@@ -554,6 +554,23 @@ class TestFailureClasses:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_synth_beyond_float32_exits_one_before_out(self, tmp_path, capsys):
+        # frame noise of 1e39 overflows the float32 features while they are
+        # generated, so nothing of --out is made
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--out", str(out), "--sigma-frame", "1e39"]) == 1
+        err = capsys.readouterr().err
+        assert err == "openset synth: instance 0 has features beyond the float32 range\n"
+        assert not out.exists()
+
+    def test_synth_refuses_overwrite_before_generating(self, pipeline, capsys, monkeypatch):
+        def not_called(cfg):
+            raise AssertionError("synth_generate ran before the overwrite was refused")
+
+        monkeypatch.setattr(data, "synth_generate", not_called)
+        assert cli.main(["synth", "--out", pipeline["data"]] + SYNTH_FLAGS) == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+
     def test_synth_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         def no_memory(cfg):
             raise MemoryError("Unable to allocate 130. TiB")

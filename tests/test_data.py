@@ -493,6 +493,53 @@ class TestFeatureChunks:
         assert peak <= 2 * data._CHUNK_BYTES + self.SLACK
 
 
+class TestFloat32Storage:
+    """Dataset.features holds the OSF file's float32; a float64 input is
+    rounded once, where it enters, and one beyond float32 is refused."""
+
+    # TestLoadDataset.test_full_round_trip checks synth's and load's dtype
+    def test_float64_input_is_rounded_to_float32(self):
+        wide = np.random.default_rng(0).standard_normal((3, 2, 4))
+        direct = data.Dataset(one_class_table(0), [0, 1, 2], [0, 0, 0], wide, {})
+        assert direct.features.dtype == np.float32
+        assert np.array_equal(direct.features, wide.astype(np.float32))
+
+    def test_float64_beyond_float32_names_its_instance(self):
+        feats = np.zeros((4, 2, 3))
+        feats[1, 0, 0] = np.nan  # non-finite input passes, as it did in float64
+        feats[2, 1, 2] = -1e39
+        feats[3, 0, 0] = 1e39
+        with pytest.raises(ConfigError, match="^instance 12 has features beyond the float32 range$"):
+            data.Dataset(one_class_table(0), [10, 11, 12, 13], [0] * 4, feats, {})
+
+    def test_non_finite_and_float32_max_pass(self):
+        feats = np.array([np.nan, np.inf, -np.inf, np.finfo(np.float32).max]).reshape(4, 1, 1)
+        ds = data.Dataset(one_class_table(0), [0, 1, 2, 3], [0] * 4, feats, {})
+        assert np.array_equal(ds.features, feats.astype(np.float32), equal_nan=True)
+
+    def test_synth_beyond_float32_names_its_instance(self):
+        cfg = dataclasses.replace(SMALL, sigma_frame=1e39)
+        with pytest.raises(ConfigError, match="^instance 0 has features beyond the float32 range$"):
+            data.synth_generate(cfg)
+
+    # 280 classes of 30 instances: an 8.6 MB float32 feature array
+    GRID_20 = data.SynthConfig(n_verbs=20, n_nouns=20, instances_per_class=(30, 30), seed=1)
+
+    def test_peaks_hold_one_float32_copy_of_the_features(self, tmp_path):
+        data.synth_generate(SMALL)  # numpy's lazy imports, outside the trace
+        ds, peak = traced_peak(data.synth_generate, self.GRID_20)
+        bound = ds.features.nbytes + data._CHUNK_BYTES + (1 << 20)
+        assert peak <= bound, (peak, bound)
+        paths = [str(tmp_path / name) for name in ("c.csv", "f.osf", "l.osl")]
+        data.write_class_table(paths[0], ds.classes)
+        data.write_features(paths[1], ds.instance_ids, ds.class_ids, ds.features)
+        data.write_labels(paths[2], ds.label_embeddings)
+        del ds
+        back, peak = traced_peak(data.load_dataset, *paths)
+        assert back.features.nbytes == 8400 * 4 * 64 * 4
+        assert peak <= bound, (peak, bound)
+
+
 def _oversized(fmt, tmp_path):
     """A file whose header (or first block shape) claims far more payload
     than it holds, and the message that must reject it."""
@@ -658,9 +705,9 @@ class TestLoadDataset:
         assert len(back.instance_ids) == len(ds.instance_ids)
         assert np.array_equal(back.instance_ids, ds.instance_ids)
         assert np.array_equal(back.class_ids, ds.class_ids)
-        # features survive the float32 container exactly when written from
-        # float32-representable data; synth emits float64, so compare loosely
-        assert np.allclose(ds.features, back.features, atol=1e-6)
+        # synth holds features at the file's float32, so they survive exactly
+        assert back.features.dtype == ds.features.dtype == np.float32
+        assert np.array_equal(ds.features, back.features)
         for cid, rows in ds.class_rows.items():
             assert np.array_equal(back.class_rows[cid], rows)
 

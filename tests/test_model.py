@@ -85,6 +85,28 @@ class TestForward:
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
+class TestStoragePrecision:
+    """Dataset features are float32 and the encoder widens each batch, so
+    storing frames as float32 or as their float64 values moves no bit."""
+
+    @pytest.mark.parametrize("method", ["VE", "JE"])
+    def test_float32_frames_give_the_bits_of_their_float64_values(self, method):
+        cfg = model.ModelConfig(method=method, input_dim=64)
+        rng = np.random.default_rng(14)
+        narrow = rng.standard_normal((96, 4, 64)).astype(np.float32)
+        probe = rng.standard_normal((96, cfg.embed_dim))
+        results = []
+        for frames in (narrow, narrow.astype(np.float64)):
+            net = model.init_model(cfg, seed=3)
+            out, cache = net.embed_video_batch(frames)
+            net.backward_video_batch(cache, probe)
+            grads = [g for b in net.blocks() for g in (b.grad_weights, b.grad_bias)]
+            results.append([out] + grads)
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+
 class TestZeroNorm:
     def test_zero_output_layer_is_degenerate(self):
         net = model.init_model(VE_CFG, seed=0)
