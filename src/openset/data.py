@@ -315,11 +315,15 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         # row i holds instance i's normals in the loop's draw order, delta then frame noise;
         # np.matmul runs one gemv per row, which keeps the loop's bits (a 2-D gemm does not)
         draws = rng.standard_normal((count, d2 + cfg.frames * cfg.input_dim))
-        delta = draws[:, :d2] * cfg.sigma_instance
-        noise = draws[:, d2:].reshape(count, cfg.frames, cfg.input_dim) * cfg.sigma_frame
-        video = np.matmul(m_video, (context + delta)[:, :, None])
-        block = video[:, None, :, 0] + noise
-        features[row : row + count] = _as_float32(np.arange(row, row + count), block)
+        # an overflow, in float64 or in the float32 rounding, leaves a non-finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = draws[:, :d2] * cfg.sigma_instance
+            noise = draws[:, d2:].reshape(count, cfg.frames, cfg.input_dim) * cfg.sigma_frame
+            video = np.matmul(m_video, (context + delta)[:, :, None])
+            features[row : row + count] = video[:, None, :, 0] + noise
+        bad = np.flatnonzero(~np.isfinite(features[row : row + count]).all(axis=(1, 2)))
+        if len(bad):
+            raise ConfigError(f"instance {row + bad[0]} has features beyond the float32 range")
         row += count
 
     return Dataset(

@@ -13,9 +13,12 @@ Methods:
   JE  both modalities mapped into a shared space via the projector.
 
 Both encoders run on numcore's affine and row-normalize kernels, forward and
-backward. Backward passes accumulate into each ParamBlock's gradient buffers;
-callers zero/step via the optimizer. Checkpoints round-trip bit-exactly (OSM1,
-float64 little-endian).
+backward. A model holds its parameters in one float64 vector `params` and
+their gradients in one vector `grads`, each block's weights (row-major) then
+bias in blocks() order; every ParamBlock's four arrays are views of those
+slices. Backward passes accumulate into the blocks' gradient views; the
+optimizer steps and zeroes the whole vectors. Checkpoints round-trip
+bit-exactly (OSM1, float64 little-endian).
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ class LabelForwardCache:
 
 
 class EmbeddingModel:
-    """Parameter container plus forward/backward for both encoders."""
+    """Parameter container plus forward/backward for both encoders. It takes
+    ownership of the blocks it is given: their parameters are copied into
+    `params` and their arrays rebound to views of `params` and zeroed `grads`."""
 
     def __init__(
         self,
@@ -110,6 +115,18 @@ class EmbeddingModel:
         self.frame_layer = frame_layer
         self.out_layer = out_layer
         self.label_projector = label_projector
+        self.params = np.concatenate([a.ravel() for b in self.blocks()
+                                      for a in (b.weights, b.bias)])
+        self.grads = np.zeros_like(self.params)
+        start = 0
+        for b in self.blocks():
+            views = []
+            for arr in (b.weights, b.bias):
+                end = start + arr.size
+                views += [self.params[start:end].reshape(arr.shape),
+                          self.grads[start:end].reshape(arr.shape)]
+                start = end
+            b.weights, b.grad_weights, b.bias, b.grad_bias = views
 
     @property
     def method(self) -> str:
@@ -122,18 +139,14 @@ class EmbeddingModel:
         return out
 
     def zero_grad(self) -> None:
-        for block in self.blocks():
-            block.zero_grad()
+        self.grads.fill(0.0)
 
     def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel(
-            config=self.config,
-            frame_layer=self.frame_layer.copy(),
-            out_layer=self.out_layer.copy(),
-            label_projector=(
-                None if self.label_projector is None else self.label_projector.copy()
-            ),
-        )
+        """A new model holding the current parameters, with zeroed gradients."""
+        return EmbeddingModel(self.config, *(
+            None if b is None else ParamBlock(b.name, b.weights, b.bias)
+            for b in (self.frame_layer, self.out_layer, self.label_projector)
+        ))
 
     # --- video path ---
 
@@ -246,7 +259,7 @@ def load_checkpoint(path: str) -> EmbeddingModel:
             bias = np.frombuffer(reader.take(bias_len * 8), dtype="<f8")
             if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
                 raise FormatError(f"{path}: block {name!r} has non-finite parameters")
-            named[name] = ParamBlock(name=name, weights=weights.copy(), bias=bias.copy())
+            named[name] = ParamBlock(name=name, weights=weights, bias=bias)
         reader.end()
     expected = {"frame_layer", "out_layer"}
     if _TAG_METHODS[tag] == METHOD_JE:

@@ -3,13 +3,15 @@
 Tensors are plain 2-D float64 numpy arrays in row-major order. There is no
 implicit computation graph: forward functions return outputs, backward
 functions take the upstream gradient and accumulate parameter gradients
-explicitly (populate -> step -> zero).
+explicitly (populate -> step -> zero). Adam updates a model's parameters as
+one flat float64 vector, whose slices every ParamBlock's arrays view, so one
+step is one pass of elementwise operations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +35,13 @@ class ParamBlock:
     """One affine layer's parameters and their gradient accumulators.
 
     `weights` has shape (fan_in, fan_out); `bias` has shape (fan_out,).
-    Gradient arrays always mirror the parameter shapes.
+    `grad_weights` and `grad_bias` start at zero and mirror those shapes. An
+    EmbeddingModel rebinds all four to views of its flat vectors.
     """
 
     name: str
     weights: np.ndarray
     bias: np.ndarray
-    grad_weights: np.ndarray = field(default=None)  # type: ignore[assignment]
-    grad_bias: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.weights = as_matrix(self.weights, f"{self.name}.weights")
@@ -52,14 +53,8 @@ class ParamBlock:
                 f"{self.name}: bias length {self.bias.shape[0]} != fan_out "
                 f"{self.weights.shape[1]}"
             )
-        if self.grad_weights is None:
-            self.grad_weights = np.zeros_like(self.weights)
-        if self.grad_bias is None:
-            self.grad_bias = np.zeros_like(self.bias)
-        if self.grad_weights.shape != self.weights.shape:
-            raise DimensionError(f"{self.name}: grad_weights shape mismatch")
-        if self.grad_bias.shape != self.bias.shape:
-            raise DimensionError(f"{self.name}: grad_bias shape mismatch")
+        self.grad_weights = np.zeros_like(self.weights)
+        self.grad_bias = np.zeros_like(self.bias)
 
     @property
     def fan_in(self) -> int:
@@ -68,19 +63,6 @@ class ParamBlock:
     @property
     def fan_out(self) -> int:
         return self.weights.shape[1]
-
-    def zero_grad(self) -> None:
-        self.grad_weights.fill(0.0)
-        self.grad_bias.fill(0.0)
-
-    def copy(self) -> "ParamBlock":
-        return ParamBlock(
-            name=self.name,
-            weights=self.weights.copy(),
-            bias=self.bias.copy(),
-            grad_weights=self.grad_weights.copy(),
-            grad_bias=self.grad_bias.copy(),
-        )
 
 
 def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
@@ -149,51 +131,41 @@ def l2_normalize_rows_backward(
     return (grad_out - unit * inner) / norms[:, None]
 
 
+# Adam's decay rates and denominator guard (Kingma & Ba's defaults); nothing sets them
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moment estimates for one ParamBlock; moments start at zero."""
+    """Adam moment estimates over a model's flat parameter vector; start at zero."""
 
-    m_weights: np.ndarray
-    v_weights: np.ndarray
-    m_bias: np.ndarray
-    v_bias: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_block(cls, block: ParamBlock) -> "AdamState":
-        return cls(
-            m_weights=np.zeros_like(block.weights),
-            v_weights=np.zeros_like(block.weights),
-            m_bias=np.zeros_like(block.bias),
-            v_bias=np.zeros_like(block.bias),
-        )
 
 
-def adam_step(params: ParamBlock, state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction; zeroes the gradients afterwards.
-
-    Mutates `params` and `state` in place; not safe for concurrent writers.
-    """
-    if not (np.all(np.isfinite(params.grad_weights)) and np.all(np.isfinite(params.grad_bias))):
-        raise NumericError(f"adam_step: non-finite gradient in {params.name}")
+def adam_step(model, state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction over `model.params`, then zeroes
+    `model.grads`; elementwise, so each block gets the bits of its own update.
+    A non-finite gradient is a NumericError naming the first block in
+    `model.blocks()` that holds one, raised before anything moves.
+    Mutates `model` and `state` in place; not safe for concurrent writers."""
+    g = model.grads
+    if not np.isfinite(g).all():
+        bad = next(b for b in model.blocks()
+                   if not (np.isfinite(b.grad_weights).all() and np.isfinite(b.grad_bias).all()))
+        raise NumericError(f"adam_step: non-finite gradient in {bad.name}")
     t = state.step_count + 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    for p, g, m, v in (
-        (params.weights, params.grad_weights, state.m_weights, state.v_weights),
-        (params.bias, params.grad_bias, state.m_bias, state.v_bias),
-    ):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    model.params -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
     state.step_count = t
-    params.zero_grad()
+    g.fill(0.0)
 
 
 def log1p_sum_exp(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -244,7 +244,7 @@ def train(
     if cfg.max_batches == 0:
         return model.copy(), log
 
-    states = {blk.name: AdamState.for_block(blk) for blk in model.blocks()}
+    state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
     rng = np.random.default_rng([cfg.seed, 0])
     best_model: EmbeddingModel | None = None
     best_val = np.inf
@@ -271,9 +271,7 @@ def train(
                 )
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss}")
-            lr = lr_at(step - 1, cfg)
-            for blk in model.blocks():
-                adam_step(blk, states[blk.name], lr)
+            adam_step(model, state, lr_at(step - 1, cfg))
             log.step_losses.append(float(loss))
 
             if step % cfg.val_every == 0:

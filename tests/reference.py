@@ -13,7 +13,9 @@ the one-block κ-NN (``knn_classify_one_block``) that voted each episode on
 its own before evaluation voted a block of episodes at once. So are the
 whole-file OSF1 writer and reader (``write_features_whole``,
 ``read_features_whole``), which hold every record at once where the package
-streams them one chunk at a time.
+streams them one chunk at a time. And so is ``adam_step_per_block``, the
+Adam update one block at a time, with its own moments per block, that the
+package ran before it stepped one flat parameter vector.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from openset import episodic
 from openset.data import ActionLabel, ClassEntry, ClassTable, Dataset
-from openset.errors import ConfigError, DegenerateInputError, FormatError, SamplingError
+from openset.errors import (
+    ConfigError, DegenerateInputError, FormatError, NumericError, SamplingError
+)
 from openset.losses import je_loss, make_dml, we_loss
 from openset.model import METHOD_VE, METHOD_WE
 
@@ -578,3 +583,51 @@ def evaluate_per_episode(
             result.correct += int(np.count_nonzero(pred == true_cid))
         report.subsets[name] = result
     return report
+
+
+@dataclass
+class BlockAdamState:
+    """Adam moment estimates for one ParamBlock; moments start at zero."""
+
+    m_weights: np.ndarray
+    v_weights: np.ndarray
+    m_bias: np.ndarray
+    v_bias: np.ndarray
+    step_count: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    @classmethod
+    def for_block(cls, block) -> "BlockAdamState":
+        return cls(
+            m_weights=np.zeros_like(block.weights),
+            v_weights=np.zeros_like(block.weights),
+            m_bias=np.zeros_like(block.bias),
+            v_bias=np.zeros_like(block.bias),
+        )
+
+
+def adam_step_per_block(params, state: BlockAdamState, lr: float) -> None:
+    """One Adam update with bias correction; zeroes the gradients afterwards.
+
+    Mutates `params` and `state` in place; not safe for concurrent writers.
+    """
+    if not (np.all(np.isfinite(params.grad_weights)) and np.all(np.isfinite(params.grad_bias))):
+        raise NumericError(f"adam_step: non-finite gradient in {params.name}")
+    t = state.step_count + 1
+    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    for p, g, m, v in (
+        (params.weights, params.grad_weights, state.m_weights, state.v_weights),
+        (params.bias, params.grad_bias, state.m_bias, state.v_bias),
+    ):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.step_count = t
+    params.grad_weights.fill(0.0)
+    params.grad_bias.fill(0.0)

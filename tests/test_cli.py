@@ -563,6 +563,18 @@ class TestFailureClasses:
         assert err == "openset synth: instance 0 has features beyond the float32 range\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--sigma-instance", "--sigma-frame"])
+    def test_synth_float64_overflow_is_the_same_typed_error(self, tmp_path, capsys, flag):
+        # a scale near the float64 maximum overflows the float64 arithmetic
+        # itself; the error line is all that reaches stderr
+        out = tmp_path / "o"
+        argv = ["synth", "--out", str(out), "--n-verbs", "3", "--n-nouns", "3", flag, "1e308"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "openset synth: instance 0 has features beyond the float32 range\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_synth_refuses_overwrite_before_generating(self, pipeline, capsys, monkeypatch):
         def not_called(cfg):
             raise AssertionError("synth_generate ran before the overwrite was refused")

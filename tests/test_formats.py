@@ -3,7 +3,8 @@
 The pipeline checks compare two runs of the same code, so a change to a
 writer's layout would pass them. These tests pin the sha256 of a tiny fixed
 file of each format, and check that only data.py opens files or unpacks
-header fields, so every framing decision lives in one module.
+header fields, so every framing decision lives in one module. A last guard
+keeps the package free of helpers that only tests call.
 """
 
 import ast
@@ -81,3 +82,38 @@ def test_only_data_module_opens_files_or_unpacks_headers():
     assert [hit for p in modules for hit in _file_access(p)] == []
     # the guard sees what it is looking for
     assert _file_access(SRC / "data.py")
+
+
+def _unreferenced(defining: list[str], using: list[str]) -> list[str]:
+    """Each function or method defined in the `defining` sources whose name
+    appears in no source of `using` except as its own def: not as a name, an
+    attribute, or a string naming it (getattr, a tracer's wrap list).
+    Dunder methods are called by Python itself and are skipped."""
+    seen = set()
+    for text in using:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                seen.add(node.value)
+    return [
+        f"{node.lineno}: {node.name}"
+        for text in defining
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in seen
+    ]
+
+
+def test_every_package_function_has_a_caller_outside_the_tests():
+    package = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    harness = SRC.parent.parent / "perfbench"
+    benchmark = [p.read_text(encoding="utf-8") for p in sorted(harness.glob("*.py"))]
+    assert package and benchmark, "package or benchmark sources not found"
+    assert _unreferenced(package, package + benchmark) == []
+    # the guard sees what it is looking for
+    source = "def used():\n    pass\n\ndef lonely():\n    used()\n"
+    assert _unreferenced([source], [source]) == ["4: lonely"]

@@ -19,6 +19,7 @@ import reference
 
 VE_CFG = model.ModelConfig(method="VE", input_dim=6, hidden_dim=5, embed_dim=4, label_dim=4)
 JE_CFG = model.ModelConfig(method="JE", input_dim=6, hidden_dim=5, embed_dim=4, label_dim=3)
+WE_CFG = model.ModelConfig(method="WE", input_dim=6, hidden_dim=5, embed_dim=4, label_dim=4)
 
 
 def random_frames(rng, b=3, f=2, d=6):
@@ -139,7 +140,7 @@ class TestBackward:
             def f(w_flat):
                 m2 = net.copy()
                 blk = {"frame_layer": m2.frame_layer, "out_layer": m2.out_layer}[block.name]
-                blk.weights = w_flat.reshape(shape)
+                blk.weights[...] = w_flat.reshape(shape)
                 m2.zero_grad()
                 val, cache = self.probe_value(m2, frames, probe)
                 m2.backward_video_batch(cache, probe)
@@ -156,7 +157,7 @@ class TestBackward:
 
         def f(b_flat):
             m2 = net.copy()
-            m2.frame_layer.bias = b_flat.copy()
+            m2.frame_layer.bias[...] = b_flat
             m2.zero_grad()
             val, cache = self.probe_value(m2, frames, probe)
             m2.backward_video_batch(cache, probe)
@@ -174,7 +175,7 @@ class TestBackward:
 
         def f(w_flat):
             m2 = net.copy()
-            m2.label_projector.weights = w_flat.reshape(shape)
+            m2.label_projector.weights[...] = w_flat.reshape(shape)
             m2.zero_grad()
             out, cache = m2.embed_label_batch(inputs)
             val = float(np.sum(out * probe))
@@ -237,14 +238,65 @@ class TestInit:
             model.ModelConfig(method="XX", input_dim=6)
 
     def test_non_je_must_not_carry_projector(self):
-        je = model.init_model(JE_CFG, seed=10)
+        je = model.init_model(JE_CFG, seed=10).copy()
         with pytest.raises(ConfigError):
             model.EmbeddingModel(
                 config=VE_CFG,
-                frame_layer=je.frame_layer.copy(),
-                out_layer=je.out_layer.copy(),
-                label_projector=je.label_projector.copy(),
+                frame_layer=je.frame_layer,
+                out_layer=je.out_layer,
+                label_projector=je.label_projector,
             )
+
+
+def assert_flat_layout(net):
+    """Each block's four arrays are contiguous views of params and grads, in
+    blocks() order: weights row-major, then bias."""
+    start = 0
+    for blk in net.blocks():
+        for values, grads in ((blk.weights, blk.grad_weights), (blk.bias, blk.grad_bias)):
+            for view, vector in ((values, net.params), (grads, net.grads)):
+                assert np.shares_memory(view, vector), blk.name
+                assert view.flags.c_contiguous, blk.name
+                offset = view.__array_interface__["data"][0] - vector.__array_interface__["data"][0]
+                assert offset == start * vector.itemsize, blk.name
+            start += values.size
+    assert start == net.params.size == net.grads.size
+    assert net.params.dtype == net.grads.dtype == np.float64
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("cfg", [VE_CFG, WE_CFG, JE_CFG], ids=lambda c: c.method)
+    def test_init_model(self, cfg):
+        assert_flat_layout(model.init_model(cfg, seed=11))
+
+    @pytest.mark.parametrize("cfg", [VE_CFG, JE_CFG], ids=lambda c: c.method)
+    def test_load_checkpoint(self, cfg, tmp_path):
+        path = str(tmp_path / "m.osm")
+        model.save_checkpoint(path, model.init_model(cfg, seed=12))
+        back = model.load_checkpoint(path)
+        assert_flat_layout(back)
+        # the loaded vector is the model's own, writable, not the file buffer
+        assert back.params.flags.writeable and back.params.flags.owndata
+
+    @pytest.mark.parametrize("cfg", [VE_CFG, JE_CFG], ids=lambda c: c.method)
+    def test_copy(self, cfg):
+        net = model.init_model(cfg, seed=13)
+        twin = net.copy()
+        assert_flat_layout(twin)
+        assert_flat_layout(net)
+        assert twin.params.tobytes() == net.params.tobytes()
+
+    def test_mutating_a_copy_leaves_the_original(self):
+        net = model.init_model(JE_CFG, seed=14)
+        net.grads[:] = 1.0
+        params, grads = net.params.tobytes(), net.grads.tobytes()
+        twin = net.copy()
+        assert not twin.grads.any()
+        twin.params += 1.0
+        twin.frame_layer.weights[0, 0] = 7.0
+        twin.grads[:] = 2.0
+        assert net.params.tobytes() == params
+        assert net.grads.tobytes() == grads
 
 
 class TestCheckpoint:

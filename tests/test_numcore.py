@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset import numcore
+from openset import model, numcore
 from openset.errors import DegenerateInputError, NumericError
 
 import reference
@@ -58,9 +58,8 @@ class TestAffine:
         probe = rng.normal(size=(5, 3))
 
         def f(w_flat):
-            b2 = blk.copy()
-            b2.weights = w_flat.reshape(4, 3)
-            b2.zero_grad()
+            # a new block starts with zero gradients
+            b2 = numcore.ParamBlock(blk.name, w_flat.reshape(4, 3), blk.bias)
             val = float(np.sum(numcore.affine_forward(inp, b2) * probe))
             numcore.affine_backward(inp, b2, probe)
             return val, b2.grad_weights.ravel().copy()
@@ -125,13 +124,30 @@ class TestNormalize:
             assert np.allclose(rows[i], numcore.l2_normalize(m[i]), atol=1e-15)
 
 
+def one_layer_net(blk):
+    """A VE model whose frame layer is blk; its one-wide output layer is zero
+    and is never given a gradient."""
+    cfg = model.ModelConfig("VE", input_dim=blk.fan_in, hidden_dim=blk.fan_out,
+                            embed_dim=1, label_dim=1)
+    out = numcore.ParamBlock("out_layer", np.zeros((blk.fan_out, 1)), np.zeros(1))
+    return model.EmbeddingModel(cfg, blk, out, None)
+
+
+def fresh_state(net):
+    return numcore.AdamState(np.zeros_like(net.params), np.zeros_like(net.params))
+
+
+# the JE reference shapes: input 64, hidden 64, embed and label 32
+JE_REF = model.ModelConfig("JE", input_dim=64)
+
+
 class TestAdam:
     def test_zero_grad_no_move(self):
         rng = np.random.default_rng(5)
         blk = make_block(rng, 3, 3)
+        net = one_layer_net(blk)
         before_w = blk.weights.copy()
-        state = numcore.AdamState.for_block(blk)
-        numcore.adam_step(blk, state, lr=0.1)
+        numcore.adam_step(net, fresh_state(net), lr=0.1)
         # epsilon keeps the zero-grad update at exactly zero
         assert np.array_equal(blk.weights, before_w)
 
@@ -139,30 +155,31 @@ class TestAdam:
         blk = numcore.ParamBlock(
             name="s", weights=np.array([[1.0]]), bias=np.array([0.0])
         )
+        net = one_layer_net(blk)
         blk.grad_weights[0, 0] = 1.0
-        state = numcore.AdamState.for_block(blk)
-        numcore.adam_step(blk, state, lr=0.001)
+        numcore.adam_step(net, fresh_state(net), lr=0.001)
         # bias-corrected m-hat and v-hat are both 1 after one unit gradient
-        want = 1.0 - 0.001 * 1.0 / (1.0 + state.epsilon)
+        want = 1.0 - 0.001 * 1.0 / (1.0 + numcore.EPSILON)
         assert abs(blk.weights[0, 0] - want) < 1e-15
 
     def test_grads_cleared_after_step(self):
         rng = np.random.default_rng(6)
         blk = make_block(rng, 2, 2)
+        net = one_layer_net(blk)
         blk.grad_weights[:] = 1.0
         blk.grad_bias[:] = 1.0
-        state = numcore.AdamState.for_block(blk)
-        numcore.adam_step(blk, state, lr=0.01)
+        numcore.adam_step(net, fresh_state(net), lr=0.01)
         assert np.all(blk.grad_weights == 0.0)
         assert np.all(blk.grad_bias == 0.0)
 
     def test_constant_gradient_moves_monotonically(self):
         blk = numcore.ParamBlock(name="s", weights=np.array([[5.0]]), bias=np.array([0.0]))
-        state = numcore.AdamState.for_block(blk)
+        net = one_layer_net(blk)
+        state = fresh_state(net)
         seen = [blk.weights[0, 0]]
         for _ in range(10):
             blk.grad_weights[0, 0] = 2.0
-            numcore.adam_step(blk, state, lr=0.01)
+            numcore.adam_step(net, state, lr=0.01)
             seen.append(blk.weights[0, 0])
         assert all(b < a for a, b in zip(seen, seen[1:]))
 
@@ -170,11 +187,12 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(7)
             blk = make_block(rng, 3, 2)
-            state = numcore.AdamState.for_block(blk)
+            net = one_layer_net(blk)
+            state = fresh_state(net)
             for _ in range(5):
                 blk.grad_weights[:] = rng.normal(size=(3, 2))
                 blk.grad_bias[:] = rng.normal(size=2)
-                numcore.adam_step(blk, state, lr=0.01)
+                numcore.adam_step(net, state, lr=0.01)
             return blk.weights.copy(), blk.bias.copy()
 
         w1, b1 = run()
@@ -185,10 +203,51 @@ class TestAdam:
     def test_nonfinite_grad_rejected_by_name(self):
         rng = np.random.default_rng(8)
         blk = make_block(rng, 2, 2, name="frame_layer")
+        net = one_layer_net(blk)
         blk.grad_weights[0, 0] = np.nan
-        state = numcore.AdamState.for_block(blk)
         with pytest.raises(NumericError, match="frame_layer"):
-            numcore.adam_step(blk, state, lr=0.01)
+            numcore.adam_step(net, fresh_state(net), lr=0.01)
+
+    def test_flat_step_matches_per_block_referee(self):
+        flat = model.init_model(JE_REF, seed=0)
+        ref = model.init_model(JE_REF, seed=0)
+        assert flat.params.size == 7296 and len(flat.blocks()) == 3
+        state = fresh_state(flat)
+        ref_states = [reference.BlockAdamState.for_block(b) for b in ref.blocks()]
+        rng = np.random.default_rng(15)
+        zeroed = set()
+        for step in range(300):
+            lr = 1e-3 * 0.8 ** (step // 100)
+            # every seventh step one whole block's gradient is zero
+            skip = step // 7 % 3 if step % 7 == 0 else None
+            for i, (x, y) in enumerate(zip(flat.blocks(), ref.blocks())):
+                for gx, gy in ((x.grad_weights, y.grad_weights), (x.grad_bias, y.grad_bias)):
+                    scale = 0.0 if i == skip else 10.0 ** rng.uniform(-4, 1)
+                    gx[...] = gy[...] = rng.standard_normal(gx.shape) * scale
+            zeroed.add(skip)
+            numcore.adam_step(flat, state, lr)
+            for blk, blk_state in zip(ref.blocks(), ref_states):
+                reference.adam_step_per_block(blk, blk_state, lr)
+            for x, y in zip(flat.blocks(), ref.blocks()):
+                assert x.weights.tobytes() == y.weights.tobytes(), (step, x.name)
+                assert x.bias.tobytes() == y.bias.tobytes(), (step, x.name)
+            assert not flat.grads.any()
+        assert zeroed == {None, 0, 1, 2}
+
+    def test_nan_in_out_layer_named_and_nothing_moves(self):
+        net = model.init_model(JE_REF, seed=1)
+        state = fresh_state(net)
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            net.grads[:] = rng.standard_normal(net.grads.size)
+            numcore.adam_step(net, state, lr=1e-3)
+        net.grads[:] = rng.standard_normal(net.grads.size)
+        net.out_layer.grad_bias[5] = np.nan
+        before = [a.tobytes() for a in (net.params, state.m, state.v)]
+        with pytest.raises(NumericError, match="^adam_step: non-finite gradient in out_layer$"):
+            numcore.adam_step(net, state, lr=1e-3)
+        assert [a.tobytes() for a in (net.params, state.m, state.v)] == before
+        assert state.step_count == 3
 
 
 class TestCheckGradient:
