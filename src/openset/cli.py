@@ -278,7 +278,7 @@ def cmd_eval(args) -> None:
     dataset = _load_data_dir(args.data)
     split = splits.read_split(args.split, dataset.classes)
     # a request no subset can serve fails before --out exists
-    episodic.eval_subsets(net.method, dataset, split, eval_cfg)
+    episodic.eval_subsets(net.config, dataset, split, eval_cfg)
     prepare_out(args.out, [_EVAL_FILE])
     report = episodic.evaluate(net, dataset, split, eval_cfg)
     episodic.write_eval_report(os.path.join(args.out, _EVAL_FILE), report)

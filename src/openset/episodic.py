@@ -19,8 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, write_lines
-from .errors import ConfigError, EligibilityError, MethodError, SamplingError, check_fields
-from .model import METHOD_VE, METHOD_WE, EmbeddingModel
+from .errors import (
+    ConfigError,
+    DimensionError,
+    EligibilityError,
+    MethodError,
+    SamplingError,
+    check_fields,
+)
+from .model import METHOD_VE, METHOD_WE, EmbeddingModel, ModelConfig
 from .splits import CATEGORY_HON, CATEGORY_HOV, SplitResult
 
 TASK_FSG = "FSG"
@@ -163,14 +170,21 @@ class EvalReport:
 
 
 def eval_subsets(
-    method: str, dataset: Dataset, split: SplitResult, cfg: EvalConfig
+    model_cfg: ModelConfig, dataset: Dataset, split: SplitResult, cfg: EvalConfig
 ) -> list[tuple[str, list[int]]]:
     """Each evaluation subset's eligible classes, in report order: All (every
     test class), HoV and HoN. Raises MethodError if the method cannot run the
-    task, and EligibilityError if no subset has n eligible classes, so a
-    caller can reject the request before it writes anything."""
-    if cfg.task == TASK_CMFSG and method == METHOD_VE:
+    task, DimensionError if the model's input dim (and, cross-modally, its
+    label dim) differs from the dataset's, and EligibilityError if no subset
+    has n eligible classes, so a caller can reject the request before it
+    writes anything."""
+    if cfg.task == TASK_CMFSG and model_cfg.method == METHOD_VE:
         raise MethodError("VE has no label-embedding path; cannot run CM-FSG")
+    # FSG supports are videos, so only the cross-modal task reads labels
+    for name in ["input_dim"] + (["label_dim"] if cfg.task == TASK_CMFSG else []):
+        want, have = getattr(model_cfg, name), getattr(dataset, name)
+        if want != have:
+            raise DimensionError(f"eval: the model's {name} is {want}, the dataset's is {have}")
     subsets = [
         (name, eligible_episode_classes(dataset, classes, cfg))
         for name, classes in (
@@ -204,7 +218,7 @@ def evaluate(
     cross_modal = cfg.task == TASK_CMFSG
     report = EvalReport(cfg)
     n, k, n_support = cfg.n, cfg.k, cfg.n_support
-    subsets = eval_subsets(model.method, dataset, split, cfg)
+    subsets = eval_subsets(model.config, dataset, split, cfg)
     # All runs whenever any subset does, and its classes hold every other
     # subset's: embed them, one call per class, into one array of rows
     classes = subsets[0][1]

@@ -13,12 +13,13 @@ Methods:
   JE  both modalities mapped into a shared space via the projector.
 
 Both encoders run on numcore's affine and row-normalize kernels, forward and
-backward. A model holds its parameters in one float64 vector `params` and
+backward. block_shapes(config) is the one definition of the parameter
+layout. A model holds its parameters in one float64 vector `params` and
 their gradients in one vector `grads`, each block's weights (row-major) then
-bias in blocks() order; every ParamBlock's four arrays are views of those
-slices. Backward passes accumulate into the blocks' gradient views; the
-optimizer steps and zeroes the whole vectors. Checkpoints round-trip
-bit-exactly (OSM1, float64 little-endian).
+bias in that order; every ParamBlock's four arrays are views of those
+slices, built here and nowhere else. Backward passes accumulate into the
+blocks' gradient views; the optimizer steps and zeroes the whole vectors.
+Checkpoints round-trip bit-exactly (OSM1, float64 little-endian).
 """
 
 from __future__ import annotations
@@ -88,65 +89,48 @@ class LabelForwardCache:
     norms: np.ndarray
 
 
+def block_shapes(config: ModelConfig) -> list[tuple[str, int, int]]:
+    """The parameter layout: each block's (name, fan_in, fan_out) in the
+    order its weights (row-major) and then its bias sit in a model's flat
+    vectors: frame layer, output layer, then the projector for JE alone."""
+    shapes = [("frame_layer", config.input_dim, config.hidden_dim),
+              ("out_layer", config.hidden_dim, config.embed_dim)]
+    if config.method == METHOD_JE:
+        shapes.append(("label_projector", config.label_dim, config.embed_dim))
+    return shapes
+
+
 class EmbeddingModel:
     """Parameter container plus forward/backward for both encoders. It takes
-    ownership of the blocks it is given: their parameters are copied into
-    `params` and their arrays rebound to views of `params` and zeroed `grads`."""
+    ownership of `params`, the flat float64 vector laid out by
+    block_shapes(config), allocates zeroed `grads` beside it, and views
+    both as one ParamBlock per block."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        frame_layer: ParamBlock,
-        out_layer: ParamBlock,
-        label_projector: ParamBlock | None,
-    ):
-        if frame_layer.weights.shape != (config.input_dim, config.hidden_dim):
-            raise DimensionError("frame_layer shape mismatch")
-        if out_layer.weights.shape != (config.hidden_dim, config.embed_dim):
-            raise DimensionError("out_layer shape mismatch")
-        if config.method == METHOD_JE:
-            if label_projector is None:
-                raise ConfigError("JE model requires a label projector")
-            if label_projector.weights.shape != (config.label_dim, config.embed_dim):
-                raise DimensionError("label_projector shape mismatch")
-        elif label_projector is not None:
-            raise ConfigError(f"{config.method} model must not carry a label projector")
+    def __init__(self, config: ModelConfig, params: np.ndarray):
         self.config = config
-        self.frame_layer = frame_layer
-        self.out_layer = out_layer
-        self.label_projector = label_projector
-        self.params = np.concatenate([a.ravel() for b in self.blocks()
-                                      for a in (b.weights, b.bias)])
-        self.grads = np.zeros_like(self.params)
+        self.params = params
+        self.grads = np.zeros_like(params)
+        self.label_projector = None
         start = 0
-        for b in self.blocks():
-            views = []
-            for arr in (b.weights, b.bias):
-                end = start + arr.size
-                views += [self.params[start:end].reshape(arr.shape),
-                          self.grads[start:end].reshape(arr.shape)]
-                start = end
-            b.weights, b.grad_weights, b.bias, b.grad_bias = views
+        for name, fan_in, fan_out in block_shapes(config):
+            mid, end = start + fan_in * fan_out, start + (fan_in + 1) * fan_out
+            w, gw = (v[start:mid].reshape(fan_in, fan_out) for v in (params, self.grads))
+            setattr(self, name, ParamBlock(name, w, params[mid:end], gw, self.grads[mid:end]))
+            start = end
 
     @property
     def method(self) -> str:
         return self.config.method
 
     def blocks(self) -> list[ParamBlock]:
-        out = [self.frame_layer, self.out_layer]
-        if self.label_projector is not None:
-            out.append(self.label_projector)
-        return out
+        return [getattr(self, name) for name, _, _ in block_shapes(self.config)]
 
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
 
     def copy(self) -> "EmbeddingModel":
         """A new model holding the current parameters, with zeroed gradients."""
-        return EmbeddingModel(self.config, *(
-            None if b is None else ParamBlock(b.name, b.weights, b.bias)
-            for b in (self.frame_layer, self.out_layer, self.label_projector)
-        ))
+        return EmbeddingModel(self.config, self.params.copy())
 
     # --- video path ---
 
@@ -199,25 +183,19 @@ class EmbeddingModel:
 def init_model(config: ModelConfig, seed: int) -> EmbeddingModel:
     """Normal init scaled by 1/sqrt(fan_in), deterministic per seed.
 
-    Block draw order is fixed (frame layer, output layer, projector) so the
-    same seed gives bit-identical parameters.
+    Each block's weights and then its bias are drawn in block_shapes order,
+    straight into the flat vector, so the same seed gives bit-identical
+    parameters.
     """
     rng = np.random.default_rng(seed)
-
-    def block(name: str, fan_in: int, fan_out: int) -> ParamBlock:
-        scale = 1.0 / np.sqrt(fan_in)
-        return ParamBlock(
-            name=name,
-            weights=rng.standard_normal((fan_in, fan_out)) * scale,
-            bias=rng.standard_normal(fan_out) * scale,
-        )
-
-    frame_layer = block("frame_layer", config.input_dim, config.hidden_dim)
-    out_layer = block("out_layer", config.hidden_dim, config.embed_dim)
-    label_projector = None
-    if config.method == METHOD_JE:
-        label_projector = block("label_projector", config.label_dim, config.embed_dim)
-    return EmbeddingModel(config, frame_layer, out_layer, label_projector)
+    size = sum((fan_in + 1) * fan_out for _, fan_in, fan_out in block_shapes(config))
+    net = EmbeddingModel(config, np.empty(size))
+    for blk in net.blocks():
+        scale = 1.0 / np.sqrt(blk.weights.shape[0])  # 1/sqrt(fan_in)
+        for values in (blk.weights, blk.bias):
+            rng.standard_normal(out=values)
+            values *= scale
+    return net
 
 
 # --- checkpoint IO ---
@@ -240,11 +218,14 @@ def save_checkpoint(path: str, model: EmbeddingModel) -> None:
 
 
 def load_checkpoint(path: str) -> EmbeddingModel:
+    """Read an OSM1 file. Every request is checked against the file's size,
+    and the blocks' names, shapes and finiteness against the header's
+    method and dims, before the parameter vector is built."""
     with ContainerReader(path, _MAGIC, 6) as reader:
         tag, *dims, n_blocks = reader.header
         if tag not in _TAG_METHODS:
             raise FormatError(f"{path}: unknown method tag {tag}")
-        named: dict[str, ParamBlock] = {}
+        named: dict[str, tuple[tuple[int, int, int], np.ndarray, np.ndarray]] = {}
         for _ in range(n_blocks):
             (name_len,) = reader.take_u32(1)
             try:
@@ -254,21 +235,23 @@ def load_checkpoint(path: str) -> EmbeddingModel:
             if name in named:
                 raise FormatError(f"{path}: duplicate block {name!r}")
             rows, cols = reader.take_u32(2)
-            weights = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+            weights = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8")
             (bias_len,) = reader.take_u32(1)
             bias = np.frombuffer(reader.take(bias_len * 8), dtype="<f8")
             if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
                 raise FormatError(f"{path}: block {name!r} has non-finite parameters")
-            named[name] = ParamBlock(name=name, weights=weights, bias=bias)
+            named[name] = ((rows, cols, bias_len), weights, bias)
         reader.end()
-    expected = {"frame_layer", "out_layer"}
-    if _TAG_METHODS[tag] == METHOD_JE:
-        expected.add("label_projector")
+    config = ModelConfig(_TAG_METHODS[tag], *dims)
+    shapes = block_shapes(config)
+    expected = {name for name, _, _ in shapes}
     if set(named) != expected:
         raise FormatError(f"{path}: blocks {sorted(named)} != expected {sorted(expected)}")
-    return EmbeddingModel(
-        config=ModelConfig(_TAG_METHODS[tag], *dims),
-        frame_layer=named["frame_layer"],
-        out_layer=named["out_layer"],
-        label_projector=named.get("label_projector"),
-    )
+    for name, fan_in, fan_out in shapes:
+        (rows, cols, bias_len), _, _ = named[name]
+        if (rows, cols, bias_len) != (fan_in, fan_out, fan_out):
+            raise FormatError(
+                f"{path}: block {name!r} is {rows}x{cols} with bias {bias_len}; "
+                f"the header's dims make it {fan_in}x{fan_out} with bias {fan_out}")
+    return EmbeddingModel(config, np.concatenate(
+        [part for name, _, _ in shapes for part in named[name][1:]], dtype=np.float64))

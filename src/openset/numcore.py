@@ -3,9 +3,10 @@
 Tensors are plain 2-D float64 numpy arrays in row-major order. There is no
 implicit computation graph: forward functions return outputs, backward
 functions take the upstream gradient and accumulate parameter gradients
-explicitly (populate -> step -> zero). Adam updates a model's parameters as
-one flat float64 vector, whose slices every ParamBlock's arrays view, so one
-step is one pass of elementwise operations.
+explicitly (populate -> step -> zero). A ParamBlock is a plain record of one
+layer's views into a model's flat parameter and gradient vectors; it neither
+allocates nor validates. Adam updates a model's parameters as that one flat
+float64 vector, so one step is one pass of elementwise operations.
 """
 
 from __future__ import annotations
@@ -20,49 +21,17 @@ from .errors import DegenerateInputError, DimensionError, NumericError
 _ZERO_NORM_TOL = 1e-12
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D float64 array; reject non-finite entries."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name}: expected 2-D array, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name}: contains non-finite values")
-    return np.ascontiguousarray(arr)
-
-
 @dataclass
 class ParamBlock:
-    """One affine layer's parameters and their gradient accumulators.
-
-    `weights` has shape (fan_in, fan_out); `bias` has shape (fan_out,).
-    `grad_weights` and `grad_bias` start at zero and mirror those shapes. An
-    EmbeddingModel rebinds all four to views of its flat vectors.
-    """
+    """One affine layer's views into an EmbeddingModel's flat vectors:
+    `weights` and `grad_weights` of shape (fan_in, fan_out), `bias` and
+    `grad_bias` of shape (fan_out,)."""
 
     name: str
     weights: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self):
-        self.weights = as_matrix(self.weights, f"{self.name}.weights")
-        self.bias = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
-        if self.bias.ndim != 1:
-            raise DimensionError(f"{self.name}.bias: expected 1-D array")
-        if self.bias.shape[0] != self.weights.shape[1]:
-            raise DimensionError(
-                f"{self.name}: bias length {self.bias.shape[0]} != fan_out "
-                f"{self.weights.shape[1]}"
-            )
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
-
-    @property
-    def fan_in(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def fan_out(self) -> int:
-        return self.weights.shape[1]
+    grad_weights: np.ndarray
+    grad_bias: np.ndarray
 
 
 def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
@@ -70,10 +39,10 @@ def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
     inp = np.asarray(inp, dtype=np.float64)
     if inp.ndim != 2:
         raise DimensionError("affine_forward: input must be 2-D")
-    if inp.shape[1] != params.fan_in:
+    if inp.shape[1] != params.weights.shape[0]:
         raise DimensionError(
             f"affine_forward: input cols {inp.shape[1]} != weights rows "
-            f"{params.fan_in} ({params.name})"
+            f"{params.weights.shape[0]} ({params.name})"
         )
     return inp @ params.weights + params.bias
 
@@ -84,10 +53,10 @@ def affine_backward(
     """Accumulate parameter gradients for affine_forward. The input gradient,
     grad_out @ W.T, is left to callers that need it."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (inp.shape[0], params.fan_out):
+    want = (inp.shape[0], params.weights.shape[1])
+    if grad_out.shape != want:
         raise DimensionError(
-            f"affine_backward: grad_out shape {grad_out.shape} incompatible "
-            f"with ({inp.shape[0]}, {params.fan_out})"
+            f"affine_backward: grad_out shape {grad_out.shape} incompatible with {want}"
         )
     params.grad_weights += inp.T @ grad_out
     params.grad_bias += grad_out.sum(axis=0)

@@ -553,7 +553,7 @@ def evaluate_per_episode(
     k, n_support = cfg.k, cfg.n_support
     video: dict[int, np.ndarray] = {}
     labels: dict[int, np.ndarray] = {}
-    subsets = episodic.eval_subsets(model.method, dataset, split, cfg)
+    subsets = episodic.eval_subsets(model.config, dataset, split, cfg)
     for subset_idx, (name, eligible) in enumerate(subsets):
         if len(eligible) < cfg.n:
             report.subsets[name] = episodic.SubsetResult(skipped=True)

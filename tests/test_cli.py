@@ -699,6 +699,37 @@ class TestFailureClasses:
         assert capsys.readouterr().err == f"openset {command}: {message}\n"
         assert not out.exists()
 
+    # the pipeline's data has input dim 10 and label dim 6
+    @pytest.mark.parametrize("method,task,input_dim,label_dim,message", [
+        ("WE", "CM-FSG", 10, 32, "the model's label_dim is 32, the dataset's is 6"),
+        ("JE", "CM-FSG", 10, 32, "the model's label_dim is 32, the dataset's is 6"),
+        ("VE", "FSG", 12, 6, "the model's input_dim is 12, the dataset's is 10"),
+        ("JE", "CM-FSG", 12, 6, "the model's input_dim is 12, the dataset's is 10"),
+    ])
+    def test_checkpoint_dims_must_match_data_before_out(
+        self, pipeline, tmp_path, capsys, method, task, input_dim, label_dim, message
+    ):
+        cfg = model.ModelConfig(method, input_dim=input_dim, hidden_dim=8,
+                                embed_dim=label_dim if method == "WE" else 6, label_dim=label_dim)
+        ckpt = str(tmp_path / "m.osm")
+        model.save_checkpoint(ckpt, model.init_model(cfg, seed=0))
+        argv = _command_argv(pipeline, "eval")
+        argv[argv.index("--checkpoint") + 1] = ckpt
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--task", task, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"openset eval: eval: {message}\n"
+        assert not out.exists()
+
+    def test_fsg_ignores_the_label_dim(self, pipeline, tmp_path):
+        # FSG supports are videos, so a WE checkpoint trained on other labels still runs
+        cfg = model.ModelConfig("WE", input_dim=10, hidden_dim=8, embed_dim=32, label_dim=32)
+        ckpt = str(tmp_path / "m.osm")
+        model.save_checkpoint(ckpt, model.init_model(cfg, seed=0))
+        argv = _command_argv(pipeline, "eval")
+        argv[argv.index("--checkpoint") + 1] = ckpt
+        assert cli.main(argv + ["--task", "FSG", "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "eval.csv").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_we_embed_dim_given_must_equal_label_dim(self, pipeline, tmp_path, capsys, source):
         argv = _command_argv(pipeline, "train") + ["--method", "WE"]

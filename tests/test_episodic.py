@@ -81,8 +81,10 @@ class HashEmbedModel:
 
     method = "VE"
 
-    def __init__(self, embed_dim=6):
+    def __init__(self, embed_dim=6, input_dim=4):
         self.embed_dim = embed_dim
+        # evaluate checks the dataset's input dim against the model's
+        self.config = model.ModelConfig(self.method, input_dim=input_dim)
 
     def embed_video_batch(self, frames):
         frames = np.asarray(frames, dtype=np.float64)
@@ -101,7 +103,7 @@ class CountingModel:
 
     def __init__(self, net):
         self.net = net
-        self.method = net.method
+        self.config, self.method = net.config, net.method
         self.video = Counter()
         self.labels = Counter()
 
@@ -590,6 +592,37 @@ class TestBlockVote:
         category = {c: ("HoV" if c < hov_classes else "HoN") for c in self.COUNTS}
         self.assert_equals_referee(self.dataset("noisy"), category, task, method, embed_dim,
                                    k=k, m=m, episodes=70)
+
+    # at embed dim 32 a product's bits depend on its shape, so each episode
+    # must take its own (queries, n·k) product, not a slice of a wider one
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("task,method", [
+        ("FSG", "VE"), ("FSG", "JE"), ("CM-FSG", "WE"), ("CM-FSG", "JE"),
+    ])
+    def test_each_episode_takes_its_own_similarity_product(self, monkeypatch, task, method, m):
+        got, want = [], []
+        real_knn, real_referee = episodic.knn_classify, reference.knn_classify_one_block
+
+        def spy(sims, support_classes, kappa):
+            got.append(sims)
+            return real_knn(sims, support_classes, kappa)
+
+        def referee(support, support_classes, queries, kappa):
+            want.append(queries @ support.T)
+            return real_referee(support, support_classes, queries, kappa)
+
+        monkeypatch.setattr(episodic, "knn_classify", spy)
+        monkeypatch.setattr(reference, "knn_classify_one_block", referee)
+        ds = tiny_dataset(self.COUNTS, label_dim=32, noise=0.5, seed=20)
+        cfg = model.ModelConfig(method=method, input_dim=4, hidden_dim=5,
+                                embed_dim=32, label_dim=32)
+        net = model.init_model(cfg, seed=21)
+        split = make_split(self.COUNTS, self.CATEGORY)
+        protocol = episodic.EvalConfig(task, n=4, m=m, episodes=70, seed=22)
+        episodic.evaluate(net, ds, split, protocol)
+        reference.evaluate_per_episode(net, ds, split, protocol)
+        assert len(want) == 3 * 70
+        assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
 
     @pytest.mark.parametrize("episodes", [1, 31, 32, 33, 150])
     def test_votes_once_per_block_of_episodes(self, monkeypatch, episodes):

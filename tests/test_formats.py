@@ -3,7 +3,8 @@
 The pipeline checks compare two runs of the same code, so a change to a
 writer's layout would pass them. These tests pin the sha256 of a tiny fixed
 file of each format, and check that only data.py opens files or unpacks
-header fields, so every framing decision lives in one module. A last guard
+header fields, so every framing decision lives in one module, and that only
+model.py builds ParamBlocks, so the parameter layout does too. A last guard
 keeps the package free of helpers that only tests call.
 """
 
@@ -82,6 +83,25 @@ def test_only_data_module_opens_files_or_unpacks_headers():
     assert [hit for p in modules for hit in _file_access(p)] == []
     # the guard sees what it is looking for
     assert _file_access(SRC / "data.py")
+
+
+def _param_block_calls(module: pathlib.Path) -> list[str]:
+    """Each call of ParamBlock in a module's source."""
+    return [
+        f"{module.name}:{node.lineno}: ParamBlock()"
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "ParamBlock" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_model_module_builds_param_blocks():
+    # the parameter layout is decided where the views are made
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "model.py")
+    assert modules, "no package modules found"
+    assert [hit for p in modules for hit in _param_block_calls(p)] == []
+    # the guard sees what it is looking for
+    assert _param_block_calls(SRC / "model.py")
 
 
 def _unreferenced(defining: list[str], using: list[str]) -> list[str]:

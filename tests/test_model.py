@@ -1,11 +1,13 @@
 """Tests for the video encoder, label projector, and checkpoint format."""
 
 import pathlib
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from openset import model
+from openset import cli, model
 from openset.errors import (
     ConfigError,
     DegenerateInputError,
@@ -237,16 +239,6 @@ class TestInit:
         with pytest.raises(ConfigError):
             model.ModelConfig(method="XX", input_dim=6)
 
-    def test_non_je_must_not_carry_projector(self):
-        je = model.init_model(JE_CFG, seed=10).copy()
-        with pytest.raises(ConfigError):
-            model.EmbeddingModel(
-                config=VE_CFG,
-                frame_layer=je.frame_layer,
-                out_layer=je.out_layer,
-                label_projector=je.label_projector,
-            )
-
 
 def assert_flat_layout(net):
     """Each block's four arrays are contiguous views of params and grads, in
@@ -297,6 +289,38 @@ class TestFlatLayout:
         twin.grads[:] = 2.0
         assert net.params.tobytes() == params
         assert net.grads.tobytes() == grads
+
+
+def _self_contradicting_checkpoint(path, damage):
+    """Write a checkpoint whose blocks disagree with its own header, and
+    return the message that must reject it. The header's method tag is the
+    uint32 at byte 8 and its hidden dim the one at byte 16."""
+    if damage == "ve_with_projector":
+        model.save_checkpoint(str(path), model.init_model(JE_CFG, seed=15))
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 0)
+        path.write_bytes(bytes(blob))
+        return ("blocks ['frame_layer', 'label_projector', 'out_layer'] != "
+                "expected ['frame_layer', 'out_layer']")
+    net = model.init_model(VE_CFG, seed=15)
+    if damage == "bias_vs_cols":
+        # the record is written as given: out_layer's 4 cols with a bias of 3
+        net.out_layer.bias = net.out_layer.bias[:3]
+    model.save_checkpoint(str(path), net)
+    blob = bytearray(path.read_bytes())
+    if damage == "je_without_projector":
+        blob[8:12] = struct.pack("<I", 2)
+        message = ("blocks ['frame_layer', 'out_layer'] != "
+                   "expected ['frame_layer', 'label_projector', 'out_layer']")
+    elif damage == "shape_vs_header":
+        blob[16:20] = struct.pack("<I", 7)
+        message = ("block 'frame_layer' is 6x5 with bias 5; "
+                   "the header's dims make it 6x7 with bias 7")
+    else:
+        message = ("block 'out_layer' is 5x4 with bias 3; "
+                   "the header's dims make it 5x4 with bias 4")
+    path.write_bytes(bytes(blob))
+    return message
 
 
 class TestCheckpoint:
@@ -384,3 +408,20 @@ class TestCheckpoint:
         model.save_checkpoint(path, net)
         with pytest.raises(FormatError, match=f"block '{block}' has non-finite"):
             model.load_checkpoint(path)
+
+    # states the layout makes impossible in memory can still arrive in a file
+    @pytest.mark.parametrize("damage", [
+        "ve_with_projector", "je_without_projector", "shape_vs_header", "bias_vs_cols",
+    ])
+    def test_rejected_on_load_and_by_eval(self, tmp_path, capsys, damage):
+        path = tmp_path / "m.osm"
+        message = _self_contradicting_checkpoint(path, damage)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            model.load_checkpoint(str(path))
+        out = tmp_path / "o"
+        # the checkpoint is read before the data and split, which do not exist
+        code = cli.main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "d"),
+                         "--split", str(tmp_path / "s.csv"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"openset eval: {path}: {message}\n"
+        assert not out.exists()

@@ -11,12 +11,27 @@ from openset.errors import DegenerateInputError, NumericError
 import reference
 
 
-def make_block(rng, d_in, d_out, name="blk"):
-    return numcore.ParamBlock(
-        name=name,
-        weights=rng.normal(size=(d_in, d_out)),
-        bias=rng.normal(size=d_out),
-    )
+def one_layer_net(weights, bias):
+    """A VE model whose frame layer holds the given weights and bias, with
+    zero gradients; its one-wide output layer is zero and is never given a
+    gradient."""
+    fan_in, fan_out = np.shape(weights)
+    cfg = model.ModelConfig("VE", input_dim=fan_in, hidden_dim=fan_out,
+                            embed_dim=1, label_dim=1)
+    net = model.init_model(cfg, seed=0)
+    net.params.fill(0.0)
+    net.frame_layer.weights[...] = weights
+    net.frame_layer.bias[...] = bias
+    return net
+
+
+def random_net(rng, d_in, d_out):
+    """one_layer_net with normal weights, then bias, drawn from rng."""
+    return one_layer_net(rng.normal(size=(d_in, d_out)), rng.normal(size=d_out))
+
+
+def make_block(rng, d_in, d_out):
+    return random_net(rng, d_in, d_out).frame_layer
 
 
 class TestAffine:
@@ -33,11 +48,7 @@ class TestAffine:
             assert np.allclose(got, want, atol=1e-12)
 
     def test_hand_case(self):
-        blk = numcore.ParamBlock(
-            name="id",
-            weights=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            bias=np.array([1.0, -1.0]),
-        )
+        blk = one_layer_net(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0])).frame_layer
         out = numcore.affine_forward(np.array([[1.0, 1.0]]), blk)
         assert np.array_equal(out, np.array([[2.0, 0.0]]))
 
@@ -59,7 +70,7 @@ class TestAffine:
 
         def f(w_flat):
             # a new block starts with zero gradients
-            b2 = numcore.ParamBlock(blk.name, w_flat.reshape(4, 3), blk.bias)
+            b2 = one_layer_net(w_flat.reshape(4, 3), blk.bias).frame_layer
             val = float(np.sum(numcore.affine_forward(inp, b2) * probe))
             numcore.affine_backward(inp, b2, probe)
             return val, b2.grad_weights.ravel().copy()
@@ -124,15 +135,6 @@ class TestNormalize:
             assert np.allclose(rows[i], numcore.l2_normalize(m[i]), atol=1e-15)
 
 
-def one_layer_net(blk):
-    """A VE model whose frame layer is blk; its one-wide output layer is zero
-    and is never given a gradient."""
-    cfg = model.ModelConfig("VE", input_dim=blk.fan_in, hidden_dim=blk.fan_out,
-                            embed_dim=1, label_dim=1)
-    out = numcore.ParamBlock("out_layer", np.zeros((blk.fan_out, 1)), np.zeros(1))
-    return model.EmbeddingModel(cfg, blk, out, None)
-
-
 def fresh_state(net):
     return numcore.AdamState(np.zeros_like(net.params), np.zeros_like(net.params))
 
@@ -144,18 +146,16 @@ JE_REF = model.ModelConfig("JE", input_dim=64)
 class TestAdam:
     def test_zero_grad_no_move(self):
         rng = np.random.default_rng(5)
-        blk = make_block(rng, 3, 3)
-        net = one_layer_net(blk)
+        net = random_net(rng, 3, 3)
+        blk = net.frame_layer
         before_w = blk.weights.copy()
         numcore.adam_step(net, fresh_state(net), lr=0.1)
         # epsilon keeps the zero-grad update at exactly zero
         assert np.array_equal(blk.weights, before_w)
 
     def test_first_step_closed_form(self):
-        blk = numcore.ParamBlock(
-            name="s", weights=np.array([[1.0]]), bias=np.array([0.0])
-        )
-        net = one_layer_net(blk)
+        net = one_layer_net(np.array([[1.0]]), np.array([0.0]))
+        blk = net.frame_layer
         blk.grad_weights[0, 0] = 1.0
         numcore.adam_step(net, fresh_state(net), lr=0.001)
         # bias-corrected m-hat and v-hat are both 1 after one unit gradient
@@ -164,8 +164,8 @@ class TestAdam:
 
     def test_grads_cleared_after_step(self):
         rng = np.random.default_rng(6)
-        blk = make_block(rng, 2, 2)
-        net = one_layer_net(blk)
+        net = random_net(rng, 2, 2)
+        blk = net.frame_layer
         blk.grad_weights[:] = 1.0
         blk.grad_bias[:] = 1.0
         numcore.adam_step(net, fresh_state(net), lr=0.01)
@@ -173,8 +173,8 @@ class TestAdam:
         assert np.all(blk.grad_bias == 0.0)
 
     def test_constant_gradient_moves_monotonically(self):
-        blk = numcore.ParamBlock(name="s", weights=np.array([[5.0]]), bias=np.array([0.0]))
-        net = one_layer_net(blk)
+        net = one_layer_net(np.array([[5.0]]), np.array([0.0]))
+        blk = net.frame_layer
         state = fresh_state(net)
         seen = [blk.weights[0, 0]]
         for _ in range(10):
@@ -186,8 +186,8 @@ class TestAdam:
     def test_deterministic(self):
         def run():
             rng = np.random.default_rng(7)
-            blk = make_block(rng, 3, 2)
-            net = one_layer_net(blk)
+            net = random_net(rng, 3, 2)
+            blk = net.frame_layer
             state = fresh_state(net)
             for _ in range(5):
                 blk.grad_weights[:] = rng.normal(size=(3, 2))
@@ -202,8 +202,8 @@ class TestAdam:
 
     def test_nonfinite_grad_rejected_by_name(self):
         rng = np.random.default_rng(8)
-        blk = make_block(rng, 2, 2, name="frame_layer")
-        net = one_layer_net(blk)
+        net = random_net(rng, 2, 2)
+        blk = net.frame_layer
         blk.grad_weights[0, 0] = np.nan
         with pytest.raises(NumericError, match="frame_layer"):
             numcore.adam_step(net, fresh_state(net), lr=0.01)
