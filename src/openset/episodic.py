@@ -9,7 +9,8 @@ pooled across episodes (total correct / total queries).
 Evaluation subsets: All (every test class), HoV (held-out verb only), HoN
 (held-out noun only); classes held out on both sides appear in All only.
 Per-episode generators are derived from (seed, subset index, episode index),
-so episodes are independent of execution order.
+so episodes are independent of execution order; choice_positions resolves a
+block's draws into the positions per-class rng.choice would give.
 """
 
 from __future__ import annotations
@@ -104,18 +105,61 @@ def eligible_episode_classes(dataset: Dataset, classes: set[int], cfg: EvalConfi
     return [cid for cid in sorted(classes) if len(dataset.class_rows.get(cid, ())) >= need]
 
 
+def choice_bounds(size: int, take: int, width: int) -> np.ndarray:
+    """Bounds of rng.choice(size, take, replace=False)'s draws, padded with 0 (no
+    draw) to 2 * width - 1: Floyd's steps from column 0, shuffle step i at column -i."""
+    if size > 10000 and take > size // 50:  # numpy's tail shuffle
+        head, tail = np.arange(size - 1, max(size - take, 1) - 1, -1), np.arange(0)
+    else:
+        head, tail = np.arange(size - take, size), np.arange(take - 1, 0, -1)
+    return np.concatenate([head, np.zeros(2 * width - 1 - len(head) - len(tail), int), tail])
+
+
 def draw_episode(
-    dataset: Dataset, eligible: list[int], rng: np.random.Generator, cfg: EvalConfig
-) -> tuple[list[int], list[np.ndarray]]:
-    """Draw one episode from at least n eligible classes: its n classes and,
-    per class, the drawn positions into class_rows. FSG positions hold k
-    supports, then the queries, disjoint instances of the same class; the
-    cross-modal task supports each class with its label embedding, so every
-    position is a query. Each class gets up to m queries."""
-    picked = [eligible[i] for i in rng.choice(len(eligible), size=cfg.n, replace=False)]
-    n_support, m = cfg.n_support, cfg.m
-    sizes = [len(dataset.class_rows[cid]) for cid in picked]
-    return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
+    eligible: np.ndarray, bounds: np.ndarray, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one episode from at least n eligible classes: its n classes, then
+    the raw draws of their positions into class_rows, one rng.integers call
+    over their rows of bounds (see choice_bounds and choice_positions)."""
+    chosen = rng.choice(len(eligible), size=n, replace=False)
+    return eligible[chosen], rng.integers(0, bounds[chosen], endpoint=True)
+
+
+def choice_positions(raw: np.ndarray, sizes: np.ndarray, takes: np.ndarray) -> np.ndarray:
+    """The positions rng.choice(size, take, replace=False) returns per (size,
+    take) row, concatenated, from the row's draws over its choice_bounds.
+    numpy's choice is Floyd's algorithm (step j draws v in [0, j] and takes v,
+    or j if an earlier step took v), then a Fisher-Yates shuffle; above size
+    10000 with take > size // 50 it shuffles the tail of arange(size) instead."""
+    width = int(takes.max())  # raw may be padded wider (see choice_bounds)
+    col, row, shift = np.arange(width), np.arange(len(raw))[:, None], width.bit_length()
+    size, take, live = sizes[:, None], takes[:, None], col < takes[:, None]
+    value = np.where(live, raw[:, :width], -1)
+    # v was taken if an earlier step drew it (sorted by (v, step), that step
+    # comes first), or if it is the j of an earlier step that took j
+    keyed = np.sort(value << shift | col, axis=1)
+    repeat = np.zeros(value.size, bool)
+    repeat[row * width + (keyed[:, 1:] & (1 << shift) - 1)] = np.diff(keyed >> shift) == 0
+    earlier = value - (size - take)
+    chained = ((earlier >= 0) & (earlier < col)).ravel()
+    link = (row * width + earlier.clip(0)).ravel()
+    took_j = repeat
+    while not np.array_equal(took_j, update := repeat | chained & took_j[link]):
+        took_j = update
+    # the shuffle, one step per line of pos across all rows; padding swaps in place
+    pos = np.where(took_j.reshape(value.shape), size - take + col, value).T.copy()
+    partner = (np.where(live[:, 1:], raw[:, -1:-width:-1], col[1:]) * len(raw) + row).T.copy()
+    flat = pos.reshape(-1)
+    for line, ends in zip(pos[:0:-1], partner[::-1]):
+        moved = flat[ends]
+        flat[ends] = line
+        line[...] = moved
+    for r in np.flatnonzero((sizes > 10000) & (takes > sizes // 50)):  # tail shuffles
+        swapped: dict[int, int] = {}
+        for i, d in zip(range(sizes[r] - 1, 0, -1), raw[r, :min(takes[r], sizes[r] - 1)].tolist()):
+            swapped[i], swapped[d] = swapped.get(d, d), swapped.get(i, i)
+        pos[:takes[r], r] = [swapped.get(i, i) for i in range(sizes[r])[-takes[r]:]]
+    return pos.T[live]
 
 
 def knn_classify(sims: np.ndarray, support_classes: np.ndarray, kappa: int) -> np.ndarray:
@@ -208,12 +252,12 @@ def evaluate(
     too few eligible classes are skipped with a warning instead of failing
     the whole run, unless every subset is (see eval_subsets). Each eligible
     class is embedded once per call, into one array of rows. Per _VOTE_BLOCK
-    episodes, every drawn position becomes a row of that array at once, and
-    votes are cast once; each episode still takes its own (queries, n·k)
-    similarity product, since BLAS bits depend on the product's shape.
-    FSG supports are video embeddings; the cross-modal task supports each
-    class with its raw label embedding (WE trains into that space) or its
-    projected one (JE). Deterministic in seed.
+    episodes, choice_positions resolves every episode's draws at once, one
+    gather turns the positions into rows of that array, and votes are cast
+    once; each episode still takes its own (queries, n·k) similarity product,
+    since BLAS bits depend on the product's shape. FSG supports are video
+    embeddings; the cross-modal task supports each class with its raw label
+    embedding (WE trains into that space) or its projected one (JE). Deterministic in seed.
     """
     cross_modal = cfg.task == TASK_CMFSG
     report = EvalReport(cfg)
@@ -224,7 +268,10 @@ def evaluate(
     classes = subsets[0][1]
     emb = np.concatenate([model.embed_video_batch(dataset.features[dataset.class_rows[c]])[0]
                           for c in classes])
-    class_start = np.cumsum([0] + [len(dataset.class_rows[c]) for c in classes[:-1]])
+    sizes = np.array([len(dataset.class_rows[c]) for c in classes])
+    takes = n_support + np.minimum(cfg.m, sizes - n_support)
+    bounds = np.array([choice_bounds(s, t, takes.max()) for s, t in zip(sizes, takes)])
+    class_start = np.cumsum(sizes) - sizes
     if cross_modal:
         labels = np.stack([
             dataset.label_embeddings[c] if model.method == METHOD_WE
@@ -239,18 +286,17 @@ def evaluate(
             )
             continue
         result = report.subsets[name] = SubsetResult()
+        eligible, subset_bounds = np.array(eligible), bounds[np.searchsorted(classes, eligible)]
         for start in range(0, cfg.episodes, _VOTE_BLOCK):
-            picked, drawn = [], []
-            for episode_idx in range(start, min(start + _VOTE_BLOCK, cfg.episodes)):
-                rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
-                episode_picked, episode_drawn = draw_episode(dataset, eligible, rng, cfg)
-                picked += episode_picked
-                drawn += episode_drawn
+            rngs = [np.random.default_rng([cfg.seed, subset_idx, episode_idx])
+                    for episode_idx in range(start, min(start + _VOTE_BLOCK, cfg.episodes))]
+            picked, raw = zip(*[draw_episode(eligible, subset_bounds, rng, n) for rng in rngs])
             # one entry per (episode, class); classes is sorted
-            picked = np.array(picked)
+            picked = np.concatenate(picked)
             class_idx = np.searchsorted(classes, picked)
-            counts = np.fromiter(map(len, drawn), np.intp, len(drawn))
-            rows = np.repeat(class_start[class_idx], counts) + np.concatenate(drawn)
+            counts = takes[class_idx]
+            drawn = choice_positions(np.concatenate(raw), sizes[class_idx], counts)
+            rows = np.repeat(class_start[class_idx], counts) + drawn
             # each class's first n_support positions are its supports
             rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
             is_support = rank < n_support

@@ -218,13 +218,17 @@ def save_checkpoint(path: str, model: EmbeddingModel) -> None:
 
 
 def load_checkpoint(path: str) -> EmbeddingModel:
-    """Read an OSM1 file. Every request is checked against the file's size,
-    and the blocks' names, shapes and finiteness against the header's
-    method and dims, before the parameter vector is built."""
+    """Read an OSM1 file. The header must make a valid ModelConfig; every
+    request is checked against the file's size, and the blocks' names, shapes
+    and finiteness against the header, before the parameter vector is built."""
     with ContainerReader(path, _MAGIC, 6) as reader:
         tag, *dims, n_blocks = reader.header
         if tag not in _TAG_METHODS:
             raise FormatError(f"{path}: unknown method tag {tag}")
+        try:
+            config = ModelConfig(_TAG_METHODS[tag], *dims)
+        except ConfigError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         named: dict[str, tuple[tuple[int, int, int], np.ndarray, np.ndarray]] = {}
         for _ in range(n_blocks):
             (name_len,) = reader.take_u32(1)
@@ -242,7 +246,6 @@ def load_checkpoint(path: str) -> EmbeddingModel:
                 raise FormatError(f"{path}: block {name!r} has non-finite parameters")
             named[name] = ((rows, cols, bias_len), weights, bias)
         reader.end()
-    config = ModelConfig(_TAG_METHODS[tag], *dims)
     shapes = block_shapes(config)
     expected = {name for name, _, _ in shapes}
     if set(named) != expected:

@@ -8,9 +8,11 @@ two separately derived implementations against each other. The
 exceptions are referees of orchestration, not of arithmetic:
 ``validation_loss_per_batch`` runs the package's encoders, sampler and
 losses in the order the validation round used before it embedded each row
-once, and ``evaluate_per_episode`` runs the package's episode draws with
-the one-block κ-NN (``knn_classify_one_block``) that voted each episode on
-its own before evaluation voted a block of episodes at once. So are the
+once, and ``evaluate_per_episode`` draws each episode with the per-class
+``rng.choice`` calls (``draw_episode_choice``) the package made before it
+resolved one bounded-integer call per episode, and votes it with the
+one-block κ-NN (``knn_classify_one_block``) that voted each episode on its
+own before evaluation voted a block of episodes at once. So are the
 whole-file OSF1 writer and reader (``write_features_whole``,
 ``read_features_whole``), which hold every record at once where the package
 streams them one chunk at a time. And so is ``adam_step_per_block``, the
@@ -531,6 +533,25 @@ def knn_classify_one_block(
     return int(pred[0]) if queries.ndim == 1 else pred
 
 
+def draw_episode_choice(
+    dataset: Dataset, eligible: list[int], rng: np.random.Generator, cfg: episodic.EvalConfig
+) -> tuple[list[int], list[np.ndarray]]:
+    """Draw one episode from at least n eligible classes: its n classes and,
+    per class, the drawn positions into class_rows. FSG positions hold k
+    supports, then the queries, disjoint instances of the same class; the
+    cross-modal task supports each class with its label embedding, so every
+    position is a query. Each class gets up to m queries.
+
+    The package's episode draw before it made one rng.integers call per
+    episode and resolved the draws with episodic.choice_positions, kept
+    verbatim as the referee of that path: one rng.choice call per class.
+    """
+    picked = [eligible[i] for i in rng.choice(len(eligible), size=cfg.n, replace=False)]
+    n_support, m = cfg.n_support, cfg.m
+    sizes = [len(dataset.class_rows[cid]) for cid in picked]
+    return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
+
+
 def evaluate_per_episode(
     model, dataset: Dataset, split, cfg: episodic.EvalConfig
 ) -> episodic.EvalReport:
@@ -570,7 +591,7 @@ def evaluate_per_episode(
         result = episodic.SubsetResult()
         for episode_idx in range(cfg.episodes):
             rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
-            picked, drawn = episodic.draw_episode(dataset, eligible, rng, cfg)
+            picked, drawn = draw_episode_choice(dataset, eligible, rng, cfg)
             if cross_modal:
                 sup_emb = np.stack([labels[c] for c in picked])
             else:

@@ -730,6 +730,29 @@ class TestFailureClasses:
         assert cli.main(argv + ["--task", "FSG", "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "eval.csv").exists()
 
+    # a header whose dims make no valid model names its file, as every other
+    # bad checkpoint does; offsets 20 and 24 hold the embed and label dims
+    @pytest.mark.parametrize("method,offset,value,message", [
+        ("VE", 24, 0, "model dims must be positive"),
+        ("WE", 20, 5, "WE embeds directly into the label space: "
+                      "embed_dim 5 must equal label_dim 6"),
+    ])
+    def test_checkpoint_header_dims_name_the_file(
+        self, pipeline, tmp_path, capsys, method, offset, value, message
+    ):
+        cfg = model.ModelConfig(method, input_dim=10, hidden_dim=8, embed_dim=6, label_dim=6)
+        ckpt = tmp_path / "m.osm"
+        model.save_checkpoint(str(ckpt), model.init_model(cfg, seed=0))
+        blob = bytearray(ckpt.read_bytes())
+        blob[offset:offset + 4] = value.to_bytes(4, "little")
+        ckpt.write_bytes(bytes(blob))
+        argv = _command_argv(pipeline, "eval")
+        argv[argv.index("--checkpoint") + 1] = str(ckpt)
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"openset eval: {ckpt}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_we_embed_dim_given_must_equal_label_dim(self, pipeline, tmp_path, capsys, source):
         argv = _command_argv(pipeline, "train") + ["--method", "WE"]

@@ -54,10 +54,17 @@ def episode_rows(ds, task, k, picked, drawn):
 
 def draw(ds, classes, rng, **protocol):
     """One episode over classes under the EvalConfig built from protocol,
-    drawn from their eligible classes as evaluate draws it."""
+    drawn from their eligible classes and resolved into each picked class's
+    positions as evaluate draws and resolves it."""
     cfg = episodic.EvalConfig(**protocol)
-    return episodic.draw_episode(
-        ds, episodic.eligible_episode_classes(ds, classes, cfg), rng, cfg)
+    eligible = np.array(episodic.eligible_episode_classes(ds, classes, cfg))
+    sizes = np.array([len(ds.class_rows[c]) for c in eligible])
+    takes = cfg.n_support + np.minimum(cfg.m, sizes - cfg.n_support)
+    bounds = np.array([episodic.choice_bounds(s, t, takes.max()) for s, t in zip(sizes, takes)])
+    picked, raw = episodic.draw_episode(eligible, bounds, rng, cfg.n)
+    idx = np.searchsorted(eligible, picked)
+    positions = episodic.choice_positions(raw, sizes[idx], takes[idx])
+    return picked.tolist(), np.split(positions, np.cumsum(takes[idx])[:-1])
 
 
 def make_split(cids, category=None):
@@ -233,12 +240,82 @@ class TestEpisodeSampling:
         with pytest.raises(ConfigError, match="seed"):
             episodic.EvalConfig(seed=-1)
 
+    @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 2), ("CM-FSG", 1)])
+    def test_draw_equals_per_class_choice_referee(self, task, k):
+        counts = {c: 3 + 5 * c for c in range(8)}
+        ds = tiny_dataset(counts)
+        cfg = episodic.EvalConfig(task, n=4, k=k, m=7)
+        eligible = episodic.eligible_episode_classes(ds, set(counts), cfg)
+        for trial in range(200):
+            got_rng, want_rng = np.random.default_rng([3, trial]), np.random.default_rng([3, trial])
+            picked, drawn = draw(ds, set(counts), got_rng, task=task, n=4, k=k, m=7)
+            want_picked, want_drawn = reference.draw_episode_choice(ds, eligible, want_rng, cfg)
+            assert picked == want_picked
+            assert [d.tolist() for d in drawn] == [d.tolist() for d in want_drawn]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_deterministic_per_seed(self):
         ds = tiny_dataset({c: 6 for c in range(6)})
         a = draw(ds, set(range(6)), np.random.default_rng([1, 2]), task="FSG", n=3, k=2, m=3)
         b = draw(ds, set(range(6)), np.random.default_rng([1, 2]), task="FSG", n=3, k=2, m=3)
         assert a[0] == b[0]
         assert episode_rows(ds, "FSG", 2, *a) == episode_rows(ds, "FSG", 2, *b)
+
+
+def choice_rows(rng, pairs):
+    """Per-row rng.choice(size, take, replace=False), concatenated."""
+    return np.concatenate([rng.choice(s, t, replace=False) for s, t in pairs])
+
+
+class TestChoicePositions:
+    """choice_positions over one rng.integers call must give the positions
+    per-row rng.choice gives, and leave the generator in the same state."""
+
+    def assert_equals_choice(self, seed, pairs, pad=0):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = choice_rows(want_rng, pairs)
+        sizes, takes = np.array(pairs).T
+        # evaluate pads every class's bounds to its largest take, which a
+        # block's rows need not reach
+        bounds = np.stack([episodic.choice_bounds(s, t, takes.max() + pad) for s, t in pairs])
+        got = episodic.choice_positions(got_rng.integers(0, bounds, endpoint=True), sizes, takes)
+        assert got.tolist() == want.tolist(), (seed, pairs)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, (seed, pairs)
+        assert got_rng.integers(2**63) == want_rng.integers(2**63), (seed, pairs)
+
+    def test_random_rows(self):
+        # 10,000 calls of 1-6 rows, so rows of unequal take share a block
+        meta = np.random.default_rng(30)
+        for case in range(10_000):
+            sizes = meta.integers(1, 40, size=meta.integers(1, 7))
+            pairs = [(int(s), int(meta.integers(1, s + 1))) for s in sizes]
+            self.assert_equals_choice([31, case], pairs)
+
+    def test_edge_rows(self):
+        cases = [[(1, 1)], [(2, 1)], [(2, 2)], [(1, 1), (2, 2), (1, 1), (2, 1)]]
+        cases += [[(s, s)] for s in (3, 7, 64)] + [[(s, 1)] for s in (3, 7, 64)]
+        cases += [[(s, s), (s, 1), (9, 4)] for s in (5, 33)]
+        # the largest size that still takes Floyd's path, at every take regime
+        cases += [[(10_000, t)] for t in (1, 199, 200, 201, 2_500, 10_000)]
+        for seed, pairs in enumerate(cases):
+            for rep in range(5):
+                self.assert_equals_choice([32, seed, rep], pairs, pad=rep % 2 * 3)
+
+    def test_tail_shuffle_rows(self):
+        # above 10,000 and past size // 50, numpy shuffles the tail of
+        # arange(size); at or below size // 50 it stays with Floyd's rule
+        meta = np.random.default_rng(33)
+        for case in range(40):
+            size = 10_001 if case == 0 else int(meta.integers(10_001, 60_001))
+            limit = size // 50
+            takes = [limit, limit + 1, int(meta.integers(1, limit)),
+                     int(meta.integers(limit + 2, min(size, 3 * limit) + 1))]
+            if case % 10 == 0:
+                takes.append(size)
+            pairs = [(size, t) for t in takes] + [(int(meta.integers(1, 30)), 1)]
+            self.assert_equals_choice([34, case], pairs)
+            # a call of tail rows alone has no Floyd rows to resolve
+            self.assert_equals_choice([35, case], [(size, t) for t in takes[1::3]])
 
 
 class TestKnn:
@@ -640,6 +717,42 @@ class TestBlockVote:
         per_subset = -(-episodes // episodic._VOTE_BLOCK)
         assert len(calls) <= 3 * per_subset
         assert sum(calls) == sum(res.queries for res in report.subsets.values())
+
+
+class TestDrawBlockEdges:
+    """evaluate resolves each block's draws at once; episode counts around
+    the block size, unequal classes and every m regime must still give the
+    per-class rng.choice referee's results."""
+
+    COUNTS = {c: 6 + 7 * c for c in range(9)}  # 6 to 62 instances
+    CATEGORY = {c: ("HoV" if c < 5 else "HoN") for c in range(9)}
+
+    def assert_equals_referee(self, ds, category, task, k, m, episodes):
+        method, embed_dim = ("VE", 6) if task == "FSG" else ("JE", 3)
+        cfg = model.ModelConfig(method=method, input_dim=ds.input_dim, hidden_dim=5,
+                                embed_dim=embed_dim, label_dim=ds.label_dim)
+        net = model.init_model(cfg, seed=40)
+        split = make_split(category, category)
+        protocol = episodic.EvalConfig(task, n=4, k=k, m=m, episodes=episodes, seed=41)
+        got = episodic.evaluate(net, ds, split, protocol)
+        want = reference.evaluate_per_episode(net, ds, split, protocol)
+        assert got.subsets == want.subsets
+        assert got.warnings == want.warnings
+
+    @pytest.mark.parametrize("episodes", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("m", [1, 20, 50])
+    @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 5), ("CM-FSG", 1)])
+    def test_equals_per_class_choice_referee(self, task, k, m, episodes):
+        ds = tiny_dataset(self.COUNTS, noise=0.5, seed=42)
+        self.assert_equals_referee(ds, self.CATEGORY, task, k, m, episodes)
+
+    @pytest.mark.parametrize("task", ["FSG", "CM-FSG"])
+    def test_tail_shuffle_class_equals_referee(self, task):
+        # n = 4 of 4 classes picks the 10,001-instance class in every episode,
+        # and its take of m = 250 (plus k) is past 10,001 // 50 = 200
+        ds = tiny_dataset({0: 10_001, 1: 30, 2: 40, 3: 50}, frames=1, dim=2, label_dim=2,
+                          noise=0.5, seed=43)
+        self.assert_equals_referee(ds, {c: "HoV" for c in range(4)}, task, 1, 250, 3)
 
 
 class TestEvalReportFile:
