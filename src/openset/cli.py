@@ -388,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (*VALIDATION_ERRORS, FileNotFoundError) as exc:
+    except (*VALIDATION_ERRORS, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"openset {args.command}: {exc}", file=sys.stderr)
         return 1
     except (OpensetError, OSError, ValueError, ArithmeticError, MemoryError) as exc:

@@ -9,12 +9,13 @@ methods exploit.
 Every file is opened here. A binary file is a magic, uint32 version 1 and
 uint32 header fields, then its payload: ContainerReader checks the framing
 and reads the payload in order, each request checked against the file's
-size first, and write_container writes it. OSF1 records, the largest
-payload, move between the file and the columns one chunk of at most
-_CHUNK_BYTES at a time, so neither side holds a second copy of the
-features. Text files are UTF-8
-lines written by write_lines; read_rows checks a CSV's header and field
-counts and names path:line on error.
+size first, and write_container writes it. A reader views what take
+reads in place: the OSF1 features are a view of the records, read in one
+call. Only the writer streams, turning the columns into OSF1 records one
+chunk of at most _CHUNK_BYTES at a time, so it never holds a second copy
+of the features. Text files are UTF-8 lines written by write_lines;
+read_rows checks a CSV's header and field counts and names path:line on
+error.
 
 On-disk formats (binary fields little-endian; writer in parentheses if not here):
   features.osf      OSF1 header n, frames, input_dim, all nonzero; per
@@ -52,35 +53,21 @@ from .numcore import l2_normalize
 
 _MAGIC_FEATURES = b"OSF1"
 _MAGIC_LABELS = b"OSL1"
-# the most record bytes an OSF1 read or write holds at once
+# the most record bytes an OSF1 write holds at once
 _CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class ActionLabel:
-    """A verb-noun action label with display strings."""
+class ClassEntry:
+    """One class of the universe, a row of the class table: its verb-noun
+    label with display strings and how many instances exist."""
 
+    class_id: int
     verb_id: int
     noun_id: int
     verb_text: str
     noun_text: str
-
-
-@dataclass(frozen=True)
-class ClassEntry:
-    """One class of the universe: its label and how many instances exist."""
-
-    class_id: int
-    label: ActionLabel
     instance_count: int
-
-    @property
-    def verb_id(self) -> int:
-        return self.label.verb_id
-
-    @property
-    def noun_id(self) -> int:
-        return self.label.noun_id
 
 
 @dataclass
@@ -287,9 +274,9 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     m_video = rng.standard_normal((cfg.input_dim, d2)) / np.sqrt(d2)
     m_label = rng.standard_normal((cfg.label_dim, d2)) / np.sqrt(d2)
 
-    all_pairs = [(v, n) for v in range(cfg.n_verbs) for n in range(cfg.n_nouns)]
-    chosen_idx = rng.choice(len(all_pairs), size=cfg.n_classes, replace=False)
-    chosen = sorted(all_pairs[i] for i in chosen_idx)
+    # cell i of the verb x noun grid is divmod(i, n_nouns), so the grid is never built
+    cells = rng.choice(cfg.n_verbs * cfg.n_nouns, size=cfg.n_classes, replace=False)
+    chosen = sorted(divmod(int(i), cfg.n_nouns) for i in cells)
 
     entries: dict[int, ClassEntry] = {}
     label_embeddings: dict[int, np.ndarray] = {}
@@ -302,16 +289,7 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         context = np.concatenate([verb_latent[v], noun_latent[n]])
         label_embeddings[class_id] = l2_normalize(m_label @ context)
         count = int(rng.integers(lo, hi, endpoint=True))
-        entries[class_id] = ClassEntry(
-            class_id=class_id,
-            label=ActionLabel(
-                verb_id=v,
-                noun_id=n,
-                verb_text=f"verb{v:02d}",
-                noun_text=f"noun{n:02d}",
-            ),
-            instance_count=count,
-        )
+        entries[class_id] = ClassEntry(class_id, v, n, f"verb{v:02d}", f"noun{n:02d}", count)
         # row i holds instance i's normals in the loop's draw order, delta then frame noise;
         # np.matmul runs one gemv per row, which keeps the loop's bits (a 2-D gemm does not)
         draws = rng.standard_normal((count, d2 + cfg.frames * cfg.input_dim))
@@ -375,15 +353,11 @@ def write_class_table(path: str, table: ClassTable) -> None:
     """Write the class table as CSV; text fields must not contain commas."""
     lines = [_CSV_HEADER]
     for cid in table.class_ids():
-        entry = table[cid]
-        lab = entry.label
-        for text in (lab.verb_text, lab.noun_text):
+        e = table[cid]
+        for text in (e.verb_text, e.noun_text):
             if "," in text:
                 raise FormatError(f"class {cid}: comma in text field {text!r}")
-        lines.append(
-            f"{cid},{lab.verb_id},{lab.noun_id},{lab.verb_text},{lab.noun_text},"
-            f"{entry.instance_count}"
-        )
+        lines.append(f"{cid},{e.verb_id},{e.noun_id},{e.verb_text},{e.noun_text},{e.instance_count}")
     write_lines(path, lines)
 
 
@@ -402,16 +376,7 @@ def read_class_table(path: str) -> ClassTable:
             raise ParseError(f"{path}:{lineno}: duplicate class_id {cid}")
         if n_instances < 1:
             raise ParseError(f"{path}:{lineno}: n_instances must be >= 1")
-        entries[cid] = ClassEntry(
-            class_id=cid,
-            label=ActionLabel(
-                verb_id=verb_id,
-                noun_id=noun_id,
-                verb_text=parts[3],
-                noun_text=parts[4],
-            ),
-            instance_count=n_instances,
-        )
+        entries[cid] = ClassEntry(cid, verb_id, noun_id, parts[3], parts[4], n_instances)
     return ClassTable(entries)
 
 
@@ -421,7 +386,7 @@ def read_class_table(path: str) -> ClassTable:
 class ContainerReader:
     """A binary file read in order from its open handle: its magic and
     version 1 checked, the n_fields uint32 header fields after the version
-    in header, and the payload handed out by take and take_chunks.
+    in header, and the payload handed out by take.
 
     Each request is checked against the file's size before anything is read
     or allocated, so a header that claims more than the file holds ends in
@@ -463,26 +428,13 @@ class ContainerReader:
         return buf
 
     def take(self, n: int) -> memoryview:
-        """The next n bytes."""
+        """The next n bytes, read into a buffer of their own."""
         self._claim(n)
-        return self._fill(memoryview(bytearray(n)))
+        return self._fill(memoryview(np.empty(n, np.uint8)))
 
     def take_u32(self, count: int) -> tuple[int, ...]:
         """The next count fields, each a little-endian uint32."""
         return struct.unpack(f"<{count}I", self.take(4 * count))
-
-    def take_chunks(self, count: int, size: int):
-        """The next count records of size bytes, checked against the file
-        now and read as the result is iterated, before the next take:
-        (first record, records) pairs of at most _CHUNK_BYTES (at least one
-        record), each a view of one reused buffer."""
-        self._claim(count * size)
-        per = max(1, _CHUNK_BYTES // size)
-        buf = memoryview(bytearray(min(count, per) * size))
-        return (
-            (start, self._fill(buf[: min(count - start, per) * size]))
-            for start in range(0, count, per)
-        )
 
     def end(self) -> None:
         """Reject bytes past the last one taken."""
@@ -568,8 +520,8 @@ def write_features(path: str, instance_ids, class_ids, features) -> None:
 
 def read_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Load an OSF1 feature file as (instance_ids, class_ids, features):
-    two (N,) int64 columns and an (N, frames, input_dim) float32 array,
-    filled one chunk of records at a time."""
+    two (N,) int64 columns and an (N, frames, input_dim) float32 view of
+    the records as read, so the features are never copied."""
     with ContainerReader(path, _MAGIC_FEATURES, 3) as reader:
         n_instances, frames, input_dim = reader.header
         if n_instances == 0:
@@ -578,20 +530,14 @@ def read_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise FormatError(f"{path}: frames {frames} and input_dim {input_dim} must be nonzero")
         # the size is checked before the record dtype exists, which would
         # raise ValueError for frames * input_dim past a C int
-        chunks = reader.take_chunks(n_instances, 8 + frames * input_dim * 4)
+        payload = reader.take(n_instances * (8 + frames * input_dim * 4))
         reader.end()
-        record = _feature_record(frames, input_dim)
-        ids = np.empty((2, n_instances), dtype=np.int64)  # instance ids over class ids
-        features = np.empty((n_instances, frames, input_dim), dtype=np.float32)
-        for start, part in chunks:
-            block = np.frombuffer(part, dtype=record)
-            bad = _first_non_finite(block["features"])
-            if bad is not None:
-                raise FormatError(f"{path}: instance {block['ids'][bad, 0]} has non-finite features")
-            stop = start + len(block)
-            ids[:, start:stop] = block["ids"].T
-            features[start:stop] = block["features"].reshape(len(block), frames, input_dim)
-    return ids[0], ids[1], features
+    records = np.frombuffer(payload, dtype=_feature_record(frames, input_dim))
+    bad = _first_non_finite(records["features"])
+    if bad is not None:
+        raise FormatError(f"{path}: instance {records['ids'][bad, 0]} has non-finite features")
+    ids = records["ids"].T.astype(np.int64, order="C")  # instance ids over class ids
+    return ids[0], ids[1], records["features"].reshape(n_instances, frames, input_dim)
 
 
 def _label_record(d_b: int) -> np.dtype:

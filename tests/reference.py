@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from openset import episodic
-from openset.data import ActionLabel, ClassEntry, ClassTable, Dataset
+from openset.data import ClassEntry, ClassTable, Dataset
 from openset.errors import (
     ConfigError, DegenerateInputError, FormatError, NumericError, SamplingError
 )
@@ -377,12 +377,10 @@ def synth_generate_loop(cfg) -> Dataset:
         counts.append(count)
         entries[class_id] = ClassEntry(
             class_id=class_id,
-            label=ActionLabel(
-                verb_id=v,
-                noun_id=n,
-                verb_text=f"verb{v:02d}",
-                noun_text=f"noun{n:02d}",
-            ),
+            verb_id=v,
+            noun_id=n,
+            verb_text=f"verb{v:02d}",
+            noun_text=f"noun{n:02d}",
             instance_count=count,
         )
         for _ in range(count):

@@ -210,8 +210,7 @@ def test_4_split_suite():
     keep = sorted(rng.choice(len(cells), size=120, replace=False).tolist())
     entries = {
         cid: data.ClassEntry(
-            cid,
-            data.ActionLabel(cells[j][0], cells[j][1], f"v{cells[j][0]:02d}", f"n{cells[j][1]:02d}"),
+            cid, cells[j][0], cells[j][1], f"v{cells[j][0]:02d}", f"n{cells[j][1]:02d}",
             int(rng.integers(3, 9)),
         )
         for cid, j in enumerate(keep)

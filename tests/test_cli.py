@@ -518,6 +518,33 @@ class TestFailureClasses:
         ])
         assert code == 1
 
+    # a directory where a file is expected, or a file where a directory is
+    @pytest.mark.parametrize("command,flag,kind", [
+        ("eval", "--checkpoint", "dir"),
+        ("train", "--split", "dir"),
+        ("synth", "--config", "dir"),
+        ("train", "--data", "file"),
+    ])
+    def test_wrong_kind_of_path_exits_one_before_out(
+        self, pipeline, tmp_path, capsys, command, flag, kind
+    ):
+        path = tmp_path / "given"
+        if kind == "dir":
+            path.mkdir()
+            message = f"[Errno 21] Is a directory: '{path}'"
+        else:
+            path.write_text("x\n")
+            message = f"[Errno 20] Not a directory: '{path / 'class_table.csv'}'"
+        argv = _command_argv(pipeline, command)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(path)
+        else:
+            argv += [flag, str(path)]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"openset {command}: {message}\n"
+        assert not out.exists()
+
     def test_exhausted_sampling_exits_two(self, tmp_path, capsys):
         data_dir, split_dir = str(tmp_path / "d"), str(tmp_path / "s")
         assert cli.main([

@@ -158,11 +158,24 @@ REFEREE_CONFIGS = [
     SMALL,
     # the data_roundtrip benchmark's 40x40 grid, 33,600 instances
     data.SynthConfig(n_verbs=40, n_nouns=40, instances_per_class=(30, 30), seed=1),
+    # grids that are not square, the last sparse enough that choice draws without a permutation
+    data.SynthConfig(n_verbs=3, n_nouns=11, seed=12),
+    data.SynthConfig(n_verbs=13, n_nouns=2, class_density=0.5, seed=13),
+    data.SynthConfig(n_verbs=300, n_nouns=700, class_density=1e-4, seed=14),
 ]
 
 
 class TestSynthReferee:
     """synth_generate against the per-instance loop in reference.py, bit for bit."""
+
+    def test_sparse_grid_is_never_built(self):
+        # 10 classes of a 2000 x 2000 grid: its 4,000,000 cells as Python
+        # pairs would hold hundreds of MB
+        cfg = data.SynthConfig(n_verbs=2000, n_nouns=2000, class_density=2.5e-6)
+        data.synth_generate(SMALL)  # numpy's lazy imports, outside the trace
+        ds, peak = traced_peak(data.synth_generate, cfg)
+        assert len(ds.classes) == 10
+        assert peak <= 16 << 20, peak
 
     @pytest.mark.parametrize("cfg", REFEREE_CONFIGS)
     def test_matches_per_instance_loop(self, cfg):
@@ -245,7 +258,7 @@ class TestClassTable:
 
     def test_comma_in_text_rejected_at_write(self, tmp_path):
         table = data.ClassTable(entries={
-            0: data.ClassEntry(0, data.ActionLabel(0, 0, "take,now", "cup"), 1),
+            0: data.ClassEntry(0, 0, 0, "take,now", "cup", 1),
         })
         with pytest.raises(FormatError):
             data.write_class_table(str(tmp_path / "c.csv"), table)
@@ -411,8 +424,9 @@ def traced_peak(fn, *args):
 
 
 class TestFeatureChunks:
-    """The OSF1 writer and reader move one chunk of records at a time; the
-    whole-file referees in tests/reference.py define their bytes, arrays
+    """The OSF1 writer moves one chunk of records at a time and the reader
+    takes every record in one read, at row counts around the writer's chunk;
+    the whole-file referees in tests/reference.py define their bytes, arrays
     and messages."""
 
     @pytest.mark.parametrize("n", [1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1],
@@ -472,20 +486,20 @@ class TestFeatureChunks:
         path = str(tmp_path / "f.osf")
         data.write_features(path, *chunk_case(n))
         with data.ContainerReader(path, b"OSF1", 3) as reader:
-            chunks = reader.take_chunks(n, RECORD_BYTES)
             os.truncate(path, 20 + CHUNK_ROWS * RECORD_BYTES + 5)
             with pytest.raises(FormatError, match="shorter than its size when opened"):
-                list(chunks)
+                reader.take(n * RECORD_BYTES)
 
     # the instances of a 20 x 20 grid at density 0.7 and 30 per class
     GRID_20 = 8400
     SLACK = 256 * 1024
 
-    def test_read_peak_is_the_arrays_and_one_chunk(self, tmp_path):
+    def test_read_peak_is_the_records_and_the_id_columns(self, tmp_path):
+        # the features are a view of the records buffer, not a copy of it
         path = str(tmp_path / "f.osf")
         data.write_features(path, *chunk_case(self.GRID_20))
-        arrays, peak = traced_peak(data.read_features, path)
-        assert peak <= sum(a.nbytes for a in arrays) + data._CHUNK_BYTES + self.SLACK
+        (ids, cids, _), peak = traced_peak(data.read_features, path)
+        assert peak <= self.GRID_20 * RECORD_BYTES + ids.nbytes + cids.nbytes + self.SLACK
 
     def test_write_peak_is_at_most_two_chunks(self, tmp_path):
         args = (str(tmp_path / "f.osf"), *chunk_case(self.GRID_20))
@@ -726,7 +740,7 @@ class TestLoadDataset:
 
     def test_instance_with_unknown_class_rejected(self):
         table = data.ClassTable(entries={
-            0: data.ClassEntry(0, data.ActionLabel(0, 0, "v", "n"), 1),
+            0: data.ClassEntry(0, 0, 0, "v", "n", 1),
         })
         with pytest.raises(ConfigError):
             data.Dataset(
@@ -737,7 +751,7 @@ class TestLoadDataset:
 
     def test_non_unit_label_rejected(self):
         table = data.ClassTable(entries={
-            0: data.ClassEntry(0, data.ActionLabel(0, 0, "v", "n"), 1),
+            0: data.ClassEntry(0, 0, 0, "v", "n", 1),
         })
         with pytest.raises(ConfigError):
             data.Dataset(
@@ -749,7 +763,7 @@ class TestLoadDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_label_rejected(self, bad):
         table = data.ClassTable(entries={
-            0: data.ClassEntry(0, data.ActionLabel(0, 0, "v", "n"), 1),
+            0: data.ClassEntry(0, 0, 0, "v", "n", 1),
         })
         with pytest.raises(ConfigError, match="not finite"):
             data.Dataset(
@@ -761,7 +775,7 @@ class TestLoadDataset:
 
 def one_class_table(*cids):
     return data.ClassTable(entries={
-        c: data.ClassEntry(c, data.ActionLabel(c, c, "v", "n"), 1) for c in cids
+        c: data.ClassEntry(c, c, c, "v", "n", 1) for c in cids
     })
 
 

@@ -21,9 +21,7 @@ def tiny_dataset(counts, frames=2, dim=4, label_dim=6, seed=0, noise=1.0):
     rng = np.random.default_rng(seed)
     entries, class_ids, features, labels = {}, [], [], {}
     for cid, cnt in sorted(counts.items()):
-        entries[cid] = data.ClassEntry(
-            cid, data.ActionLabel(cid, cid, f"v{cid:02d}", f"n{cid:02d}"), cnt
-        )
+        entries[cid] = data.ClassEntry(cid, cid, cid, f"v{cid:02d}", f"n{cid:02d}", cnt)
         base = rng.normal(size=(frames, dim))
         for _ in range(cnt):
             features.append(base + noise * rng.normal(size=(frames, dim)))

@@ -34,7 +34,7 @@ GOLDEN = {
 def _write_golden(name: str, path: str) -> None:
     rng = np.random.default_rng(14)
     table = data.ClassTable({
-        cid: data.ClassEntry(cid, data.ActionLabel(v, n, f"verb{v}", f"noun{n}"), 2)
+        cid: data.ClassEntry(cid, v, n, f"verb{v}", f"noun{n}", 2)
         for cid, (v, n) in enumerate((v, n) for v in range(4) for n in range(4))
     })
     if name == "features.osf":

@@ -12,9 +12,7 @@ import reference
 def make_table(pairs, count=5):
     """Build a class table from (class_id, verb_id, noun_id) triples."""
     entries = {
-        cid: data.ClassEntry(
-            cid, data.ActionLabel(v, n, f"v{v:02d}", f"n{n:02d}"), count
-        )
+        cid: data.ClassEntry(cid, v, n, f"v{v:02d}", f"n{n:02d}", count)
         for cid, v, n in pairs
     }
     return data.ClassTable(entries)
