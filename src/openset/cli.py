@@ -246,7 +246,7 @@ def cmd_train(args) -> None:
         multisim=MultiSimConfig(**_fields_kwargs(MultiSimConfig, cfg)),
     )
     # a split too small for the batch shape fails before --out exists
-    trainer.check_split(split, train_cfg)
+    trainer.check_split(dataset, split, train_cfg)
     prepare_out(args.out, [_CHECKPOINT_FILE, _TRAIN_LOG_FILE])
     net = model.init_model(model_cfg, seed=cfg["seed"])
     best, log = trainer.train(net, dataset, split, train_cfg)

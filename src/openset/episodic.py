@@ -74,28 +74,42 @@ def sample_training_batch(
     n: int,
     k_max: int,
     min_total: int,
-) -> tuple[list[int], np.ndarray]:
-    """n distinct classes with up to k_max instances each, at least min_total
-    instances in total; whole draws failing the total are resampled.
+    count: int,
+) -> list[tuple[list[int], np.ndarray]]:
+    """count batches, each of n distinct classes with up to k_max instances
+    each, at least min_total instances in total; whole draws failing the
+    total are resampled.
 
-    Returns the picked classes and the dataset rows of the batch, both in
-    draw order (each class's rows follow the class's place in picked)."""
-    pool = sorted(train_classes)
+    Returns (picked classes, dataset rows) per batch, in draw order (each
+    class's rows follow the class's place in picked). Each draw is one
+    draw_episode call; the total needs only the takes, so positions are
+    resolved once for the whole block (see choice_positions)."""
+    pool = np.array(sorted(train_classes))
     if len(pool) < n:
         raise ConfigError(f"batch sampling: need {n} classes, have {len(pool)}")
-    for _ in range(_RESAMPLE_LIMIT):
-        picked = [pool[i] for i in rng.choice(len(pool), size=n, replace=False)]
-        rows = []
-        for cid in picked:
-            avail = dataset.class_rows[cid]
-            take = min(k_max, len(avail))
-            rows.append(avail[rng.choice(len(avail), size=take, replace=False)])
-        rows = np.concatenate(rows)
-        if len(rows) >= min_total:
-            return picked, rows
-    raise SamplingError(
-        f"batch sampling: {_RESAMPLE_LIMIT} draws below {min_total} total instances"
-    )
+    sizes = np.array([len(dataset.class_rows[c]) for c in pool.tolist()])
+    takes = np.minimum(k_max, sizes)
+    width = max(int(takes.max()), 1)
+    bounds = np.array([choice_bounds(s, t, width) for s, t in zip(sizes, takes)])
+    index, chosen, raw = np.arange(len(pool)), [], []
+    for _ in range(count):
+        for _ in range(_RESAMPLE_LIMIT):
+            picked, draws = draw_episode(index, bounds, rng, n)
+            if takes[picked].sum() >= min_total:
+                break
+        else:
+            raise SamplingError(
+                f"batch sampling: {_RESAMPLE_LIMIT} draws below {min_total} total instances"
+            )
+        chosen.append(picked)
+        raw.append(draws)
+    picked = np.concatenate(chosen)
+    counts = takes[picked]
+    drawn = choice_positions(np.concatenate(raw), sizes[picked], counts)
+    class_rows = np.concatenate([dataset.class_rows[c] for c in pool.tolist()])
+    rows = class_rows[np.repeat(np.cumsum(sizes)[picked] - sizes[picked], counts) + drawn]
+    ends = np.cumsum(counts.reshape(count, n).sum(axis=1))[:-1]
+    return [(pool[p].tolist(), r) for p, r in zip(chosen, np.split(rows, ends))]
 
 
 def eligible_episode_classes(dataset: Dataset, classes: set[int], cfg: EvalConfig) -> list[int]:

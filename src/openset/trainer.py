@@ -15,11 +15,15 @@ validation classes, gathered from one embedding of every validation row per
 round; the parameters with the lowest validation loss are returned. Early
 stop when no new best appears within `patience` steps.
 Training is deterministic in (config, dataset, split): the batch stream and
-each validation round use generators derived from the config seed.
+each validation round use generators derived from the config seed. Batches
+are drawn in blocks: the loop queues _BATCH_BLOCK at a time, a degenerate
+batch's resample is the next queued one, and a validation round draws its
+batches in one call; the stream is the one drawing each batch alone gives.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +39,7 @@ from .numcore import AdamState, adam_step
 from .splits import SplitResult
 
 _DEGENERATE_LIMIT = 100
+_BATCH_BLOCK = 64  # training batches per sampler call; positions resolve once per block
 
 
 @dataclass(frozen=True)
@@ -150,12 +155,6 @@ def batch_objective(
     return loss
 
 
-def _draw(dataset: Dataset, classes: list[int], rng: np.random.Generator, cfg: TrainConfig):
-    """One batch drawn from classes: (the classes it picked, its rows)."""
-    shape = dict(n=cfg.batch_classes, k_max=cfg.batch_k_max, min_total=cfg.batch_min_total)
-    return episodic.sample_training_batch(dataset, classes, rng, **shape)
-
-
 def _validation_loss(
     model: EmbeddingModel,
     dataset: Dataset,
@@ -189,8 +188,10 @@ def _validation_loss(
 
     rng = np.random.default_rng([cfg.seed, 1, round_idx])
     batch_losses = []
-    for _ in range(cfg.val_batches):
-        picked, batch = _draw(dataset, val_classes, rng, cfg)
+    for picked, batch in episodic.sample_training_batch(
+        dataset, val_classes, rng, n=cfg.batch_classes, k_max=cfg.batch_k_max,
+        min_total=cfg.batch_min_total, count=cfg.val_batches,
+    ):
         drawn = np.array(sorted(picked), dtype=np.int64)
         try:
             batch_losses.append(_objective(
@@ -205,19 +206,27 @@ def _validation_loss(
     return sum(batch_losses) / len(batch_losses)
 
 
-def check_split(split: SplitResult, cfg: TrainConfig) -> None:
-    """Raise ConfigError if the split has fewer training classes than one
-    batch draws, or fewer validation classes when a validation round will
-    run, so a caller can reject the request before it writes anything."""
-    if len(split.train) < cfg.batch_classes:
-        raise ConfigError(
-            f"train: need {cfg.batch_classes} training classes, have {len(split.train)}"
-        )
-    will_validate = cfg.max_batches >= cfg.val_every
-    if will_validate and len(split.validation) < cfg.batch_classes:
-        raise ConfigError(
-            f"train: need {cfg.batch_classes} validation classes, have {len(split.validation)}"
-        )
+def check_split(dataset: Dataset, split: SplitResult, cfg: TrainConfig) -> None:
+    """Raise ConfigError if the training classes, or the validation classes
+    when a validation round will run, cannot fill a batch, so a caller can
+    reject the request before it writes anything: fewer than batch_classes
+    classes, or (if a batch will be drawn) the batch_classes largest, each
+    capped at batch_k_max, below batch_min_total instances."""
+    subsets = {"training": split.train}
+    if cfg.max_batches >= cfg.val_every:
+        subsets["validation"] = split.validation
+    for name, classes in subsets.items():
+        if len(classes) < cfg.batch_classes:
+            raise ConfigError(
+                f"train: need {cfg.batch_classes} {name} classes, have {len(classes)}"
+            )
+        capped = sorted(min(cfg.batch_k_max, len(dataset.class_rows[c])) for c in classes)
+        largest = sum(capped[-cfg.batch_classes:])
+        if cfg.max_batches and largest < cfg.batch_min_total:
+            raise ConfigError(
+                f"train: the {cfg.batch_classes} largest {name} classes give at most "
+                f"{largest} instances per batch, below batch_min_total {cfg.batch_min_total}"
+            )
 
 
 def train(
@@ -236,7 +245,7 @@ def train(
         raise ConfigError(
             f"config method {cfg.method} != model method {model.method}"
         )
-    check_split(split, cfg)
+    check_split(dataset, split, cfg)
     train_classes = sorted(split.train)
     val_classes = sorted(split.validation)
 
@@ -246,6 +255,7 @@ def train(
 
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
     rng = np.random.default_rng([cfg.seed, 0])
+    pending: deque[tuple[list[int], np.ndarray]] = deque()
     best_model: EmbeddingModel | None = None
     best_val = np.inf
     best_step = 0
@@ -256,7 +266,13 @@ def train(
         for step in range(1, cfg.max_batches + 1):
             loss = None
             for _ in range(_DEGENERATE_LIMIT):
-                picked, rows = _draw(dataset, train_classes, rng, cfg)
+                if not pending:
+                    pending.extend(episodic.sample_training_batch(
+                        dataset, train_classes, rng, n=cfg.batch_classes, k_max=cfg.batch_k_max,
+                        min_total=cfg.batch_min_total,
+                        count=min(_BATCH_BLOCK, cfg.max_batches - step + 1),
+                    ))
+                picked, rows = pending.popleft()
                 labels = {c: dataset.label_embeddings[c] for c in picked}
                 try:
                     loss = batch_objective(model, dataset.features[rows], dataset.class_ids[rows],

@@ -6,12 +6,14 @@ beyond the record types a referee returns.
 A test that compares the package against one of these oracles is checking
 two separately derived implementations against each other. The
 exceptions are referees of orchestration, not of arithmetic:
-``validation_loss_per_batch`` runs the package's encoders, sampler and
-losses in the order the validation round used before it embedded each row
-once, and ``evaluate_per_episode`` draws each episode with the per-class
-``rng.choice`` calls (``draw_episode_choice``) the package made before it
-resolved one bounded-integer call per episode, and votes it with the
-one-block κ-NN (``knn_classify_one_block``) that voted each episode on its
+``validation_loss_per_batch`` runs the package's encoders and losses in the
+order the validation round used before it embedded each row once, drawing
+each batch with the per-class ``rng.choice`` calls
+(``sample_training_batch_choice``) the package made before it drew a block
+of batches per call, and ``evaluate_per_episode`` draws each episode with
+the per-class ``rng.choice`` calls (``draw_episode_choice``) the package
+made before it resolved one bounded-integer call per episode, and votes it
+with the one-block κ-NN (``knn_classify_one_block``) that voted each episode on its
 own before evaluation voted a block of episodes at once. So are the
 whole-file OSF1 writer and reader (``write_features_whole``,
 ``read_features_whole``), which hold every record at once where the package
@@ -36,6 +38,8 @@ from openset.errors import (
 )
 from openset.losses import je_loss, make_dml, we_loss
 from openset.model import METHOD_VE, METHOD_WE
+
+RESAMPLE_LIMIT = 100  # whole batch draws before sample_training_batch_choice gives up
 
 
 def check_gradient(f, point: np.ndarray, h: float = 1e-5) -> float:
@@ -452,6 +456,42 @@ def read_features_whole(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def sample_training_batch_choice(
+    dataset: Dataset,
+    train_classes: list[int],
+    rng: np.random.Generator,
+    n: int,
+    k_max: int,
+    min_total: int,
+) -> tuple[list[int], np.ndarray]:
+    """n distinct classes with up to k_max instances each, at least min_total
+    instances in total; whole draws failing the total are resampled.
+
+    Returns the picked classes and the dataset rows of the batch, both in
+    draw order (each class's rows follow the class's place in picked).
+
+    The package's batch draw before it drew a block of batches per call and
+    resolved their positions with episodic.choice_positions, kept verbatim
+    as the referee of that path: one rng.choice call per class.
+    """
+    pool = sorted(train_classes)
+    if len(pool) < n:
+        raise ConfigError(f"batch sampling: need {n} classes, have {len(pool)}")
+    for _ in range(RESAMPLE_LIMIT):
+        picked = [pool[i] for i in rng.choice(len(pool), size=n, replace=False)]
+        rows = []
+        for cid in picked:
+            avail = dataset.class_rows[cid]
+            take = min(k_max, len(avail))
+            rows.append(avail[rng.choice(len(avail), size=take, replace=False)])
+        rows = np.concatenate(rows)
+        if len(rows) >= min_total:
+            return picked, rows
+    raise SamplingError(
+        f"batch sampling: {RESAMPLE_LIMIT} draws below {min_total} total instances"
+    )
+
+
 def validation_loss_per_batch(model, dataset: Dataset, val_classes, cfg, round_idx: int) -> float:
     """One validation round that embeds every batch on its own: draw a batch,
     embed its rows (and, for JE, project its classes' labels), take the
@@ -463,7 +503,7 @@ def validation_loss_per_batch(model, dataset: Dataset, val_classes, cfg, round_i
     total = 0.0
     counted = 0
     for _ in range(cfg.val_batches):
-        picked, rows = episodic.sample_training_batch(
+        picked, rows = sample_training_batch_choice(
             dataset, val_classes, rng,
             n=cfg.batch_classes, k_max=cfg.batch_k_max, min_total=cfg.batch_min_total,
         )

@@ -545,7 +545,7 @@ class TestFailureClasses:
         assert capsys.readouterr().err == f"openset {command}: {message}\n"
         assert not out.exists()
 
-    def test_exhausted_sampling_exits_two(self, tmp_path, capsys):
+    def test_unfillable_batch_exits_one_before_out(self, tmp_path, capsys):
         data_dir, split_dir = str(tmp_path / "d"), str(tmp_path / "s")
         assert cli.main([
             "synth", "--out", data_dir, "--n-verbs", "8", "--n-nouns", "8",
@@ -558,15 +558,20 @@ class TestFailureClasses:
             "--out", split_dir,
         ]) == 0
         # 12 classes of 2 instances cap a batch at 24 items, below the
-        # 36-item floor, so sampling retries exhaust at runtime
+        # 36-item floor, so no draw could ever pass: rejected before --out
+        out = tmp_path / "o"
         code = cli.main([
             "train", "--data", data_dir,
             "--split", os.path.join(split_dir, "split_0.csv"),
-            "--out", str(tmp_path / "o"), "--hidden-dim", "8", "--embed-dim", "6",
+            "--out", str(out), "--hidden-dim", "8", "--embed-dim", "6",
             "--max-batches", "5",
         ])
-        assert code == 2
-        assert "draws below" in capsys.readouterr().err
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "openset train: train: the 12 largest training classes give at most 24 "
+            "instances per batch, below batch_min_total 36\n"
+        )
+        assert not out.exists()
 
     def test_synth_beyond_uint32_ids_exits_one(self, tmp_path, capsys):
         # 70 classes of up to 10^9 instances cannot get uint32 ids; the

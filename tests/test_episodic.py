@@ -129,7 +129,9 @@ class TestTrainingBatch:
     def test_full_batch_shape(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(0)
-        picked, rows = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
+        [(picked, rows)] = episodic.sample_training_batch(
+            ds, list(range(15)), rng, **BATCH_SHAPE, count=1
+        )
         assert len(picked) == 12
         assert all(count == 8 for count in Counter(ds.class_ids[rows]).values())
         # rows come in draw order: each picked class's rows, in turn
@@ -138,14 +140,18 @@ class TestTrainingBatch:
     def test_short_classes_capped(self):
         ds = tiny_dataset({c: 3 for c in range(12)})
         rng = np.random.default_rng(1)
-        picked, rows = episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE)
+        [(picked, rows)] = episodic.sample_training_batch(
+            ds, list(range(12)), rng, **BATCH_SHAPE, count=1
+        )
         # 12 classes x 3 instances reaches the floor exactly
         assert len(rows) == 36
 
     def test_instances_unique_and_from_their_class(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(2)
-        picked, rows = episodic.sample_training_batch(ds, list(range(15)), rng, **BATCH_SHAPE)
+        [(picked, rows)] = episodic.sample_training_batch(
+            ds, list(range(15)), rng, **BATCH_SHAPE, count=1
+        )
         seen = set()
         assert set(ds.class_ids[rows]) <= set(picked)
         for row in rows:
@@ -157,13 +163,80 @@ class TestTrainingBatch:
         ds = tiny_dataset({c: 2 for c in range(12)})
         rng = np.random.default_rng(3)
         with pytest.raises(SamplingError, match="100 draws"):
-            episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE)
+            episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE, count=1)
 
     def test_too_few_classes_rejected(self):
         ds = tiny_dataset({c: 10 for c in range(5)})
         rng = np.random.default_rng(4)
         with pytest.raises(ConfigError):
-            episodic.sample_training_batch(ds, list(range(5)), rng, **BATCH_SHAPE)
+            episodic.sample_training_batch(ds, list(range(5)), rng, **BATCH_SHAPE, count=1)
+
+    @staticmethod
+    def assert_equals_referee(ds, classes, seed, count, **shape):
+        """One block of count batches against count per-class referee calls
+        on the same seed: batches, then the generator's state and next draw,
+        or the same error."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def drawn(draw):
+            try:
+                return draw()
+            except SamplingError as exc:
+                return str(exc)
+
+        got = drawn(lambda: episodic.sample_training_batch(ds, classes, ours, **shape, count=count))
+        want = drawn(lambda: [reference.sample_training_batch_choice(ds, classes, theirs, **shape)
+                              for _ in range(count)])
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [picked for picked, _ in got] == [picked for picked, _ in want]
+            for (_, rows), (_, want_rows) in zip(got, want):
+                assert rows.dtype == want_rows.dtype
+                assert rows.tolist() == want_rows.tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.integers(1 << 62) == theirs.integers(1 << 62)
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("trial", range(6))
+    def test_block_equals_per_class_referee(self, trial, count):
+        # classes of 1-40 instances, k_max 1-10, any reachable floor
+        gen = np.random.default_rng([40, trial])
+        sizes = gen.integers(1, 41, size=int(gen.integers(3, 30)))
+        ds = tiny_dataset(dict(enumerate(sizes.tolist())))
+        n = int(gen.integers(1, len(sizes) + 1))
+        k_max = int(gen.integers(1, 11))
+        reachable = int(np.sort(np.minimum(k_max, sizes))[-n:].sum())
+        min_total = int(gen.integers(1, reachable + 1))
+        self.assert_equals_referee(ds, list(range(len(sizes))), [41, trial], count,
+                                   n=n, k_max=k_max, min_total=min_total)
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
+    def test_resampled_block_equals_per_class_referee(self, count):
+        # 3 of 12 classes hold 40 instances and the rest 1, so a batch of 4
+        # reaches 10 only with 2 of the big three: about 1 draw in 4
+        sizes = {c: 40 if c % 4 == 0 else 1 for c in range(12)}
+        ds = tiny_dataset(sizes)
+        shape = dict(n=4, k_max=5, min_total=10)
+        # the first draw falls short, so the first batch is resampled
+        [(_, first)] = episodic.sample_training_batch(
+            ds, list(sizes), np.random.default_rng(6), **dict(shape, min_total=1), count=1
+        )
+        assert len(first) < 10
+        self.assert_equals_referee(ds, list(sizes), 6, count, **shape)
+
+    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("count", [1, 64])
+    def test_exhausted_block_equals_per_class_referee(self, count, empty):
+        # 12 classes of 2 cap a batch at 24 rows; with their rows dropped
+        # from the columns (the table still lists them) a batch has none
+        ds = tiny_dataset({c: 2 for c in range(13)})
+        if empty:
+            rows = ds.class_rows[12]
+            ds = data.Dataset(ds.classes, ds.instance_ids[rows], ds.class_ids[rows],
+                              ds.features[rows], ds.label_embeddings)
+            assert all(len(ds.class_rows[c]) == 0 for c in range(12))
+        self.assert_equals_referee(ds, list(range(12)), 3, count, **BATCH_SHAPE)
 
 
 class TestEpisodeSampling:

@@ -116,6 +116,27 @@ class TestConfigValidation:
         assert log.validations == []
         assert log.best_step is None
 
+    def test_unfillable_batches_rejected(self):
+        # at k_max 8 the 12 smallest training classes (eight of 4 instances,
+        # four of 5) give at most 52 rows, the 12 validation classes 66 and
+        # the 12 largest training classes 71
+        small = sorted(SPLIT.train, key=lambda c: len(DATASET.class_rows[c]))[:12]
+        thin = dataclasses.replace(SPLIT, train=set(small))
+        with pytest.raises(ConfigError) as exc:
+            trainer.check_split(DATASET, thin, fast_cfg(batch_min_total=53))
+        assert str(exc.value) == (
+            "train: the 12 largest training classes give at most 52 instances per batch, "
+            "below batch_min_total 53"
+        )
+        trainer.check_split(DATASET, thin, fast_cfg(batch_min_total=52))
+        # no batch is drawn at max_batches 0, so only the class count is checked
+        trainer.check_split(DATASET, thin, fast_cfg(batch_min_total=53, max_batches=0))
+        with pytest.raises(ConfigError, match="^train: the 12 largest validation classes "
+                                              "give at most 66 instances per batch"):
+            trainer.check_split(DATASET, SPLIT, fast_cfg(batch_min_total=67))
+        # below one validation interval the loop never validates
+        trainer.check_split(DATASET, SPLIT, fast_cfg(batch_min_total=67, max_batches=10))
+
 
 class TestTrainLoop:
     def test_zero_batches_returns_initial_copy(self):
@@ -192,16 +213,20 @@ class TestTrainLoop:
         real = episodic.sample_training_batch
 
         def spy(dataset, classes, rng, **kw):
-            calls.append(set(classes))
-            return real(dataset, classes, rng, **kw)
+            batches = real(dataset, classes, rng, **kw)
+            calls.append((set(classes), len(batches)))
+            return batches
 
         monkeypatch.setattr(episodic, "sample_training_batch", spy)
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", spy)
         trainer.train(make_net(seed=5), DATASET, SPLIT, fast_cfg(max_batches=40))
         assert calls
-        for pool in calls:
+        for pool, _ in calls:
             assert pool == SPLIT.train or pool == SPLIT.validation
-        assert any(pool == SPLIT.validation for pool in calls)
+        assert any(pool == SPLIT.validation for pool, _ in calls)
+        # one block holds all 40 steps' batches; each round draws its 5 at once
+        assert [n for pool, n in calls if pool == SPLIT.train] == [40]
+        assert [n for pool, n in calls if pool == SPLIT.validation] == [5, 5]
 
     def test_label_table_never_written(self):
         before = {
@@ -245,12 +270,13 @@ class TestTrainLoop:
         state = {"first": True}
 
         def fake(dataset, classes, rng, **kw):
-            picked, rows = real(dataset, classes, rng, **kw)
+            batches = real(dataset, classes, rng, **kw)
             if state["first"]:
                 state["first"] = False
                 # single-class batch has no negative pairs
-                return picked[:1], rows[dataset.class_ids[rows] == picked[0]]
-            return picked, rows
+                picked, rows = batches[0]
+                batches[0] = picked[:1], rows[dataset.class_ids[rows] == picked[0]]
+            return batches
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", fake)
         net = make_net(seed=10)
@@ -264,8 +290,8 @@ class TestTrainLoop:
         real = episodic.sample_training_batch
 
         def fake(dataset, classes, rng, **kw):
-            picked, rows = real(dataset, classes, rng, **kw)
-            return picked[:1], rows[dataset.class_ids[rows] == picked[0]]
+            return [(picked[:1], rows[dataset.class_ids[rows] == picked[0]])
+                    for picked, rows in real(dataset, classes, rng, **kw)]
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", fake)
         with pytest.raises(SamplingError, match="degenerate"):
@@ -279,8 +305,8 @@ class TestObjectives:
     def batch_for(self, n=12):
         """A drawn batch as batch_objective's inputs: (frames, class ids, labels)."""
         rng = np.random.default_rng(13)
-        picked, rows = episodic.sample_training_batch(
-            DATASET, sorted(SPLIT.train), rng, n=n, k_max=8, min_total=36
+        [(picked, rows)] = episodic.sample_training_batch(
+            DATASET, sorted(SPLIT.train), rng, n=n, k_max=8, min_total=36, count=1
         )
         labels = {c: DATASET.label_embeddings[c] for c in picked}
         return DATASET.features[rows], DATASET.class_ids[rows], labels
@@ -432,6 +458,61 @@ class TestValidationRound:
         # no 1-row block: its product would take BLAS's gemv path
         assert [len(frames) for frames in seen] == blocks
         assert label_calls == [len(VAL_CLASSES)]
+
+
+def sparse_data():
+    """Desk dims with 1-2 instances per class, and its split: a batch of two
+    1-instance classes has no positive pair."""
+    cfg = data.SynthConfig(
+        n_verbs=8, n_nouns=8, class_density=0.9, instances_per_class=(1, 2),
+        d_latent=3, input_dim=10, frames=2, label_dim=6,
+        sigma_frame=0.3, sigma_instance=0.3, seed=22,
+    )
+    ds = data.synth_generate(cfg)
+    return ds, splits.generate_split(ds.classes, splits.SplitSpec(p_verbs=2, p_nouns=2, seed=0))
+
+
+SPARSE_DATA, SPARSE_SPLIT = sparse_data()
+
+
+class TestBatchBlocks:
+    @pytest.mark.parametrize("max_batches", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("dml", ["multisim", "histogram"])
+    @pytest.mark.parametrize("method,embed_dim,lam", METHOD_CASES)
+    def test_equals_per_batch_referee(self, monkeypatch, method, embed_dim, lam, dml, max_batches):
+        # train as it is, queueing blocks of batches, against the loop that
+        # drew each batch when it needed one, through per-class rng.choice calls
+        cfg = fast_cfg(method=method, lambda_we=lam, dml=dml, max_batches=max_batches,
+                       val_batches=8, batch_classes=2, batch_k_max=2, batch_min_total=2)
+        real, blocks = episodic.sample_training_batch, []
+
+        def spy(dataset, classes, rng, **kw):
+            batches = real(dataset, classes, rng, **kw)
+            if set(classes) == SPARSE_SPLIT.train:
+                blocks.append(batches)
+            return batches
+
+        def referee(dataset, classes, rng, n, k_max, min_total, count):
+            return [reference.sample_training_batch_choice(dataset, classes, rng, n, k_max,
+                                                           min_total) for _ in range(count)]
+
+        monkeypatch.setattr(trainer.episodic, "sample_training_batch", spy)
+        got, got_log = trainer.train(make_net(method, embed_dim, seed=18), SPARSE_DATA,
+                                     SPARSE_SPLIT, cfg)
+        monkeypatch.setattr(trainer.episodic, "sample_training_batch", referee)
+        monkeypatch.setattr(trainer, "_BATCH_BLOCK", 1)
+        want, want_log = trainer.train(make_net(method, embed_dim, seed=18), SPARSE_DATA,
+                                       SPARSE_SPLIT, cfg)
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got_log == want_log
+        # a batch of 1-instance classes has no positive pair, so the VE and
+        # WE(10) histogram objectives resample it; one that ends a block takes
+        # the next block's first batch
+        if dml == "histogram" and (method == "VE" or lam) and max_batches >= 64:
+            assert want_log.degenerate_resamples > 0
+            no_pair = [len(set(SPARSE_DATA.class_ids[rows])) == len(rows)
+                       for block in blocks[:-1] for _, rows in block[-1:]]
+            assert any(no_pair)
 
 
 class TestTrainLogFile:
