@@ -602,4 +602,9 @@ def load_dataset(class_table_path: str, features_path: str, labels_path: str) ->
     missing = [cid for cid in table.class_ids() if cid not in embeddings]
     if missing:
         raise FormatError(f"labels file missing classes {missing}")
-    return Dataset(table, instance_ids, class_ids, features, embeddings)
+    dataset = Dataset(table, instance_ids, class_ids, features, embeddings)
+    for cid, rows in dataset.class_rows.items():
+        if len(rows) != table[cid].instance_count:
+            raise FormatError(f"{features_path}: class {cid} has {len(rows)} instances, "
+                              f"the class table says {table[cid].instance_count}")
+    return dataset

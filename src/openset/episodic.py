@@ -9,8 +9,9 @@ pooled across episodes (total correct / total queries).
 Evaluation subsets: All (every test class), HoV (held-out verb only), HoN
 (held-out noun only); classes held out on both sides appear in All only.
 Per-episode generators are derived from (seed, subset index, episode index),
-so episodes are independent of execution order; choice_positions resolves a
-block's draws into the positions per-class rng.choice would give.
+so episodes are independent of execution order. Training batches and
+episodes are both drawn from a ClassPool, whose draw makes two generator calls
+each and resolves a block of them with choice_positions.
 """
 
 from __future__ import annotations
@@ -67,49 +68,55 @@ class EvalConfig:
         return self.k if self.task == TASK_FSG else 0
 
 
-def sample_training_batch(
-    dataset: Dataset,
-    train_classes: list[int],
-    rng: np.random.Generator,
-    n: int,
-    k_max: int,
-    min_total: int,
-    count: int,
-) -> list[tuple[list[int], np.ndarray]]:
-    """count batches, each of n distinct classes with up to k_max instances
-    each, at least min_total instances in total; whole draws failing the
-    total are resampled.
+class ClassPool:
+    """Sorted classes to draw from. rows is their class_rows concatenated in
+    class order, class i's from starts[i]; a draw of class i takes takes[i]
+    of its sizes[i] rows, n_support supports and up to m more (see bounds)."""
 
-    Returns (picked classes, dataset rows) per batch, in draw order (each
-    class's rows follow the class's place in picked). Each draw is one
-    draw_episode call; the total needs only the takes, so positions are
-    resolved once for the whole block (see choice_positions)."""
-    pool = np.array(sorted(train_classes))
-    if len(pool) < n:
-        raise ConfigError(f"batch sampling: need {n} classes, have {len(pool)}")
-    sizes = np.array([len(dataset.class_rows[c]) for c in pool.tolist()])
-    takes = np.minimum(k_max, sizes)
-    width = max(int(takes.max()), 1)
-    bounds = np.array([choice_bounds(s, t, width) for s, t in zip(sizes, takes)])
-    index, chosen, raw = np.arange(len(pool)), [], []
-    for _ in range(count):
-        for _ in range(_RESAMPLE_LIMIT):
-            picked, draws = draw_episode(index, bounds, rng, n)
-            if takes[picked].sum() >= min_total:
-                break
-        else:
-            raise SamplingError(
-                f"batch sampling: {_RESAMPLE_LIMIT} draws below {min_total} total instances"
-            )
-        chosen.append(picked)
-        raw.append(draws)
-    picked = np.concatenate(chosen)
-    counts = takes[picked]
-    drawn = choice_positions(np.concatenate(raw), sizes[picked], counts)
-    class_rows = np.concatenate([dataset.class_rows[c] for c in pool.tolist()])
-    rows = class_rows[np.repeat(np.cumsum(sizes)[picked] - sizes[picked], counts) + drawn]
-    ends = np.cumsum(counts.reshape(count, n).sum(axis=1))[:-1]
-    return [(pool[p].tolist(), r) for p, r in zip(chosen, np.split(rows, ends))]
+    def __init__(self, dataset: Dataset, classes, m: int, n_support: int = 0):
+        self.classes = np.array(sorted(classes), dtype=np.int64)
+        parts = [dataset.class_rows[c] for c in self.classes.tolist()]
+        self.rows = np.concatenate(parts)
+        self.sizes = np.array([len(p) for p in parts], dtype=np.int64)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.takes = n_support + np.minimum(m, self.sizes - n_support)
+        width = max(int(self.takes.max()), 1)
+        self.bounds = np.array([choice_bounds(s, t, width) for s, t in zip(self.sizes, self.takes)])
+
+    def draw(self, members: np.ndarray, rngs: list, n: int, min_total: int = 0):
+        """Per generator, n distinct classes of members (indices into classes)
+        by rng.choice, then one rng.integers over their bounds, redrawn while
+        their takes sum below min_total. Returns the picked indices, (draws,
+        n), and each pick's positions into rows, in draw order."""
+        picked, raw = [], []
+        for rng in rngs:
+            for _ in range(_RESAMPLE_LIMIT):
+                chosen = members[rng.choice(len(members), size=n, replace=False)]
+                draws = rng.integers(0, self.bounds[chosen], endpoint=True)
+                if self.takes[chosen].sum() >= min_total:
+                    break
+            else:
+                raise SamplingError(f"batch sampling: {_RESAMPLE_LIMIT} draws "
+                                    f"below {min_total} total instances")
+            picked.append(chosen)
+            raw.append(draws)
+        flat = np.concatenate(picked)
+        takes = self.takes[flat]
+        drawn = choice_positions(np.concatenate(raw), self.sizes[flat], takes)
+        return flat.reshape(len(raw), n), np.repeat(self.starts[flat], takes) + drawn
+
+
+def sample_training_batch(
+    pool: ClassPool, rng: np.random.Generator, n: int, min_total: int, count: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """count batches, each of n distinct pool classes taking their takes, at
+    least min_total instances in total; whole draws failing the total are
+    resampled. Returns (picked pool indices, positions into pool.rows) per
+    batch, in draw order (each class's positions follow its place in picked)."""
+    if len(pool.classes) < n:
+        raise ConfigError(f"batch sampling: need {n} classes, have {len(pool.classes)}")
+    picked, positions = pool.draw(np.arange(len(pool.classes)), [rng] * count, n, min_total)
+    return list(zip(picked, np.split(positions, np.cumsum(pool.takes[picked].sum(axis=1))[:-1])))
 
 
 def eligible_episode_classes(dataset: Dataset, classes: set[int], cfg: EvalConfig) -> list[int]:
@@ -127,16 +134,6 @@ def choice_bounds(size: int, take: int, width: int) -> np.ndarray:
     else:
         head, tail = np.arange(size - take, size), np.arange(take - 1, 0, -1)
     return np.concatenate([head, np.zeros(2 * width - 1 - len(head) - len(tail), int), tail])
-
-
-def draw_episode(
-    eligible: np.ndarray, bounds: np.ndarray, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one episode from at least n eligible classes: its n classes, then
-    the raw draws of their positions into class_rows, one rng.integers call
-    over their rows of bounds (see choice_bounds and choice_positions)."""
-    chosen = rng.choice(len(eligible), size=n, replace=False)
-    return eligible[chosen], rng.integers(0, bounds[chosen], endpoint=True)
 
 
 def choice_positions(raw: np.ndarray, sizes: np.ndarray, takes: np.ndarray) -> np.ndarray:
@@ -265,10 +262,10 @@ def evaluate(
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
     the whole run, unless every subset is (see eval_subsets). Each eligible
-    class is embedded once per call, into one array of rows. Per _VOTE_BLOCK
-    episodes, choice_positions resolves every episode's draws at once, one
-    gather turns the positions into rows of that array, and votes are cast
-    once; each episode still takes its own (queries, n·k) similarity product,
+    class is embedded once per call, into one array in ClassPool order. Per
+    _VOTE_BLOCK episodes, one ClassPool.draw resolves every episode's draws
+    into positions, which index that array, and votes are cast once; each
+    episode still takes its own (queries, n·k) similarity product,
     since BLAS bits depend on the product's shape. FSG supports are video
     embeddings; the cross-modal task supports each class with its raw label
     embedding (WE trains into that space) or its projected one (JE). Deterministic in seed.
@@ -278,19 +275,15 @@ def evaluate(
     n, k, n_support = cfg.n, cfg.k, cfg.n_support
     subsets = eval_subsets(model.config, dataset, split, cfg)
     # All runs whenever any subset does, and its classes hold every other
-    # subset's: embed them, one call per class, into one array of rows
-    classes = subsets[0][1]
-    emb = np.concatenate([model.embed_video_batch(dataset.features[dataset.class_rows[c]])[0]
-                          for c in classes])
-    sizes = np.array([len(dataset.class_rows[c]) for c in classes])
-    takes = n_support + np.minimum(cfg.m, sizes - n_support)
-    bounds = np.array([choice_bounds(s, t, takes.max()) for s, t in zip(sizes, takes)])
-    class_start = np.cumsum(sizes) - sizes
+    # subset's: pool them, and embed them in pool order, one call per class
+    pool = ClassPool(dataset, subsets[0][1], cfg.m, n_support)
+    emb = np.concatenate([model.embed_video_batch(dataset.features[rows])[0]
+                          for rows in np.split(pool.rows, pool.starts[1:])])
     if cross_modal:
         labels = np.stack([
             dataset.label_embeddings[c] if model.method == METHOD_WE
             else model.embed_label_batch(dataset.label_embeddings[c][None])[0][0]
-            for c in classes
+            for c in pool.classes.tolist()
         ])
     for subset_idx, (name, eligible) in enumerate(subsets):
         if len(eligible) < n:
@@ -300,28 +293,25 @@ def evaluate(
             )
             continue
         result = report.subsets[name] = SubsetResult()
-        eligible, subset_bounds = np.array(eligible), bounds[np.searchsorted(classes, eligible)]
+        members = np.searchsorted(pool.classes, eligible)
         for start in range(0, cfg.episodes, _VOTE_BLOCK):
             rngs = [np.random.default_rng([cfg.seed, subset_idx, episode_idx])
                     for episode_idx in range(start, min(start + _VOTE_BLOCK, cfg.episodes))]
-            picked, raw = zip(*[draw_episode(eligible, subset_bounds, rng, n) for rng in rngs])
-            # one entry per (episode, class); classes is sorted
-            picked = np.concatenate(picked)
-            class_idx = np.searchsorted(classes, picked)
-            counts = takes[class_idx]
-            drawn = choice_positions(np.concatenate(raw), sizes[class_idx], counts)
-            rows = np.repeat(class_start[class_idx], counts) + drawn
+            # pool indices, (episodes, n), and each pick's positions into emb
+            picked, positions = pool.draw(members, rngs, n)
+            counts = pool.takes[picked.ravel()]
             # each class's first n_support positions are its supports
-            rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+            rank = np.arange(len(positions)) - np.repeat(np.cumsum(counts) - counts, counts)
             is_support = rank < n_support
-            support = labels[class_idx] if cross_modal else emb[rows[is_support]]
+            support = labels[picked] if cross_modal else emb[positions[is_support]]
             support = support.reshape(-1, n * k, emb.shape[1])
             queries = (counts - n_support).reshape(-1, n).sum(axis=1)
-            query_rows = np.split(rows[~is_support], np.cumsum(queries[:-1]))
+            query_rows = np.split(positions[~is_support], np.cumsum(queries[:-1]))
             sims = [emb[q] @ s.T for q, s in zip(query_rows, support)]
-            support_classes = np.repeat(picked.reshape(-1, n), k, axis=1)
-            pred = knn_classify(np.concatenate(sims), np.repeat(support_classes, queries, 0), k)
-            true_cid = np.repeat(picked, counts - n_support)
+            picked = pool.classes[picked]
+            support_classes = np.repeat(np.repeat(picked, k, axis=1), queries, axis=0)
+            pred = knn_classify(np.concatenate(sims), support_classes, k)
+            true_cid = np.repeat(picked.ravel(), counts - n_support)
             result.episodes += len(queries)
             result.queries += len(true_cid)
             result.correct += int(np.count_nonzero(pred == true_cid))

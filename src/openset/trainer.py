@@ -15,10 +15,10 @@ validation classes, gathered from one embedding of every validation row per
 round; the parameters with the lowest validation loss are returned. Early
 stop when no new best appears within `patience` steps.
 Training is deterministic in (config, dataset, split): the batch stream and
-each validation round use generators derived from the config seed. Batches
-are drawn in blocks: the loop queues _BATCH_BLOCK at a time, a degenerate
-batch's resample is the next queued one, and a validation round draws its
-batches in one call; the stream is the one drawing each batch alone gives.
+each validation round use generators derived from the config seed. Both draw
+from an episodic.ClassPool in blocks: the loop queues _BATCH_BLOCK batches at
+a time, a degenerate batch's resample is the next queued one, and a round
+draws its batches in one call; the stream is the one each batch alone gives.
 """
 
 from __future__ import annotations
@@ -133,11 +133,10 @@ def batch_objective(
     frames: np.ndarray,
     class_ids: np.ndarray,
     labels: dict[int, np.ndarray],
-    with_grads: bool,
     cfg: TrainConfig,
 ) -> float:
-    """Compute the method objective on one batch; when with_grads, backprop
-    into the model's gradient buffers (caller steps and zeroes them).
+    """Compute the method objective on one batch and backprop it into the
+    model's gradient buffers (caller steps and zeroes them).
 
     frames and class_ids are the batch's rows of the dataset columns;
     labels maps each class the batch drew (even one that gave no rows) to
@@ -148,55 +147,50 @@ def batch_objective(
     if cfg.method == METHOD_JE:
         label_emb, label_cache = model.embed_label_batch(label_emb)
     loss, grads_video, grads_label = _objective(video_emb, class_ids, classes, label_emb, cfg)
-    if with_grads:
-        model.backward_video_batch(video_cache, grads_video)
-        if grads_label is not None:
-            model.backward_label_batch(label_cache, grads_label)
+    model.backward_video_batch(video_cache, grads_video)
+    if grads_label is not None:
+        model.backward_label_batch(label_cache, grads_label)
     return loss
 
 
 def _validation_loss(
     model: EmbeddingModel,
     dataset: Dataset,
-    val_classes: list[int],
+    val_classes: set[int] | list[int],
     cfg: TrainConfig,
     round_idx: int,
 ) -> float:
     """Mean objective over the round's batches, skipping degenerate ones.
-    Each validation row is embedded once, in blocks of at most one batch's
-    size, and each batch gathers its rows. A 1-row product takes BLAS's gemv
-    path, with other bits: a row whose batch can hold no other row is
-    embedded alone, a JE label whose batch holds one class is projected
-    alone, and any other 1-row remainder joins the block before it."""
-    rows = np.flatnonzero(np.isin(dataset.class_ids, val_classes))
+    Each validation row is embedded once, in pool order and in blocks of at
+    most one batch's size; each batch gathers its positions. A 1-row product
+    takes BLAS's gemv path, with other bits: a row whose batch can hold no
+    other row is embedded alone, a JE label whose batch holds one class is
+    projected alone, and any other 1-row remainder joins the block before it."""
+    pool = episodic.ClassPool(dataset, val_classes, cfg.batch_k_max)
     single = cfg.batch_classes == 1
-    lone = single & np.isin(dataset.class_ids[rows], [
-        c for c in val_classes if min(cfg.batch_k_max, len(dataset.class_rows[c])) == 1
-    ])
+    lone = np.repeat(single & (pool.takes == 1), pool.sizes)
     rest = np.flatnonzero(~lone)
     size = cfg.batch_classes * cfg.batch_k_max
     blocks = np.split(rest, range(size, len(rest) - (len(rest) % size == 1), size))
     blocks = [b for b in blocks if len(b)] + [[i] for i in np.flatnonzero(lone)]
-    video = np.empty((len(rows), model.config.embed_dim))
+    video = np.empty((len(pool.rows), model.config.embed_dim))
     for block in blocks:
-        video[block] = model.embed_video_batch(dataset.features[rows[block]])[0]
-    classes = np.array(sorted(val_classes), dtype=np.int64)
-    labels = np.stack([dataset.label_embeddings[c] for c in classes.tolist()])
+        video[block] = model.embed_video_batch(dataset.features[pool.rows[block]])[0]
+    labels = np.stack([dataset.label_embeddings[c] for c in pool.classes.tolist()])
     if cfg.method == METHOD_JE:
         labels = np.concatenate([model.embed_label_batch(part)[0]
                                  for part in (labels[:, None] if single else [labels])])
 
     rng = np.random.default_rng([cfg.seed, 1, round_idx])
     batch_losses = []
-    for picked, batch in episodic.sample_training_batch(
-        dataset, val_classes, rng, n=cfg.batch_classes, k_max=cfg.batch_k_max,
-        min_total=cfg.batch_min_total, count=cfg.val_batches,
+    for picked, positions in episodic.sample_training_batch(
+        pool, rng, cfg.batch_classes, cfg.batch_min_total, cfg.val_batches
     ):
-        drawn = np.array(sorted(picked), dtype=np.int64)
+        drawn = np.sort(picked)
         try:
             batch_losses.append(_objective(
-                video[np.searchsorted(rows, batch)], dataset.class_ids[batch], drawn,
-                labels[np.searchsorted(classes, drawn)], cfg,
+                video[positions], dataset.class_ids[pool.rows[positions]], pool.classes[drawn],
+                labels[drawn], cfg,
             )[0])
         except DegenerateInputError:
             continue
@@ -220,8 +214,8 @@ def check_split(dataset: Dataset, split: SplitResult, cfg: TrainConfig) -> None:
             raise ConfigError(
                 f"train: need {cfg.batch_classes} {name} classes, have {len(classes)}"
             )
-        capped = sorted(min(cfg.batch_k_max, len(dataset.class_rows[c])) for c in classes)
-        largest = sum(capped[-cfg.batch_classes:])
+        takes = np.sort(episodic.ClassPool(dataset, classes, cfg.batch_k_max).takes)
+        largest = int(takes[-cfg.batch_classes:].sum())
         if cfg.max_batches and largest < cfg.batch_min_total:
             raise ConfigError(
                 f"train: the {cfg.batch_classes} largest {name} classes give at most "
@@ -246,16 +240,15 @@ def train(
             f"config method {cfg.method} != model method {model.method}"
         )
     check_split(dataset, split, cfg)
-    train_classes = sorted(split.train)
-    val_classes = sorted(split.validation)
 
     log = TrainLog()
     if cfg.max_batches == 0:
         return model.copy(), log
 
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
+    pool = episodic.ClassPool(dataset, split.train, cfg.batch_k_max)
     rng = np.random.default_rng([cfg.seed, 0])
-    pending: deque[tuple[list[int], np.ndarray]] = deque()
+    pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
     best_model: EmbeddingModel | None = None
     best_val = np.inf
     best_step = 0
@@ -268,15 +261,15 @@ def train(
             for _ in range(_DEGENERATE_LIMIT):
                 if not pending:
                     pending.extend(episodic.sample_training_batch(
-                        dataset, train_classes, rng, n=cfg.batch_classes, k_max=cfg.batch_k_max,
-                        min_total=cfg.batch_min_total,
-                        count=min(_BATCH_BLOCK, cfg.max_batches - step + 1),
+                        pool, rng, cfg.batch_classes, cfg.batch_min_total,
+                        min(_BATCH_BLOCK, cfg.max_batches - step + 1),
                     ))
-                picked, rows = pending.popleft()
-                labels = {c: dataset.label_embeddings[c] for c in picked}
+                picked, positions = pending.popleft()
+                rows = pool.rows[positions]
+                labels = {c: dataset.label_embeddings[c] for c in pool.classes[picked].tolist()}
                 try:
                     loss = batch_objective(model, dataset.features[rows], dataset.class_ids[rows],
-                                           labels, True, cfg)
+                                           labels, cfg)
                     break
                 except DegenerateInputError:
                     model.zero_grad()
@@ -292,7 +285,7 @@ def train(
 
             if step % cfg.val_every == 0:
                 val_round += 1
-                val_loss = _validation_loss(model, dataset, val_classes, cfg, val_round)
+                val_loss = _validation_loss(model, dataset, split.validation, cfg, val_round)
                 log.validations.append((step, float(val_loss)))
                 if val_loss < best_val:
                     best_val = float(val_loss)

@@ -573,6 +573,35 @@ class TestFailureClasses:
         )
         assert not out.exists()
 
+    def test_features_missing_classes_exit_one_before_out(self, pipeline, tmp_path, capsys):
+        # two classes' rows dropped from the features, which the class table
+        # still counts: train and eval reject the data before --out exists
+        data_dir = tmp_path / "d"
+        data_dir.mkdir()
+        for name in ("class_table.csv", "labels.osl"):
+            (data_dir / name).write_bytes(Path(pipeline["data"], name).read_bytes())
+        ids, cids, feats = data.read_features(os.path.join(pipeline["data"], "features.osf"))
+        first, second = sorted(set(cids.tolist()))[:2]
+        keep = (cids != first) & (cids != second)
+        features = str(data_dir / "features.osf")
+        data.write_features(features, ids[keep], cids[keep], feats[keep])
+        table = data.read_class_table(str(data_dir / "class_table.csv"))
+        message = (f"{features}: class {first} has 0 instances, "
+                   f"the class table says {table[first].instance_count}\n")
+        out = tmp_path / "o"
+        assert cli.main([
+            "train", "--data", str(data_dir), "--split", pipeline["split_csv"],
+            "--out", str(out), "--method", "JE",
+        ] + TRAIN_FLAGS) == 1
+        assert capsys.readouterr().err == "openset train: " + message
+        assert not out.exists()
+        assert cli.main([
+            "eval", "--checkpoint", os.path.join(pipeline["ve"], "checkpoint.osm"),
+            "--data", str(data_dir), "--split", pipeline["split_csv"], "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == "openset eval: " + message
+        assert not out.exists()
+
     def test_synth_beyond_uint32_ids_exits_one(self, tmp_path, capsys):
         # 70 classes of up to 10^9 instances cannot get uint32 ids; the
         # config is rejected before anything is allocated or written

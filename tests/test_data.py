@@ -738,6 +738,24 @@ class TestLoadDataset:
         with pytest.raises(FormatError):
             data.load_dataset(ct, ff, lf)
 
+    def test_features_disagreeing_with_class_table_rejected(self, tmp_path):
+        # the features lack one class's rows, which the table still counts
+        ds = data.synth_generate(SMALL)
+        ct = str(tmp_path / "classes.csv")
+        ff = str(tmp_path / "features.osf")
+        lf = str(tmp_path / "labels.osl")
+        data.write_class_table(ct, ds.classes)
+        data.write_labels(lf, ds.label_embeddings)
+        dropped = int(ds.class_ids[0])
+        keep = ds.class_ids != dropped
+        data.write_features(ff, ds.instance_ids[keep], ds.class_ids[keep], ds.features[keep])
+        want = ds.classes[dropped].instance_count
+        with pytest.raises(FormatError) as exc:
+            data.load_dataset(ct, ff, lf)
+        assert str(exc.value) == (
+            f"{ff}: class {dropped} has 0 instances, the class table says {want}"
+        )
+
     def test_instance_with_unknown_class_rejected(self):
         table = data.ClassTable(entries={
             0: data.ClassEntry(0, 0, 0, "v", "n", 1),

@@ -52,17 +52,23 @@ def episode_rows(ds, task, k, picked, drawn):
 
 def draw(ds, classes, rng, **protocol):
     """One episode over classes under the EvalConfig built from protocol,
-    drawn from their eligible classes and resolved into each picked class's
-    positions as evaluate draws and resolves it."""
+    drawn from a pool of their eligible classes and resolved into each picked
+    class's positions into its class_rows, as evaluate draws and resolves it."""
     cfg = episodic.EvalConfig(**protocol)
-    eligible = np.array(episodic.eligible_episode_classes(ds, classes, cfg))
-    sizes = np.array([len(ds.class_rows[c]) for c in eligible])
-    takes = cfg.n_support + np.minimum(cfg.m, sizes - cfg.n_support)
-    bounds = np.array([episodic.choice_bounds(s, t, takes.max()) for s, t in zip(sizes, takes)])
-    picked, raw = episodic.draw_episode(eligible, bounds, rng, cfg.n)
-    idx = np.searchsorted(eligible, picked)
-    positions = episodic.choice_positions(raw, sizes[idx], takes[idx])
-    return picked.tolist(), np.split(positions, np.cumsum(takes[idx])[:-1])
+    pool = episodic.ClassPool(ds, episodic.eligible_episode_classes(ds, classes, cfg), cfg.m,
+                              cfg.n_support)
+    [picked], positions = pool.draw(np.arange(len(pool.classes)), [rng], cfg.n)
+    takes = pool.takes[picked]
+    positions = positions - np.repeat(pool.starts[picked], takes)
+    return pool.classes[picked].tolist(), np.split(positions, np.cumsum(takes)[:-1])
+
+
+def batches(ds, classes, rng, n, k_max, min_total, count):
+    """sample_training_batch over a pool of classes capped at k_max, as
+    (picked classes, dataset rows) per batch."""
+    pool = episodic.ClassPool(ds, classes, k_max)
+    return [(pool.classes[picked].tolist(), pool.rows[positions])
+            for picked, positions in episodic.sample_training_batch(pool, rng, n, min_total, count)]
 
 
 def make_split(cids, category=None):
@@ -129,7 +135,7 @@ class TestTrainingBatch:
     def test_full_batch_shape(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(0)
-        [(picked, rows)] = episodic.sample_training_batch(
+        [(picked, rows)] = batches(
             ds, list(range(15)), rng, **BATCH_SHAPE, count=1
         )
         assert len(picked) == 12
@@ -140,7 +146,7 @@ class TestTrainingBatch:
     def test_short_classes_capped(self):
         ds = tiny_dataset({c: 3 for c in range(12)})
         rng = np.random.default_rng(1)
-        [(picked, rows)] = episodic.sample_training_batch(
+        [(picked, rows)] = batches(
             ds, list(range(12)), rng, **BATCH_SHAPE, count=1
         )
         # 12 classes x 3 instances reaches the floor exactly
@@ -149,7 +155,7 @@ class TestTrainingBatch:
     def test_instances_unique_and_from_their_class(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
         rng = np.random.default_rng(2)
-        [(picked, rows)] = episodic.sample_training_batch(
+        [(picked, rows)] = batches(
             ds, list(range(15)), rng, **BATCH_SHAPE, count=1
         )
         seen = set()
@@ -163,13 +169,13 @@ class TestTrainingBatch:
         ds = tiny_dataset({c: 2 for c in range(12)})
         rng = np.random.default_rng(3)
         with pytest.raises(SamplingError, match="100 draws"):
-            episodic.sample_training_batch(ds, list(range(12)), rng, **BATCH_SHAPE, count=1)
+            batches(ds, list(range(12)), rng, **BATCH_SHAPE, count=1)
 
     def test_too_few_classes_rejected(self):
         ds = tiny_dataset({c: 10 for c in range(5)})
         rng = np.random.default_rng(4)
         with pytest.raises(ConfigError):
-            episodic.sample_training_batch(ds, list(range(5)), rng, **BATCH_SHAPE, count=1)
+            batches(ds, list(range(5)), rng, **BATCH_SHAPE, count=1)
 
     @staticmethod
     def assert_equals_referee(ds, classes, seed, count, **shape):
@@ -184,7 +190,7 @@ class TestTrainingBatch:
             except SamplingError as exc:
                 return str(exc)
 
-        got = drawn(lambda: episodic.sample_training_batch(ds, classes, ours, **shape, count=count))
+        got = drawn(lambda: batches(ds, classes, ours, **shape, count=count))
         want = drawn(lambda: [reference.sample_training_batch_choice(ds, classes, theirs, **shape)
                               for _ in range(count)])
         if isinstance(want, str):
@@ -219,7 +225,7 @@ class TestTrainingBatch:
         ds = tiny_dataset(sizes)
         shape = dict(n=4, k_max=5, min_total=10)
         # the first draw falls short, so the first batch is resampled
-        [(_, first)] = episodic.sample_training_batch(
+        [(_, first)] = batches(
             ds, list(sizes), np.random.default_rng(6), **dict(shape, min_total=1), count=1
         )
         assert len(first) < 10

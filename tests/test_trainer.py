@@ -32,6 +32,11 @@ def make_net(method="VE", embed_dim=6, seed=0):
 DATASET, SPLIT = desk_data()
 
 
+def in_class(pool, positions, index):
+    """Which of a batch's positions into pool.rows hold the pool's class index."""
+    return np.repeat(pool.classes, pool.sizes)[positions] == pool.classes[index]
+
+
 def few_instance_data():
     """Reference dims (input 64, label 32) with 1-3 instances per class, and
     the validation classes of its split."""
@@ -212,9 +217,9 @@ class TestTrainLoop:
         calls = []
         real = episodic.sample_training_batch
 
-        def spy(dataset, classes, rng, **kw):
-            batches = real(dataset, classes, rng, **kw)
-            calls.append((set(classes), len(batches)))
+        def spy(pool, rng, *args):
+            batches = real(pool, rng, *args)
+            calls.append((set(pool.classes.tolist()), len(batches)))
             return batches
 
         monkeypatch.setattr(episodic, "sample_training_batch", spy)
@@ -269,13 +274,13 @@ class TestTrainLoop:
         real = episodic.sample_training_batch
         state = {"first": True}
 
-        def fake(dataset, classes, rng, **kw):
-            batches = real(dataset, classes, rng, **kw)
+        def fake(pool, rng, *args):
+            batches = real(pool, rng, *args)
             if state["first"]:
                 state["first"] = False
                 # single-class batch has no negative pairs
-                picked, rows = batches[0]
-                batches[0] = picked[:1], rows[dataset.class_ids[rows] == picked[0]]
+                picked, positions = batches[0]
+                batches[0] = picked[:1], positions[in_class(pool, positions, picked[0])]
             return batches
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", fake)
@@ -289,9 +294,9 @@ class TestTrainLoop:
     def test_every_batch_degenerate_raises(self, monkeypatch):
         real = episodic.sample_training_batch
 
-        def fake(dataset, classes, rng, **kw):
-            return [(picked[:1], rows[dataset.class_ids[rows] == picked[0]])
-                    for picked, rows in real(dataset, classes, rng, **kw)]
+        def fake(pool, rng, *args):
+            return [(picked[:1], positions[in_class(pool, positions, picked[0])])
+                    for picked, positions in real(pool, rng, *args)]
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", fake)
         with pytest.raises(SamplingError, match="degenerate"):
@@ -305,10 +310,10 @@ class TestObjectives:
     def batch_for(self, n=12):
         """A drawn batch as batch_objective's inputs: (frames, class ids, labels)."""
         rng = np.random.default_rng(13)
-        [(picked, rows)] = episodic.sample_training_batch(
-            DATASET, sorted(SPLIT.train), rng, n=n, k_max=8, min_total=36, count=1
-        )
-        labels = {c: DATASET.label_embeddings[c] for c in picked}
+        pool = episodic.ClassPool(DATASET, SPLIT.train, 8)
+        [(picked, positions)] = episodic.sample_training_batch(pool, rng, n, 36, 1)
+        rows = pool.rows[positions]
+        labels = {c: DATASET.label_embeddings[c] for c in pool.classes[picked].tolist()}
         return DATASET.features[rows], DATASET.class_ids[rows], labels
 
     def test_we_lambda_zero_matches_alignment_only(self):
@@ -316,7 +321,8 @@ class TestObjectives:
         net = make_net("WE", embed_dim=6, seed=12)
         frames, ids, labels = self.batch_for()
         cfg = fast_cfg(method="WE", lambda_we=0.0)
-        loss = trainer.batch_objective(net, frames, ids, labels, False, cfg)
+        loss = trainer.batch_objective(net, frames, ids, labels, cfg)
+        net.zero_grad()
         emb, _ = net.embed_video_batch(frames)
         targets = np.stack([DATASET.label_embeddings[int(c)] for c in ids])
         want, _ = losses.alignment_mse(emb, targets)
@@ -327,11 +333,12 @@ class TestObjectives:
         net = make_net("WE", embed_dim=6, seed=12)
         frames, ids, labels = self.batch_for()
         base = trainer.batch_objective(
-            net, frames, ids, labels, False, fast_cfg(method="WE", lambda_we=0.0)
+            net, frames, ids, labels, fast_cfg(method="WE", lambda_we=0.0)
         )
         shifted = trainer.batch_objective(
-            net, frames, ids, labels, False, fast_cfg(method="WE", lambda_we=2.0)
+            net, frames, ids, labels, fast_cfg(method="WE", lambda_we=2.0)
         )
+        net.zero_grad()
         emb, _ = net.embed_video_batch(frames)
         dml_val, _ = losses.multisim_loss(emb, ids, losses.MultiSimConfig())
         assert shifted == pytest.approx(base + 2.0 * dml_val, abs=1e-12)
@@ -341,7 +348,8 @@ class TestObjectives:
         net = make_net("JE", embed_dim=5, seed=13)
         frames, ids, labels = self.batch_for()
         cfg = fast_cfg(method="JE")
-        loss = trainer.batch_objective(net, frames, ids, labels, False, cfg)
+        loss = trainer.batch_objective(net, frames, ids, labels, cfg)
+        net.zero_grad()
         video_emb, _ = net.embed_video_batch(frames)
         classes = sorted(set(ids.tolist()))
         raw = np.stack([DATASET.label_embeddings[c] for c in classes])
@@ -374,7 +382,7 @@ class TestObjectives:
         net = make_net(method, embed_dim=embed_dim, seed=12)
         frames, ids, labels = self.batch_for()
         cfg = fast_cfg(method=method, lambda_we=lam)
-        trainer.batch_objective(net, frames, ids, labels, True, cfg)
+        trainer.batch_objective(net, frames, ids, labels, cfg)
         (rows,) = seen
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
@@ -475,6 +483,26 @@ def sparse_data():
 SPARSE_DATA, SPARSE_SPLIT = sparse_data()
 
 
+def train_per_batch(monkeypatch, net, dataset, split, cfg):
+    """train at _BATCH_BLOCK 1 with every batch drawn by the per-class
+    rng.choice referee: the loop that drew each batch when it needed one."""
+
+    def referee(pool, rng, n, min_total, count):
+        # the referee's draws, as indices into the pool and positions into its rows
+        batches = []
+        order = np.argsort(pool.rows)
+        for _ in range(count):
+            picked, rows = reference.sample_training_batch_choice(
+                dataset, pool.classes.tolist(), rng, n, cfg.batch_k_max, min_total)
+            batches.append((np.searchsorted(pool.classes, picked),
+                            order[np.searchsorted(pool.rows[order], rows)]))
+        return batches
+
+    monkeypatch.setattr(trainer.episodic, "sample_training_batch", referee)
+    monkeypatch.setattr(trainer, "_BATCH_BLOCK", 1)
+    return trainer.train(net, dataset, split, cfg)
+
+
 class TestBatchBlocks:
     @pytest.mark.parametrize("max_batches", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("dml", ["multisim", "histogram"])
@@ -486,23 +514,17 @@ class TestBatchBlocks:
                        val_batches=8, batch_classes=2, batch_k_max=2, batch_min_total=2)
         real, blocks = episodic.sample_training_batch, []
 
-        def spy(dataset, classes, rng, **kw):
-            batches = real(dataset, classes, rng, **kw)
-            if set(classes) == SPARSE_SPLIT.train:
-                blocks.append(batches)
+        def spy(pool, rng, *args):
+            batches = real(pool, rng, *args)
+            if set(pool.classes.tolist()) == SPARSE_SPLIT.train:
+                blocks.append([pool.rows[positions] for _, positions in batches])
             return batches
-
-        def referee(dataset, classes, rng, n, k_max, min_total, count):
-            return [reference.sample_training_batch_choice(dataset, classes, rng, n, k_max,
-                                                           min_total) for _ in range(count)]
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", spy)
         got, got_log = trainer.train(make_net(method, embed_dim, seed=18), SPARSE_DATA,
                                      SPARSE_SPLIT, cfg)
-        monkeypatch.setattr(trainer.episodic, "sample_training_batch", referee)
-        monkeypatch.setattr(trainer, "_BATCH_BLOCK", 1)
-        want, want_log = trainer.train(make_net(method, embed_dim, seed=18), SPARSE_DATA,
-                                       SPARSE_SPLIT, cfg)
+        want, want_log = train_per_batch(monkeypatch, make_net(method, embed_dim, seed=18),
+                                         SPARSE_DATA, SPARSE_SPLIT, cfg)
         assert got.params.tobytes() == want.params.tobytes()
         assert got_log == want_log
         # a batch of 1-instance classes has no positive pair, so the VE and
@@ -511,7 +533,7 @@ class TestBatchBlocks:
         if dml == "histogram" and (method == "VE" or lam) and max_batches >= 64:
             assert want_log.degenerate_resamples > 0
             no_pair = [len(set(SPARSE_DATA.class_ids[rows])) == len(rows)
-                       for block in blocks[:-1] for _, rows in block[-1:]]
+                       for block in blocks[:-1] for rows in block[-1:]]
             assert any(no_pair)
 
 
@@ -531,3 +553,56 @@ class TestTrainLogFile:
         assert any(l.startswith("best,") for l in lines)
         assert lines[-2].startswith("stop,")
         assert lines[-1] == f"resamples,0,{log.degenerate_resamples}"
+
+
+def interleaved(ds):
+    """ds with its rows shuffled, so file order is no longer class order."""
+    order = np.random.default_rng(23).permutation(len(ds.class_ids))
+    return data.Dataset(ds.classes, ds.instance_ids[order], ds.class_ids[order],
+                        ds.features[order], ds.label_embeddings)
+
+
+INTERLEAVED = interleaved(DATASET)
+
+
+class TestInterleavedRows:
+    """Every draw on rows interleaved across classes, where a pool's rows
+    (class order) differ from the rows' file order, against its referee."""
+
+    def test_rows_interleaved(self):
+        rows = np.concatenate([INTERLEAVED.class_rows[c] for c in VAL_CLASSES])
+        assert not np.array_equal(rows, np.sort(rows))
+
+    @pytest.mark.parametrize("shape", [(12, 8, 36), (6, 5, 12), (5, 1, 5)])
+    @pytest.mark.parametrize("method,embed_dim,lam", METHOD_CASES)
+    def test_validation_equals_per_batch_referee(self, method, embed_dim, lam, shape):
+        net = make_net(method, embed_dim=embed_dim, seed=19)
+        classes, k_max, min_total = shape
+        cfg = fast_cfg(method=method, lambda_we=lam, val_batches=40, batch_classes=classes,
+                       batch_k_max=k_max, batch_min_total=min_total)
+        for round_idx in (1, 2):
+            got = trainer._validation_loss(net, INTERLEAVED, VAL_CLASSES, cfg, round_idx)
+            want = reference.validation_loss_per_batch(net, INTERLEAVED, VAL_CLASSES, cfg,
+                                                       round_idx)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("method,embed_dim,lam", METHOD_CASES)
+    def test_train_equals_per_batch_referee(self, monkeypatch, method, embed_dim, lam):
+        cfg = fast_cfg(method=method, lambda_we=lam, max_batches=70, val_every=35)
+        got, got_log = trainer.train(make_net(method, embed_dim, seed=20), INTERLEAVED, SPLIT, cfg)
+        want, want_log = train_per_batch(monkeypatch, make_net(method, embed_dim, seed=20),
+                                         INTERLEAVED, SPLIT, cfg)
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got_log == want_log
+
+    @pytest.mark.parametrize("task,method,embed_dim,k", [
+        ("FSG", "VE", 6, 1), ("FSG", "VE", 6, 2), ("FSG", "JE", 5, 2),
+        ("CM-FSG", "WE", 6, 1), ("CM-FSG", "JE", 5, 1),
+    ])
+    def test_evaluate_equals_per_episode_referee(self, task, method, embed_dim, k):
+        net = make_net(method, embed_dim, seed=21)
+        cfg = episodic.EvalConfig(task, n=4, k=k, m=3, episodes=70, seed=5)
+        got = episodic.evaluate(net, INTERLEAVED, SPLIT, cfg)
+        want = reference.evaluate_per_episode(net, INTERLEAVED, SPLIT, cfg)
+        assert got.subsets == want.subsets
+        assert got.warnings == want.warnings
