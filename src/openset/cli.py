@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -341,7 +342,9 @@ def cmd_report(args) -> None:
     print(f"report: {len(rows)} rows -> {args.out}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, on first use; parse_args leaves it unchanged."""
     parser = _Parser(prog="openset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -89,16 +89,17 @@ class ClassPool:
         their takes sum below min_total. Returns the picked indices, (draws,
         n), and each pick's positions into rows, in draw order."""
         picked, raw = [], []
+        member_bounds, member_takes = self.bounds[members], self.takes[members]
         for rng in rngs:
             for _ in range(_RESAMPLE_LIMIT):
-                chosen = members[rng.choice(len(members), size=n, replace=False)]
-                draws = rng.integers(0, self.bounds[chosen], endpoint=True)
-                if self.takes[chosen].sum() >= min_total:
+                chosen = rng.choice(len(members), size=n, replace=False)
+                draws = rng.integers(0, member_bounds[chosen], endpoint=True)
+                if not min_total or member_takes[chosen].sum() >= min_total:
                     break
             else:
                 raise SamplingError(f"batch sampling: {_RESAMPLE_LIMIT} draws "
                                     f"below {min_total} total instances")
-            picked.append(chosen)
+            picked.append(members[chosen])
             raw.append(draws)
         flat = np.concatenate(picked)
         takes = self.takes[flat]

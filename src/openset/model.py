@@ -19,6 +19,8 @@ their gradients in one vector `grads`, each block's weights (row-major) then
 bias in that order; every ParamBlock's four arrays are views of those
 slices, built here and nowhere else. Backward passes accumulate into the
 blocks' gradient views; the optimizer steps and zeroes the whole vectors.
+A pass computes each frame-sized result in place, into one array the call
+owns, with the operations and operand order (so the bits) of plain numpy.
 Checkpoints round-trip bit-exactly (OSM1, float64 little-endian).
 """
 
@@ -143,8 +145,10 @@ class EmbeddingModel:
             raise DimensionError("embed_video_batch: expected (B, F, D) input")
         b, f, d_in = frames.shape
         flat = frames.reshape(b * f, d_in)
-        act = np.tanh(affine_forward(flat, self.frame_layer))
-        pooled = act.reshape(b, f, self.config.hidden_dim).mean(axis=1)
+        act = affine_forward(flat, self.frame_layer)
+        np.tanh(act, out=act)
+        pooled = np.add.reduce(act.reshape(b, f, self.config.hidden_dim), axis=1)
+        pooled /= f  # np.mean's own two steps: the sum, then the division by the count
         pre = affine_forward(pooled, self.out_layer)
         out, norms = l2_normalize_rows(pre)
         cache = VideoForwardCache(
@@ -158,9 +162,11 @@ class EmbeddingModel:
         affine_backward(cache.pooled, self.out_layer, g_pre)
         g_pooled = g_pre @ self.out_layer.weights.T
         f = cache.n_frames
-        g_act = np.repeat(g_pooled / f, f, axis=0)
-        g_affine = g_act * (1.0 - cache.activations**2)
-        affine_backward(cache.flat_frames, self.frame_layer, g_affine)
+        # each frame's (1 - act**2) times its video's g_pooled / f, in one array
+        g = np.square(cache.activations).reshape(len(g_pooled), f, self.config.hidden_dim)
+        np.subtract(1.0, g, out=g)
+        g *= (g_pooled / f)[:, None]
+        affine_backward(cache.flat_frames, self.frame_layer, g.reshape(cache.activations.shape))
 
     # --- label path ---
 

@@ -6,7 +6,8 @@ functions take the upstream gradient and accumulate parameter gradients
 explicitly (populate -> step -> zero). A ParamBlock is a plain record of one
 layer's views into a model's flat parameter and gradient vectors; it neither
 allocates nor validates. Adam updates a model's parameters as that one flat
-float64 vector, so one step is one pass of elementwise operations.
+float64 vector, so one step is one pass of elementwise operations, in one
+scratch vector; kernels keep plain numpy's operations and operand order.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
             f"affine_forward: input cols {inp.shape[1]} != weights rows "
             f"{params.weights.shape[0]} ({params.name})"
         )
-    return inp @ params.weights + params.bias
+    out = inp @ params.weights
+    out += params.bias
+    return out
 
 
 def affine_backward(
@@ -78,7 +81,7 @@ def l2_normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise unit normalization of a 2-D array: (unit rows, row norms)."""
     m = np.asarray(m, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflowed norm is the NumericError below
-        norms = np.linalg.norm(m, axis=1)
+        norms = np.sqrt(np.add.reduce(m * m, axis=1))  # np.linalg.norm's own axis path
     if not np.isfinite(norms).all():
         raise NumericError("l2_normalize_rows: non-finite row")
     if np.any(norms < _ZERO_NORM_TOL):
@@ -126,13 +129,18 @@ def adam_step(model, state: AdamState, lr: float) -> None:
         raise NumericError(f"adam_step: non-finite gradient in {bad.name}")
     t = state.step_count + 1
     m, v = state.m, state.v
+    scratch = (1.0 - BETA1) * g
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += scratch
+    np.multiply(1.0 - BETA2, g, out=scratch)
+    scratch *= g
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    model.params -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+    v += scratch
+    # params -= (lr * m_hat) / (sqrt(v_hat) + eps), the denominator in scratch
+    np.sqrt(np.divide(v, 1.0 - BETA2**t, out=scratch), out=scratch)
+    scratch += EPSILON
+    step = m / (1.0 - BETA1**t)
+    model.params -= np.divide(np.multiply(lr, step, out=step), scratch, out=step)
     state.step_count = t
     g.fill(0.0)
 

@@ -286,6 +286,8 @@ def train(
             if step % cfg.val_every == 0:
                 val_round += 1
                 val_loss = _validation_loss(model, dataset, split.validation, cfg, val_round)
+                if not np.isfinite(val_loss):
+                    raise NumericError(f"non-finite validation loss {val_loss}")
                 log.validations.append((step, float(val_loss)))
                 if val_loss < best_val:
                     best_val = float(val_loss)

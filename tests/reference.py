@@ -19,7 +19,10 @@ whole-file OSF1 writer and reader (``write_features_whole``,
 ``read_features_whole``), which hold every record at once where the package
 streams them one chunk at a time. And so is ``adam_step_per_block``, the
 Adam update one block at a time, with its own moments per block, that the
-package ran before it stepped one flat parameter vector.
+package ran before it stepped one flat parameter vector. ``video_encoder_plain``
+and ``label_projector_plain`` are the encoders' plain numpy expressions, the
+arithmetic the package ran before it computed each frame-sized array in
+place; a test asks for every output and gradient byte to match them.
 """
 
 from __future__ import annotations
@@ -690,3 +693,48 @@ def adam_step_per_block(params, state: BlockAdamState, lr: float) -> None:
     state.step_count = t
     params.grad_weights.fill(0.0)
     params.grad_bias.fill(0.0)
+
+
+def _l2_rows_plain(pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.linalg.norm(pre, axis=1)
+    return pre / norms[:, None], norms
+
+
+def _l2_rows_backward_plain(unit, norms, grad_out) -> np.ndarray:
+    inner = (unit * grad_out).sum(axis=1, keepdims=True)
+    return (grad_out - unit * inner) / norms[:, None]
+
+
+def video_encoder_plain(frame_w, frame_b, out_w, out_b, frames, grad_out):
+    """The video encoder's forward and backward passes as the plain numpy
+    expressions the package ran before it computed each frame-sized array in
+    place: `inp @ W + b`, `np.mean`, `np.linalg.norm(axis=1)`, `np.repeat` and
+    `g_act * (1.0 - act**2)`. Returns (unit rows, norms, [frame layer weight
+    and bias gradients, output layer weight and bias gradients])."""
+    frames = np.asarray(frames, dtype=np.float64)
+    b, f, d_in = frames.shape
+    flat = frames.reshape(b * f, d_in)
+    act = np.tanh(flat @ frame_w + frame_b)
+    pooled = act.reshape(b, f, frame_w.shape[1]).mean(axis=1)
+    unit, norms = _l2_rows_plain(pooled @ out_w + out_b)
+    g_pre = _l2_rows_backward_plain(unit, norms, grad_out)
+    g_pooled = g_pre @ out_w.T
+    g_act = np.repeat(g_pooled / f, f, axis=0)
+    g_affine = g_act * (1.0 - act**2)
+    grads = [np.zeros_like(a) for a in (frame_w, frame_b, out_w, out_b)]
+    for g, add in zip(grads, (flat.T @ g_affine, g_affine.sum(axis=0),
+                              pooled.T @ g_pre, g_pre.sum(axis=0))):
+        g += add
+    return unit, norms, grads
+
+
+def label_projector_plain(weights, bias, labels, grad_out):
+    """The label projector's forward and backward passes as plain numpy
+    expressions: (unit rows, norms, [weight gradient, bias gradient])."""
+    x = np.asarray(labels, dtype=np.float64)
+    unit, norms = _l2_rows_plain(x @ weights + bias)
+    g_pre = _l2_rows_backward_plain(unit, norms, grad_out)
+    grads = [np.zeros_like(weights), np.zeros_like(bias)]
+    grads[0] += x.T @ g_pre
+    grads[1] += g_pre.sum(axis=0)
+    return unit, norms, grads

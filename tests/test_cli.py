@@ -8,9 +8,12 @@ import dataclasses
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from openset import cli, data, episodic, losses, model, splits, trainer
+
+from test_trainer import NAN_VALIDATION_RUN, shared_content_validation_data
 
 SYNTH_FLAGS = [
     "--n-verbs", "8", "--n-nouns", "8", "--class-density", "0.9",
@@ -201,6 +204,29 @@ class TestSynth:
         with pytest.raises(SystemExit) as info:
             cli.main(["synth", "--out", str(tmp_path / "o"), "--martians", "9"])
         assert info.value.code == 1
+
+
+class TestParserCache:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flag_does_not_outlive_its_command(self, tmp_path):
+        small = ["--instances-lo", "2", "--instances-hi", "3"]
+        first, second = str(tmp_path / "a"), str(tmp_path / "b")
+        assert cli.main(["synth", "--out", first, "--n-verbs", "3"] + small) == 0
+        assert cli.main(["synth", "--out", second] + small) == 0
+        for out, n_verbs in ((first, "3"), (second, "10")):
+            assert cli.parse_config_file(os.path.join(out, "resolved.cfg"))["n_verbs"] == n_verbs
+
+    def test_usage_error_then_valid_command(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["synth", "--n-verbs", "3"])  # no --out
+        assert info.value.code == 1
+        out = str(tmp_path / "o")
+        assert cli.main(["synth", "--out", out, "--instances-lo", "2", "--instances-hi", "3"]) == 0
+        assert cli.parse_config_file(os.path.join(out, "resolved.cfg"))["n_verbs"] == "10"
 
 
 class TestConfigFile:
@@ -728,6 +754,27 @@ class TestFailureClasses:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "openset train: l2_normalize_rows: zero-norm row\n"
+
+    def test_non_finite_validation_loss_exits_two(self, tmp_path, capsys):
+        ds, split = shared_content_validation_data()
+        root = tmp_path / "data"
+        root.mkdir()
+        data.write_class_table(str(root / "class_table.csv"), ds.classes)
+        data.write_features(str(root / "features.osf"), ds.instance_ids, ds.class_ids, ds.features)
+        data.write_labels(str(root / "labels.osl"), ds.label_embeddings)
+        splits.write_split(str(tmp_path / "split.csv"), split)
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(root), "--split", str(tmp_path / "split.csv"),
+                "--out", str(out), "--hidden-dim", "8", "--embed-dim", "6",
+                "--beta", "1e308", "--base=-0.8"]
+        argv += [f"--{k.replace('_', '-')}={v}" for k, v in NAN_VALIDATION_RUN.items()]
+        # numpy's overflow and invalid warnings are on the way to the NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "openset train: step 5: non-finite validation loss nan\n")
+        assert not (out / "checkpoint.osm").exists()
+        assert not (out / "train_log.csv").exists()
 
     def test_non_finite_checkpoint_exits_one(self, pipeline, tmp_path, capsys):
         # a checkpoint holding a NaN is a malformed file, not a runtime failure

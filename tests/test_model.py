@@ -110,6 +110,49 @@ class TestStoragePrecision:
             assert got.tobytes() == want.tobytes()
 
 
+class TestPlainReferee:
+    """The encoders compute their frame-sized arrays in place; every output,
+    norm and gradient byte equals the plain expressions' (a 1-row batch takes
+    BLAS's gemv path)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frames", [1, 3, 4])
+    @pytest.mark.parametrize("batch", [1, 2, 96])
+    @pytest.mark.parametrize("method", ["VE", "WE", "JE"])
+    def test_video_bits_equal_plain_expressions(self, method, batch, frames, dtype):
+        cfg = model.ModelConfig(method=method, input_dim=64, label_dim=32 if method == "WE" else 16)
+        net = model.init_model(cfg, seed=batch * frames)
+        rng = np.random.default_rng(batch + frames)
+        x = rng.standard_normal((batch, frames, 64)).astype(dtype)
+        probe = rng.standard_normal((batch, cfg.embed_dim))
+        out, cache = net.embed_video_batch(x)
+        net.backward_video_batch(cache, probe)
+        fl, ol = net.frame_layer, net.out_layer
+        unit, norms, grads = reference.video_encoder_plain(
+            fl.weights, fl.bias, ol.weights, ol.bias, x, probe)
+        assert out.tobytes() == unit.tobytes()
+        assert cache.norms.tobytes() == norms.tobytes()
+        for got, want in zip((fl.grad_weights, fl.grad_bias, ol.grad_weights, ol.grad_bias), grads):
+            assert got.tobytes() == want.tobytes()
+        if method == "JE":
+            assert not net.label_projector.grad_weights.any()
+
+    @pytest.mark.parametrize("labels", [1, 12])
+    def test_label_bits_equal_plain_expressions(self, labels):
+        net = model.init_model(model.ModelConfig(method="JE", input_dim=64, label_dim=16), seed=4)
+        rng = np.random.default_rng(labels)
+        x = rng.standard_normal((labels, 16))
+        probe = rng.standard_normal((labels, 32))
+        out, cache = net.embed_label_batch(x)
+        net.backward_label_batch(cache, probe)
+        lp = net.label_projector
+        unit, norms, grads = reference.label_projector_plain(lp.weights, lp.bias, x, probe)
+        assert out.tobytes() == unit.tobytes()
+        assert cache.norms.tobytes() == norms.tobytes()
+        assert lp.grad_weights.tobytes() == grads[0].tobytes()
+        assert lp.grad_bias.tobytes() == grads[1].tobytes()
+
+
 class TestZeroNorm:
     def test_zero_output_layer_is_degenerate(self):
         net = model.init_model(VE_CFG, seed=0)

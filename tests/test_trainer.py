@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from openset import data, episodic, model, splits, trainer
+from openset import data, episodic, losses, model, splits, trainer
 from openset.errors import ConfigError, NumericError, SamplingError
 
 import reference
@@ -48,6 +48,37 @@ def few_instance_data():
     ds = data.synth_generate(cfg)
     split = splits.generate_split(ds.classes, splits.SplitSpec(p_verbs=2, p_nouns=2, seed=0))
     return ds, sorted(split.validation)
+
+
+def shared_content_validation_data():
+    """14 training classes of 4 identical instances each, distinct across
+    classes, and 14 validation classes whose instances all share one content
+    vector: every validation similarity is 1, so every pair is mined."""
+    rng = np.random.default_rng(0)
+    shared = rng.normal(size=(2, 10))
+    entries, class_ids, features, labels = {}, [], [], {}
+    for cid in range(28):
+        entries[cid] = data.ClassEntry(cid, cid, cid, f"v{cid:02d}", f"n{cid:02d}", 4)
+        content = rng.normal(size=(2, 10)) if cid < 14 else shared
+        features += [content] * 4
+        class_ids += [cid] * 4
+        vec = rng.normal(size=6)
+        labels[cid] = vec / np.linalg.norm(vec)
+    ds = data.Dataset(classes=data.ClassTable(entries=entries), instance_ids=np.arange(112),
+                      class_ids=class_ids, features=np.array(features), label_embeddings=labels)
+    split = splits.SplitResult(
+        train=set(range(14)), validation=set(range(14, 28)), test=set(),
+        held_out_verbs_val=set(range(14, 28)), held_out_verbs_test=set(),
+        held_out_nouns_val=set(), held_out_nouns_test=set(),
+        category={cid: "HoV" for cid in range(14, 28)},
+    )
+    return ds, split
+
+
+# one validation round at step 5; with multisim beta 1e308 and base -0.8 on
+# shared_content_validation_data, beta * (1 - base) overflows on the mined
+# negatives and the round's loss is NaN
+NAN_VALIDATION_RUN = dict(max_batches=5, val_every=5, val_batches=3, patience=5)
 
 
 def fast_cfg(**kw):
@@ -269,6 +300,19 @@ class TestTrainLoop:
         )
         with pytest.raises(NumericError, match="non-finite"):
             trainer.train(make_net(seed=9), DATASET, SPLIT, fast_cfg(max_batches=5))
+
+    def test_nonfinite_validation_loss_raises_naming_the_step(self):
+        ds, split = shared_content_validation_data()
+        cfg = fast_cfg(**NAN_VALIDATION_RUN)
+        _, log = trainer.train(make_net(seed=9), ds, split, cfg)
+        assert log.validations[0][0] == 5 and np.isfinite(log.validations[0][1])
+        assert log.best_step == 5
+        bad = dataclasses.replace(cfg, multisim=losses.MultiSimConfig(beta=1e308, base=-0.8))
+        # numpy's overflow and invalid warnings are on the way to the NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError,
+                               match=r"^step 5: non-finite validation loss nan$"):
+                trainer.train(make_net(seed=9), ds, split, bad)
 
     def test_degenerate_batches_resampled_and_counted(self, monkeypatch):
         real = episodic.sample_training_batch
