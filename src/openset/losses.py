@@ -52,11 +52,15 @@ class MultiSimConfig:
             raise ConfigError("multisim: margin must be nonnegative")
 
 
-def _pair_masks(class_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (n, n) masks of positive and negative pairs, diagonal off."""
-    same = class_ids[:, None] == class_ids[None, :]
-    off_diag = ~np.eye(class_ids.shape[0], dtype=bool)
-    return same & off_diag, (~same) & off_diag
+def _pair_masks(class_ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (n, n) masks of positive and negative pairs, diagonal off; a
+    DimensionError unless there is one class id per embedding."""
+    if len(class_ids) != n:
+        raise DimensionError(f"{len(class_ids)} class ids for {n} embeddings")
+    pos = class_ids[:, None] == class_ids[None, :]
+    neg = ~pos
+    pos.ravel()[:: n + 1] = False
+    return pos, neg
 
 
 def histogram_loss(
@@ -73,7 +77,7 @@ def histogram_loss(
     """
     n = len(embeddings)
     e = embeddings
-    pos_mask, neg_mask = _pair_masks(class_ids)
+    pos_mask, neg_mask = _pair_masks(class_ids, n)
     iu = np.triu_indices(n, k=1)
     pos_pairs = pos_mask[iu]
     neg_pairs = neg_mask[iu]
@@ -133,18 +137,17 @@ def multisim_loss(
     negatives skip the negative term (all positives kept). Mining is a fixed
     selection: gradients do not flow through the thresholds.
 
-    Every anchor is mined at once, and the positive rows stacked over the
-    negative rows go through one log1p_sum_exp pass; the bits are those of
-    the anchor-by-anchor loop, `multisim_loss_loop` in tests/reference.py.
+    Every anchor is mined at once; the kept pairs, positive rows over negative
+    ones, are compacted into one run that log1p_sum_exp and the weights share.
+    The bits are those of the anchor-by-anchor loop, `multisim_loss_loop` in
+    tests/reference.py (checked on numpy 2.4.6 only).
     """
     n = len(embeddings)
+    pos_mask, neg_mask = _pair_masks(class_ids, n)
     if n < 2:
         raise DegenerateInputError("multisim_loss: need at least 2 items")
     e = embeddings
     sims = e @ e.T
-    pos_mask = class_ids[:, None] == class_ids[None, :]
-    neg_mask = ~pos_mask
-    pos_mask.ravel()[:: n + 1] = False
     closest_pos = np.min(sims, axis=1, where=pos_mask, initial=np.inf, keepdims=True)
     farthest_neg = np.max(sims, axis=1, where=neg_mask, initial=-np.inf, keepdims=True)
     # rows 0..n-1 hold each anchor's positive term, rows n..2n-1 its negative
@@ -154,14 +157,20 @@ def multisim_loss(
         pos_mask & ((sims < farthest_neg + cfg.margin) | (farthest_neg == -np.inf)),
         neg_mask & ((sims > closest_pos - cfg.margin) | (closest_pos == np.inf)),
     ])
-    xs = (np.array([-cfg.alpha, cfg.beta])[:, None, None] * (sims - cfg.base)).reshape(2 * n, n)
-    lse = log1p_sum_exp(xs, keep)
-    # each mined pair's weight is set once; the halves are disjoint, so w is
-    # 0.0 - weight or weight - 0.0, the loop's w[...] -=/+= weight, +0.0 too
+    # the mined pairs compacted once, row-major: (sim - base) times -alpha in
+    # the positive rows, beta in the negative ones, the loop's two operations
     mined = np.flatnonzero(keep)
-    w2 = np.zeros((2 * n, n))
-    w2.ravel()[mined] = np.exp(np.take(xs, mined) - lse[mined // n])
-    w = w2[n:] - w2[:n]
+    rows, pairs = mined // n, mined % (n * n)
+    coef = np.where(rows < n, -cfg.alpha, cfg.beta)
+    # beta * (sim - base) may overflow to inf and then NaN; the trainer's
+    # finiteness checks turn that into a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = coef * (np.take(sims, pairs) - cfg.base)
+        lse = log1p_sum_exp(x, rows, 2 * n)
+        weights = np.exp(x - lse[rows])
+    # each mined pair's weight lands once, signed as its coef, on 0.0: the
+    # halves are disjoint, so w is the loop's 0.0 -=/+= weight, +0.0 too
+    w = np.bincount(pairs, np.copysign(weights, coef), n * n).reshape(n, n)
     # anchor by anchor, positive term first, as a loop sums: the cumsum adds
     # the interleaved terms in that order, and since every term is >= +0.0
     # (absent ones are +0.0) it starts from the loop's 0.0 with the same bits

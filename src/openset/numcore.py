@@ -1,4 +1,4 @@
-"""Dense numeric substrate: affine layers, L2 normalization and Adam.
+"""Dense numeric substrate: affine layers, L2 normalization, Adam, log-sum-exp.
 
 Tensors are plain 2-D float64 numpy arrays in row-major order. There is no
 implicit computation graph: forward functions return outputs, backward
@@ -8,6 +8,8 @@ layer's views into a model's flat parameter and gradient vectors; it neither
 allocates nor validates. Adam updates a model's parameters as that one flat
 float64 vector, so one step is one pass of elementwise operations, in one
 scratch vector; kernels keep plain numpy's operations and operand order.
+log1p_sum_exp sums each row of a compacted run of terms with one zero-led
+`np.add.reduceat`, which keeps the bits of the row's own 1-D `.sum()`.
 """
 
 from __future__ import annotations
@@ -145,32 +147,20 @@ def adam_step(model, state: AdamState, lr: float) -> None:
     g.fill(0.0)
 
 
-def log1p_sum_exp(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Row-wise stable log(1 + sum(exp(xs[i, keep[i]]))); 0 for a row keeping
-    nothing. A row's kept entries are summed in column order with the bits
-    of a 1-D `.sum()` of just them, which a padded `sum(axis=1)` or
-    `np.add.reduceat` would change. Only the kept entries are touched: they
-    are gathered once, their row maxima taken with `np.maximum.at` (a max is
-    exact), and one stable sort by kept count makes the rows that keep L
-    entries one contiguous (rows, L) block of the compacted terms, whose
-    `sum(axis=1)` runs that 1-D pairwise sum along each row."""
-    n_rows, n_cols = xs.shape
-    flat = np.flatnonzero(keep)
-    rows = flat // n_cols
-    counts = np.bincount(rows, minlength=n_rows)
-    vals = np.take(xs, flat)
-    m = np.zeros(n_rows)
-    np.maximum.at(m, rows, vals)
-    kept = np.exp(vals - m[rows])[np.argsort(counts[rows], kind="stable")]
-    order = np.argsort(counts, kind="stable")
-    sorted_sums = np.zeros(n_rows)
-    row = term = 0
-    for length, n_len in enumerate(np.bincount(counts).tolist()):
-        if n_len and length:
-            block = kept[term:term + n_len * length].reshape(n_len, length)
-            np.add.reduce(block, axis=1, out=sorted_sums[row:row + n_len])
-        row += n_len
-        term += n_len * length
-    sums = np.empty(n_rows)
-    sums[order] = sorted_sums
-    return m + np.log(np.exp(-m) + sums)
+def log1p_sum_exp(vals: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row-wise stable log(1 + sum(exp(x))) over a compacted run of terms:
+    term j is `vals[j]` in row `rows[j]`, with `rows` nondecreasing, as the
+    row-major `np.flatnonzero` of a keep mask gives it; 0 for a row with no
+    terms. The terms are laid out row-major with a 0.0 at the head of each
+    row, so one `np.maximum.reduceat` gives every row's max(0, terms) (a max
+    is exact) and one `np.add.reduceat` gives each row's sum: a segment sums
+    to 0.0 plus the pairwise sum of the row's run, the bits of that run's
+    1-D `.sum()` (checked on numpy 2.4.6 only). A plain `reduceat` over the
+    runs, or a padded `sum(axis=1)`, would change them."""
+    heads = np.searchsorted(rows, np.arange(n_rows)) + np.arange(n_rows)
+    at = np.arange(len(vals)) + rows + 1
+    led = np.zeros(len(vals) + n_rows)
+    led[at] = vals
+    m = np.maximum.reduceat(led, heads)
+    led[at] = np.exp(vals - m[rows])
+    return m + np.log(np.exp(-m) + np.add.reduceat(led, heads))

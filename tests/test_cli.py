@@ -6,6 +6,7 @@ artifacts are checked without spawning interpreters.
 
 import dataclasses
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -755,7 +756,10 @@ class TestFailureClasses:
         err = capsys.readouterr().err
         assert err == "openset train: l2_normalize_rows: zero-norm row\n"
 
-    def test_non_finite_validation_loss_exits_two(self, tmp_path, capsys):
+    @staticmethod
+    def _overflowing_beta_run(tmp_path):
+        """(argv, out) of a train run whose beta overflows the multi-similarity
+        exponent into a NaN validation loss at step 5."""
         ds, split = shared_content_validation_data()
         root = tmp_path / "data"
         root.mkdir()
@@ -768,6 +772,10 @@ class TestFailureClasses:
                 "--out", str(out), "--hidden-dim", "8", "--embed-dim", "6",
                 "--beta", "1e308", "--base=-0.8"]
         argv += [f"--{k.replace('_', '-')}={v}" for k, v in NAN_VALIDATION_RUN.items()]
+        return argv, out
+
+    def test_non_finite_validation_loss_exits_two(self, tmp_path, capsys):
+        argv, out = self._overflowing_beta_run(tmp_path)
         # numpy's overflow and invalid warnings are on the way to the NaN
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(argv) == 2
@@ -775,6 +783,17 @@ class TestFailureClasses:
             "openset train: step 5: non-finite validation loss nan\n")
         assert not (out / "checkpoint.osm").exists()
         assert not (out / "train_log.csv").exists()
+
+    def test_overflowing_beta_exits_two_without_numpy_warnings(self, tmp_path, capsys):
+        # the loss keeps its overflow to itself: numpy's default error state,
+        # every warning recorded, and the NaN still ends in one error line
+        argv, out = self._overflowing_beta_run(tmp_path)
+        with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert [str(w.message) for w in seen] == []
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (out / "checkpoint.osm").exists()
 
     def test_non_finite_checkpoint_exits_one(self, pipeline, tmp_path, capsys):
         # a checkpoint holding a NaN is a malformed file, not a runtime failure

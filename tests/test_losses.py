@@ -146,11 +146,13 @@ class TestHistogram:
 
 
 # Class layouts for the bit-exact referee: a VE/WE batch (12 classes x 8),
-# a JE union (the same plus one label item per class), and the two batches
-# where one kind of pair is absent.
+# a JE union (the same plus one label item per class), a JE union of 20
+# classes whose rows can keep more terms than numpy's 128-term pairwise
+# block, and the two batches where one kind of pair is absent.
 REFEREE_LAYOUTS = {
     "n96": np.repeat(np.arange(12), 8),
     "n108": np.concatenate([np.repeat(np.arange(12), 8), np.arange(12)]),
+    "n180": np.concatenate([np.repeat(np.arange(20), 8), np.arange(20)]),
     "singletons": np.arange(20),
     "single_class": np.zeros(16, dtype=np.int64),
 }
@@ -181,9 +183,9 @@ def referee_batch(rng, ids, style, d=16):
 
 def mining_coverage(emb, ids, cfg):
     """(anchors with a similarity exactly at a mining threshold, anchors
-    whose positives are all mined away)."""
+    whose positives are all mined away, the most negatives one anchor keeps)."""
     sims = emb @ emb.T
-    ties = away = 0
+    ties = away = longest = 0
     for i in range(len(emb)):
         same = ids == ids[i]
         pos = sims[i, same & (np.arange(len(emb)) != i)]
@@ -192,14 +194,16 @@ def mining_coverage(emb, ids, cfg):
             ties += bool(np.any(neg == pos.min() - cfg.margin)
                          or np.any(pos == neg.max() + cfg.margin))
             away += bool(np.all(pos >= neg.max() + cfg.margin))
-    return ties, away
+            neg = neg[neg > pos.min() - cfg.margin]
+        longest = max(longest, neg.size)
+    return ties, away, longest
 
 
 class TestMultiSim:
     def test_bits_equal_per_anchor_loop(self):
         # the vectorized kernel must reproduce the loop's bits, not just
         # its value: training trajectories and checkpoints depend on them
-        cases = ties = away = 0
+        cases = ties = away = longest = 0
         for name, ids in REFEREE_LAYOUTS.items():
             for c, cfg in enumerate(REFEREE_CFGS):
                 for seed in range(15):
@@ -210,10 +214,13 @@ class TestMultiSim:
                     assert loss == ref_loss, (name, cfg, seed)
                     assert np.array_equal(grads, ref_grads), (name, cfg, seed)
                     assert grads.tobytes() == ref_grads.tobytes(), (name, cfg, seed)
-                    t, a = mining_coverage(emb, ids, cfg)
+                    t, a, kept = mining_coverage(emb, ids, cfg)
                     cases, ties, away = cases + 1, ties + t, away + a
+                    longest = max(longest, kept)
         assert cases >= 300
         assert ties > 0 and away > 0
+        # some mined row runs past the pairwise sum's 128-term block
+        assert longest > 128
 
     def test_bits_equal_per_anchor_loop_on_ragged_interleaved_batches(self):
         # classes of 1-8 rows whose rows are shuffled together, so no class is
@@ -481,6 +488,16 @@ class TestJeLoss:
         video, video_ids, labels, label_ids = self.make_inputs()
         with pytest.raises(ConfigError):
             losses.je_loss(video, video_ids, labels, label_ids + 100, losses.make_dml("multisim"))
+
+
+@pytest.mark.parametrize("loss", [losses.histogram_loss, losses.multisim_loss])
+@pytest.mark.parametrize("n_ids", [3, 5])
+def test_class_ids_of_another_length_rejected(loss, n_ids):
+    # histogram_loss once scored 4 rows with 5 ids as 0.75, and multisim_loss
+    # raised a bare numpy ValueError
+    rng = np.random.default_rng(10)
+    with pytest.raises(DimensionError, match=f"^{n_ids} class ids for 4 embeddings$"):
+        loss(unit_rows(rng, 4, 5), np.arange(n_ids) % 2)
 
 
 def test_make_dml_rejects_unknown_kind():

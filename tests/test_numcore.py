@@ -270,10 +270,43 @@ class TestCheckGradient:
         assert err > 1e-2
 
 
+def compact(xs, keep):
+    """log1p_sum_exp's arguments for the entries of a (rows, cols) block that
+    a boolean mask keeps: their values and rows, row-major, and the row count."""
+    flat = np.flatnonzero(keep)
+    return np.take(xs, flat), flat // xs.shape[1], xs.shape[0]
+
+
 def log1p_sum_exp_row(xs):
     """log1p_sum_exp of a single 1-D row that keeps every entry."""
     xs = np.asarray(xs, dtype=np.float64)[None, :]
-    return float(numcore.log1p_sum_exp(xs, np.ones(xs.shape, dtype=bool))[0])
+    return float(numcore.log1p_sum_exp(*compact(xs, np.ones(xs.shape, dtype=bool)))[0])
+
+
+def test_zero_led_reduceat_sums_each_run_with_its_own_sum_bits():
+    # numpy sums a contiguous run pairwise: a plain loop under 8 terms, 8
+    # interleaved partial sums up to 128, then halves; reduceat hands each
+    # segment's head to the output and the rest to that sum, so a 0.0 at the
+    # head of every segment gives 0.0 + the run's pairwise sum, the bits of
+    # the run's own 1-D .sum(), which log1p_sum_exp relies on
+    rng = np.random.default_rng(25)
+    plain_differs = False
+    for scale in (0.5, 5.0, 40.0):
+        for _ in range(4):
+            lengths = rng.permutation(301)
+            runs = [np.exp(rng.normal(scale=scale, size=length)) for length in lengths]
+            led = np.concatenate([np.concatenate(([0.0], run)) for run in runs])
+            heads = np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
+            got = np.add.reduceat(led, heads)
+            want = np.array([run.sum() for run in runs])
+            off = sorted(lengths[got.view(np.int64) != want.view(np.int64)].tolist())
+            assert off == [], f"numpy {np.__version__}: zero-led runs of length {off} differ"
+            ran = lengths > 0
+            starts = np.concatenate(([0], np.cumsum(lengths[ran])[:-1]))
+            plain = np.add.reduceat(np.concatenate(runs), starts)
+            plain_differs |= plain.tobytes() != want[ran].tobytes()
+    # without the leading zeros the bits move: the test sees what it guards
+    assert plain_differs
 
 
 class TestLog1pSumExp:
@@ -295,14 +328,14 @@ class TestLog1pSumExp:
     def test_row_keeping_nothing_is_zero_beside_a_kept_row(self):
         xs = np.array([[-1.0, 0.0, 2.0], [900.0, 5.0, -3.0]])
         keep = np.array([[True, False, True], [False, False, False]])
-        out = numcore.log1p_sum_exp(xs, keep)
+        out = numcore.log1p_sum_exp(*compact(xs, keep))
         assert abs(out[0] - np.log(1.0 + np.exp(-1.0) + np.exp(2.0))) < 1e-12
         assert out[1] == 0.0
 
     def test_grouped_sums_equal_per_row_sums_past_the_pairwise_block(self):
         # numpy sums a contiguous run pairwise in blocks of 128 elements, so
         # rows must keep well past 128 terms; each block draws its rows'
-        # counts from a few values, so several rows share one group
+        # counts from a few values, so several rows keep the same count
         rng = np.random.default_rng(2024)
         longest = 0
         for _ in range(2500):
@@ -313,7 +346,7 @@ class TestLog1pSumExp:
             for row, count in enumerate(counts):
                 keep[row, rng.choice(n_cols, size=count, replace=False)] = True
             xs = rng.normal(scale=float(rng.choice([0.5, 5.0, 40.0])), size=(n_rows, n_cols))
-            got = numcore.log1p_sum_exp(xs, keep)
+            got = numcore.log1p_sum_exp(*compact(xs, keep))
             assert got.tobytes() == reference.log1p_sum_exp_rows(xs, keep).tobytes()
             longest = max(longest, int(counts.max()))
         assert longest >= 300
@@ -327,13 +360,13 @@ class TestLog1pSumExp:
             xs = rng.normal(scale=float(rng.choice([0.5, 5.0, 40.0])), size=(n_rows, n_cols))
             keep = np.zeros((n_rows, n_cols), dtype=bool)
             if layout != "keeps_nothing":
-                # one_count: every row keeps the same number of entries, one group
+                # one_count: every row keeps the same number of entries
                 count = int(rng.integers(1, n_cols + 1))
                 for row in range(n_rows):
                     if layout == "single_row":
                         count = int(rng.integers(0, n_cols + 1))
                     keep[row, rng.choice(n_cols, size=count, replace=False)] = True
-            got = numcore.log1p_sum_exp(xs, keep)
+            got = numcore.log1p_sum_exp(*compact(xs, keep))
             assert got.tobytes() == reference.log1p_sum_exp_rows(xs, keep).tobytes()
             if layout == "keeps_nothing":
                 assert got.tobytes() == np.zeros(n_rows).tobytes()
