@@ -203,12 +203,6 @@ class Dataset:
         return self.features.shape[2]
 
     @property
-    def frames(self) -> int:
-        if not len(self.features):
-            raise ConfigError("dataset has no instances")
-        return self.features.shape[1]
-
-    @property
     def label_dim(self) -> int:
         if not self.label_embeddings:
             raise ConfigError("dataset has no label embeddings")

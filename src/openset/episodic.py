@@ -9,14 +9,15 @@ pooled across episodes (total correct / total queries).
 Evaluation subsets: All (every test class), HoV (held-out verb only), HoN
 (held-out noun only); classes held out on both sides appear in All only.
 Per-episode generators are derived from (seed, subset index, episode index),
-so episodes are independent of execution order. Training batches and
-episodes are both drawn from a ClassPool, whose draw makes two generator calls
-each and resolves a block of them with choice_positions.
+so episodes are independent of execution order. Batches, validation rounds and
+episodes each draw from a ClassPool built once per class set and run, whose
+draw makes two generator calls each and resolves a block with choice_positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,19 +70,32 @@ class EvalConfig:
 
 
 class ClassPool:
-    """Sorted classes to draw from. rows is their class_rows concatenated in
-    class order, class i's from starts[i]; a draw of class i takes takes[i]
-    of its sizes[i] rows, n_support supports and up to m more (see bounds)."""
+    """The classes of a class set that can give a draw, those with more than
+    n_support rows, sorted. rows is their class_rows concatenated in class
+    order, class i's from starts[i]; a draw of class i takes takes[i] of its
+    sizes[i] rows, n_support supports and up to m more (see bounds)."""
 
     def __init__(self, dataset: Dataset, classes, m: int, n_support: int = 0):
-        self.classes = np.array(sorted(classes), dtype=np.int64)
-        parts = [dataset.class_rows[c] for c in self.classes.tolist()]
-        self.rows = np.concatenate(parts)
+        if unknown := set(classes) - dataset.class_rows.keys():
+            raise ConfigError(f"class {min(unknown)} is not in the class table")
+        self.dataset = dataset
+        kept = [c for c in sorted(classes) if len(dataset.class_rows[c]) > n_support]
+        self.classes = np.array(kept, dtype=np.int64)
+        parts = [dataset.class_rows[c] for c in kept]
+        self.rows = np.concatenate([np.zeros(0, np.int64), *parts])
         self.sizes = np.array([len(p) for p in parts], dtype=np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.takes = n_support + np.minimum(m, self.sizes - n_support)
-        width = max(int(self.takes.max()), 1)
+        width = int(self.takes.max(initial=1))
         self.bounds = np.array([choice_bounds(s, t, width) for s, t in zip(self.sizes, self.takes)])
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The classes' raw label embeddings, stacked in pool order on first use."""
+        try:
+            return np.stack([self.dataset.label_embeddings[c] for c in self.classes.tolist()])
+        except KeyError as exc:
+            raise ConfigError(f"class {exc.args[0]} has no label embedding") from None
 
     def draw(self, members: np.ndarray, rngs: list, n: int, min_total: int = 0):
         """Per generator, n distinct classes of members (indices into classes)
@@ -118,13 +132,6 @@ def sample_training_batch(
         raise ConfigError(f"batch sampling: need {n} classes, have {len(pool.classes)}")
     picked, positions = pool.draw(np.arange(len(pool.classes)), [rng] * count, n, min_total)
     return list(zip(picked, np.split(positions, np.cumsum(pool.takes[picked].sum(axis=1))[:-1])))
-
-
-def eligible_episode_classes(dataset: Dataset, classes: set[int], cfg: EvalConfig) -> list[int]:
-    """Classes with enough instances for one episode: the supports plus at
-    least one query."""
-    need = cfg.n_support + 1
-    return [cid for cid in sorted(classes) if len(dataset.class_rows.get(cid, ())) >= need]
 
 
 def choice_bounds(size: int, take: int, width: int) -> np.ndarray:
@@ -227,13 +234,13 @@ class EvalReport:
 
 def eval_subsets(
     model_cfg: ModelConfig, dataset: Dataset, split: SplitResult, cfg: EvalConfig
-) -> list[tuple[str, list[int]]]:
-    """Each evaluation subset's eligible classes, in report order: All (every
-    test class), HoV and HoN. Raises MethodError if the method cannot run the
-    task, DimensionError if the model's input dim (and, cross-modally, its
-    label dim) differs from the dataset's, and EligibilityError if no subset
-    has n eligible classes, so a caller can reject the request before it
-    writes anything."""
+) -> tuple[ClassPool, list[tuple[str, np.ndarray]]]:
+    """The pool of the test classes that can field an episode (the supports
+    and a query), and each evaluation subset's members, indices into it, in
+    report order: All, HoV and HoN. Raises MethodError if the method cannot
+    run the task, DimensionError if the model's input dim (and, cross-modally,
+    its label dim) differs from the dataset's, and EligibilityError if no
+    subset has n members, so a caller can reject the request before it writes."""
     if cfg.task == TASK_CMFSG and model_cfg.method == METHOD_VE:
         raise MethodError("VE has no label-embedding path; cannot run CM-FSG")
     # FSG supports are videos, so only the cross-modal task reads labels
@@ -241,18 +248,16 @@ def eval_subsets(
         want, have = getattr(model_cfg, name), getattr(dataset, name)
         if want != have:
             raise DimensionError(f"eval: the model's {name} is {want}, the dataset's is {have}")
-    subsets = [
-        (name, eligible_episode_classes(dataset, classes, cfg))
-        for name, classes in (
-            ("All", set(split.test)),
-            ("HoV", split.classes_in_category(split.test, CATEGORY_HOV)),
-            ("HoN", split.classes_in_category(split.test, CATEGORY_HON)),
-        )
+    pool = ClassPool(dataset, split.test, cfg.m, cfg.n_support)
+    category = [split.category.get(c) for c in pool.classes.tolist()]
+    subsets = [("All", np.arange(len(category)))] + [
+        (name, np.flatnonzero([c == name for c in category]))
+        for name in (CATEGORY_HOV, CATEGORY_HON)
     ]
-    if all(len(eligible) < cfg.n for _, eligible in subsets):
-        counts = ", ".join(f"{name} {len(eligible)}" for name, eligible in subsets)
+    if all(len(members) < cfg.n for _, members in subsets):
+        counts = ", ".join(f"{name} {len(members)}" for name, members in subsets)
         raise EligibilityError(f"eval: no subset has n={cfg.n} eligible classes ({counts})")
-    return subsets
+    return pool, subsets
 
 
 def evaluate(
@@ -262,11 +267,11 @@ def evaluate(
 
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
-    the whole run, unless every subset is (see eval_subsets). Each eligible
-    class is embedded once per call, into one array in ClassPool order. Per
-    _VOTE_BLOCK episodes, one ClassPool.draw resolves every episode's draws
-    into positions, which index that array, and votes are cast once; each
-    episode still takes its own (queries, n·k) similarity product,
+    the whole run, unless every subset is (see eval_subsets). Each class of
+    the test pool is embedded once per call, into one array in pool order.
+    Per _VOTE_BLOCK episodes, one ClassPool.draw resolves every episode's
+    draws into positions, which index that array, and votes are cast once;
+    each episode still takes its own (queries, n·k) similarity product,
     since BLAS bits depend on the product's shape. FSG supports are video
     embeddings; the cross-modal task supports each class with its raw label
     embedding (WE trains into that space) or its projected one (JE). Deterministic in seed.
@@ -274,27 +279,20 @@ def evaluate(
     cross_modal = cfg.task == TASK_CMFSG
     report = EvalReport(cfg)
     n, k, n_support = cfg.n, cfg.k, cfg.n_support
-    subsets = eval_subsets(model.config, dataset, split, cfg)
-    # All runs whenever any subset does, and its classes hold every other
-    # subset's: pool them, and embed them in pool order, one call per class
-    pool = ClassPool(dataset, subsets[0][1], cfg.m, n_support)
+    pool, subsets = eval_subsets(model.config, dataset, split, cfg)
     emb = np.concatenate([model.embed_video_batch(dataset.features[rows])[0]
                           for rows in np.split(pool.rows, pool.starts[1:])])
     if cross_modal:
-        labels = np.stack([
-            dataset.label_embeddings[c] if model.method == METHOD_WE
-            else model.embed_label_batch(dataset.label_embeddings[c][None])[0][0]
-            for c in pool.classes.tolist()
-        ])
-    for subset_idx, (name, eligible) in enumerate(subsets):
-        if len(eligible) < n:
+        labels = pool.labels if model.method == METHOD_WE else np.concatenate(
+            [model.embed_label_batch(label[None])[0] for label in pool.labels])
+    for subset_idx, (name, members) in enumerate(subsets):
+        if len(members) < n:
             report.subsets[name] = SubsetResult(skipped=True)
             report.warnings.append(
-                f"subset {name}: {len(eligible)} eligible classes < n={n}; skipped"
+                f"subset {name}: {len(members)} eligible classes < n={n}; skipped"
             )
             continue
         result = report.subsets[name] = SubsetResult()
-        members = np.searchsorted(pool.classes, eligible)
         for start in range(0, cfg.episodes, _VOTE_BLOCK):
             rngs = [np.random.default_rng([cfg.seed, subset_idx, episode_idx])
                     for episode_idx in range(start, min(start + _VOTE_BLOCK, cfg.episodes))]

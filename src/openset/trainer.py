@@ -4,7 +4,7 @@ learning-rate decay, periodic validation, and best-checkpoint selection.
 Per step a class-grouped batch is drawn from the training classes and the
 method objective is computed over its embeddings:
 
-  VE  metric loss over the video batch.
+  VE  metric loss over the video batch; it reads no labels.
   WE  alignment MSE against each instance's frozen label embedding, plus an
       optional lambda-weighted metric term over the same video embeddings.
   JE  metric loss over the union of the video batch and one projected label
@@ -16,9 +16,9 @@ round; the parameters with the lowest validation loss are returned. Early
 stop when no new best appears within `patience` steps.
 Training is deterministic in (config, dataset, split): the batch stream and
 each validation round use generators derived from the config seed. Both draw
-from an episodic.ClassPool in blocks: the loop queues _BATCH_BLOCK batches at
-a time, a degenerate batch's resample is the next queued one, and a round
-draws its batches in one call; the stream is the one each batch alone gives.
+in blocks from the ClassPools check_split builds once per run: the loop queues
+_BATCH_BLOCK batches (a degenerate batch's resample is the next queued one) and
+a round all its batches at once; the stream is the one each batch alone gives.
 """
 
 from __future__ import annotations
@@ -111,12 +111,12 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 
 def _objective(
-    video: np.ndarray, class_ids: np.ndarray, classes: np.ndarray, labels: np.ndarray,
+    video: np.ndarray, class_ids: np.ndarray, classes: np.ndarray, labels: np.ndarray | None,
     cfg: TrainConfig,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The method objective from one batch's embeddings: (loss, video grads,
     label grads or None). classes are the batch's drawn classes, sorted, and
-    labels their rows: raw label embeddings for WE, projected ones for JE."""
+    labels their rows: raw labels for WE, projected ones for JE, None for VE."""
     dml = make_dml(cfg.dml, cfg.histogram, cfg.multisim)
     if cfg.method == METHOD_VE:
         return *dml(video, class_ids), None
@@ -129,24 +129,20 @@ def _objective(
 
 
 def batch_objective(
-    model: EmbeddingModel,
-    frames: np.ndarray,
-    class_ids: np.ndarray,
-    labels: dict[int, np.ndarray],
-    cfg: TrainConfig,
+    model: EmbeddingModel, dataset: Dataset, pool: episodic.ClassPool, batch, cfg: TrainConfig
 ) -> float:
-    """Compute the method objective on one batch and backprop it into the
-    model's gradient buffers (caller steps and zeroes them).
-
-    frames and class_ids are the batch's rows of the dataset columns;
-    labels maps each class the batch drew (even one that gave no rows) to
-    its label embedding."""
-    video_emb, video_cache = model.embed_video_batch(frames)
-    classes = np.array(sorted(labels), dtype=np.int64)
-    label_emb = np.stack([labels[c] for c in classes.tolist()])
+    """Compute the method objective on one batch of pool, (picked pool indices,
+    positions into pool.rows), and backprop it into the model's gradient
+    buffers (caller steps and zeroes them). WE and JE take pool.labels rows."""
+    picked, positions = batch
+    rows = pool.rows[positions]
+    video_emb, video_cache = model.embed_video_batch(dataset.features[rows])
+    drawn = np.sort(picked)
+    label_emb = None if cfg.method == METHOD_VE else pool.labels[drawn]
     if cfg.method == METHOD_JE:
         label_emb, label_cache = model.embed_label_batch(label_emb)
-    loss, grads_video, grads_label = _objective(video_emb, class_ids, classes, label_emb, cfg)
+    loss, grads_video, grads_label = _objective(
+        video_emb, dataset.class_ids[rows], pool.classes[drawn], label_emb, cfg)
     model.backward_video_batch(video_cache, grads_video)
     if grads_label is not None:
         model.backward_label_batch(label_cache, grads_label)
@@ -156,17 +152,16 @@ def batch_objective(
 def _validation_loss(
     model: EmbeddingModel,
     dataset: Dataset,
-    val_classes: set[int] | list[int],
+    pool: episodic.ClassPool,
     cfg: TrainConfig,
     round_idx: int,
 ) -> float:
-    """Mean objective over the round's batches, skipping degenerate ones.
+    """Mean objective over the round's batches of pool, skipping degenerate ones.
     Each validation row is embedded once, in pool order and in blocks of at
     most one batch's size; each batch gathers its positions. A 1-row product
     takes BLAS's gemv path, with other bits: a row whose batch can hold no
     other row is embedded alone, a JE label whose batch holds one class is
     projected alone, and any other 1-row remainder joins the block before it."""
-    pool = episodic.ClassPool(dataset, val_classes, cfg.batch_k_max)
     single = cfg.batch_classes == 1
     lone = np.repeat(single & (pool.takes == 1), pool.sizes)
     rest = np.flatnonzero(~lone)
@@ -176,7 +171,7 @@ def _validation_loss(
     video = np.empty((len(pool.rows), model.config.embed_dim))
     for block in blocks:
         video[block] = model.embed_video_batch(dataset.features[pool.rows[block]])[0]
-    labels = np.stack([dataset.label_embeddings[c] for c in pool.classes.tolist()])
+    labels = None if cfg.method == METHOD_VE else pool.labels
     if cfg.method == METHOD_JE:
         labels = np.concatenate([model.embed_label_batch(part)[0]
                                  for part in (labels[:, None] if single else [labels])])
@@ -190,7 +185,7 @@ def _validation_loss(
         try:
             batch_losses.append(_objective(
                 video[positions], dataset.class_ids[pool.rows[positions]], pool.classes[drawn],
-                labels[drawn], cfg,
+                None if labels is None else labels[drawn], cfg,
             )[0])
         except DegenerateInputError:
             continue
@@ -200,27 +195,34 @@ def _validation_loss(
     return sum(batch_losses) / len(batch_losses)
 
 
-def check_split(dataset: Dataset, split: SplitResult, cfg: TrainConfig) -> None:
-    """Raise ConfigError if the training classes, or the validation classes
-    when a validation round will run, cannot fill a batch, so a caller can
-    reject the request before it writes anything: fewer than batch_classes
-    classes, or (if a batch will be drawn) the batch_classes largest, each
-    capped at batch_k_max, below batch_min_total instances."""
+def check_split(
+    dataset: Dataset, split: SplitResult, cfg: TrainConfig
+) -> tuple[episodic.ClassPool, episodic.ClassPool | None]:
+    """The pools of the training classes and, when a validation round will
+    run, of the validation classes (else None). Raises ConfigError, so a caller
+    can reject the request before it writes anything, if a class is not in the
+    table or (WE, JE) has no label embedding, or if a pool cannot fill a batch:
+    fewer than batch_classes classes with instances, or (if a batch will be
+    drawn) the batch_classes largest, capped at batch_k_max, below batch_min_total."""
     subsets = {"training": split.train}
     if cfg.max_batches >= cfg.val_every:
         subsets["validation"] = split.validation
+    pools = {}
     for name, classes in subsets.items():
-        if len(classes) < cfg.batch_classes:
+        pool = pools[name] = episodic.ClassPool(dataset, classes, cfg.batch_k_max)
+        if len(pool.classes) < cfg.batch_classes:
             raise ConfigError(
-                f"train: need {cfg.batch_classes} {name} classes, have {len(classes)}"
+                f"train: need {cfg.batch_classes} {name} classes, have {len(pool.classes)}"
             )
-        takes = np.sort(episodic.ClassPool(dataset, classes, cfg.batch_k_max).takes)
-        largest = int(takes[-cfg.batch_classes:].sum())
+        largest = int(np.sort(pool.takes)[-cfg.batch_classes:].sum())
         if cfg.max_batches and largest < cfg.batch_min_total:
             raise ConfigError(
                 f"train: the {cfg.batch_classes} largest {name} classes give at most "
                 f"{largest} instances per batch, below batch_min_total {cfg.batch_min_total}"
             )
+        if cfg.method != METHOD_VE:
+            pool.labels  # stacked now, so a missing label fails before any output
+    return pools["training"], pools.get("validation")
 
 
 def train(
@@ -239,14 +241,13 @@ def train(
         raise ConfigError(
             f"config method {cfg.method} != model method {model.method}"
         )
-    check_split(dataset, split, cfg)
+    pool, val_pool = check_split(dataset, split, cfg)
 
     log = TrainLog()
     if cfg.max_batches == 0:
         return model.copy(), log
 
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
-    pool = episodic.ClassPool(dataset, split.train, cfg.batch_k_max)
     rng = np.random.default_rng([cfg.seed, 0])
     pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
     best_model: EmbeddingModel | None = None
@@ -264,12 +265,8 @@ def train(
                         pool, rng, cfg.batch_classes, cfg.batch_min_total,
                         min(_BATCH_BLOCK, cfg.max_batches - step + 1),
                     ))
-                picked, positions = pending.popleft()
-                rows = pool.rows[positions]
-                labels = {c: dataset.label_embeddings[c] for c in pool.classes[picked].tolist()}
                 try:
-                    loss = batch_objective(model, dataset.features[rows], dataset.class_ids[rows],
-                                           labels, cfg)
+                    loss = batch_objective(model, dataset, pool, pending.popleft(), cfg)
                     break
                 except DegenerateInputError:
                     model.zero_grad()
@@ -285,7 +282,7 @@ def train(
 
             if step % cfg.val_every == 0:
                 val_round += 1
-                val_loss = _validation_loss(model, dataset, split.validation, cfg, val_round)
+                val_loss = _validation_loss(model, dataset, val_pool, cfg, val_round)
                 if not np.isfinite(val_loss):
                     raise NumericError(f"non-finite validation loss {val_loss}")
                 log.validations.append((step, float(val_loss)))

@@ -177,7 +177,7 @@ def _log1p_sum_exp(xs: np.ndarray) -> float:
 def log1p_sum_exp_rows(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Row-wise stable log(1 + sum(exp(xs[i, keep[i]]))), each row's kept
     entries summed by one 1-D `.sum()` of their compacted run. This is the
-    bit-exact referee of numcore.log1p_sum_exp's grouped row sums."""
+    bit-exact referee of numcore.log1p_sum_exp's zero-led reduceat sums."""
     m = np.maximum(np.where(keep, xs, -np.inf).max(axis=1, initial=-np.inf), 0.0)
     kept = np.exp((xs - m[:, None])[keep])
     ends = np.cumsum(keep.sum(axis=1)).tolist()
@@ -615,8 +615,9 @@ def evaluate_per_episode(
     k, n_support = cfg.k, cfg.n_support
     video: dict[int, np.ndarray] = {}
     labels: dict[int, np.ndarray] = {}
-    subsets = episodic.eval_subsets(model.config, dataset, split, cfg)
-    for subset_idx, (name, eligible) in enumerate(subsets):
+    pool, subsets = episodic.eval_subsets(model.config, dataset, split, cfg)
+    for subset_idx, (name, members) in enumerate(subsets):
+        eligible = pool.classes[members].tolist()
         if len(eligible) < cfg.n:
             report.subsets[name] = episodic.SubsetResult(skipped=True)
             report.warnings.append(

@@ -46,7 +46,7 @@ class TestSynth:
         n_grid = SMALL.n_verbs * SMALL.n_nouns
         assert len(ds.classes.entries) == round(SMALL.class_density * n_grid)
         assert ds.input_dim == 12
-        assert ds.frames == 3
+        assert ds.features.shape[1] == 3
         assert ds.label_dim == 6
         lo, hi = SMALL.instances_per_class
         assert ds.features.shape == (len(ds.instance_ids), 3, 12)
@@ -806,7 +806,7 @@ class TestDatasetColumns:
         )
         assert {c: r.tolist() for c, r in ds.class_rows.items()} == {
             0: [1, 3], 1: [], 5: [0, 2, 4]}
-        assert ds.frames == 2 and ds.input_dim == 3
+        assert ds.features.shape[1] == 2 and ds.input_dim == 3
 
     def test_duplicate_instance_id_rejected(self):
         with pytest.raises(ConfigError, match="duplicate instance_id 4"):

@@ -52,11 +52,11 @@ def episode_rows(ds, task, k, picked, drawn):
 
 def draw(ds, classes, rng, **protocol):
     """One episode over classes under the EvalConfig built from protocol,
-    drawn from a pool of their eligible classes and resolved into each picked
-    class's positions into its class_rows, as evaluate draws and resolves it."""
+    drawn from their pool (which keeps the eligible ones) and resolved into
+    each picked class's positions into its class_rows, as evaluate draws and
+    resolves it."""
     cfg = episodic.EvalConfig(**protocol)
-    pool = episodic.ClassPool(ds, episodic.eligible_episode_classes(ds, classes, cfg), cfg.m,
-                              cfg.n_support)
+    pool = episodic.ClassPool(ds, classes, cfg.m, cfg.n_support)
     [picked], positions = pool.draw(np.arange(len(pool.classes)), [rng], cfg.n)
     takes = pool.takes[picked]
     positions = positions - np.repeat(pool.starts[picked], takes)
@@ -231,18 +231,25 @@ class TestTrainingBatch:
         assert len(first) < 10
         self.assert_equals_referee(ds, list(sizes), 6, count, **shape)
 
-    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("size", [2, 1])
     @pytest.mark.parametrize("count", [1, 64])
-    def test_exhausted_block_equals_per_class_referee(self, count, empty):
-        # 12 classes of 2 cap a batch at 24 rows; with their rows dropped
-        # from the columns (the table still lists them) a batch has none
-        ds = tiny_dataset({c: 2 for c in range(13)})
-        if empty:
-            rows = ds.class_rows[12]
-            ds = data.Dataset(ds.classes, ds.instance_ids[rows], ds.class_ids[rows],
-                              ds.features[rows], ds.label_embeddings)
-            assert all(len(ds.class_rows[c]) == 0 for c in range(12))
+    def test_exhausted_block_equals_per_class_referee(self, count, size):
+        # 12 classes of 2 cap a batch at 24 rows, and 12 classes of 1 at 12
+        ds = tiny_dataset({c: size for c in range(13)})
         self.assert_equals_referee(ds, list(range(12)), 3, count, **BATCH_SHAPE)
+
+    def test_pool_leaves_out_classes_without_rows(self):
+        # classes 0-11 dropped from the columns (the table still lists them)
+        # give no draw, so the pool holds class 12 alone
+        ds = tiny_dataset({c: 2 for c in range(13)})
+        rows = ds.class_rows[12]
+        ds = data.Dataset(ds.classes, ds.instance_ids[rows], ds.class_ids[rows],
+                          ds.features[rows], ds.label_embeddings)
+        pool = episodic.ClassPool(ds, range(13), 8)
+        assert pool.classes.tolist() == [12] and pool.rows.tolist() == [0, 1]
+        assert pool.labels.tobytes() == ds.label_embeddings[12].tobytes()
+        with pytest.raises(ConfigError, match="need 12 classes, have 1"):
+            episodic.sample_training_batch(pool, np.random.default_rng(3), 12, 36, 1)
 
 
 class TestEpisodeSampling:
@@ -279,13 +286,29 @@ class TestEpisodeSampling:
         # a class with exactly k instances cannot field a query
         ds = tiny_dataset({0: 2, 1: 5, 2: 5, 3: 5})
         cfg = episodic.EvalConfig(task="FSG", n=3, k=2, m=4, episodes=6)
-        assert episodic.eligible_episode_classes(ds, {0, 1, 2, 3}, cfg) == [1, 2, 3]
+        pool = episodic.ClassPool(ds, {0, 1, 2, 3}, cfg.m, cfg.n_support)
+        assert pool.classes.tolist() == [1, 2, 3]
         # so HoV, whose classes 0-2 leave two eligible, is skipped with a warning
         split = make_split(range(4), {0: "HoV", 1: "HoV", 2: "HoV", 3: "HoN"})
         report = episodic.evaluate(HashEmbedModel(), ds, split, cfg)
         assert report.subsets["All"].episodes == 6
         assert report.subsets["HoV"].skipped and report.subsets["HoN"].skipped
         assert "subset HoV: 2 eligible classes < n=3; skipped" in report.warnings
+
+    @pytest.mark.parametrize("task,k,method", [("FSG", 2, "VE"), ("CM-FSG", 1, "WE")])
+    def test_eval_subsets_members_follow_the_eligibility_rule(self, task, k, method):
+        # the data of test_fsg_eligibility_excludes_exact_k: a member has the
+        # supports plus at least one query
+        ds = tiny_dataset({0: 2, 1: 5, 2: 5, 3: 5})
+        split = make_split(range(4), {0: "HoV", 1: "HoV", 2: "HoV", 3: "HoN"})
+        cfg = episodic.EvalConfig(task=task, n=1, k=k, m=4, episodes=6)
+        model_cfg = model.ModelConfig(method=method, input_dim=4, hidden_dim=5,
+                                      embed_dim=6, label_dim=6)
+        pool, subsets = episodic.eval_subsets(model_cfg, ds, split, cfg)
+        assert [name for name, _ in subsets] == ["All", "HoV", "HoN"]
+        for (name, members), classes in zip(subsets, [range(4), range(3), [3]]):
+            want = [c for c in classes if len(ds.class_rows[c]) >= cfg.n_support + 1]
+            assert pool.classes[members].tolist() == want, name
 
     def test_cmfsg_supports_are_label_embeddings(self):
         counts = {0: 3, 1: 4, 2: 6}
@@ -322,7 +345,7 @@ class TestEpisodeSampling:
         counts = {c: 3 + 5 * c for c in range(8)}
         ds = tiny_dataset(counts)
         cfg = episodic.EvalConfig(task, n=4, k=k, m=7)
-        eligible = episodic.eligible_episode_classes(ds, set(counts), cfg)
+        eligible = [c for c in sorted(counts) if counts[c] >= cfg.n_support + 1]
         for trial in range(200):
             got_rng, want_rng = np.random.default_rng([3, trial]), np.random.default_rng([3, trial])
             picked, drawn = draw(ds, set(counts), got_rng, task=task, n=4, k=k, m=7)
@@ -627,6 +650,22 @@ class TestEvaluate:
         with pytest.raises(MethodError):
             episodic.evaluate(net, ds, split, episodic.EvalConfig(
                 "CM-FSG", n=3, k=1, m=4, episodes=5, seed=8))
+
+    def test_ve_runs_without_label_embeddings(self):
+        ds = tiny_dataset({c: 5 for c in range(5)})
+        ds = data.Dataset(ds.classes, ds.instance_ids, ds.class_ids, ds.features, {})
+        split = make_split(range(5), {c: "HoV" for c in range(5)})
+        net = model.init_model(model.ModelConfig(method="VE", input_dim=4, hidden_dim=5,
+                                                 embed_dim=6, label_dim=6), seed=7)
+        report = episodic.evaluate(net, ds, split, episodic.EvalConfig(
+            "FSG", n=3, k=1, m=4, episodes=5, seed=8))
+        assert report.subsets["All"].episodes == 5 and report.subsets["HoV"].episodes == 5
+
+    def test_split_class_missing_from_table_rejected(self):
+        ds = tiny_dataset({c: 5 for c in range(5)})
+        with pytest.raises(ConfigError, match="^class 999 is not in the class table$"):
+            episodic.evaluate(HashEmbedModel(), ds, make_split([0, 1, 2, 3, 4, 999]),
+                              episodic.EvalConfig("FSG", n=3, k=1, m=4, episodes=5))
 
     def test_cmfsg_we_and_je_run(self):
         ds = tiny_dataset({c: 5 for c in range(5)}, dim=4, label_dim=6)

@@ -37,6 +37,12 @@ def in_class(pool, positions, index):
     return np.repeat(pool.classes, pool.sizes)[positions] == pool.classes[index]
 
 
+def validation_loss(net, ds, classes, cfg, round_idx):
+    """trainer._validation_loss over the pool of classes that check_split builds."""
+    pool = episodic.ClassPool(ds, classes, cfg.batch_k_max)
+    return trainer._validation_loss(net, ds, pool, cfg, round_idx)
+
+
 def few_instance_data():
     """Reference dims (input 64, label 32) with 1-3 instances per class, and
     the validation classes of its split."""
@@ -227,9 +233,7 @@ class TestTrainLoop:
         ]
         # the returned parameters reproduce the recorded best loss exactly
         round_idx = [s for s, _ in log.validations].index(log.best_step) + 1
-        recomputed = trainer._validation_loss(
-            best, DATASET, sorted(SPLIT.validation), cfg, round_idx
-        )
+        recomputed = validation_loss(best, DATASET, sorted(SPLIT.validation), cfg, round_idx)
         assert recomputed == log.best_val_loss
 
     def test_patience_stops_without_improvement(self):
@@ -350,22 +354,88 @@ class TestTrainLoop:
             )
 
 
+class TestClassPools:
+    """check_split builds the run's pools; every step and round draws from them."""
+
+    def test_train_builds_one_pool_per_class_set(self, monkeypatch):
+        built = []
+
+        class CountingPool(episodic.ClassPool):
+            def __init__(self, dataset, classes, *args):
+                built.append(set(classes))
+                super().__init__(dataset, classes, *args)
+
+        monkeypatch.setattr(episodic, "ClassPool", CountingPool)
+        _, log = trainer.train(make_net(seed=5), DATASET, SPLIT, fast_cfg(max_batches=60))
+        assert len(log.validations) == 3
+        assert built == [SPLIT.train, SPLIT.validation]
+
+    def test_ve_trains_without_label_embeddings(self):
+        unlabelled = data.Dataset(DATASET.classes, DATASET.instance_ids, DATASET.class_ids,
+                                  DATASET.features, {})
+        cfg = fast_cfg(max_batches=40)
+        got, got_log = trainer.train(make_net(seed=3), unlabelled, SPLIT, cfg)
+        want, want_log = trainer.train(make_net(seed=3), DATASET, SPLIT, cfg)
+        assert len(got_log.validations) == 2
+        assert got.params.tobytes() == want.params.tobytes() and got_log == want_log
+
+    @pytest.mark.parametrize("subset", ["train", "validation"])
+    @pytest.mark.parametrize("method,embed_dim", [("WE", 6), ("JE", 5)])
+    def test_pool_class_without_label_rejected_before_training(self, monkeypatch, method,
+                                                               embed_dim, subset):
+        missing = max(getattr(SPLIT, subset))
+        labels = {c: v for c, v in DATASET.label_embeddings.items() if c != missing}
+        ds = data.Dataset(DATASET.classes, DATASET.instance_ids, DATASET.class_ids,
+                          DATASET.features, labels)
+        monkeypatch.setattr(trainer, "batch_objective", lambda *a: pytest.fail("a step ran"))
+        message = f"^class {missing} has no label embedding$"
+        with pytest.raises(ConfigError, match=message):
+            trainer.check_split(ds, SPLIT, fast_cfg(method=method))
+        with pytest.raises(ConfigError, match=message):
+            trainer.train(make_net(method, embed_dim), ds, SPLIT, fast_cfg(method=method))
+        trainer.check_split(ds, SPLIT, fast_cfg())
+
+    def test_je_trains_past_a_training_class_without_rows(self):
+        # the class table still lists the class whose rows are dropped
+        dropped = min(SPLIT.train)
+        keep = DATASET.class_ids != dropped
+        ds = data.Dataset(DATASET.classes, DATASET.instance_ids[keep], DATASET.class_ids[keep],
+                          DATASET.features[keep], DATASET.label_embeddings)
+        cfg = fast_cfg(method="JE", max_batches=40)
+        pool, val_pool = trainer.check_split(ds, SPLIT, cfg)
+        assert set(pool.classes.tolist()) == SPLIT.train - {dropped}
+        assert set(val_pool.classes.tolist()) == SPLIT.validation
+        _, log = trainer.train(make_net("JE", embed_dim=5, seed=7), ds, SPLIT, cfg)
+        assert len(log.step_losses) == 40 and len(log.validations) == 2
+        # only classes with rows count towards batch_classes
+        thin = dataclasses.replace(SPLIT, train=set(sorted(SPLIT.train)[:12]))
+        trainer.check_split(DATASET, thin, cfg)
+        with pytest.raises(ConfigError, match="^train: need 12 training classes, have 11$"):
+            trainer.check_split(ds, thin, cfg)
+
+    def test_split_class_missing_from_table_rejected(self):
+        assert 999 not in DATASET.classes
+        bad = dataclasses.replace(SPLIT, train=SPLIT.train | {999})
+        with pytest.raises(ConfigError, match="^class 999 is not in the class table$"):
+            trainer.train(make_net(), DATASET, bad, fast_cfg())
+
+
 class TestObjectives:
     def batch_for(self, n=12):
-        """A drawn batch as batch_objective's inputs: (frames, class ids, labels)."""
+        """A drawn batch as batch_objective's inputs (pool, batch), with the
+        batch's frames and class ids."""
         rng = np.random.default_rng(13)
         pool = episodic.ClassPool(DATASET, SPLIT.train, 8)
-        [(picked, positions)] = episodic.sample_training_batch(pool, rng, n, 36, 1)
-        rows = pool.rows[positions]
-        labels = {c: DATASET.label_embeddings[c] for c in pool.classes[picked].tolist()}
-        return DATASET.features[rows], DATASET.class_ids[rows], labels
+        [batch] = episodic.sample_training_batch(pool, rng, n, 36, 1)
+        rows = pool.rows[batch[1]]
+        return pool, batch, DATASET.features[rows], DATASET.class_ids[rows]
 
     def test_we_lambda_zero_matches_alignment_only(self):
         from openset import losses
         net = make_net("WE", embed_dim=6, seed=12)
-        frames, ids, labels = self.batch_for()
+        pool, batch, frames, ids = self.batch_for()
         cfg = fast_cfg(method="WE", lambda_we=0.0)
-        loss = trainer.batch_objective(net, frames, ids, labels, cfg)
+        loss = trainer.batch_objective(net, DATASET, pool, batch, cfg)
         net.zero_grad()
         emb, _ = net.embed_video_batch(frames)
         targets = np.stack([DATASET.label_embeddings[int(c)] for c in ids])
@@ -375,12 +445,12 @@ class TestObjectives:
     def test_we_lambda_shifts_loss_by_metric_term(self):
         from openset import losses
         net = make_net("WE", embed_dim=6, seed=12)
-        frames, ids, labels = self.batch_for()
+        pool, batch, frames, ids = self.batch_for()
         base = trainer.batch_objective(
-            net, frames, ids, labels, fast_cfg(method="WE", lambda_we=0.0)
+            net, DATASET, pool, batch, fast_cfg(method="WE", lambda_we=0.0)
         )
         shifted = trainer.batch_objective(
-            net, frames, ids, labels, fast_cfg(method="WE", lambda_we=2.0)
+            net, DATASET, pool, batch, fast_cfg(method="WE", lambda_we=2.0)
         )
         net.zero_grad()
         emb, _ = net.embed_video_batch(frames)
@@ -390,9 +460,9 @@ class TestObjectives:
     def test_je_objective_includes_one_label_per_class(self):
         from openset import losses
         net = make_net("JE", embed_dim=5, seed=13)
-        frames, ids, labels = self.batch_for()
+        pool, batch, frames, ids = self.batch_for()
         cfg = fast_cfg(method="JE")
-        loss = trainer.batch_objective(net, frames, ids, labels, cfg)
+        loss = trainer.batch_objective(net, DATASET, pool, batch, cfg)
         net.zero_grad()
         video_emb, _ = net.embed_video_batch(frames)
         classes = sorted(set(ids.tolist()))
@@ -424,9 +494,9 @@ class TestObjectives:
 
         monkeypatch.setattr(trainer, "make_dml", spy_make_dml)
         net = make_net(method, embed_dim=embed_dim, seed=12)
-        frames, ids, labels = self.batch_for()
+        pool, batch, _, _ = self.batch_for()
         cfg = fast_cfg(method=method, lambda_we=lam)
-        trainer.batch_objective(net, frames, ids, labels, cfg)
+        trainer.batch_objective(net, DATASET, pool, batch, cfg)
         (rows,) = seen
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
@@ -455,7 +525,7 @@ class TestValidationRound:
                 return str(exc)
 
         for round_idx in (1, 2):
-            got = loss_or_error(trainer._validation_loss, round_idx)
+            got = loss_or_error(validation_loss, round_idx)
             want = loss_or_error(reference.validation_loss_per_batch, round_idx)
             assert got == want, (method, lam, dml, shape, round_idx)
 
@@ -464,7 +534,7 @@ class TestValidationRound:
         # per-batch round took, with the same bits
         net = make_net("WE", seed=16)
         cfg = fast_cfg(method="WE", batch_classes=1, batch_k_max=1, batch_min_total=1)
-        got = trainer._validation_loss(net, DATASET, VAL_CLASSES, cfg, 1)
+        got = validation_loss(net, DATASET, VAL_CLASSES, cfg, 1)
         want = reference.validation_loss_per_batch(net, DATASET, VAL_CLASSES, cfg, 1)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         # one class per batch at reference dims, on classes of 1-3 instances: a
@@ -476,7 +546,7 @@ class TestValidationRound:
             for seed in range(13):
                 net = model.init_model(model.ModelConfig(method=method, input_dim=64), seed=seed)
                 for round_idx in (1, 2):
-                    got = trainer._validation_loss(net, ds, val_classes, cfg, round_idx)
+                    got = validation_loss(net, ds, val_classes, cfg, round_idx)
                     want = reference.validation_loss_per_batch(net, ds, val_classes, cfg, round_idx)
                     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
                         method, seed, round_idx)
@@ -502,7 +572,7 @@ class TestValidationRound:
         classes, k_max, min_total = shape
         cfg = fast_cfg(method="JE", val_batches=20, batch_classes=classes, batch_k_max=k_max,
                        batch_min_total=min_total)
-        trainer._validation_loss(make_net("JE", embed_dim=5, seed=17), DATASET, VAL_CLASSES, cfg, 1)
+        validation_loss(make_net("JE", embed_dim=5, seed=17), DATASET, VAL_CLASSES, cfg, 1)
         index = {DATASET.features[i].tobytes(): i for i in range(len(DATASET.class_ids))}
         embedded = sorted(index[row.tobytes()] for frames in seen for row in frames)
         want = np.flatnonzero(np.isin(DATASET.class_ids, VAL_CLASSES)).tolist()
@@ -625,7 +695,7 @@ class TestInterleavedRows:
         cfg = fast_cfg(method=method, lambda_we=lam, val_batches=40, batch_classes=classes,
                        batch_k_max=k_max, batch_min_total=min_total)
         for round_idx in (1, 2):
-            got = trainer._validation_loss(net, INTERLEAVED, VAL_CLASSES, cfg, round_idx)
+            got = validation_loss(net, INTERLEAVED, VAL_CLASSES, cfg, round_idx)
             want = reference.validation_loss_per_batch(net, INTERLEAVED, VAL_CLASSES, cfg,
                                                        round_idx)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
