@@ -135,7 +135,10 @@ def write_resolved(out_dir: str, resolved: dict) -> None:
 
 
 def prepare_out(out_dir: str, filenames: list[str], create: bool = True) -> None:
-    """Refuse to clobber a previous run's artifacts; then, with create, make the directory."""
+    """Refuse an --out that is not a directory or holds a previous run's
+    artifacts; then, with create, make the directory."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {out_dir} is not a directory")
     for name in filenames + [_RESOLVED_FILE]:
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
@@ -231,6 +234,8 @@ def cmd_train(args) -> None:
     file_values = parse_config_file(args.config) if args.config else {}
     flag_values = _flag_values(args, TRAIN_SCHEMA)
     cfg = resolve_config(TRAIN_SCHEMA, file_values, flag_values)
+    files = [_CHECKPOINT_FILE, _TRAIN_LOG_FILE]
+    prepare_out(args.out, files, create=False)  # a failed run leaves no --out
     dataset = _load_data_dir(args.data)
     split = splits.read_split(args.split, dataset.classes)
     # WE embeds into the label space: its dim is the data's unless one is given
@@ -246,11 +251,9 @@ def cmd_train(args) -> None:
         histogram=HistogramConfig(**_fields_kwargs(HistogramConfig, cfg)),
         multisim=MultiSimConfig(**_fields_kwargs(MultiSimConfig, cfg)),
     )
-    # a split too small for the batch shape fails before --out exists
-    trainer.check_split(dataset, split, train_cfg)
-    prepare_out(args.out, [_CHECKPOINT_FILE, _TRAIN_LOG_FILE])
     net = model.init_model(model_cfg, seed=cfg["seed"])
     best, log = trainer.train(net, dataset, split, train_cfg)
+    prepare_out(args.out, files)
     model.save_checkpoint(os.path.join(args.out, _CHECKPOINT_FILE), best)
     trainer.write_train_log(os.path.join(args.out, _TRAIN_LOG_FILE), log)
     write_resolved(args.out, cfg)
@@ -275,13 +278,12 @@ def cmd_eval(args) -> None:
         cfg["split_name"] = os.path.splitext(os.path.basename(args.split))[0]
     for key in ("dml", "split_name"):
         _check_report_label(key, cfg[key], ConfigError)
+    prepare_out(args.out, [_EVAL_FILE], create=False)  # a failed run leaves no --out
     net = model.load_checkpoint(args.checkpoint)
     dataset = _load_data_dir(args.data)
     split = splits.read_split(args.split, dataset.classes)
-    # a request no subset can serve fails before --out exists
-    episodic.eval_subsets(net.config, dataset, split, eval_cfg)
-    prepare_out(args.out, [_EVAL_FILE])
     report = episodic.evaluate(net, dataset, split, eval_cfg)
+    prepare_out(args.out, [_EVAL_FILE])
     episodic.write_eval_report(os.path.join(args.out, _EVAL_FILE), report)
     write_resolved(args.out, {**cfg, "method": net.method})
     for name, res in report.subsets.items():

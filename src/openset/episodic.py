@@ -240,7 +240,7 @@ def eval_subsets(
     report order: All, HoV and HoN. Raises MethodError if the method cannot
     run the task, DimensionError if the model's input dim (and, cross-modally,
     its label dim) differs from the dataset's, and EligibilityError if no
-    subset has n members, so a caller can reject the request before it writes."""
+    subset has n members, so evaluate rejects the request before it embeds."""
     if cfg.task == TASK_CMFSG and model_cfg.method == METHOD_VE:
         raise MethodError("VE has no label-embedding path; cannot run CM-FSG")
     # FSG supports are videos, so only the cross-modal task reads labels

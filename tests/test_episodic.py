@@ -77,10 +77,6 @@ def make_split(cids, category=None):
         train=set(),
         validation=set(),
         test=set(cids),
-        held_out_verbs_val=set(),
-        held_out_verbs_test=set(),
-        held_out_nouns_val=set(),
-        held_out_nouns_test=set(),
         category=dict(category or {}),
     )
 

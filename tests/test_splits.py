@@ -1,5 +1,7 @@
 """Tests for disjoint-class split generation and overlap reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ def make_table(pairs, count=5):
         for cid, v, n in pairs
     }
     return data.ClassTable(entries)
+
+
+def held_out(pairs, spec):
+    """The referee's held-out item sets for the split that spec draws from
+    pairs: verbs_val, verbs_test, nouns_val, nouns_test."""
+    want = reference.split_reference(pairs, **dataclasses.asdict(spec))
+    return tuple(want[f"held_out_{side}"] for side in (
+        "verbs_val", "verbs_test", "nouns_val", "nouns_test"))
 
 
 def random_pairs(n_verbs, n_nouns, density, seed):
@@ -68,15 +78,15 @@ class TestGenerateSplit:
         assert r.train == set(table.class_ids())
         assert r.validation == set() and r.test == set()
         assert r.category == {}
-        assert r.held_out_verbs_val == set() and r.held_out_nouns_test == set()
+        verbs_val, _, _, nouns_test = held_out(pairs, splits.SplitSpec())
+        assert verbs_val == set() and nouns_test == set()
 
     def test_single_verb_to_test_full_grid(self):
         pairs = [(4 * v + n, v, n) for v in range(4) for n in range(4)]
         table = make_table(pairs)
-        r = splits.generate_split(
-            table, splits.SplitSpec(p_verbs=1, p_verbs_test=1.0, seed=7)
-        )
-        held = next(iter(r.held_out_verbs_test))
+        spec = splits.SplitSpec(p_verbs=1, p_verbs_test=1.0, seed=7)
+        r = splits.generate_split(table, spec)
+        held = next(iter(held_out(pairs, spec)[1]))
         assert r.test == {4 * held + n for n in range(4)}
         assert r.validation == set()
         assert len(r.train) == 12
@@ -88,12 +98,14 @@ class TestGenerateSplit:
         pairs = [(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 1, 0), (4, 1, 1),
                  (5, 2, 0), (6, 2, 2)]
         table = make_table(pairs)
-        r = splits.generate_split(table, splits.SplitSpec(
+        spec = splits.SplitSpec(
             v_lower=3, v_upper=3, n_lower=3, n_upper=3,
             p_verbs=1, p_verbs_test=1.0, p_nouns=1, p_nouns_test=0.0, seed=0,
-        ))
-        assert r.held_out_verbs_test == {0}
-        assert r.held_out_nouns_val == {0}
+        )
+        r = splits.generate_split(table, spec)
+        _, verbs_test, nouns_val, _ = held_out(pairs, spec)
+        assert verbs_test == {0}
+        assert nouns_val == {0}
         # class 0 has a test-held verb and a val-held noun: test wins,
         # category still reflects both sides
         assert 0 in r.test
@@ -108,11 +120,12 @@ class TestGenerateSplit:
     def test_ceil_rounding_of_test_share(self):
         pairs = [(4 * v + n, v, n) for v in range(5) for n in range(4)]
         table = make_table(pairs)
-        r = splits.generate_split(
-            table, splits.SplitSpec(p_verbs=3, p_verbs_test=0.5, seed=1)
-        )
-        assert len(r.held_out_verbs_test) == 2
-        assert len(r.held_out_verbs_val) == 1
+        spec = splits.SplitSpec(p_verbs=3, p_verbs_test=0.5, seed=1)
+        r = splits.generate_split(table, spec)
+        verbs_val, verbs_test, _, _ = held_out(pairs, spec)
+        assert len(verbs_test) == 2
+        assert len(verbs_val) == 1
+        assert len(r.test) == 8 and len(r.validation) == 4
 
     def test_matches_reference_procedure(self):
         pairs = random_pairs(10, 10, 0.5, seed=4)
@@ -135,10 +148,6 @@ class TestGenerateSplit:
             assert got.validation == want["validation"]
             assert got.test == want["test"]
             assert got.category == want["category"]
-            assert got.held_out_verbs_val == want["held_out_verbs_val"]
-            assert got.held_out_verbs_test == want["held_out_verbs_test"]
-            assert got.held_out_nouns_val == want["held_out_nouns_val"]
-            assert got.held_out_nouns_test == want["held_out_nouns_test"]
 
     def test_deterministic(self):
         pairs = random_pairs(8, 8, 0.5, seed=5)
@@ -160,9 +169,9 @@ class TestGenerateSplit:
         table = make_table(pairs)
         all_ids = set(table.class_ids())
         for seed in range(100):
-            r = splits.generate_split(table, splits.SplitSpec(
-                p_verbs=4, p_nouns=4, seed=seed,
-            ))
+            spec = splits.SplitSpec(p_verbs=4, p_nouns=4, seed=seed)
+            r = splits.generate_split(table, spec)
+            verbs_val, verbs_test, nouns_val, nouns_test = held_out(pairs, spec)
             # partition
             assert r.train | r.validation | r.test == all_ids
             assert not (r.train & r.validation)
@@ -170,8 +179,8 @@ class TestGenerateSplit:
             assert not (r.validation & r.test)
             # categories cover exactly the non-train classes
             assert set(r.category) == r.validation | r.test
-            held_v = r.held_out_verbs_val | r.held_out_verbs_test
-            held_n = r.held_out_nouns_val | r.held_out_nouns_test
+            held_v = verbs_val | verbs_test
+            held_n = nouns_val | nouns_test
             # no held item ever appears in a training class
             for cid in r.train:
                 assert table[cid].verb_id not in held_v
@@ -189,8 +198,8 @@ class TestGenerateSplit:
             # test membership is exactly "touches a test-held item"
             for cid in r.validation | r.test:
                 touches_test = (
-                    table[cid].verb_id in r.held_out_verbs_test
-                    or table[cid].noun_id in r.held_out_nouns_test
+                    table[cid].verb_id in verbs_test
+                    or table[cid].noun_id in nouns_test
                 )
                 assert (cid in r.test) == touches_test
 
@@ -311,6 +320,10 @@ class TestSplitSerialization:
         assert back.validation == r.validation
         assert back.test == r.test
         assert back.category == r.category
+        for seed in range(20):
+            r = splits.generate_split(table, splits.SplitSpec(p_verbs=3, p_nouns=3, seed=seed))
+            splits.write_split(path, r)
+            assert splits.read_split(path, table) == r
 
     def test_header_and_train_marker(self, tmp_path):
         pairs = [(0, 0, 0), (1, 1, 1)]

@@ -74,8 +74,6 @@ def shared_content_validation_data():
                       class_ids=class_ids, features=np.array(features), label_embeddings=labels)
     split = splits.SplitResult(
         train=set(range(14)), validation=set(range(14, 28)), test=set(),
-        held_out_verbs_val=set(range(14, 28)), held_out_verbs_test=set(),
-        held_out_nouns_val=set(), held_out_nouns_test=set(),
         category={cid: "HoV" for cid in range(14, 28)},
     )
     return ds, split
@@ -139,8 +137,7 @@ class TestConfigValidation:
     def test_too_few_train_classes(self):
         thin = splits.SplitResult(
             train=set(list(SPLIT.train)[:5]), validation=SPLIT.validation,
-            test=SPLIT.test, held_out_verbs_val=set(), held_out_verbs_test=set(),
-            held_out_nouns_val=set(), held_out_nouns_test=set(), category={},
+            test=SPLIT.test, category={},
         )
         with pytest.raises(ConfigError, match="train"):
             trainer.train(make_net(), DATASET, thin, fast_cfg())
@@ -148,8 +145,7 @@ class TestConfigValidation:
     def test_val_classes_checked_only_when_validating(self):
         thin = splits.SplitResult(
             train=SPLIT.train, validation=set(list(SPLIT.validation)[:3]),
-            test=SPLIT.test, held_out_verbs_val=set(), held_out_verbs_test=set(),
-            held_out_nouns_val=set(), held_out_nouns_test=set(), category={},
+            test=SPLIT.test, category={},
         )
         with pytest.raises(ConfigError, match="validation"):
             trainer.train(make_net(), DATASET, thin, fast_cfg())
