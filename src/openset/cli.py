@@ -82,11 +82,7 @@ TRAIN_SCHEMA = {
     **_fields_schema(model.ModelConfig, ("hidden_dim", "embed_dim")),
 }
 
-EVAL_SCHEMA = {
-    **_fields_schema(episodic.EvalConfig),
-    "dml": (str, "-"),
-    "split_name": (str, "-"),
-}
+EVAL_SCHEMA = _fields_schema(episodic.EvalConfig)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -273,11 +269,14 @@ def _check_report_label(key: str, value: str, error: type[OpensetError]) -> None
 
 def cmd_eval(args) -> None:
     cfg = _resolve(args, EVAL_SCHEMA)
-    eval_cfg = episodic.EvalConfig(**_fields_kwargs(episodic.EvalConfig, cfg))
-    if cfg["split_name"] == "-":
-        cfg["split_name"] = os.path.splitext(os.path.basename(args.split))[0]
-    for key in ("dml", "split_name"):
-        _check_report_label(key, cfg[key], ConfigError)
+    eval_cfg = episodic.EvalConfig(**cfg)
+    # report labels come from the run: the split file's stem, and the metric
+    # loss train recorded beside the checkpoint ('-' where it recorded none)
+    split_name = os.path.splitext(os.path.basename(args.split))[0]
+    _check_report_label("split_name", split_name, ConfigError)
+    trained = os.path.join(os.path.dirname(args.checkpoint), _RESOLVED_FILE)
+    dml = parse_config_file(trained).get("dml", "-") if os.path.isfile(trained) else "-"
+    _check_report_label(f"{trained}: dml", dml, ParseError)
     prepare_out(args.out, [_EVAL_FILE], create=False)  # a failed run leaves no --out
     net = model.load_checkpoint(args.checkpoint)
     dataset = _load_data_dir(args.data)
@@ -285,7 +284,7 @@ def cmd_eval(args) -> None:
     report = episodic.evaluate(net, dataset, split, eval_cfg)
     prepare_out(args.out, [_EVAL_FILE])
     episodic.write_eval_report(os.path.join(args.out, _EVAL_FILE), report)
-    write_resolved(args.out, {**cfg, "method": net.method})
+    write_resolved(args.out, {**cfg, "method": net.method, "dml": dml, "split_name": split_name})
     for name, res in report.subsets.items():
         status = "skipped" if res.skipped else f"accuracy {res.correct}/{res.queries}"
         print(f"eval: {cfg['task']} {name}: {status}")

@@ -224,9 +224,11 @@ def save_checkpoint(path: str, model: EmbeddingModel) -> None:
 
 
 def load_checkpoint(path: str) -> EmbeddingModel:
-    """Read an OSM1 file. The header must make a valid ModelConfig; every
-    request is checked against the file's size, and the blocks' names, shapes
-    and finiteness against the header, before the parameter vector is built."""
+    """Read an OSM1 file. The header must make a valid ModelConfig, and the
+    blocks follow in the block_shapes order save_checkpoint writes: each
+    one's name and shape are checked against the header before its values
+    are read, and non-finite values refused; every request is checked
+    against the file's size."""
     with ContainerReader(path, _MAGIC, 6) as reader:
         tag, *dims, n_blocks = reader.header
         if tag not in _TAG_METHODS:
@@ -235,32 +237,25 @@ def load_checkpoint(path: str) -> EmbeddingModel:
             config = ModelConfig(_TAG_METHODS[tag], *dims)
         except ConfigError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        named: dict[str, tuple[tuple[int, int, int], np.ndarray, np.ndarray]] = {}
-        for _ in range(n_blocks):
+        shapes = block_shapes(config)
+        if n_blocks != len(shapes):
+            raise FormatError(
+                f"{path}: {n_blocks} blocks; a {config.method} model has {len(shapes)}")
+        parts = []
+        for name, fan_in, fan_out in shapes:
             (name_len,) = reader.take_u32(1)
-            try:
-                name = bytes(reader.take(name_len)).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: block name is not valid UTF-8") from exc
-            if name in named:
-                raise FormatError(f"{path}: duplicate block {name!r}")
-            rows, cols = reader.take_u32(2)
-            weights = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8")
-            (bias_len,) = reader.take_u32(1)
-            bias = np.frombuffer(reader.take(bias_len * 8), dtype="<f8")
+            if (found := bytes(reader.take(name_len))) != name.encode():
+                raise FormatError(f"{path}: block {found!r} where {name!r} belongs")
+            if (shape := reader.take_u32(2)) != (fan_in, fan_out):
+                raise FormatError(f"{path}: block {name!r} is {shape[0]}x{shape[1]}; "
+                                  f"the header's dims make it {fan_in}x{fan_out}")
+            weights = np.frombuffer(reader.take(fan_in * fan_out * 8), dtype="<f8")
+            if (bias_len := reader.take_u32(1)[0]) != fan_out:
+                raise FormatError(f"{path}: block {name!r} has bias {bias_len}; "
+                                  f"the header's dims make it {fan_out}")
+            bias = np.frombuffer(reader.take(fan_out * 8), dtype="<f8")
             if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
                 raise FormatError(f"{path}: block {name!r} has non-finite parameters")
-            named[name] = ((rows, cols, bias_len), weights, bias)
+            parts += [weights, bias]
         reader.end()
-    shapes = block_shapes(config)
-    expected = {name for name, _, _ in shapes}
-    if set(named) != expected:
-        raise FormatError(f"{path}: blocks {sorted(named)} != expected {sorted(expected)}")
-    for name, fan_in, fan_out in shapes:
-        (rows, cols, bias_len), _, _ = named[name]
-        if (rows, cols, bias_len) != (fan_in, fan_out, fan_out):
-            raise FormatError(
-                f"{path}: block {name!r} is {rows}x{cols} with bias {bias_len}; "
-                f"the header's dims make it {fan_in}x{fan_out} with bias {fan_out}")
-    return EmbeddingModel(config, np.concatenate(
-        [part for name, _, _ in shapes for part in named[name][1:]], dtype=np.float64))
+    return EmbeddingModel(config, np.concatenate(parts, dtype=np.float64))

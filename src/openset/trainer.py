@@ -91,6 +91,10 @@ class TrainConfig:
                 f"batch_min_total {self.batch_min_total} exceeds the largest batch, "
                 f"batch_classes {self.batch_classes} x batch_k_max {self.batch_k_max}"
             )
+        if self.dml == "histogram" and self.batch_classes == 1 and (
+                self.method != METHOD_WE or self.lambda_we > 0):  # WE at 0 skips the loss
+            raise ConfigError("the histogram loss needs negative pairs, which a batch of "
+                              "batch_classes 1 never holds")
 
 
 @dataclass

@@ -93,6 +93,7 @@ class TestPipeline:
         assert meta["method"] == "VE"
         meta = cli.parse_config_file(os.path.join(pipeline["eval_cm"], "resolved.cfg"))
         assert meta["method"] == "WE"
+        assert meta["dml"] == "multisim"  # train's default, read from its resolved.cfg
         assert meta["split_name"] == "split_0"
 
     def test_imbalance_file(self, pipeline):
@@ -308,9 +309,7 @@ class TestSchemaDefaults:
         self.check(schema, want)
 
     def test_eval_schema(self):
-        want = _defaults(episodic.EvalConfig)
-        want.update(dml="-", split_name="-")
-        self.check(cli.EVAL_SCHEMA, want)
+        self.check(cli.EVAL_SCHEMA, _defaults(episodic.EvalConfig))
 
     def test_train_schema(self):
         want = _defaults(trainer.TrainConfig)
@@ -434,6 +433,74 @@ def _command_argv(pipeline, command):
     }[command]
 
 
+def _copied_train_dir(pipeline, tmp_path):
+    """A copy of the VE train directory's checkpoint and resolved.cfg."""
+    copy = tmp_path / "train"
+    copy.mkdir()
+    for name in ("checkpoint.osm", "resolved.cfg"):
+        (copy / name).write_bytes(Path(pipeline["ve"], name).read_bytes())
+    return copy
+
+
+class TestEvalLabels:
+    """eval takes each report label from the run it evaluates: method from
+    the checkpoint, dml from train's resolved.cfg beside it, split_name from
+    the split file's stem. None of them is a flag or a config key."""
+
+    def test_report_carries_the_trained_dml(self, pipeline, tmp_path):
+        train, ev, rep = (str(tmp_path / name) for name in ("train", "eval", "report"))
+        assert cli.main(["train", "--data", pipeline["data"], "--split", pipeline["split_csv"],
+                         "--out", train, "--method", "WE", "--dml", "histogram"]
+                        + TRAIN_FLAGS) == 0
+        argv = _command_argv(pipeline, "eval")
+        argv[argv.index("--checkpoint") + 1] = os.path.join(train, "checkpoint.osm")
+        assert cli.main(argv + ["--out", ev, "--task", "CM-FSG"]) == 0
+        assert cli.main(["report", ev, "--out", rep]) == 0
+        rows = [line.split(",") for line in
+                Path(rep, "report.csv").read_text().splitlines()[1:]]
+        assert rows and {(r[0], r[1], r[4]) for r in rows} == {("WE", "histogram", "split_0")}
+
+    def test_lone_checkpoint_has_no_dml(self, pipeline, tmp_path):
+        lone = tmp_path / "lone" / "checkpoint.osm"
+        lone.parent.mkdir()
+        lone.write_bytes(Path(pipeline["ve"], "checkpoint.osm").read_bytes())
+        argv = _command_argv(pipeline, "eval")
+        argv[argv.index("--checkpoint") + 1] = str(lone)
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert cli.parse_config_file(str(out / "resolved.cfg"))["dml"] == "-"
+
+    def test_malformed_train_resolved_exits_one(self, pipeline, tmp_path, capsys):
+        train = _copied_train_dir(pipeline, tmp_path)
+        (train / "resolved.cfg").write_text("dml multisim\n")
+        argv = _command_argv(pipeline, "eval")
+        argv[argv.index("--checkpoint") + 1] = str(train / "checkpoint.osm")
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"openset eval: {train / 'resolved.cfg'}:1: expected key=value\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--dml", "--split-name"])
+    def test_label_flag_exits_one(self, pipeline, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            cli.main(_command_argv(pipeline, "eval") + ["--out", str(out), flag, "x"])
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_config_key_exits_one(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("dml=x\n")
+        out = tmp_path / "o"
+        code = cli.main(_command_argv(pipeline, "eval")
+                        + ["--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "openset eval: unknown config file key 'dml'\n"
+        assert not out.exists()
+
+
 # one non-finite value per float field of the synth, split and train configs
 NON_FINITE = [
     ("synth", "class_density", "nan"),
@@ -501,6 +568,24 @@ class TestFailureClasses:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("method,lam,code", [
+        ("VE", "0", 1), ("JE", "0", 1), ("WE", "1", 1), ("WE", "0", 0),
+    ])
+    def test_histogram_on_one_class_batches(self, pipeline, tmp_path, capsys, method, lam, code):
+        # a one-class batch holds no negative pair, so the histogram loss can
+        # never be computed: rejected when the config is built, not after 100
+        # draws; WE at lambda 0 never calls the metric loss and trains
+        out = tmp_path / "o"
+        assert cli.main(_command_argv(pipeline, "train") + [
+            "--out", str(out), "--method", method, "--lambda-we", lam, "--dml", "histogram",
+            "--batch-classes", "1", "--batch-min-total", "2",
+        ]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "openset train: the histogram loss needs negative pairs, which a batch "
+                "of batch_classes 1 never holds\n")
+        assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("flags,message", BAD_EVAL)
     def test_bad_eval_protocol_exits_one(self, pipeline, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
@@ -510,24 +595,28 @@ class TestFailureClasses:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("label", ["dml", "split_name", "split_file"])
+    @pytest.mark.parametrize("label", ["dml", "split_file"])
     def test_eval_label_that_breaks_report_rows_exits_one(
         self, pipeline, tmp_path, capsys, label
     ):
         # every report row carries dml and split_name, so a comma or a line
         # break in either would shift or split the row
         argv = _command_argv(pipeline, "eval")
-        if label == "split_file":  # split_name defaults to the split's file name
+        if label == "split_file":  # split_name is the split's file name
             renamed = tmp_path / "a,b.csv"
             renamed.write_bytes(Path(pipeline["split_csv"]).read_bytes())
             argv[argv.index(pipeline["split_csv"])] = str(renamed)
-        else:
-            value = {"dml": "multi,sim", "split_name": "a\nb"}[label]
-            argv += [f"--{label.replace('_', '-')}", value]
+            message = "split_name 'a,b' must not"
+        else:  # dml is the one train recorded beside the checkpoint
+            resolved = _copied_train_dir(pipeline, tmp_path) / "resolved.cfg"
+            text = resolved.read_text().replace("dml=multisim", "dml=multi,sim")
+            resolved.write_text(text)
+            argv[argv.index("--checkpoint") + 1] = str(resolved.parent / "checkpoint.osm")
+            message = f"{resolved}: dml 'multi,sim' must not"
         out = tmp_path / "o"
         assert cli.main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "comma or a line break" in err and "Traceback" not in err
+        assert message in err and "comma or a line break" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [

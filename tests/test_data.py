@@ -555,8 +555,8 @@ class TestFloat32Storage:
 
 
 def _oversized(fmt, tmp_path):
-    """A file whose header (or first block shape) claims far more payload
-    than it holds, and the message that must reject it."""
+    """A file whose header (and for OSM, first block shape) claims far more
+    payload than it holds, and the message that must reject it."""
     if fmt == "osf":
         n = 2**32 - 1
         blob = struct.pack("<4s4I", b"OSF1", 1, n, 4, 64) + bytes(RECORD_BYTES)
@@ -567,9 +567,11 @@ def _oversized(fmt, tmp_path):
     path = tmp_path / "m.osm"
     cfg = model.ModelConfig("JE", input_dim=3, hidden_dim=2, embed_dim=2, label_dim=4)
     model.save_checkpoint(str(path), model.init_model(cfg, seed=0))
-    # the first block is frame_layer: name length at 32, its 11 bytes, then rows and cols
+    # the header's input and hidden dims sit at 12 and 16; the first block is
+    # frame_layer: name length at 32, its 11 bytes, then rows and cols, which
+    # must agree with the header's dims to reach the read they size
     blob = bytearray(path.read_bytes())
-    blob[47:55] = struct.pack("<2I", 4096, 4096)
+    blob[12:20] = blob[47:55] = struct.pack("<2I", 4096, 4096)
     return bytes(blob), f"truncated at byte 55, need {4096 * 4096 * 8} more"
 
 
