@@ -10,8 +10,13 @@ Evaluation subsets: All (every test class), HoV (held-out verb only), HoN
 (held-out noun only); classes held out on both sides appear in All only.
 Per-episode generators are derived from (seed, subset index, episode index),
 so episodes are independent of execution order. Batches, validation rounds and
-episodes each draw from a ClassPool built once per class set and run, whose
-draw makes two generator calls each and resolves a block with choice_positions.
+episodes each draw from a ClassPool built once per class set and run. Its draw
+makes two Generator calls per batch and resolves a block with choice_positions.
+Evaluation replays those draws for a block of episodes from raw PCG64 words
+(ClassPool.replay), their generators seeded together (episode_generators), and
+draws a block again through Generators when numpy would reject a word. The
+replay follows numpy's SeedSequence, PCG64 and bounded-integer code; it was
+verified on numpy 2.4.6 only, although pyproject.toml allows numpy>=1.24.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ TASK_CMFSG = "CM-FSG"
 TASKS = (TASK_FSG, TASK_CMFSG)
 
 _RESAMPLE_LIMIT = 100
-_VOTE_BLOCK = 32  # episodes per knn_classify call in evaluate; bounds its memory
+_VOTE_BLOCK = 64  # episodes drawn and voted per step of evaluate; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,35 @@ class ClassPool:
                                     f"below {min_total} total instances")
             picked.append(members[chosen])
             raw.append(draws)
-        flat = np.concatenate(picked)
+        return self._resolve(np.array(picked), np.concatenate(raw))
+
+    def replay(self, members: np.ndarray, generators: list, n: int):
+        """draw's picks and positions at min_total 0, made from each PCG64's
+        raw words instead of through a Generator. Every draw of choice and
+        integers is Lemire's (see lemire), one next_uint32 word each, low half
+        of a raw word first, so the words go to the non-zero bounds in draw
+        order: choice's over members, then the picked classes' rows of bounds.
+        None if any draw rejects its word, as numpy would then draw another;
+        a row's first rejection meets its own word, so none is missed."""
+        size, rows = len(members), len(generators)
+        heads = np.tile(choice_bounds(size, n, n), (rows, 1))
+        used = np.count_nonzero(heads[0])
+        most = used + np.sort(np.count_nonzero(self.bounds[members], axis=1))[-n:].sum()
+        raw = np.array([g.random_raw(most // 2 + 1) for g in generators])
+        words = raw.astype("<u8", copy=False).view("<u4")
+        chosen, rejected = _bounded_draws(words, heads)
+        picked = members[choice_positions(chosen, np.full(rows, size), np.full(rows, n))]
+        picked = picked.reshape(rows, n)
+        draws, also = _bounded_draws(words[:, used:], self.bounds[picked].reshape(rows, -1))
+        return None if rejected or also else self._resolve(picked, draws.reshape(picked.size, -1))
+
+    def _resolve(self, picked: np.ndarray, raw: np.ndarray):
+        """picked, (draws, n), and each pick's positions into rows, from one
+        row of raw draws over its bounds per pick."""
+        flat = picked.ravel()
         takes = self.takes[flat]
-        drawn = choice_positions(np.concatenate(raw), self.sizes[flat], takes)
-        return flat.reshape(len(raw), n), np.repeat(self.starts[flat], takes) + drawn
+        drawn = choice_positions(raw, self.sizes[flat], takes)
+        return picked, np.repeat(self.starts[flat], takes) + drawn
 
 
 def sample_training_batch(
@@ -132,6 +162,90 @@ def sample_training_batch(
         raise ConfigError(f"batch sampling: need {n} classes, have {len(pool.classes)}")
     picked, positions = pool.draw(np.arange(len(pool.classes)), [rng] * count, n, min_total)
     return list(zip(picked, np.split(positions, np.cumsum(pool.takes[picked].sum(axis=1))[:-1])))
+
+
+def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's draws in [0, b] from uint32 words u (Lemire's method): (u·(b+1))
+    >> 32, and whether each rejects its word, its product's low 32 bits below
+    2^32 mod (b+1), where numpy would draw again. That threshold is below b+1,
+    so, as in numpy, it is computed only where the low bits are. A bound of 0
+    gives 0 and never rejects."""
+    span = bounds.astype(np.uint64)
+    span += 1
+    scaled = words.astype(np.uint64) * span
+    low = scaled & 0xFFFFFFFF
+    rejected = low < span
+    rejected[rejected] = low[rejected] < (1 << 32) % span[rejected]
+    scaled >>= 32
+    return scaled.view(np.int64), rejected
+
+
+def _bounded_draws(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Each row's lemire draws over its bounds, the non-zero bounds taking the
+    row's words in order (a zero bound draws nothing), and whether any rejects."""
+    order = np.cumsum(bounds != 0, axis=1)
+    order -= 1  # a zero bound ahead of the row's first draw reads word -1, to no effect
+    draws, rejected = lemire(np.take_along_axis(words, order, axis=1), bounds)
+    return draws, bool(rejected.any())
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the seed state a SeedSequence would generate."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def episode_generators(seed: int, subset_idx: int, episodes: range) -> list[np.random.PCG64]:
+    """default_rng([seed, subset_idx, e]).bit_generator for each episode e,
+    their SeedSequence states computed together (see _seed_states)."""
+    if episodes.stop > 1 << 32:  # an index past one word lengthens the entropy
+        return [np.random.PCG64([seed, subset_idx, e]) for e in episodes]
+    entropy = _words(seed) + _words(subset_idx) + [np.arange(episodes.start, episodes.stop,
+                                                             dtype=np.uint32)]
+    return [np.random.PCG64(_SeedState(state)) for state in _seed_states(entropy)]
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, least significant first."""
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_states(entropy: list) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for entropy words
+    that are each an int or an array of one word per generator, at least one
+    an array: numpy's pool of four mixed by its hashes in uint32 arithmetic,
+    (generators, 4) uint64. An int stays an int, masked to 32 bits, until an
+    array meets it."""
+
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & 0xFFFFFFFF
+            value = value * const & 0xFFFFFFFF
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x & 0xFFFFFFFF) - (0x4973F715 * y & 0xFFFFFFFF) & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([generate(word) for word in pool * 2], axis=1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
 
 
 def choice_bounds(size: int, take: int, width: int) -> np.ndarray:
@@ -269,9 +383,12 @@ def evaluate(
     too few eligible classes are skipped with a warning instead of failing
     the whole run, unless every subset is (see eval_subsets). Each class of
     the test pool is embedded once per call, into one array in pool order.
-    Per _VOTE_BLOCK episodes, one ClassPool.draw resolves every episode's
-    draws into positions, which index that array, and votes are cast once;
-    each episode still takes its own (queries, n·k) similarity product,
+    Per _VOTE_BLOCK episodes, ClassPool.replay makes every episode's draws
+    from its generator's raw words and resolves them into positions, which
+    index that array, and votes are cast once. A block with a rejected word
+    (about one in a thousand runs of 1,500 episodes) is drawn again by
+    ClassPool.draw through each episode's default_rng, with the same result.
+    Each episode still takes its own (queries, n·k) similarity product,
     since BLAS bits depend on the product's shape. FSG supports are video
     embeddings; the cross-modal task supports each class with its raw label
     embedding (WE trains into that space) or its projected one (JE). Deterministic in seed.
@@ -294,10 +411,13 @@ def evaluate(
             continue
         result = report.subsets[name] = SubsetResult()
         for start in range(0, cfg.episodes, _VOTE_BLOCK):
-            rngs = [np.random.default_rng([cfg.seed, subset_idx, episode_idx])
-                    for episode_idx in range(start, min(start + _VOTE_BLOCK, cfg.episodes))]
+            episodes = range(start, min(start + _VOTE_BLOCK, cfg.episodes))
             # pool indices, (episodes, n), and each pick's positions into emb
-            picked, positions = pool.draw(members, rngs, n)
+            drawn = pool.replay(members, episode_generators(cfg.seed, subset_idx, episodes), n)
+            if drawn is None:  # a word was rejected: draw the block as numpy does
+                drawn = pool.draw(members, [np.random.default_rng([cfg.seed, subset_idx, e])
+                                            for e in episodes], n)
+            picked, positions = drawn
             counts = pool.takes[picked.ravel()]
             # each class's first n_support positions are its supports
             rank = np.arange(len(positions)) - np.repeat(np.cumsum(counts) - counts, counts)

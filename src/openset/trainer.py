@@ -91,10 +91,14 @@ class TrainConfig:
                 f"batch_min_total {self.batch_min_total} exceeds the largest batch, "
                 f"batch_classes {self.batch_classes} x batch_k_max {self.batch_k_max}"
             )
-        if self.dml == "histogram" and self.batch_classes == 1 and (
-                self.method != METHOD_WE or self.lambda_we > 0):  # WE at 0 skips the loss
-            raise ConfigError("the histogram loss needs negative pairs, which a batch of "
-                              "batch_classes 1 never holds")
+        # a batch of one class has no negative pair, and one row per class no
+        # positive pair but JE's label items; WE at 0 skips the loss
+        if self.dml == "histogram" and (self.method != METHOD_WE or self.lambda_we > 0) and (
+                self.batch_classes == 1 or self.batch_k_max == 1 and self.method != METHOD_JE):
+            pairs, name = (("negative", "batch_classes") if self.batch_classes == 1
+                           else ("positive", "batch_k_max"))
+            raise ConfigError(f"the histogram loss needs {pairs} pairs, which a batch of "
+                              f"{name} 1 never holds")
 
 
 @dataclass

@@ -593,6 +593,16 @@ def draw_episode_choice(
     return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
 
 
+def lemire_draw(word: int, bound: int) -> tuple[int, bool]:
+    """One draw in [0, bound] from a 32-bit word by Lemire's multiply-shift,
+    as numpy's bounded integers make it, and whether numpy rejects the word
+    and draws another: the product's low 32 bits fall below the threshold
+    (2^32 - 1 - bound) mod (bound + 1), which numpy computes in uint32."""
+    product = word * (bound + 1)
+    threshold = (2**32 - 1 - bound) % (bound + 1)
+    return product // 2**32, product % 2**32 < threshold
+
+
 def evaluate_per_episode(
     model, dataset: Dataset, split, cfg: episodic.EvalConfig
 ) -> episodic.EvalReport:

@@ -586,6 +586,24 @@ class TestFailureClasses:
                 "of batch_classes 1 never holds\n")
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("method,lam,code", [
+        ("VE", "0", 1), ("WE", "1", 1), ("JE", "0", 0), ("WE", "0", 0),
+    ])
+    def test_histogram_on_one_row_per_class(self, pipeline, tmp_path, capsys, method, lam, code):
+        # one row per class holds no positive pair, so VE and WE at lambda > 0
+        # are rejected when the config is built; JE pairs each label item
+        # with its class's row, and WE at lambda 0 never calls the metric loss
+        out = tmp_path / "o"
+        assert cli.main(_command_argv(pipeline, "train") + [
+            "--out", str(out), "--method", method, "--lambda-we", lam, "--dml", "histogram",
+            "--batch-k-max", "1", "--batch-min-total", "2",
+        ]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "openset train: the histogram loss needs positive pairs, which a batch "
+                "of batch_k_max 1 never holds\n")
+        assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("flags,message", BAD_EVAL)
     def test_bad_eval_protocol_exits_one(self, pipeline, tmp_path, capsys, flags, message):
         out = tmp_path / "o"

@@ -123,6 +123,13 @@ class CountingModel:
         return self.net.embed_label_batch(vectors)
 
 
+# episode counts around evaluate's block: one episode, a block short by one,
+# a full block, one over, and two blocks and one more
+BLOCK = episodic._VOTE_BLOCK
+BLOCK_EDGES = pytest.mark.parametrize(
+    "episodes", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
+    ids=["1", "block-1", "block", "block+1", "2block+1"])
+
 # the batch shape of the default TrainConfig
 BATCH_SHAPE = dict(n=12, k_max=8, min_total=36)
 
@@ -412,6 +419,105 @@ class TestChoicePositions:
             self.assert_equals_choice([34, case], pairs)
             # a call of tail rows alone has no Floyd rows to resolve
             self.assert_equals_choice([35, case], [(size, t) for t in takes[1::3]])
+
+
+class FixedWords:
+    """Stands in for a PCG64 whose raw words are all the given one."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+class TestWordReplay:
+    """evaluate replays each episode's draws from its PCG64's raw words; the
+    seeding, the bounded draws and the fallback each meet their oracle."""
+
+    def test_episode_generators_equal_default_rng(self):
+        # seeds past 2^32 take two and three entropy words; the last range
+        # crosses 2^32, where an episode index takes two
+        ranges = [range(500), range(2**31, 2**31 + 1), range(2**32 - 2, 2**32 + 2)]
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 1):
+            for subset_idx in (0, 1, 2):
+                for episodes in ranges:
+                    got = episodic.episode_generators(seed, subset_idx, episodes)
+                    assert len(got) == len(episodes)
+                    for episode, generator in zip(episodes, got):
+                        want = np.random.default_rng([seed, subset_idx, episode]).bit_generator
+                        assert generator.state == want.state, (
+                            f"numpy {np.__version__}: seed {seed}, subset {subset_idx}, "
+                            f"episode {episode}")
+
+    def test_lemire_equals_scalar_referee(self):
+        meta = np.random.default_rng(50)
+        words = [0, 1, 2, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+        words += meta.integers(0, 2**32, size=50).tolist()
+        bounds = [0, 1, 2, 3, 4, 5, 6, 7, 8, 30, 2**16, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+        bounds += meta.integers(0, 2**32, size=50).tolist()
+        grid_words, grid_bounds = np.meshgrid(words, bounds)
+        got, rejected = episodic.lemire(grid_words.astype(np.uint32), grid_bounds)
+        pairs = zip(grid_words.ravel().tolist(), grid_bounds.ravel().tolist())
+        want = [reference.lemire_draw(w, b) for w, b in pairs]
+        assert list(zip(got.ravel().tolist(), rejected.ravel().tolist())) == want, (
+            f"numpy {np.__version__}")
+        # word 0 at bound 2 rejects (0 < 2^32 mod 3 = 1); a power-of-two span
+        # divides 2^32 and never rejects
+        assert reference.lemire_draw(0, 2) == (0, True)
+        assert episodic.lemire(np.array([0], np.uint32), np.array([2]))[1].tolist() == [True]
+        spans = 2 ** np.arange(33, dtype=np.int64)
+        for word in words:
+            assert not episodic.lemire(np.full(33, word, np.uint32), spans - 1)[1].any()
+
+    @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 3), ("CM-FSG", 1)])
+    def test_replay_equals_generator_draw(self, task, k):
+        ds = tiny_dataset({c: 1 + 4 * c for c in range(12)}, seed=51)
+        cfg = episodic.EvalConfig(task, k=k, m=7)
+        pool = episodic.ClassPool(ds, range(12), cfg.m, cfg.n_support)
+        members = np.arange(len(pool.classes))
+        for n in (1, 4, len(members)):
+            for start in range(0, 200, 40):
+                episodes = range(start, start + 40)
+                got = pool.replay(members, episodic.episode_generators(52, n, episodes), n)
+                want = pool.draw(members, [np.random.default_rng([52, n, e]) for e in episodes], n)
+                assert [a.tolist() for a in got] == [a.tolist() for a in want], (n, start)
+
+    def test_rejected_word_gives_no_replay(self):
+        # word 0 rejects at bound 2, the first choice bound that is not 2^j - 1
+        ds = tiny_dataset({c: 6 for c in range(5)}, seed=53)
+        pool = episodic.ClassPool(ds, range(5), 3, 1)
+        assert pool.replay(np.arange(5), [FixedWords(0)], 4) is None
+        # word 2^32 - 1 never rejects: its product's low half is 2^32 - (b+1)
+        assert pool.replay(np.arange(5), [FixedWords(2**64 - 1)], 4) is not None
+
+    @pytest.mark.parametrize("task", ["FSG", "CM-FSG"])
+    def test_rejected_block_is_drawn_again(self, monkeypatch, task):
+        # every third lemire call reports a rejection, in choice's draws or in
+        # the classes', and sends its block through Generator draws; the
+        # results stay the referee's
+        calls, fallbacks = [], []
+        real_lemire, real_draw = episodic.lemire, episodic.ClassPool.draw
+
+        def rejecting(words, bounds):
+            draws, rejected = real_lemire(words, bounds)
+            calls.append(len(words))
+            if len(calls) % 3 == 0:
+                rejected[-1, -1] = True
+            return draws, rejected
+
+        def spy(self, members, rngs, n, min_total=0):
+            fallbacks.append(len(rngs))
+            return real_draw(self, members, rngs, n, min_total)
+
+        monkeypatch.setattr(episodic, "lemire", rejecting)
+        monkeypatch.setattr(episodic.ClassPool, "draw", spy)
+        counts = {c: 6 + 7 * c for c in range(9)}
+        category = {c: ("HoV" if c < 5 else "HoN") for c in range(9)}
+        TestDrawBlockEdges().assert_equals_referee(
+            tiny_dataset(counts, noise=0.5, seed=54), category, task, 1, 20,
+            3 * BLOCK + 1)
+        assert 0 < len(fallbacks) < 3 * 4
 
 
 class TestKnn:
@@ -763,12 +869,12 @@ class TestBlockVote:
         assert got.subsets == want.subsets
         assert got.warnings == want.warnings
 
-    # 150 episodes: four full blocks of 32 and a last one of 22
+    # two full blocks and a last one of 22
     @pytest.mark.parametrize("kind", ["noisy", "exact", "shared"])
     @pytest.mark.parametrize("task,method,embed_dim,k", CASES)
     def test_equals_per_episode_referee(self, kind, task, method, embed_dim, k):
         self.assert_equals_referee(self.dataset(kind), self.CATEGORY, task, method, embed_dim,
-                                   k=k, m=5, episodes=150)
+                                   k=k, m=5, episodes=2 * BLOCK + 22)
 
     # m past every class's size (5 to 8) takes each class's every non-support
     # instance, so the episodes of one block hold different query counts;
@@ -813,7 +919,7 @@ class TestBlockVote:
         assert len(want) == 3 * 70
         assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
 
-    @pytest.mark.parametrize("episodes", [1, 31, 32, 33, 150])
+    @BLOCK_EDGES
     def test_votes_once_per_block_of_episodes(self, monkeypatch, episodes):
         calls = []
         real = episodic.knn_classify
@@ -826,7 +932,7 @@ class TestBlockVote:
         ds = self.dataset("noisy")
         report = episodic.evaluate(HashEmbedModel(), ds, make_split(self.COUNTS, self.CATEGORY),
                                    episodic.EvalConfig("FSG", n=4, k=2, m=5, episodes=episodes))
-        per_subset = -(-episodes // episodic._VOTE_BLOCK)
+        per_subset = -(-episodes // BLOCK)
         assert len(calls) <= 3 * per_subset
         assert sum(calls) == sum(res.queries for res in report.subsets.values())
 
@@ -851,7 +957,7 @@ class TestDrawBlockEdges:
         assert got.subsets == want.subsets
         assert got.warnings == want.warnings
 
-    @pytest.mark.parametrize("episodes", [1, 31, 32, 33, 65])
+    @BLOCK_EDGES
     @pytest.mark.parametrize("m", [1, 20, 50])
     @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 5), ("CM-FSG", 1)])
     def test_equals_per_class_choice_referee(self, task, k, m, episodes):

@@ -133,7 +133,10 @@ def test_every_package_function_has_a_caller_outside_the_tests():
     harness = SRC.parent.parent / "perfbench"
     benchmark = [p.read_text(encoding="utf-8") for p in sorted(harness.glob("*.py"))]
     assert package and benchmark, "package or benchmark sources not found"
-    assert _unreferenced(package, package + benchmark) == []
+    # np.random.PCG64 is a caller too: it seeds itself through the
+    # ISeedSequence that episodic hands it, with this call
+    numpy_calls = "seed_seq.generate_state(4, np.uint64)\n"
+    assert _unreferenced(package, package + benchmark + [numpy_calls]) == []
     # the guard sees what it is looking for
     source = "def used():\n    pass\n\ndef lonely():\n    used()\n"
     assert _unreferenced([source], [source]) == ["4: lonely"]
