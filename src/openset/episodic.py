@@ -13,9 +13,9 @@ so episodes are independent of execution order. Batches, validation rounds and
 episodes each draw from a ClassPool built once per class set and run. Its draw
 makes two Generator calls per batch and resolves a block with choice_positions.
 Evaluation replays those draws for a block of episodes from raw PCG64 words
-(ClassPool.replay), their generators seeded together (episode_generators), and
-draws a block again through Generators when numpy would reject a word. The
-replay follows numpy's SeedSequence, PCG64 and bounded-integer code; it was
+(ClassPool.replay), or through Generators if numpy would reject a word, both
+over episode_generators (indices below 2^32; numpy.random loads on first use).
+The replay follows numpy's SeedSequence, PCG64 and bounded-integer code; it was
 verified on numpy 2.4.6 only, although pyproject.toml allows numpy>=1.24.
 """
 
@@ -48,9 +48,9 @@ _VOTE_BLOCK = 64  # episodes drawn and voted per step of evaluate; bounds its me
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """One episodic protocol: n-way, k-shot, up to m queries per class, the
-    given number of episodes per subset. The cross-modal task supports each
-    class with its one label embedding, so it needs k = 1."""
+    """One episodic protocol: n-way, k-shot, up to m queries per class, the given
+    number of episodes per subset, at most 2^32 (see episode_generators). The
+    cross-modal task supports each class with its one label embedding, so k = 1."""
 
     task: str = TASK_FSG
     n: int = 5
@@ -65,6 +65,8 @@ class EvalConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if min(self.n, self.k, self.m, self.episodes) < 1:
             raise ConfigError("eval: n, k, m and episodes must be positive")
+        if self.episodes > 2**32:
+            raise ConfigError(f"eval: episodes {self.episodes} > 2^32 (an index is one seed word)")
         if self.task == TASK_CMFSG and self.k != 1:
             raise MethodError("cross-modal episodes provide one label per class; k must be 1")
 
@@ -189,8 +191,8 @@ def _bounded_draws(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, b
     return draws, bool(rejected.any())
 
 
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the seed state a SeedSequence would generate."""
+class _SeedState:
+    """Hands PCG64 the seed state a SeedSequence would generate (see episode_generators)."""
 
     def __init__(self, state: np.ndarray):
         self.state = state
@@ -200,10 +202,10 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
 
 
 def episode_generators(seed: int, subset_idx: int, episodes: range) -> list[np.random.PCG64]:
-    """default_rng([seed, subset_idx, e]).bit_generator for each episode e,
-    their SeedSequence states computed together (see _seed_states)."""
-    if episodes.stop > 1 << 32:  # an index past one word lengthens the entropy
-        return [np.random.PCG64([seed, subset_idx, e]) for e in episodes]
+    """PCG64(SeedSequence([seed, subset_idx, e])) for each episode e < 2^32,
+    their SeedSequence states computed together (see _seed_states), _SeedState
+    registered as an ISeedSequence here, not on import, to leave numpy.random lazy."""
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
     entropy = _words(seed) + _words(subset_idx) + [np.arange(episodes.start, episodes.stop,
                                                              dtype=np.uint32)]
     return [np.random.PCG64(_SeedState(state)) for state in _seed_states(entropy)]
@@ -386,8 +388,8 @@ def evaluate(
     Per _VOTE_BLOCK episodes, ClassPool.replay makes every episode's draws
     from its generator's raw words and resolves them into positions, which
     index that array, and votes are cast once. A block with a rejected word
-    (about one in a thousand runs of 1,500 episodes) is drawn again by
-    ClassPool.draw through each episode's default_rng, with the same result.
+    (about one in a thousand runs of 1,500 episodes) is drawn again through
+    Generators of fresh episode_generators by ClassPool.draw, with the same result.
     Each episode still takes its own (queries, n·k) similarity product,
     since BLAS bits depend on the product's shape. FSG supports are video
     embeddings; the cross-modal task supports each class with its raw label
@@ -415,8 +417,8 @@ def evaluate(
             # pool indices, (episodes, n), and each pick's positions into emb
             drawn = pool.replay(members, episode_generators(cfg.seed, subset_idx, episodes), n)
             if drawn is None:  # a word was rejected: draw the block as numpy does
-                drawn = pool.draw(members, [np.random.default_rng([cfg.seed, subset_idx, e])
-                                            for e in episodes], n)
+                generators = episode_generators(cfg.seed, subset_idx, episodes)
+                drawn = pool.draw(members, [np.random.Generator(g) for g in generators], n)
             picked, positions = drawn
             counts = pool.takes[picked.ravel()]
             # each class's first n_support positions are its supports

@@ -47,8 +47,9 @@ def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
             f"affine_forward: input cols {inp.shape[1]} != weights rows "
             f"{params.weights.shape[0]} ({params.name})"
         )
-    out = inp @ params.weights
-    out += params.bias
+    with np.errstate(over="ignore", invalid="ignore"):  # l2_normalize_rows names a blow-up
+        out = inp @ params.weights
+        out += params.bias
     return out
 
 
@@ -121,30 +122,39 @@ class AdamState:
 def adam_step(model, state: AdamState, lr: float) -> None:
     """One Adam update with bias correction over `model.params`, then zeroes
     `model.grads`; elementwise, so each block gets the bits of its own update.
-    A non-finite gradient is a NumericError naming the first block in
-    `model.blocks()` that holds one, raised before anything moves.
+    A non-finite gradient (before anything moves) or an overflowing second
+    moment or bias-corrected denominator (before `model.params` moves) is a
+    NumericError naming the first block in `model.blocks()` that holds one.
     Mutates `model` and `state` in place; not safe for concurrent writers."""
     g = model.grads
     if not np.isfinite(g).all():
-        bad = next(b for b in model.blocks()
-                   if not (np.isfinite(b.grad_weights).all() and np.isfinite(b.grad_bias).all()))
-        raise NumericError(f"adam_step: non-finite gradient in {bad.name}")
+        raise NumericError(f"adam_step: non-finite gradient in {_bad_block(model, g)}")
     t = state.step_count + 1
     m, v = state.m, state.v
     scratch = (1.0 - BETA1) * g
     m *= BETA1
     m += scratch
-    np.multiply(1.0 - BETA2, g, out=scratch)
-    scratch *= g
-    v *= BETA2
-    v += scratch
     # params -= (lr * m_hat) / (sqrt(v_hat) + eps), the denominator in scratch
-    np.sqrt(np.divide(v, 1.0 - BETA2**t, out=scratch), out=scratch)
+    with np.errstate(over="ignore"):  # an overflow is the NumericError below
+        np.multiply(1.0 - BETA2, g, out=scratch)
+        scratch *= g
+        v *= BETA2
+        v += scratch
+        np.sqrt(np.divide(v, 1.0 - BETA2**t, out=scratch), out=scratch)
+    if not np.isfinite(scratch).all():
+        raise NumericError(f"adam_step: second moment overflows in {_bad_block(model, scratch)}")
     scratch += EPSILON
     step = m / (1.0 - BETA1**t)
     model.params -= np.divide(np.multiply(lr, step, out=step), scratch, out=step)
     state.step_count = t
     g.fill(0.0)
+
+
+def _bad_block(model, flat: np.ndarray) -> str:
+    """The name of the block in `model.blocks()` holding `flat`'s first non-finite entry."""
+    ends = np.cumsum([b.weights.size + b.bias.size for b in model.blocks()])
+    first = int(np.argmin(np.isfinite(flat)))
+    return model.blocks()[int(np.searchsorted(ends, first, side="right"))].name
 
 
 def log1p_sum_exp(vals: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:

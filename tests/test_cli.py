@@ -523,6 +523,7 @@ BAD_EVAL = [
     (["--k", "0"], "positive"),
     (["--m", "0"], "positive"),
     (["--episodes", "0"], "positive"),
+    (["--episodes", "4294967297"], "episodes 4294967297 > 2^32"),
     (["--task", "ZSG"], "unknown task"),
     (["--task", "CM-FSG", "--k", "2"], "k must be 1"),
 ]
@@ -665,6 +666,28 @@ class TestFailureClasses:
         err = capsys.readouterr().err
         assert err.startswith("openset train: step 2: ") and "non-finite" in err
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("method,flag,value", [
+        ("VE", "--lr0", "1e308"), ("WE", "--lr0", "1e308"), ("JE", "--lr0", "1e308"),
+        ("WE", "--lambda-we", "1e160"), ("WE", "--lambda-we", "1e308"),
+    ])
+    def test_overflow_exits_two_without_numpy_warnings(
+        self, pipeline, tmp_path, capsys, method, flag, value
+    ):
+        # lr0 1e308 overflows the next encoder pass; lambda_we 1e160 or more
+        # overflows Adam's second moment at step 1, which would otherwise
+        # leave the initial weights: one error line, no warning, no --out
+        out = tmp_path / "o"
+        with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = cli.main(_command_argv(pipeline, "train")
+                            + ["--out", str(out), "--method", method, flag, value])
+        assert [str(w.message) for w in seen] == []
+        assert code == 2
+        assert capsys.readouterr().err == "openset train: " + (
+            "step 2: l2_normalize_rows: non-finite row\n" if flag == "--lr0"
+            else "step 1: adam_step: second moment overflows in frame_layer\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "split", "train", "eval", "report"])
     def test_out_naming_a_file_exits_one_before_the_run(

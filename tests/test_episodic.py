@@ -1,6 +1,10 @@
 """Tests for episode sampling, κ-NN classification, and pooled evaluation."""
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -343,6 +347,12 @@ class TestEpisodeSampling:
         with pytest.raises(ConfigError, match="seed"):
             episodic.EvalConfig(seed=-1)
 
+    def test_episodes_past_one_seed_word_rejected(self):
+        # episode indices 0..2^32-1 are each one entropy word
+        assert episodic.EvalConfig(episodes=2**32).episodes == 2**32
+        with pytest.raises(ConfigError, match=r"^eval: episodes 4294967297 > 2\^32"):
+            episodic.EvalConfig(episodes=2**32 + 1)
+
     @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 2), ("CM-FSG", 1)])
     def test_draw_equals_per_class_choice_referee(self, task, k):
         counts = {c: 3 + 5 * c for c in range(8)}
@@ -436,9 +446,8 @@ class TestWordReplay:
     seeding, the bounded draws and the fallback each meet their oracle."""
 
     def test_episode_generators_equal_default_rng(self):
-        # seeds past 2^32 take two and three entropy words; the last range
-        # crosses 2^32, where an episode index takes two
-        ranges = [range(500), range(2**31, 2**31 + 1), range(2**32 - 2, 2**32 + 2)]
+        # seeds past 2^32 take two and three entropy words
+        ranges = [range(500), range(2**31, 2**31 + 1), range(2**32 - 2, 2**32)]
         for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 1):
             for subset_idx in (0, 1, 2):
                 for episodes in ranges:
@@ -449,6 +458,14 @@ class TestWordReplay:
                         assert generator.state == want.state, (
                             f"numpy {np.__version__}: seed {seed}, subset {subset_idx}, "
                             f"episode {episode}")
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # _SeedState registers as an ISeedSequence on first use, so commands
+        # that never draw (report, --help) do not load numpy.random
+        src = str(pathlib.Path(episodic.__file__).parents[1])
+        code = "import openset.cli, sys; assert 'numpy.random' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_lemire_equals_scalar_referee(self):
         meta = np.random.default_rng(50)

@@ -249,6 +249,19 @@ class TestAdam:
         assert [a.tobytes() for a in (net.params, state.m, state.v)] == before
         assert state.step_count == 3
 
+    @pytest.mark.parametrize("scale", [1e160, 1e155])
+    def test_overflowing_second_moment_named_before_params_move(self, scale):
+        # at 1e160 (1 - beta2) * g * g overflows; at 1e155 it is 1e307, and
+        # the bias-corrected v / (1 - beta2) overflows instead; either is one
+        # NumericError with no numpy warning, and the parameters stay put
+        net = model.init_model(JE_REF, seed=1)
+        net.grads[:] = np.random.default_rng(17).standard_normal(net.grads.size)
+        net.out_layer.grad_weights[0, 0] = -scale  # the block's first entry
+        before = net.params.tobytes()
+        with pytest.raises(NumericError, match="^adam_step: second moment overflows in out_layer$"):
+            numcore.adam_step(net, fresh_state(net), lr=1e-3)
+        assert net.params.tobytes() == before
+
 
 class TestCheckGradient:
     def test_quadratic_exact(self):
