@@ -66,7 +66,8 @@ VALIDATION_ERRORS = (
 def check_fields(cfg) -> None:
     """Raise ConfigError if any float field of a config dataclass is NaN or
     infinite (range checks compare, and every comparison with NaN is false),
-    or if its seed is negative (numpy seeds only from nonnegative integers)."""
+    or if its seed is negative (numpy, and the draw counters of episodic,
+    seed only from nonnegative integers)."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):

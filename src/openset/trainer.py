@@ -14,11 +14,12 @@ Validation runs the same objective forward-only on batches drawn from the
 validation classes, gathered from one embedding of every validation row per
 round; the parameters with the lowest validation loss are returned. Early
 stop when no new best appears within `patience` steps.
-Training is deterministic in (config, dataset, split): the batch stream and
-each validation round use generators derived from the config seed. Both draw
-in blocks from the ClassPools check_split builds once per run: the loop queues
-_BATCH_BLOCK batches (a degenerate batch's resample is the next queued one) and
-a round all its batches at once; the stream is the one each batch alone gives.
+Training is deterministic in (config, dataset, split): batch b of the stream
+is keyed by (seed, 0, b) and batch b of validation round r by (seed, 1, r, b),
+each with its attempt (see episodic). Both draw in blocks from the ClassPools
+check_split builds once per run: the loop queues _BATCH_BLOCK batches (a
+degenerate batch's resample is the next batch) and a round all its batches at
+once; a keyed batch is the same whatever block it is drawn in.
 """
 
 from __future__ import annotations
@@ -184,10 +185,10 @@ def _validation_loss(
         labels = np.concatenate([model.embed_label_batch(part)[0]
                                  for part in (labels[:, None] if single else [labels])])
 
-    rng = np.random.default_rng([cfg.seed, 1, round_idx])
     batch_losses = []
     for picked, positions in episodic.sample_training_batch(
-        pool, rng, cfg.batch_classes, cfg.batch_min_total, cfg.val_batches
+        pool, cfg.batch_classes, cfg.batch_min_total, cfg.seed, 1, round_idx,
+        np.arange(cfg.val_batches),
     ):
         drawn = np.sort(picked)
         try:
@@ -256,8 +257,8 @@ def train(
         return model.copy(), log
 
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
-    rng = np.random.default_rng([cfg.seed, 0])
     pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
+    drawn = 0  # batches drawn so far, each one's index in the stream
     best_model: EmbeddingModel | None = None
     best_val = np.inf
     best_step = 0
@@ -269,10 +270,12 @@ def train(
             loss = None
             for _ in range(_DEGENERATE_LIMIT):
                 if not pending:
+                    count = min(_BATCH_BLOCK, cfg.max_batches - step + 1)
                     pending.extend(episodic.sample_training_batch(
-                        pool, rng, cfg.batch_classes, cfg.batch_min_total,
-                        min(_BATCH_BLOCK, cfg.max_batches - step + 1),
+                        pool, cfg.batch_classes, cfg.batch_min_total, cfg.seed, 0,
+                        np.arange(drawn, drawn + count),
                     ))
+                    drawn += count
                 try:
                     loss = batch_objective(model, dataset, pool, pending.popleft(), cfg)
                     break

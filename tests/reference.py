@@ -7,14 +7,13 @@ A test that compares the package against one of these oracles is checking
 two separately derived implementations against each other. The
 exceptions are referees of orchestration, not of arithmetic:
 ``validation_loss_per_batch`` runs the package's encoders and losses in the
-order the validation round used before it embedded each row once, drawing
-each batch with the per-class ``rng.choice`` calls
-(``sample_training_batch_choice``) the package made before it drew a block
-of batches per call, and ``evaluate_per_episode`` draws each episode with
-the per-class ``rng.choice`` calls (``draw_episode_choice``) the package
-made before it resolved one bounded-integer call per episode, and votes it
-with the one-block κ-NN (``knn_classify_one_block``) that voted each episode on its
-own before evaluation voted a block of episodes at once. So are the
+order the validation round used before it embedded each row once, and
+``evaluate_per_episode`` votes each episode with the one-block κ-NN
+(``knn_classify_one_block``) that voted each episode on its own before
+evaluation voted a block of episodes at once. Both draw one batch or episode
+at a time through the scalar sampler (``counter_key`` and ``counter_draw``:
+SplitMix64 in Python ints, then ``sorted``), where the package draws a block
+in uint64 arrays. So are the
 whole-file OSF1 writer and reader (``write_features_whole``,
 ``read_features_whole``), which hold every record at once where the package
 streams them one chunk at a time. And so is ``adam_step_per_block``, the
@@ -42,7 +41,7 @@ from openset.errors import (
 from openset.losses import je_loss, make_dml, we_loss
 from openset.model import METHOD_VE, METHOD_WE
 
-RESAMPLE_LIMIT = 100  # whole batch draws before sample_training_batch_choice gives up
+RESAMPLE_LIMIT = 100  # whole batch draws before sample_training_batch_sorted gives up
 
 
 def check_gradient(f, point: np.ndarray, h: float = 1e-5) -> float:
@@ -459,37 +458,71 @@ def read_features_whole(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def sample_training_batch_choice(
+def splitmix64(state: int, slot: int) -> int:
+    """Word number slot (from 0) of the SplitMix64 stream from state: its
+    finaliser of state + (slot + 1)·gamma, all mod 2^64."""
+    z = (state + (slot + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def counter_key(seed: int, *path: int) -> int:
+    """The key of a draw's counter (seed, *path): the seed's count of 64-bit
+    words, its words from the least significant, then each path index, each
+    folded into the key (from 0) as word 0 of the stream from key xor it."""
+    words = [seed >> shift & (2**64 - 1) for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = 0
+    for word in [len(words), *words, *path]:
+        key = splitmix64(key ^ word, 0)
+    return key
+
+
+def counter_draw(key: int, members: dict[int, list[int]], n: int,
+                 takes: dict[int, int]) -> tuple[list[int], list[list[int]]]:
+    """SplitMix64, then sorted: the draw under key from members, each class
+    id with its dataset rows (ascending). Word c of key's stream ranks class
+    c, and word 2^63 + i dataset row i; a rank is a word's top 32 bits, ties
+    go to the lower slot. Returns the n lowest-ranked classes, in rank
+    order, and for each its takes lowest-ranked rows as indices into its
+    rows, in rank order."""
+    ranked = sorted(members, key=lambda c: (splitmix64(key, c) >> 32, c))[:n]
+    positions = []
+    for c in ranked:
+        rows = members[c]
+        order = sorted(range(len(rows)), key=lambda r: (splitmix64(key, 2**63 + rows[r]) >> 32, r))
+        positions.append(order[:takes[c]])
+    return ranked, positions
+
+
+def sample_training_batch_sorted(
     dataset: Dataset,
     train_classes: list[int],
-    rng: np.random.Generator,
+    seed: int,
+    path: tuple[int, ...],
     n: int,
     k_max: int,
     min_total: int,
 ) -> tuple[list[int], np.ndarray]:
-    """n distinct classes with up to k_max instances each, at least min_total
-    instances in total; whole draws failing the total are resampled.
+    """The batch of counter (seed, *path): n distinct classes with up to k_max
+    instances each, at least min_total instances in total, drawn by
+    counter_draw under the key of (seed, *path, attempt) from attempt 0 until
+    a draw reaches the total. The pool is the classes with instances, sorted.
 
     Returns the picked classes and the dataset rows of the batch, both in
     draw order (each class's rows follow the class's place in picked).
-
-    The package's batch draw before it drew a block of batches per call and
-    resolved their positions with episodic.choice_positions, kept verbatim
-    as the referee of that path: one rng.choice call per class.
+    The referee of episodic.sample_training_batch, one batch at a time.
     """
-    pool = sorted(train_classes)
-    if len(pool) < n:
-        raise ConfigError(f"batch sampling: need {n} classes, have {len(pool)}")
-    for _ in range(RESAMPLE_LIMIT):
-        picked = [pool[i] for i in rng.choice(len(pool), size=n, replace=False)]
-        rows = []
-        for cid in picked:
-            avail = dataset.class_rows[cid]
-            take = min(k_max, len(avail))
-            rows.append(avail[rng.choice(len(avail), size=take, replace=False)])
-        rows = np.concatenate(rows)
-        if len(rows) >= min_total:
-            return picked, rows
+    members = {c: dataset.class_rows[c].tolist() for c in sorted(train_classes)
+               if len(dataset.class_rows[c])}
+    if len(members) < n:
+        raise ConfigError(f"batch sampling: need {n} classes, have {len(members)}")
+    takes = {c: min(k_max, len(rows)) for c, rows in members.items()}
+    for attempt in range(RESAMPLE_LIMIT):
+        picked, positions = counter_draw(counter_key(seed, *path, attempt), members, n, takes)
+        if sum(takes[c] for c in picked) >= min_total:
+            return picked, np.concatenate([dataset.class_rows[c][p]
+                                           for c, p in zip(picked, positions)])
     raise SamplingError(
         f"batch sampling: {RESAMPLE_LIMIT} draws below {min_total} total instances"
     )
@@ -501,13 +534,12 @@ def validation_loss_per_batch(model, dataset: Dataset, val_classes, cfg, round_i
     method objective, and average over the batches that are not degenerate.
     This is the bit-exact referee of trainer._validation_loss, which embeds
     each validation row once and gathers the batches from those rows."""
-    rng = np.random.default_rng([cfg.seed, 1, round_idx])
     dml = make_dml(cfg.dml, cfg.histogram, cfg.multisim)
     total = 0.0
     counted = 0
-    for _ in range(cfg.val_batches):
-        picked, rows = sample_training_batch_choice(
-            dataset, val_classes, rng,
+    for batch in range(cfg.val_batches):
+        picked, rows = sample_training_batch_sorted(
+            dataset, val_classes, cfg.seed, (1, round_idx, batch),
             n=cfg.batch_classes, k_max=cfg.batch_k_max, min_total=cfg.batch_min_total,
         )
         class_ids = dataset.class_ids[rows]
@@ -574,33 +606,22 @@ def knn_classify_one_block(
     return int(pred[0]) if queries.ndim == 1 else pred
 
 
-def draw_episode_choice(
-    dataset: Dataset, eligible: list[int], rng: np.random.Generator, cfg: episodic.EvalConfig
+def draw_episode_sorted(
+    dataset: Dataset, eligible: list[int], key: int, cfg: episodic.EvalConfig
 ) -> tuple[list[int], list[np.ndarray]]:
-    """Draw one episode from at least n eligible classes: its n classes and,
-    per class, the drawn positions into class_rows. FSG positions hold k
-    supports, then the queries, disjoint instances of the same class; the
-    cross-modal task supports each class with its label embedding, so every
-    position is a query. Each class gets up to m queries.
-
-    The package's episode draw before it made one rng.integers call per
-    episode and resolved the draws with episodic.choice_positions, kept
-    verbatim as the referee of that path: one rng.choice call per class.
+    """Draw one episode under key from at least n eligible classes: its n
+    classes and, per class, the drawn positions into class_rows, by
+    counter_draw. FSG positions hold k supports, then the queries, disjoint
+    instances of the same class; the cross-modal task supports each class
+    with its label embedding, so every position is a query. Each class gets
+    up to m queries. The referee of episodic.ClassPool.draw, one episode at
+    a time.
     """
-    picked = [eligible[i] for i in rng.choice(len(eligible), size=cfg.n, replace=False)]
-    n_support, m = cfg.n_support, cfg.m
-    sizes = [len(dataset.class_rows[cid]) for cid in picked]
-    return picked, [rng.choice(s, n_support + min(m, s - n_support), replace=False) for s in sizes]
-
-
-def lemire_draw(word: int, bound: int) -> tuple[int, bool]:
-    """One draw in [0, bound] from a 32-bit word by Lemire's multiply-shift,
-    as numpy's bounded integers make it, and whether numpy rejects the word
-    and draws another: the product's low 32 bits fall below the threshold
-    (2^32 - 1 - bound) mod (bound + 1), which numpy computes in uint32."""
-    product = word * (bound + 1)
-    threshold = (2**32 - 1 - bound) % (bound + 1)
-    return product // 2**32, product % 2**32 < threshold
+    members = {c: dataset.class_rows[c].tolist() for c in eligible}
+    takes = {c: cfg.n_support + min(cfg.m, len(rows) - cfg.n_support)
+             for c, rows in members.items()}
+    picked, positions = counter_draw(key, members, cfg.n, takes)
+    return picked, [np.array(p, dtype=np.int64) for p in positions]
 
 
 def evaluate_per_episode(
@@ -616,8 +637,9 @@ def evaluate_per_episode(
     class with its raw label embedding (WE trains into that space) or its
     projected one (JE). Deterministic in seed.
 
-    The package's evaluate before it voted a block of episodes at once, kept
-    verbatim as the bit-exact referee of episodic.evaluate: one κ-NN call
+    The package's evaluate before it voted a block of episodes at once, as
+    the bit-exact referee of episodic.evaluate: one draw (draw_episode_sorted
+    under the key of (seed, subset index, episode index)) and one κ-NN call
     per episode.
     """
     cross_modal = cfg.task == episodic.TASK_CMFSG
@@ -642,8 +664,8 @@ def evaluate_per_episode(
                                else model.embed_label_batch(label[None])[0][0])
         result = episodic.SubsetResult()
         for episode_idx in range(cfg.episodes):
-            rng = np.random.default_rng([cfg.seed, subset_idx, episode_idx])
-            picked, drawn = draw_episode_choice(dataset, eligible, rng, cfg)
+            key = counter_key(cfg.seed, subset_idx, episode_idx)
+            picked, drawn = draw_episode_sorted(dataset, eligible, key, cfg)
             if cross_modal:
                 sup_emb = np.stack([labels[c] for c in picked])
             else:

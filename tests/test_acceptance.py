@@ -279,8 +279,8 @@ def test_5_episodic_suite():
     ds = tiny_dataset({cid: 4 + cid % 4 for cid in range(12)}, seed=1)
     pool = set(range(12))
     for i in range(1000):
-        rng = np.random.default_rng([505, i])
-        picked, drawn = draw(ds, pool, rng, task=episodic.TASK_FSG, n=5, k=2, m=3)
+        key = reference.counter_key(505, i)
+        picked, drawn = draw(ds, pool, key, task=episodic.TASK_FSG, n=5, k=2, m=3)
         support, queries = episode_rows(ds, episodic.TASK_FSG, 2, picked, drawn)
         assert len(set(picked)) == 5 and set(picked) <= pool
         support_ids = {ds.instance_ids[r] for r, _ in support}
@@ -315,8 +315,8 @@ def test_5_episodic_suite():
     assert res.accuracy == res.correct / res.queries
     per_episode = []
     for i in range(60):
-        rng = np.random.default_rng([8, 0, i])
-        picked, drawn = draw(exact, set(range(8)), rng, task="FSG", n=5, k=1, m=4)
+        key = reference.counter_key(8, 0, i)
+        picked, drawn = draw(exact, set(range(8)), key, task="FSG", n=5, k=1, m=4)
         support, queries = episode_rows(exact, episodic.TASK_FSG, 1, picked, drawn)
         stub = HashEmbedModel()
         sup_emb, _ = stub.embed_video_batch(

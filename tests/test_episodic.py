@@ -10,10 +10,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from openset import data, episodic, model, splits
+from openset import cli, data, episodic, model, splits
 from openset.errors import ConfigError, MethodError, SamplingError
 
 import reference
+from test_cli import SYNTH_FLAGS
 
 
 def tiny_dataset(counts, frames=2, dim=4, label_dim=6, seed=0, noise=1.0):
@@ -54,25 +55,28 @@ def episode_rows(ds, task, k, picked, drawn):
     return support, queries
 
 
-def draw(ds, classes, rng, **protocol):
+def draw(ds, classes, key, **protocol):
     """One episode over classes under the EvalConfig built from protocol,
-    drawn from their pool (which keeps the eligible ones) and resolved into
-    each picked class's positions into its class_rows, as evaluate draws and
-    resolves it."""
+    drawn under key (see reference.counter_key) from their pool (which keeps
+    the eligible ones) and resolved into each picked class's positions into
+    its class_rows, as evaluate draws and resolves it."""
     cfg = episodic.EvalConfig(**protocol)
     pool = episodic.ClassPool(ds, classes, cfg.m, cfg.n_support)
-    [picked], positions = pool.draw(np.arange(len(pool.classes)), [rng], cfg.n)
+    [picked], positions = pool.draw(np.arange(len(pool.classes)), cfg.n,
+                                    np.array([key], np.uint64))
     takes = pool.takes[picked]
     positions = positions - np.repeat(pool.starts[picked], takes)
     return pool.classes[picked].tolist(), np.split(positions, np.cumsum(takes)[:-1])
 
 
-def batches(ds, classes, rng, n, k_max, min_total, count):
-    """sample_training_batch over a pool of classes capped at k_max, as
-    (picked classes, dataset rows) per batch."""
+def batches(ds, classes, seed, n, k_max, min_total, count):
+    """The first count batches of seed's training stream, drawn by
+    sample_training_batch over a pool of classes capped at k_max, as (picked
+    classes, dataset rows) per batch."""
     pool = episodic.ClassPool(ds, classes, k_max)
     return [(pool.classes[picked].tolist(), pool.rows[positions])
-            for picked, positions in episodic.sample_training_batch(pool, rng, n, min_total, count)]
+            for picked, positions in episodic.sample_training_batch(
+                pool, n, min_total, seed, 0, np.arange(count))]
 
 
 def make_split(cids, category=None):
@@ -141,10 +145,7 @@ BATCH_SHAPE = dict(n=12, k_max=8, min_total=36)
 class TestTrainingBatch:
     def test_full_batch_shape(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
-        rng = np.random.default_rng(0)
-        [(picked, rows)] = batches(
-            ds, list(range(15)), rng, **BATCH_SHAPE, count=1
-        )
+        [(picked, rows)] = batches(ds, list(range(15)), 0, **BATCH_SHAPE, count=1)
         assert len(picked) == 12
         assert all(count == 8 for count in Counter(ds.class_ids[rows]).values())
         # rows come in draw order: each picked class's rows, in turn
@@ -152,19 +153,13 @@ class TestTrainingBatch:
 
     def test_short_classes_capped(self):
         ds = tiny_dataset({c: 3 for c in range(12)})
-        rng = np.random.default_rng(1)
-        [(picked, rows)] = batches(
-            ds, list(range(12)), rng, **BATCH_SHAPE, count=1
-        )
+        [(picked, rows)] = batches(ds, list(range(12)), 1, **BATCH_SHAPE, count=1)
         # 12 classes x 3 instances reaches the floor exactly
         assert len(rows) == 36
 
     def test_instances_unique_and_from_their_class(self):
         ds = tiny_dataset({c: 10 for c in range(15)})
-        rng = np.random.default_rng(2)
-        [(picked, rows)] = batches(
-            ds, list(range(15)), rng, **BATCH_SHAPE, count=1
-        )
+        [(picked, rows)] = batches(ds, list(range(15)), 2, **BATCH_SHAPE, count=1)
         seen = set()
         assert set(ds.class_ids[rows]) <= set(picked)
         for row in rows:
@@ -174,22 +169,18 @@ class TestTrainingBatch:
 
     def test_undersized_total_exhausts_retries(self):
         ds = tiny_dataset({c: 2 for c in range(12)})
-        rng = np.random.default_rng(3)
         with pytest.raises(SamplingError, match="100 draws"):
-            batches(ds, list(range(12)), rng, **BATCH_SHAPE, count=1)
+            batches(ds, list(range(12)), 3, **BATCH_SHAPE, count=1)
 
     def test_too_few_classes_rejected(self):
         ds = tiny_dataset({c: 10 for c in range(5)})
-        rng = np.random.default_rng(4)
         with pytest.raises(ConfigError):
-            batches(ds, list(range(5)), rng, **BATCH_SHAPE, count=1)
+            batches(ds, list(range(5)), 4, **BATCH_SHAPE, count=1)
 
     @staticmethod
     def assert_equals_referee(ds, classes, seed, count, **shape):
-        """One block of count batches against count per-class referee calls
-        on the same seed: batches, then the generator's state and next draw,
-        or the same error."""
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        """One block of count batches against the scalar referee's batches of
+        the same counters, one at a time: the batches, or the same error."""
 
         def drawn(draw):
             try:
@@ -197,9 +188,10 @@ class TestTrainingBatch:
             except SamplingError as exc:
                 return str(exc)
 
-        got = drawn(lambda: batches(ds, classes, ours, **shape, count=count))
-        want = drawn(lambda: [reference.sample_training_batch_choice(ds, classes, theirs, **shape)
-                              for _ in range(count)])
+        got = drawn(lambda: batches(ds, classes, seed, **shape, count=count))
+        want = drawn(lambda: [reference.sample_training_batch_sorted(ds, classes, seed, (0, b),
+                                                                     **shape)
+                              for b in range(count)])
         if isinstance(want, str):
             assert got == want
         else:
@@ -207,12 +199,10 @@ class TestTrainingBatch:
             for (_, rows), (_, want_rows) in zip(got, want):
                 assert rows.dtype == want_rows.dtype
                 assert rows.tolist() == want_rows.tolist()
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.integers(1 << 62) == theirs.integers(1 << 62)
 
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
     @pytest.mark.parametrize("trial", range(6))
-    def test_block_equals_per_class_referee(self, trial, count):
+    def test_block_equals_scalar_referee(self, trial, count):
         # classes of 1-40 instances, k_max 1-10, any reachable floor
         gen = np.random.default_rng([40, trial])
         sizes = gen.integers(1, 41, size=int(gen.integers(3, 30)))
@@ -221,26 +211,24 @@ class TestTrainingBatch:
         k_max = int(gen.integers(1, 11))
         reachable = int(np.sort(np.minimum(k_max, sizes))[-n:].sum())
         min_total = int(gen.integers(1, reachable + 1))
-        self.assert_equals_referee(ds, list(range(len(sizes))), [41, trial], count,
+        self.assert_equals_referee(ds, list(range(len(sizes))), 41 + trial, count,
                                    n=n, k_max=k_max, min_total=min_total)
 
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
-    def test_resampled_block_equals_per_class_referee(self, count):
+    def test_resampled_block_equals_scalar_referee(self, count):
         # 3 of 12 classes hold 40 instances and the rest 1, so a batch of 4
         # reaches 10 only with 2 of the big three: about 1 draw in 4
         sizes = {c: 40 if c % 4 == 0 else 1 for c in range(12)}
         ds = tiny_dataset(sizes)
         shape = dict(n=4, k_max=5, min_total=10)
-        # the first draw falls short, so the first batch is resampled
-        [(_, first)] = batches(
-            ds, list(sizes), np.random.default_rng(6), **dict(shape, min_total=1), count=1
-        )
+        # the first draw falls short, so the first batch is drawn again
+        [(_, first)] = batches(ds, list(sizes), 1, **dict(shape, min_total=1), count=1)
         assert len(first) < 10
-        self.assert_equals_referee(ds, list(sizes), 6, count, **shape)
+        self.assert_equals_referee(ds, list(sizes), 1, count, **shape)
 
     @pytest.mark.parametrize("size", [2, 1])
     @pytest.mark.parametrize("count", [1, 64])
-    def test_exhausted_block_equals_per_class_referee(self, count, size):
+    def test_exhausted_block_equals_scalar_referee(self, count, size):
         # 12 classes of 2 cap a batch at 24 rows, and 12 classes of 1 at 12
         ds = tiny_dataset({c: size for c in range(13)})
         self.assert_equals_referee(ds, list(range(12)), 3, count, **BATCH_SHAPE)
@@ -256,7 +244,7 @@ class TestTrainingBatch:
         assert pool.classes.tolist() == [12] and pool.rows.tolist() == [0, 1]
         assert pool.labels.tobytes() == ds.label_embeddings[12].tobytes()
         with pytest.raises(ConfigError, match="need 12 classes, have 1"):
-            episodic.sample_training_batch(pool, np.random.default_rng(3), 12, 36, 1)
+            episodic.sample_training_batch(pool, 12, 36, 3, 0, np.arange(1))
 
 
 class TestEpisodeSampling:
@@ -265,8 +253,8 @@ class TestEpisodeSampling:
         ds = tiny_dataset(counts)
         pool = set(counts)
         for trial in range(500):
-            rng = np.random.default_rng([9, trial])
-            picked, drawn = draw(ds, pool, rng, task="FSG", n=3, k=2, m=4)
+            key = reference.counter_key(9, trial)
+            picked, drawn = draw(ds, pool, key, task="FSG", n=3, k=2, m=4)
             support, queries = episode_rows(ds, "FSG", 2, picked, drawn)
             assert len(picked) == 3
             assert len(set(picked)) == 3
@@ -284,8 +272,7 @@ class TestEpisodeSampling:
 
     def test_fsg_minimal_class_gets_one_query(self):
         ds = tiny_dataset({0: 3})
-        rng = np.random.default_rng(5)
-        picked, drawn = draw(ds, {0}, rng, task="FSG", n=1, k=2, m=10)
+        picked, drawn = draw(ds, {0}, reference.counter_key(5), task="FSG", n=1, k=2, m=10)
         _, queries = episode_rows(ds, "FSG", 2, picked, drawn)
         assert len(queries) == 1
 
@@ -320,8 +307,8 @@ class TestEpisodeSampling:
     def test_cmfsg_supports_are_label_embeddings(self):
         counts = {0: 3, 1: 4, 2: 6}
         ds = tiny_dataset(counts)
-        rng = np.random.default_rng(7)
-        picked, drawn = draw(ds, set(counts), rng, task="CM-FSG", n=3, k=1, m=5)
+        picked, drawn = draw(ds, set(counts), reference.counter_key(7), task="CM-FSG",
+                             n=3, k=1, m=5)
         support, queries = episode_rows(ds, "CM-FSG", 1, picked, drawn)
         # one label per class supports it, so no instance is drawn as a support
         assert len(picked) == 3 and not support
@@ -347,194 +334,196 @@ class TestEpisodeSampling:
         with pytest.raises(ConfigError, match="seed"):
             episodic.EvalConfig(seed=-1)
 
-    def test_episodes_past_one_seed_word_rejected(self):
-        # episode indices 0..2^32-1 are each one entropy word
+    def test_episodes_past_2_to_the_32_rejected(self):
+        # no run comes near 2^32 episodes of a subset, so more is a typo
         assert episodic.EvalConfig(episodes=2**32).episodes == 2**32
         with pytest.raises(ConfigError, match=r"^eval: episodes 4294967297 > 2\^32"):
             episodic.EvalConfig(episodes=2**32 + 1)
 
     @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 2), ("CM-FSG", 1)])
-    def test_draw_equals_per_class_choice_referee(self, task, k):
+    def test_draw_equals_scalar_referee(self, task, k):
         counts = {c: 3 + 5 * c for c in range(8)}
         ds = tiny_dataset(counts)
         cfg = episodic.EvalConfig(task, n=4, k=k, m=7)
         eligible = [c for c in sorted(counts) if counts[c] >= cfg.n_support + 1]
         for trial in range(200):
-            got_rng, want_rng = np.random.default_rng([3, trial]), np.random.default_rng([3, trial])
-            picked, drawn = draw(ds, set(counts), got_rng, task=task, n=4, k=k, m=7)
-            want_picked, want_drawn = reference.draw_episode_choice(ds, eligible, want_rng, cfg)
+            key = reference.counter_key(3, trial)
+            picked, drawn = draw(ds, set(counts), key, task=task, n=4, k=k, m=7)
+            want_picked, want_drawn = reference.draw_episode_sorted(ds, eligible, key, cfg)
             assert picked == want_picked
             assert [d.tolist() for d in drawn] == [d.tolist() for d in want_drawn]
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_deterministic_per_seed(self):
         ds = tiny_dataset({c: 6 for c in range(6)})
-        a = draw(ds, set(range(6)), np.random.default_rng([1, 2]), task="FSG", n=3, k=2, m=3)
-        b = draw(ds, set(range(6)), np.random.default_rng([1, 2]), task="FSG", n=3, k=2, m=3)
+        key = reference.counter_key(1, 2)
+        a = draw(ds, set(range(6)), key, task="FSG", n=3, k=2, m=3)
+        b = draw(ds, set(range(6)), key, task="FSG", n=3, k=2, m=3)
         assert a[0] == b[0]
         assert episode_rows(ds, "FSG", 2, *a) == episode_rows(ds, "FSG", 2, *b)
 
 
-def choice_rows(rng, pairs):
-    """Per-row rng.choice(size, take, replace=False), concatenated."""
-    return np.concatenate([rng.choice(s, t, replace=False) for s, t in pairs])
+def chi_square_bound(df):
+    """The 0.999 quantile of chi-square with df degrees of freedom, by the
+    Wilson-Hilferty cube-root normal approximation (z = 3.09)."""
+    return df * (1 - 2 / (9 * df) + 3.09 * np.sqrt(2 / (9 * df))) ** 3
 
 
-class TestChoicePositions:
-    """choice_positions over one rng.integers call must give the positions
-    per-row rng.choice gives, and leave the generator in the same state."""
-
-    def assert_equals_choice(self, seed, pairs, pad=0):
-        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = choice_rows(want_rng, pairs)
-        sizes, takes = np.array(pairs).T
-        # evaluate pads every class's bounds to its largest take, which a
-        # block's rows need not reach
-        bounds = np.stack([episodic.choice_bounds(s, t, takes.max() + pad) for s, t in pairs])
-        got = episodic.choice_positions(got_rng.integers(0, bounds, endpoint=True), sizes, takes)
-        assert got.tolist() == want.tolist(), (seed, pairs)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state, (seed, pairs)
-        assert got_rng.integers(2**63) == want_rng.integers(2**63), (seed, pairs)
-
-    def test_random_rows(self):
-        # 10,000 calls of 1-6 rows, so rows of unequal take share a block
-        meta = np.random.default_rng(30)
-        for case in range(10_000):
-            sizes = meta.integers(1, 40, size=meta.integers(1, 7))
-            pairs = [(int(s), int(meta.integers(1, s + 1))) for s in sizes]
-            self.assert_equals_choice([31, case], pairs)
-
-    def test_edge_rows(self):
-        cases = [[(1, 1)], [(2, 1)], [(2, 2)], [(1, 1), (2, 2), (1, 1), (2, 1)]]
-        cases += [[(s, s)] for s in (3, 7, 64)] + [[(s, 1)] for s in (3, 7, 64)]
-        cases += [[(s, s), (s, 1), (9, 4)] for s in (5, 33)]
-        # the largest size that still takes Floyd's path, at every take regime
-        cases += [[(10_000, t)] for t in (1, 199, 200, 201, 2_500, 10_000)]
-        for seed, pairs in enumerate(cases):
-            for rep in range(5):
-                self.assert_equals_choice([32, seed, rep], pairs, pad=rep % 2 * 3)
-
-    def test_tail_shuffle_rows(self):
-        # above 10,000 and past size // 50, numpy shuffles the tail of
-        # arange(size); at or below size // 50 it stays with Floyd's rule
-        meta = np.random.default_rng(33)
-        for case in range(40):
-            size = 10_001 if case == 0 else int(meta.integers(10_001, 60_001))
-            limit = size // 50
-            takes = [limit, limit + 1, int(meta.integers(1, limit)),
-                     int(meta.integers(limit + 2, min(size, 3 * limit) + 1))]
-            if case % 10 == 0:
-                takes.append(size)
-            pairs = [(size, t) for t in takes] + [(int(meta.integers(1, 30)), 1)]
-            self.assert_equals_choice([34, case], pairs)
-            # a call of tail rows alone has no Floyd rows to resolve
-            self.assert_equals_choice([35, case], [(size, t) for t in takes[1::3]])
+def chi_square(observed, expected):
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    return float(((observed - expected) ** 2 / expected).sum())
 
 
-class FixedWords:
-    """Stands in for a PCG64 whose raw words are all the given one."""
-
-    def __init__(self, word):
-        self.word = word
-
-    def random_raw(self, size):
-        return np.full(size, self.word, dtype=np.uint64)
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 1)
 
 
-class TestWordReplay:
-    """evaluate replays each episode's draws from its PCG64's raw words; the
-    seeding, the bounded draws and the fallback each meet their oracle."""
+class TestCounterDraws:
+    """Every draw is keyed by its counter: the keys and draws meet the scalar
+    referee, and the draws are uniform, distinct within a draw, and the same
+    under any block size."""
 
-    def test_episode_generators_equal_default_rng(self):
-        # seeds past 2^32 take two and three entropy words
-        ranges = [range(500), range(2**31, 2**31 + 1), range(2**32 - 2, 2**32)]
-        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 1):
-            for subset_idx in (0, 1, 2):
-                for episodes in ranges:
-                    got = episodic.episode_generators(seed, subset_idx, episodes)
-                    assert len(got) == len(episodes)
-                    for episode, generator in zip(episodes, got):
-                        want = np.random.default_rng([seed, subset_idx, episode]).bit_generator
-                        assert generator.state == want.state, (
-                            f"numpy {np.__version__}: seed {seed}, subset {subset_idx}, "
-                            f"episode {episode}")
+    def test_keys_equal_scalar_referee(self):
+        paths = [(), (0,), (3, 7), (0, 2**32, 1), (1, 5, 2**64 - 1, 99)]
+        for seed in SEEDS + (12345678901234567890123456789,):
+            for path in paths:
+                got = episodic._key(seed, *path)
+                assert got.dtype == np.uint64 and got.shape == (1,)
+                assert got.tolist() == [reference.counter_key(seed, *path)], (seed, path)
+            # an array index keys a row per entry, as its ints one at a time
+            got = episodic._key(seed, 2, np.arange(70), 1).tolist()
+            assert got == [reference.counter_key(seed, 2, e, 1) for e in range(70)]
 
-    def test_import_leaves_numpy_random_unloaded(self):
-        # _SeedState registers as an ISeedSequence on first use, so commands
-        # that never draw (report, --help) do not load numpy.random
-        src = str(pathlib.Path(episodic.__file__).parents[1])
-        code = "import openset.cli, sys; assert 'numpy.random' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
-                       env={**os.environ, "PYTHONPATH": src})
+    def test_seeds_of_any_size_give_distinct_streams(self):
+        # seed 2^64 + 1 has the low word of seed 1, and must not alias it
+        assert episodic._key(1).tolist() != episodic._key(2**64 + 1).tolist()
+        ds = tiny_dataset({c: 10 for c in range(12)})
+        pool = episodic.ClassPool(ds, range(12), 5, 1)
+        episodes, trains = [], []
+        for seed in SEEDS:
+            picked, positions = pool.draw(np.arange(12), 4, episodic._key(seed, 0, np.arange(20)))
+            episodes.append((picked.tolist(), positions.tolist()))
+            trains.append([(p.tolist(), q.tolist()) for p, q in episodic.sample_training_batch(
+                pool, 4, 10, seed, 0, np.arange(20))])
+        for streams in (episodes, trains):
+            assert all(a != b for i, a in enumerate(streams) for b in streams[i + 1:])
 
-    def test_lemire_equals_scalar_referee(self):
-        meta = np.random.default_rng(50)
-        words = [0, 1, 2, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
-        words += meta.integers(0, 2**32, size=50).tolist()
-        bounds = [0, 1, 2, 3, 4, 5, 6, 7, 8, 30, 2**16, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
-        bounds += meta.integers(0, 2**32, size=50).tolist()
-        grid_words, grid_bounds = np.meshgrid(words, bounds)
-        got, rejected = episodic.lemire(grid_words.astype(np.uint32), grid_bounds)
-        pairs = zip(grid_words.ravel().tolist(), grid_bounds.ravel().tolist())
-        want = [reference.lemire_draw(w, b) for w, b in pairs]
-        assert list(zip(got.ravel().tolist(), rejected.ravel().tolist())) == want, (
-            f"numpy {np.__version__}")
-        # word 0 at bound 2 rejects (0 < 2^32 mod 3 = 1); a power-of-two span
-        # divides 2^32 and never rejects
-        assert reference.lemire_draw(0, 2) == (0, True)
-        assert episodic.lemire(np.array([0], np.uint32), np.array([2]))[1].tolist() == [True]
-        spans = 2 ** np.arange(33, dtype=np.int64)
-        for word in words:
-            assert not episodic.lemire(np.full(33, word, np.uint32), spans - 1)[1].any()
+    def test_class_picks_are_uniform(self):
+        # 12 classes, 4 per draw: every class, and every class in first
+        # place, as often as any other
+        ds = tiny_dataset({c: 2 + c for c in range(12)})
+        pool = episodic.ClassPool(ds, range(12), 3)
+        picked, _ = pool.draw(np.arange(12), 4, episodic._key(60, 0, np.arange(6000)))
+        for counts, total in ((np.bincount(picked.ravel(), minlength=12), 24000),
+                              (np.bincount(picked[:, 0], minlength=12), 6000)):
+            stat = chi_square(counts, np.full(12, total / 12))
+            assert stat < chi_square_bound(11), stat
 
-    @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 3), ("CM-FSG", 1)])
-    def test_replay_equals_generator_draw(self, task, k):
-        ds = tiny_dataset({c: 1 + 4 * c for c in range(12)}, seed=51)
-        cfg = episodic.EvalConfig(task, k=k, m=7)
-        pool = episodic.ClassPool(ds, range(12), cfg.m, cfg.n_support)
-        members = np.arange(len(pool.classes))
-        for n in (1, 4, len(members)):
-            for start in range(0, 200, 40):
-                episodes = range(start, start + 40)
-                got = pool.replay(members, episodic.episode_generators(52, n, episodes), n)
-                want = pool.draw(members, [np.random.default_rng([52, n, e]) for e in episodes], n)
-                assert [a.tolist() for a in got] == [a.tolist() for a in want], (n, start)
+    # every class picked in every draw; a class of s rows taking t of them
+    # takes each row with chance t / s, and each row expects 10 or more picks
+    @pytest.mark.parametrize("take,big,draws", [(1, 60, 3000), (5, 60, 3000),
+                                                (250, 10_001, 400)])
+    def test_row_picks_are_uniform(self, take, big, draws):
+        sizes = {0: 3, 1: 7, 2: 25, 3: big}
+        ds = tiny_dataset(sizes, frames=1, dim=2, label_dim=2, seed=61)
+        pool = episodic.ClassPool(ds, sizes, take)
+        _, positions = pool.draw(np.arange(4), 4, episodic._key(62, take, np.arange(draws)))
+        counts = np.bincount(positions, minlength=len(pool.rows))
+        expected = np.repeat(draws * pool.takes / pool.sizes, pool.sizes)
+        random = np.repeat(pool.takes < pool.sizes, pool.sizes)
+        assert (counts[~random] == draws).all()
+        df = int((pool.sizes - 1)[pool.takes < pool.sizes].sum())
+        stat = chi_square(counts[random], expected[random])
+        assert stat < chi_square_bound(df), (stat, df)
 
-    def test_rejected_word_gives_no_replay(self):
-        # word 0 rejects at bound 2, the first choice bound that is not 2^j - 1
-        ds = tiny_dataset({c: 6 for c in range(5)}, seed=53)
-        pool = episodic.ClassPool(ds, range(5), 3, 1)
-        assert pool.replay(np.arange(5), [FixedWords(0)], 4) is None
-        # word 2^32 - 1 never rejects: its product's low half is 2^32 - (b+1)
-        assert pool.replay(np.arange(5), [FixedWords(2**64 - 1)], 4) is not None
+    def test_no_repeats_within_a_draw(self):
+        meta = np.random.default_rng(63)
+        for trial in range(40):
+            sizes = meta.integers(1, 40, size=int(meta.integers(2, 20)))
+            ds = tiny_dataset(dict(enumerate(sizes.tolist())), seed=trial)
+            k, m = int(meta.integers(0, 3)), int(meta.integers(1, 30))
+            pool = episodic.ClassPool(ds, range(len(sizes)), m, k)
+            if not len(pool.classes):
+                continue
+            members = np.flatnonzero(meta.random(len(pool.classes)) < 0.7)
+            if not len(members):
+                continue
+            n = int(meta.integers(1, len(members) + 1))
+            picked, positions = pool.draw(members, n, episodic._key(64, trial, np.arange(50)))
+            takes = pool.takes[picked]
+            for row, parts in zip(picked, np.split(positions, np.cumsum(takes.sum(axis=1))[:-1])):
+                assert len(set(row.tolist())) == n and set(row.tolist()) <= set(members.tolist())
+                assert len(set(parts.tolist())) == len(parts)
+                for c, part in zip(row, np.split(parts, np.cumsum(pool.takes[row])[:-1])):
+                    assert ((pool.starts[c] <= part) & (part < pool.starts[c] + pool.sizes[c])).all()
 
-    @pytest.mark.parametrize("task", ["FSG", "CM-FSG"])
-    def test_rejected_block_is_drawn_again(self, monkeypatch, task):
-        # every third lemire call reports a rejection, in choice's draws or in
-        # the classes', and sends its block through Generator draws; the
-        # results stay the referee's
-        calls, fallbacks = [], []
-        real_lemire, real_draw = episodic.lemire, episodic.ClassPool.draw
+    def test_rank_ties_go_to_the_lower_slot(self, monkeypatch):
+        # words cut to their top 4 bits leave 16 ranks, so most classes and
+        # rows tie with another, on the package's side and the referee's
+        real_stream, real_splitmix = episodic._stream, reference.splitmix64
+        monkeypatch.setattr(episodic, "_stream",
+                            lambda keys, slots: real_stream(keys, slots) & np.uint64(0xF << 60))
+        monkeypatch.setattr(reference, "splitmix64",
+                            lambda state, slot: real_splitmix(state, slot) & 0xF << 60)
+        counts = {c: 1 + 9 * c for c in range(24)}
+        ds = tiny_dataset(counts)
+        cfg = episodic.EvalConfig("FSG", n=6, k=2, m=40)
+        eligible = [c for c in sorted(counts) if counts[c] > cfg.n_support]
+        for trial in range(50):
+            key = reference.counter_key(70, trial)
+            picked, drawn = draw(ds, set(counts), key, task="FSG", n=6, k=2, m=40)
+            want_picked, want_drawn = reference.draw_episode_sorted(ds, eligible, key, cfg)
+            assert picked == want_picked
+            assert [d.tolist() for d in drawn] == [d.tolist() for d in want_drawn]
 
-        def rejecting(words, bounds):
-            draws, rejected = real_lemire(words, bounds)
-            calls.append(len(words))
-            if len(calls) % 3 == 0:
-                rejected[-1, -1] = True
-            return draws, rejected
+    @pytest.mark.parametrize("size", [1, 7, 64, 200])
+    def test_same_draws_under_any_block_size(self, size):
+        ds = tiny_dataset({c: 1 + 4 * c for c in range(12)}, seed=65)
+        pool = episodic.ClassPool(ds, range(12), 5, 1)
+        members = np.arange(1, len(pool.classes), 2)
+        keys = episodic._key(66, 1, np.arange(200))
+        picked, positions = pool.draw(members, 3, keys)
+        parts = [pool.draw(members, 3, keys[i:i + size]) for i in range(0, 200, size)]
+        assert np.concatenate([p for p, _ in parts]).tolist() == picked.tolist()
+        assert np.concatenate([q for _, q in parts]).tolist() == positions.tolist()
+        # training batches, redrawn while short, are the same one by one
+        sizes = {c: 40 if c % 4 == 0 else 1 for c in range(12)}
+        pool = episodic.ClassPool(tiny_dataset(sizes), sizes, 5)
+        whole = episodic.sample_training_batch(pool, 4, 10, 67, 0, np.arange(200))
+        blocks = [batch for i in range(0, 200, size) for batch in episodic.sample_training_batch(
+            pool, 4, 10, 67, 0, np.arange(i, min(i + size, 200)))]
+        assert [(p.tolist(), q.tolist()) for p, q in blocks] == [
+            (p.tolist(), q.tolist()) for p, q in whole]
 
-        def spy(self, members, rngs, n, min_total=0):
-            fallbacks.append(len(rngs))
-            return real_draw(self, members, rngs, n, min_total)
-
-        monkeypatch.setattr(episodic, "lemire", rejecting)
-        monkeypatch.setattr(episodic.ClassPool, "draw", spy)
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_evaluate_is_the_same_under_any_block_size(self, monkeypatch, block):
         counts = {c: 6 + 7 * c for c in range(9)}
-        category = {c: ("HoV" if c < 5 else "HoN") for c in range(9)}
-        TestDrawBlockEdges().assert_equals_referee(
-            tiny_dataset(counts, noise=0.5, seed=54), category, task, 1, 20,
-            3 * BLOCK + 1)
-        assert 0 < len(fallbacks) < 3 * 4
+        ds = tiny_dataset(counts, noise=0.5, seed=68)
+        split = make_split(counts, {c: ("HoV" if c < 5 else "HoN") for c in counts})
+        cfg = episodic.EvalConfig("FSG", n=4, k=2, m=20, episodes=70, seed=69)
+        want = episodic.evaluate(HashEmbedModel(), ds, split, cfg)
+        monkeypatch.setattr(episodic, "_VOTE_BLOCK", block)
+        assert episodic.evaluate(HashEmbedModel(), ds, split, cfg).subsets == want.subsets
+
+    def test_import_leaves_numpy_random_unloaded(self, tmp_path):
+        # no command draws through numpy's generators: neither a bare import
+        # (report, --help) nor an eval of a checkpoint loads numpy.random
+        src = str(pathlib.Path(episodic.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import openset.cli, sys; assert 'numpy.random' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+        data_dir, split_dir = str(tmp_path / "data"), str(tmp_path / "splits")
+        assert cli.main(["synth", "--out", data_dir] + SYNTH_FLAGS) == 0
+        assert cli.main(["split", "--class-table", os.path.join(data_dir, "class_table.csv"),
+                         "--out", split_dir, "--p-verbs", "2", "--p-nouns", "2",
+                         "--seeds", "0"]) == 0
+        inputs = ["--data", data_dir, "--split", os.path.join(split_dir, "split_0.csv")]
+        assert cli.main(["train"] + inputs + ["--out", str(tmp_path / "train"), "--method", "JE",
+                                              "--max-batches", "0"]) == 0
+        argv = ["eval", "--checkpoint", str(tmp_path / "train" / "checkpoint.osm")] + inputs + [
+            "--out", str(tmp_path / "eval"), "--task", "CM-FSG", "--episodes", "70"]
+        code = ("import sys; from openset import cli; "
+                f"assert cli.main({argv!r}) == 0; assert 'numpy.random' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+        assert (tmp_path / "eval" / "eval.csv").exists()
 
 
 class TestKnn:
@@ -725,12 +714,12 @@ class TestEvaluate:
         report = episodic.evaluate(net, ds, split, episodic.EvalConfig(
             "FSG", n=4, k=2, m=3, episodes=25, seed=4))
         res = report.subsets["All"]
-        # recompute episode by episode with the same derived generators
+        # recompute episode by episode under the same counters' keys
         correct = []
         queries = []
         for episode_idx in range(25):
-            rng = np.random.default_rng([4, 0, episode_idx])
-            picked, drawn = draw(ds, set(range(6)), rng, task="FSG", n=4, k=2, m=3)
+            key = reference.counter_key(4, 0, episode_idx)
+            picked, drawn = draw(ds, set(range(6)), key, task="FSG", n=4, k=2, m=3)
             support, ep_queries = episode_rows(ds, "FSG", 2, picked, drawn)
             sup = np.stack([ds.features[r] for r, _ in support])
             sup_emb, _ = net.embed_video_batch(sup)
@@ -838,8 +827,8 @@ class TestEmbedOnce:
         for subset_idx, name in enumerate(("All", "HoV", "HoN")):
             correct = queries = 0
             for episode_idx in range(40):
-                rng = np.random.default_rng([18, subset_idx, episode_idx])
-                picked, drawn = draw(ds, subsets[name], rng, task="CM-FSG", n=3, k=1, m=4)
+                key = reference.counter_key(18, subset_idx, episode_idx)
+                picked, drawn = draw(ds, subsets[name], key, task="CM-FSG", n=3, k=1, m=4)
                 _, ep_queries = episode_rows(ds, "CM-FSG", 1, picked, drawn)
                 labels = np.stack([ds.label_embeddings[cid] for cid in picked])
                 if method == "JE":
@@ -955,9 +944,9 @@ class TestBlockVote:
 
 
 class TestDrawBlockEdges:
-    """evaluate resolves each block's draws at once; episode counts around
+    """evaluate draws each block of episodes at once; episode counts around
     the block size, unequal classes and every m regime must still give the
-    per-class rng.choice referee's results."""
+    per-episode referee's results."""
 
     COUNTS = {c: 6 + 7 * c for c in range(9)}  # 6 to 62 instances
     CATEGORY = {c: ("HoV" if c < 5 else "HoN") for c in range(9)}
@@ -977,14 +966,14 @@ class TestDrawBlockEdges:
     @BLOCK_EDGES
     @pytest.mark.parametrize("m", [1, 20, 50])
     @pytest.mark.parametrize("task,k", [("FSG", 1), ("FSG", 5), ("CM-FSG", 1)])
-    def test_equals_per_class_choice_referee(self, task, k, m, episodes):
+    def test_equals_per_episode_referee(self, task, k, m, episodes):
         ds = tiny_dataset(self.COUNTS, noise=0.5, seed=42)
         self.assert_equals_referee(ds, self.CATEGORY, task, k, m, episodes)
 
     @pytest.mark.parametrize("task", ["FSG", "CM-FSG"])
-    def test_tail_shuffle_class_equals_referee(self, task):
-        # n = 4 of 4 classes picks the 10,001-instance class in every episode,
-        # and its take of m = 250 (plus k) is past 10,001 // 50 = 200
+    def test_large_class_equals_referee(self, task):
+        # n = 4 of 4 classes picks the 10,001-instance class in every
+        # episode, which takes m = 250 queries (plus k) of its rows
         ds = tiny_dataset({0: 10_001, 1: 30, 2: 40, 3: 50}, frames=1, dim=2, label_dim=2,
                           noise=0.5, seed=43)
         self.assert_equals_referee(ds, {c: "HoV" for c in range(4)}, task, 1, 250, 3)

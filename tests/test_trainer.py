@@ -248,8 +248,8 @@ class TestTrainLoop:
         calls = []
         real = episodic.sample_training_batch
 
-        def spy(pool, rng, *args):
-            batches = real(pool, rng, *args)
+        def spy(pool, *args):
+            batches = real(pool, *args)
             calls.append((set(pool.classes.tolist()), len(batches)))
             return batches
 
@@ -318,8 +318,8 @@ class TestTrainLoop:
         real = episodic.sample_training_batch
         state = {"first": True}
 
-        def fake(pool, rng, *args):
-            batches = real(pool, rng, *args)
+        def fake(pool, *args):
+            batches = real(pool, *args)
             if state["first"]:
                 state["first"] = False
                 # single-class batch has no negative pairs
@@ -338,9 +338,9 @@ class TestTrainLoop:
     def test_every_batch_degenerate_raises(self, monkeypatch):
         real = episodic.sample_training_batch
 
-        def fake(pool, rng, *args):
+        def fake(pool, *args):
             return [(picked[:1], positions[in_class(pool, positions, picked[0])])
-                    for picked, positions in real(pool, rng, *args)]
+                    for picked, positions in real(pool, *args)]
 
         monkeypatch.setattr(trainer.episodic, "sample_training_batch", fake)
         with pytest.raises(SamplingError, match="degenerate"):
@@ -420,9 +420,8 @@ class TestObjectives:
     def batch_for(self, n=12):
         """A drawn batch as batch_objective's inputs (pool, batch), with the
         batch's frames and class ids."""
-        rng = np.random.default_rng(13)
         pool = episodic.ClassPool(DATASET, SPLIT.train, 8)
-        [batch] = episodic.sample_training_batch(pool, rng, n, 36, 1)
+        [batch] = episodic.sample_training_batch(pool, n, 36, 13, 0, np.arange(1))
         rows = pool.rows[batch[1]]
         return pool, batch, DATASET.features[rows], DATASET.class_ids[rows]
 
@@ -592,16 +591,18 @@ SPARSE_DATA, SPARSE_SPLIT = sparse_data()
 
 
 def train_per_batch(monkeypatch, net, dataset, split, cfg):
-    """train at _BATCH_BLOCK 1 with every batch drawn by the per-class
-    rng.choice referee: the loop that drew each batch when it needed one."""
+    """train at _BATCH_BLOCK 1 with every batch drawn by the scalar referee,
+    one counter at a time: the loop that drew each batch when it needed one."""
 
-    def referee(pool, rng, n, min_total, count):
+    def referee(pool, n, min_total, seed, *path):
         # the referee's draws, as indices into the pool and positions into its rows
+        *prefix, indices = path
         batches = []
         order = np.argsort(pool.rows)
-        for _ in range(count):
-            picked, rows = reference.sample_training_batch_choice(
-                dataset, pool.classes.tolist(), rng, n, cfg.batch_k_max, min_total)
+        for batch in indices.tolist():
+            picked, rows = reference.sample_training_batch_sorted(
+                dataset, pool.classes.tolist(), seed, (*prefix, batch), n, cfg.batch_k_max,
+                min_total)
             batches.append((np.searchsorted(pool.classes, picked),
                             order[np.searchsorted(pool.rows[order], rows)]))
         return batches
@@ -617,13 +618,14 @@ class TestBatchBlocks:
     @pytest.mark.parametrize("method,embed_dim,lam", METHOD_CASES)
     def test_equals_per_batch_referee(self, monkeypatch, method, embed_dim, lam, dml, max_batches):
         # train as it is, queueing blocks of batches, against the loop that
-        # drew each batch when it needed one, through per-class rng.choice calls
+        # drew each batch when it needed one, through the scalar referee
+        # at seed 2 the first block's last batch has no positive pair
         cfg = fast_cfg(method=method, lambda_we=lam, dml=dml, max_batches=max_batches,
-                       val_batches=8, batch_classes=2, batch_k_max=2, batch_min_total=2)
+                       val_batches=8, batch_classes=2, batch_k_max=2, batch_min_total=2, seed=2)
         real, blocks = episodic.sample_training_batch, []
 
-        def spy(pool, rng, *args):
-            batches = real(pool, rng, *args)
+        def spy(pool, *args):
+            batches = real(pool, *args)
             if set(pool.classes.tolist()) == SPARSE_SPLIT.train:
                 blocks.append([pool.rows[positions] for _, positions in batches])
             return batches
