@@ -213,8 +213,8 @@ def cmd_split(args) -> None:
     write_resolved(args.out, cfg)
     for fname, result in zip(split_files, results):
         print(
-            f"split: {fname} train={len(result.train)} "
-            f"val={len(result.validation)} test={len(result.test)}"
+            f"split: {fname} train={len(result.classes('train'))} "
+            f"val={len(result.classes('val'))} test={len(result.classes('test'))}"
         )
 
 

@@ -92,7 +92,9 @@ class ClassPool:
         self.rows = np.concatenate([np.zeros(0, np.int64), *parts])
         self.sizes = np.array([len(p) for p in parts], dtype=np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.takes = n_support + np.minimum(m, self.sizes - n_support)
+        # min(size, n_support + m), with the sum clamped to the largest size
+        # while a Python int, so an m or k past int64 cannot overflow numpy
+        self.takes = np.minimum(self.sizes, min(n_support + m, int(self.sizes.max(initial=0))))
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -264,7 +266,7 @@ def eval_subsets(
         want, have = getattr(model_cfg, name), getattr(dataset, name)
         if want != have:
             raise DimensionError(f"eval: the model's {name} is {want}, the dataset's is {have}")
-    pool = ClassPool(dataset, split.test, cfg.m, cfg.n_support)
+    pool = ClassPool(dataset, split.classes("test"), cfg.m, cfg.n_support)
     category = [split.category.get(c) for c in pool.classes.tolist()]
     subsets = [("All", np.arange(len(category)))] + [
         (name, np.flatnonzero([c == name for c in category]))

@@ -5,13 +5,14 @@ validation when its verb or noun is held out, so train/validation/test class
 sets are disjoint by construction, yet individual verbs and nouns may still
 be shared with training through other class contexts. Non-train classes are
 categorized by which side is held out: HoV (verb), HoN (noun), HoVN (both).
-A drawn split keeps only that partition and those categories, all that a
-run reads and all that the split CSV holds.
+A drawn split holds the split CSV's two columns, each class's subset and
+each non-train class's category: all that a run reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,29 +58,20 @@ class SplitSpec:
 
 @dataclass
 class SplitResult:
-    """Class partition, as the split CSV holds it.
+    """One split as its CSV holds it, a field per column.
 
-    category maps every non-train class to HoV, HoN, or HoVN, judged against
-    the union of validation- and test-held items (a held-out verb or noun
-    never appears in any training class).
+    subset maps every class to train, val or test; category maps every
+    non-train class to HoV, HoN, or HoVN, judged against the union of
+    validation- and test-held items (a held-out verb or noun never appears
+    in any training class).
     """
 
-    train: set[int]
-    validation: set[int]
-    test: set[int]
+    subset: dict[int, str]
     category: dict[int, str]
 
-    def subset_of(self, class_id: int) -> str:
-        if class_id in self.train:
-            return "train"
-        if class_id in self.validation:
-            return "val"
-        if class_id in self.test:
-            return "test"
-        raise ConfigError(f"class {class_id} not in any subset")
-
-    def classes_in_category(self, subset: set[int], category: str) -> set[int]:
-        return {cid for cid in subset if self.category.get(cid) == category}
+    def classes(self, name: str) -> set[int]:
+        """The classes of subset name (train, val or test)."""
+        return {cid for cid, subset in self.subset.items() if subset == name}
 
 
 def context_counts(table: ClassTable) -> tuple[dict[int, int], dict[int, int]]:
@@ -139,20 +131,18 @@ def generate_split(table: ClassTable, spec: SplitSpec) -> SplitResult:
     held_verbs = verbs_test | verbs_val
     held_nouns = nouns_test | nouns_val
 
-    train: set[int] = set()
-    validation: set[int] = set()
-    test: set[int] = set()
+    subset: dict[int, str] = {}
     category: dict[int, str] = {}
     for cid in table.class_ids():
         lab = table[cid]
         verb_held = lab.verb_id in held_verbs
         noun_held = lab.noun_id in held_nouns
         if lab.verb_id in verbs_test or lab.noun_id in nouns_test:
-            test.add(cid)
+            subset[cid] = "test"
         elif verb_held or noun_held:
-            validation.add(cid)
+            subset[cid] = "val"
         else:
-            train.add(cid)
+            subset[cid] = "train"
             continue
         if verb_held and noun_held:
             category[cid] = CATEGORY_HOVN
@@ -161,18 +151,16 @@ def generate_split(table: ClassTable, spec: SplitSpec) -> SplitResult:
         else:
             category[cid] = CATEGORY_HON
 
-    return SplitResult(train, validation, test, category)
+    return SplitResult(subset, category)
 
 
 def imbalance_ratio(result: SplitResult) -> float:
     """Max/min ratio over the four held-out class counts (HoV validation,
     HoV test, HoN validation, HoN test); inf when any subset is empty.
     Reported so callers can reject lopsided draws; never filtered here."""
+    pairs = Counter((result.subset[cid], cat) for cid, cat in result.category.items())
     counts = [
-        len(result.classes_in_category(result.validation, CATEGORY_HOV)),
-        len(result.classes_in_category(result.test, CATEGORY_HOV)),
-        len(result.classes_in_category(result.validation, CATEGORY_HON)),
-        len(result.classes_in_category(result.test, CATEGORY_HON)),
+        pairs[name, cat] for cat in (CATEGORY_HOV, CATEGORY_HON) for name in ("val", "test")
     ]
     if min(counts) == 0:
         return float("inf")
@@ -182,10 +170,9 @@ def imbalance_ratio(result: SplitResult) -> float:
 # --- overlap statistics ---
 
 
-def _items_of(result: SplitResult, subset_name: str, granularity: str, table: ClassTable) -> set:
-    classes = {"train": result.train, "val": result.validation, "test": result.test}[subset_name]
+def _items_of(classes: set[int], granularity: str, table: ClassTable) -> set:
     if granularity == "class":
-        return set(classes)
+        return classes
     if granularity == "verb":
         return {table[cid].verb_id for cid in classes}
     if granularity == "noun":
@@ -229,16 +216,17 @@ def overlap_stats(results: list[SplitResult], table: ClassTable) -> OverlapStats
     verb, and noun granularity."""
     if not results:
         raise ConfigError("overlap_stats: need at least one split")
+    members = [{name: r.classes(name) for name in _SUBSET_NAMES} for r in results]
     across = {}
     for subset_name in _SUBSET_NAMES:
         for gran in ("class", "verb", "noun"):
-            sets = [_items_of(r, subset_name, gran, table) for r in results]
+            sets = [_items_of(m[subset_name], gran, table) for m in members]
             across[(subset_name, gran)] = venn_regions(sets)
     within = []
-    for r in results:
+    for m in members:
         per_gran = {}
         for gran in ("class", "verb", "noun"):
-            sets = [_items_of(r, s, gran, table) for s in _SUBSET_NAMES]
+            sets = [_items_of(m[s], gran, table) for s in _SUBSET_NAMES]
             regions = venn_regions(sets)
             per_gran[gran] = {
                 tuple(_SUBSET_NAMES[i] for i in key): count for key, count in regions.items()
@@ -257,45 +245,39 @@ _VALID_CATEGORIES = {"-", CATEGORY_HOV, CATEGORY_HON, CATEGORY_HOVN}
 def write_split(path: str, result: SplitResult) -> None:
     """One CSV row per class: class_id,subset,category ('-' for train)."""
     lines = [_SPLIT_HEADER]
-    all_ids = sorted(result.train | result.validation | result.test)
-    for cid in all_ids:
-        subset = result.subset_of(cid)
+    for cid in sorted(result.subset):
         category = result.category.get(cid, "-")
-        lines.append(f"{cid},{subset},{category}")
+        lines.append(f"{cid},{result.subset[cid]},{category}")
     write_lines(path, lines)
 
 
 def read_split(path: str, table: ClassTable) -> SplitResult:
     """Rebuild a SplitResult from its CSV; read_split(write_split(r)) == r."""
-    train: set[int] = set()
-    validation: set[int] = set()
-    test: set[int] = set()
+    subset: dict[int, str] = {}
     category: dict[int, str] = {}
     for lineno, parts in read_rows(path, _SPLIT_HEADER):
         try:
             cid = int(parts[0])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-integer class_id") from exc
-        subset, cat = parts[1], parts[2]
-        if subset not in _VALID_SUBSETS:
-            raise ParseError(f"{path}:{lineno}: unknown subset {subset!r}")
+        name, cat = parts[1], parts[2]
+        if name not in _VALID_SUBSETS:
+            raise ParseError(f"{path}:{lineno}: unknown subset {name!r}")
         if cat not in _VALID_CATEGORIES:
             raise ParseError(f"{path}:{lineno}: unknown category {cat!r}")
         if cid not in table:
             raise ParseError(f"{path}:{lineno}: class {cid} not in class table")
-        if cid in train or cid in validation or cid in test:
+        if cid in subset:
             raise ParseError(f"{path}:{lineno}: duplicate class_id {cid}")
-        if subset == "train":
-            if cat != "-":
-                raise ParseError(f"{path}:{lineno}: train class with category {cat!r}")
-            train.add(cid)
-        else:
-            if cat == "-":
-                raise ParseError(f"{path}:{lineno}: non-train class without category")
-            (validation if subset == "val" else test).add(cid)
+        if name == "train" and cat != "-":
+            raise ParseError(f"{path}:{lineno}: train class with category {cat!r}")
+        if name != "train" and cat == "-":
+            raise ParseError(f"{path}:{lineno}: non-train class without category")
+        subset[cid] = name
+        if cat != "-":
             category[cid] = cat
 
-    return SplitResult(train, validation, test, category)
+    return SplitResult(subset, category)
 
 
 _OVERLAP_HEADER = "scope,subset,split,granularity,region,count"

@@ -213,9 +213,9 @@ def check_split(
     table or (WE, JE) has no label embedding, or if a pool cannot fill a batch:
     fewer than batch_classes classes with instances, or (if a batch will be
     drawn) the batch_classes largest, capped at batch_k_max, below batch_min_total."""
-    subsets = {"training": split.train}
+    subsets = {"training": split.classes("train")}
     if cfg.max_batches >= cfg.val_every:
-        subsets["validation"] = split.validation
+        subsets["validation"] = split.classes("val")
     pools = {}
     for name, classes in subsets.items():
         pool = pools[name] = episodic.ClassPool(dataset, classes, cfg.batch_k_max)
@@ -253,9 +253,6 @@ def train(
     pool, val_pool = check_split(dataset, split, cfg)
 
     log = TrainLog()
-    if cfg.max_batches == 0:
-        return model.copy(), log
-
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
     pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
     drawn = 0  # batches drawn so far, each one's index in the stream
@@ -267,7 +264,6 @@ def train(
     # a numeric blow-up anywhere in a step (forward, Adam or validation) names it
     try:
         for step in range(1, cfg.max_batches + 1):
-            loss = None
             for _ in range(_DEGENERATE_LIMIT):
                 if not pending:
                     count = min(_BATCH_BLOCK, cfg.max_batches - step + 1)
@@ -282,7 +278,7 @@ def train(
                 except DegenerateInputError:
                     model.zero_grad()
                     log.degenerate_resamples += 1
-            if loss is None:
+            else:
                 raise SamplingError(
                     f"step {step}: {_DEGENERATE_LIMIT} degenerate batches in a row"
                 )

@@ -196,7 +196,7 @@ def test_3_closed_forms():
 
 
 def _items_of(result, subset_name, granularity, table):
-    cids = {"train": result.train, "val": result.validation, "test": result.test}[subset_name]
+    cids = result.classes(subset_name)
     if granularity == "class":
         return set(cids)
     if granularity == "verb":
@@ -225,13 +225,14 @@ def test_4_split_suite():
         spec = dataclasses.replace(base_spec, seed=seed)
         result = splits.generate_split(table, spec)
         again = splits.generate_split(table, spec)
-        assert (result.train, result.validation, result.test, result.category) == (
-            again.train, again.validation, again.test, again.category)
+        train, val, test = (result.classes(name) for name in ("train", "val", "test"))
+        assert (train, val, test, result.category) == (
+            again.classes("train"), again.classes("val"), again.classes("test"), again.category)
 
-        assert result.train | result.validation | result.test == all_classes
-        assert not result.train & result.validation
-        assert not result.train & result.test
-        assert not result.validation & result.test
+        assert train | val | test == all_classes
+        assert not train & val
+        assert not train & test
+        assert not val & test
 
         # the held-out items, which a split does not keep, come from the referee
         ref = reference.split_reference(pairs, **dataclasses.asdict(spec))
@@ -248,7 +249,7 @@ def test_4_split_suite():
             label = table[cid]
             verb_held = label.verb_id in held_verbs
             noun_held = label.noun_id in held_nouns
-            if cid in result.train:
+            if cid in train:
                 assert not verb_held and not noun_held and cid not in result.category
             else:
                 want = "HoVN" if verb_held and noun_held else ("HoV" if verb_held else "HoN")

@@ -178,8 +178,8 @@ class TestPipeline:
                                   data.read_class_table(os.path.join(pipeline["data"],
                                                                      "class_table.csv")))
         # train validates (30 batches, a round every 15), so it pools both sets
-        for command, want in (("train", [split.train, split.validation]),
-                              ("eval", [split.test])):
+        for command, want in (("train", [split.classes("train"), split.classes("val")]),
+                              ("eval", [split.classes("test")])):
             built.clear()
             out = str(tmp_path / command)
             assert cli.main(_command_argv(pipeline, command) + ["--out", out]) == 0
@@ -568,6 +568,34 @@ class TestFailureClasses:
             "batch_classes 12 x batch_k_max 1\n"
         )
         assert not out.exists()
+
+    # "up to" counts past int64 mean every row; the synth's classes hold 4-6
+    def test_huge_m_takes_every_row(self, pipeline, tmp_path):
+        counts = []
+        for m in ("30", str(10**20)):
+            out = tmp_path / m
+            assert cli.main(_command_argv(pipeline, "eval") + ["--out", str(out), "--m", m]) == 0
+            rows = Path(out, "eval.csv").read_text().splitlines()[1:]
+            counts.append([row.split(",")[5:] for row in rows])
+        assert counts[0] == counts[1] and counts[0]
+
+    def test_huge_k_has_no_eligible_class(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main(_command_argv(pipeline, "eval") + ["--out", str(out), "--k", str(10**20)])
+        assert code == 1
+        assert capsys.readouterr().err == ("openset eval: eval: no subset has n=5 eligible "
+                                           "classes (All 0, HoV 0, HoN 0)\n")
+        assert not out.exists()
+
+    def test_huge_batch_k_max_takes_every_row(self, pipeline, tmp_path):
+        runs = []
+        for k_max in ("30", str(10**20)):
+            out = tmp_path / k_max
+            argv = _command_argv(pipeline, "train") + ["--out", str(out), "--batch-k-max", k_max]
+            assert cli.main(argv) == 0
+            runs.append([Path(out, name).read_bytes()
+                         for name in ("checkpoint.osm", "train_log.csv")])
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("method,lam,code", [
         ("VE", "0", 1), ("JE", "0", 1), ("WE", "1", 1), ("WE", "0", 0),

@@ -82,9 +82,7 @@ def batches(ds, classes, seed, n, k_max, min_total, count):
 def make_split(cids, category=None):
     """SplitResult with everything in test; category maps are optional."""
     return splits.SplitResult(
-        train=set(),
-        validation=set(),
-        test=set(cids),
+        subset=dict.fromkeys(cids, "test"),
         category=dict(category or {}),
     )
 

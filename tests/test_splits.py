@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openset import data, splits
 from openset.errors import ConfigError, EligibilityError, ParseError
@@ -75,8 +77,8 @@ class TestGenerateSplit:
         pairs = random_pairs(5, 5, 0.6, seed=2)
         table = make_table(pairs)
         r = splits.generate_split(table, splits.SplitSpec())
-        assert r.train == set(table.class_ids())
-        assert r.validation == set() and r.test == set()
+        assert r.classes("train") == set(table.class_ids())
+        assert r.classes("val") == set() and r.classes("test") == set()
         assert r.category == {}
         verbs_val, _, _, nouns_test = held_out(pairs, splits.SplitSpec())
         assert verbs_val == set() and nouns_test == set()
@@ -87,9 +89,9 @@ class TestGenerateSplit:
         spec = splits.SplitSpec(p_verbs=1, p_verbs_test=1.0, seed=7)
         r = splits.generate_split(table, spec)
         held = next(iter(held_out(pairs, spec)[1]))
-        assert r.test == {4 * held + n for n in range(4)}
-        assert r.validation == set()
-        assert len(r.train) == 12
+        assert r.classes("test") == {4 * held + n for n in range(4)}
+        assert r.classes("val") == set()
+        assert len(r.classes("train")) == 12
         assert all(cat == splits.CATEGORY_HOV for cat in r.category.values())
 
     def test_test_takes_precedence_and_category_uses_union(self):
@@ -108,14 +110,14 @@ class TestGenerateSplit:
         assert nouns_val == {0}
         # class 0 has a test-held verb and a val-held noun: test wins,
         # category still reflects both sides
-        assert 0 in r.test
+        assert 0 in r.classes("test")
         assert r.category[0] == splits.CATEGORY_HOVN
         assert r.category[1] == splits.CATEGORY_HOV
         assert r.category[2] == splits.CATEGORY_HOV
         assert r.category[3] == splits.CATEGORY_HON
         assert r.category[5] == splits.CATEGORY_HON
-        assert r.validation == {3, 5}
-        assert r.train == {4, 6}
+        assert r.classes("val") == {3, 5}
+        assert r.classes("train") == {4, 6}
 
     def test_ceil_rounding_of_test_share(self):
         pairs = [(4 * v + n, v, n) for v in range(5) for n in range(4)]
@@ -125,7 +127,7 @@ class TestGenerateSplit:
         verbs_val, verbs_test, _, _ = held_out(pairs, spec)
         assert len(verbs_test) == 2
         assert len(verbs_val) == 1
-        assert len(r.test) == 8 and len(r.validation) == 4
+        assert len(r.classes("test")) == 8 and len(r.classes("val")) == 4
 
     def test_matches_reference_procedure(self):
         pairs = random_pairs(10, 10, 0.5, seed=4)
@@ -144,9 +146,9 @@ class TestGenerateSplit:
                 p_verbs_test=spec.p_verbs_test, p_nouns_test=spec.p_nouns_test,
                 seed=spec.seed,
             )
-            assert got.train == want["train"]
-            assert got.validation == want["validation"]
-            assert got.test == want["test"]
+            assert got.classes("train") == want["train"]
+            assert got.classes("val") == want["validation"]
+            assert got.classes("test") == want["test"]
             assert got.category == want["category"]
 
     def test_deterministic(self):
@@ -155,7 +157,7 @@ class TestGenerateSplit:
         spec = splits.SplitSpec(p_verbs=2, p_nouns=2, seed=3)
         a = splits.generate_split(table, spec)
         b = splits.generate_split(table, spec)
-        assert (a.train, a.validation, a.test) == (b.train, b.validation, b.test)
+        assert a.subset == b.subset
         assert a.category == b.category
 
     def test_eligibility_deficit_reported(self):
@@ -172,17 +174,18 @@ class TestGenerateSplit:
             spec = splits.SplitSpec(p_verbs=4, p_nouns=4, seed=seed)
             r = splits.generate_split(table, spec)
             verbs_val, verbs_test, nouns_val, nouns_test = held_out(pairs, spec)
+            train, val, test = (r.classes(name) for name in ("train", "val", "test"))
             # partition
-            assert r.train | r.validation | r.test == all_ids
-            assert not (r.train & r.validation)
-            assert not (r.train & r.test)
-            assert not (r.validation & r.test)
+            assert train | val | test == all_ids
+            assert not (train & val)
+            assert not (train & test)
+            assert not (val & test)
             # categories cover exactly the non-train classes
-            assert set(r.category) == r.validation | r.test
+            assert set(r.category) == val | test
             held_v = verbs_val | verbs_test
             held_n = nouns_val | nouns_test
             # no held item ever appears in a training class
-            for cid in r.train:
+            for cid in train:
                 assert table[cid].verb_id not in held_v
                 assert table[cid].noun_id not in held_n
             # category names tell exactly which sides are held
@@ -196,12 +199,12 @@ class TestGenerateSplit:
                 }[(v_held, n_held)]
                 assert cat == want
             # test membership is exactly "touches a test-held item"
-            for cid in r.validation | r.test:
+            for cid in val | test:
                 touches_test = (
                     table[cid].verb_id in verbs_test
                     or table[cid].noun_id in nouns_test
                 )
-                assert (cid in r.test) == touches_test
+                assert (cid in test) == touches_test
 
 
 class TestImbalance:
@@ -256,7 +259,7 @@ class TestOverlapStats:
         r = splits.generate_split(table, splits.SplitSpec(p_verbs=2, p_nouns=2, seed=1))
         stats = splits.overlap_stats([r, r], table)
         regions = stats.across[("test", "class")]
-        assert regions[(0, 1)] == len(r.test)
+        assert regions[(0, 1)] == len(r.classes("test"))
         assert regions[(0,)] == 0 and regions[(1,)] == 0
 
     def test_across_matches_oracle(self):
@@ -267,15 +270,11 @@ class TestOverlapStats:
             for s in range(3)
         ]
         stats = splits.overlap_stats(results, table)
-        for subset_name, members in (
-            ("train", lambda r: r.train),
-            ("val", lambda r: r.validation),
-            ("test", lambda r: r.test),
-        ):
-            class_sets = [set(members(r)) for r in results]
+        for subset_name in ("train", "val", "test"):
+            class_sets = [r.classes(subset_name) for r in results]
             assert stats.across[(subset_name, "class")] == reference.venn_oracle(class_sets)
             verb_sets = [
-                {table[cid].verb_id for cid in members(r)} for r in results
+                {table[cid].verb_id for cid in classes} for classes in class_sets
             ]
             assert stats.across[(subset_name, "verb")] == reference.venn_oracle(verb_sets)
 
@@ -289,7 +288,7 @@ class TestOverlapStats:
         for key, count in class_regions.items():
             if len(key) > 1:
                 assert count == 0
-        assert class_regions[("train",)] == len(r.train)
+        assert class_regions[("train",)] == len(r.classes("train"))
         # verbs are shared across subsets through different classes
         verb_regions = stats.within[0]["verb"]
         shared = sum(count for key, count in verb_regions.items() if len(key) > 1)
@@ -316,9 +315,7 @@ class TestSplitSerialization:
         path = str(tmp_path / "split.csv")
         splits.write_split(path, r)
         back = splits.read_split(path, table)
-        assert back.train == r.train
-        assert back.validation == r.validation
-        assert back.test == r.test
+        assert back.subset == r.subset
         assert back.category == r.category
         for seed in range(20):
             r = splits.generate_split(table, splits.SplitSpec(p_verbs=3, p_nouns=3, seed=seed))
@@ -334,6 +331,40 @@ class TestSplitSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "class_id,subset,category"
         assert lines[1] == "0,train,-"
+
+    def test_text_matches_reference_rendering(self, tmp_path):
+        # the referee's sets rendered as the file: sorted ids, '-' for train
+        pairs = random_pairs(10, 10, 0.5, seed=13)
+        table = make_table(pairs)
+        path = tmp_path / "split.csv"
+        for seed in range(20):
+            spec = splits.SplitSpec(n_lower=2, p_verbs=3, p_nouns=2, seed=seed)
+            want = reference.split_reference(pairs, **dataclasses.asdict(spec))
+            rows = {
+                cid: f"{cid},{name},{'-' if name == 'train' else want['category'][cid]}\n"
+                for name, key in (("train", "train"), ("val", "validation"), ("test", "test"))
+                for cid in want[key]
+            }
+            text = "class_id,subset,category\n" + "".join(rows[cid] for cid in sorted(rows))
+            splits.write_split(str(path), splits.generate_split(table, spec))
+            assert path.read_bytes() == text.encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(
+        st.integers(0, 10**9),
+        st.sampled_from([("train", "-")] + [
+            (name, cat) for name in ("val", "test") for cat in ("HoV", "HoN", "HoVN")
+        ]),
+        max_size=30,
+    ))
+    def test_rewrite_reproduces_any_valid_file(self, tmp_path_factory, rows):
+        table = make_table([(cid, cid, cid) for cid in rows])
+        text = "class_id,subset,category\n" + "".join(
+            f"{cid},{name},{cat}\n" for cid, (name, cat) in sorted(rows.items()))
+        path = tmp_path_factory.mktemp("split") / "split.csv"
+        path.write_text(text)
+        splits.write_split(str(path), splits.read_split(str(path), table))
+        assert path.read_bytes() == text.encode()
 
     def test_unknown_subset_rejected(self, tmp_path):
         table = make_table([(0, 0, 0)])

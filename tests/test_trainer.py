@@ -37,6 +37,13 @@ def in_class(pool, positions, index):
     return np.repeat(pool.classes, pool.sizes)[positions] == pool.classes[index]
 
 
+def keep_only(split, name, kept):
+    """split with subset name cut down to the classes kept; the rest of that
+    subset leaves the split."""
+    subset = {cid: s for cid, s in split.subset.items() if s != name or cid in kept}
+    return splits.SplitResult(subset, split.category)
+
+
 def validation_loss(net, ds, classes, cfg, round_idx):
     """trainer._validation_loss over the pool of classes that check_split builds."""
     pool = episodic.ClassPool(ds, classes, cfg.batch_k_max)
@@ -53,7 +60,7 @@ def few_instance_data():
     )
     ds = data.synth_generate(cfg)
     split = splits.generate_split(ds.classes, splits.SplitSpec(p_verbs=2, p_nouns=2, seed=0))
-    return ds, sorted(split.validation)
+    return ds, sorted(split.classes("val"))
 
 
 def shared_content_validation_data():
@@ -73,7 +80,7 @@ def shared_content_validation_data():
     ds = data.Dataset(classes=data.ClassTable(entries=entries), instance_ids=np.arange(112),
                       class_ids=class_ids, features=np.array(features), label_embeddings=labels)
     split = splits.SplitResult(
-        train=set(range(14)), validation=set(range(14, 28)), test=set(),
+        subset={cid: "train" if cid < 14 else "val" for cid in range(28)},
         category={cid: "HoV" for cid in range(14, 28)},
     )
     return ds, split
@@ -135,18 +142,12 @@ class TestConfigValidation:
             trainer.train(make_net("VE"), DATASET, SPLIT, fast_cfg(method="JE"))
 
     def test_too_few_train_classes(self):
-        thin = splits.SplitResult(
-            train=set(list(SPLIT.train)[:5]), validation=SPLIT.validation,
-            test=SPLIT.test, category={},
-        )
+        thin = keep_only(SPLIT, "train", list(SPLIT.classes("train"))[:5])
         with pytest.raises(ConfigError, match="train"):
             trainer.train(make_net(), DATASET, thin, fast_cfg())
 
     def test_val_classes_checked_only_when_validating(self):
-        thin = splits.SplitResult(
-            train=SPLIT.train, validation=set(list(SPLIT.validation)[:3]),
-            test=SPLIT.test, category={},
-        )
+        thin = keep_only(SPLIT, "val", list(SPLIT.classes("val"))[:3])
         with pytest.raises(ConfigError, match="validation"):
             trainer.train(make_net(), DATASET, thin, fast_cfg())
         # below one validation interval the loop never validates
@@ -158,8 +159,8 @@ class TestConfigValidation:
         # at k_max 8 the 12 smallest training classes (eight of 4 instances,
         # four of 5) give at most 52 rows, the 12 validation classes 66 and
         # the 12 largest training classes 71
-        small = sorted(SPLIT.train, key=lambda c: len(DATASET.class_rows[c]))[:12]
-        thin = dataclasses.replace(SPLIT, train=set(small))
+        small = sorted(SPLIT.classes("train"), key=lambda c: len(DATASET.class_rows[c]))[:12]
+        thin = keep_only(SPLIT, "train", small)
         with pytest.raises(ConfigError) as exc:
             trainer.check_split(DATASET, thin, fast_cfg(batch_min_total=53))
         assert str(exc.value) == (
@@ -229,7 +230,7 @@ class TestTrainLoop:
         ]
         # the returned parameters reproduce the recorded best loss exactly
         round_idx = [s for s, _ in log.validations].index(log.best_step) + 1
-        recomputed = validation_loss(best, DATASET, sorted(SPLIT.validation), cfg, round_idx)
+        recomputed = validation_loss(best, DATASET, sorted(SPLIT.classes("val")), cfg, round_idx)
         assert recomputed == log.best_val_loss
 
     def test_patience_stops_without_improvement(self):
@@ -258,11 +259,11 @@ class TestTrainLoop:
         trainer.train(make_net(seed=5), DATASET, SPLIT, fast_cfg(max_batches=40))
         assert calls
         for pool, _ in calls:
-            assert pool == SPLIT.train or pool == SPLIT.validation
-        assert any(pool == SPLIT.validation for pool, _ in calls)
+            assert pool == SPLIT.classes("train") or pool == SPLIT.classes("val")
+        assert any(pool == SPLIT.classes("val") for pool, _ in calls)
         # one block holds all 40 steps' batches; each round draws its 5 at once
-        assert [n for pool, n in calls if pool == SPLIT.train] == [40]
-        assert [n for pool, n in calls if pool == SPLIT.validation] == [5, 5]
+        assert [n for pool, n in calls if pool == SPLIT.classes("train")] == [40]
+        assert [n for pool, n in calls if pool == SPLIT.classes("val")] == [5, 5]
 
     def test_label_table_never_written(self):
         before = {
@@ -364,7 +365,7 @@ class TestClassPools:
         monkeypatch.setattr(episodic, "ClassPool", CountingPool)
         _, log = trainer.train(make_net(seed=5), DATASET, SPLIT, fast_cfg(max_batches=60))
         assert len(log.validations) == 3
-        assert built == [SPLIT.train, SPLIT.validation]
+        assert built == [SPLIT.classes("train"), SPLIT.classes("val")]
 
     def test_ve_trains_without_label_embeddings(self):
         unlabelled = data.Dataset(DATASET.classes, DATASET.instance_ids, DATASET.class_ids,
@@ -375,11 +376,11 @@ class TestClassPools:
         assert len(got_log.validations) == 2
         assert got.params.tobytes() == want.params.tobytes() and got_log == want_log
 
-    @pytest.mark.parametrize("subset", ["train", "validation"])
+    @pytest.mark.parametrize("subset", ["train", "val"])
     @pytest.mark.parametrize("method,embed_dim", [("WE", 6), ("JE", 5)])
     def test_pool_class_without_label_rejected_before_training(self, monkeypatch, method,
                                                                embed_dim, subset):
-        missing = max(getattr(SPLIT, subset))
+        missing = max(SPLIT.classes(subset))
         labels = {c: v for c, v in DATASET.label_embeddings.items() if c != missing}
         ds = data.Dataset(DATASET.classes, DATASET.instance_ids, DATASET.class_ids,
                           DATASET.features, labels)
@@ -393,25 +394,25 @@ class TestClassPools:
 
     def test_je_trains_past_a_training_class_without_rows(self):
         # the class table still lists the class whose rows are dropped
-        dropped = min(SPLIT.train)
+        dropped = min(SPLIT.classes("train"))
         keep = DATASET.class_ids != dropped
         ds = data.Dataset(DATASET.classes, DATASET.instance_ids[keep], DATASET.class_ids[keep],
                           DATASET.features[keep], DATASET.label_embeddings)
         cfg = fast_cfg(method="JE", max_batches=40)
         pool, val_pool = trainer.check_split(ds, SPLIT, cfg)
-        assert set(pool.classes.tolist()) == SPLIT.train - {dropped}
-        assert set(val_pool.classes.tolist()) == SPLIT.validation
+        assert set(pool.classes.tolist()) == SPLIT.classes("train") - {dropped}
+        assert set(val_pool.classes.tolist()) == SPLIT.classes("val")
         _, log = trainer.train(make_net("JE", embed_dim=5, seed=7), ds, SPLIT, cfg)
         assert len(log.step_losses) == 40 and len(log.validations) == 2
         # only classes with rows count towards batch_classes
-        thin = dataclasses.replace(SPLIT, train=set(sorted(SPLIT.train)[:12]))
+        thin = keep_only(SPLIT, "train", sorted(SPLIT.classes("train"))[:12])
         trainer.check_split(DATASET, thin, cfg)
         with pytest.raises(ConfigError, match="^train: need 12 training classes, have 11$"):
             trainer.check_split(ds, thin, cfg)
 
     def test_split_class_missing_from_table_rejected(self):
         assert 999 not in DATASET.classes
-        bad = dataclasses.replace(SPLIT, train=SPLIT.train | {999})
+        bad = dataclasses.replace(SPLIT, subset={**SPLIT.subset, 999: "train"})
         with pytest.raises(ConfigError, match="^class 999 is not in the class table$"):
             trainer.train(make_net(), DATASET, bad, fast_cfg())
 
@@ -420,7 +421,7 @@ class TestObjectives:
     def batch_for(self, n=12):
         """A drawn batch as batch_objective's inputs (pool, batch), with the
         batch's frames and class ids."""
-        pool = episodic.ClassPool(DATASET, SPLIT.train, 8)
+        pool = episodic.ClassPool(DATASET, SPLIT.classes("train"), 8)
         [batch] = episodic.sample_training_batch(pool, n, 36, 13, 0, np.arange(1))
         rows = pool.rows[batch[1]]
         return pool, batch, DATASET.features[rows], DATASET.class_ids[rows]
@@ -496,7 +497,7 @@ class TestObjectives:
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
 
-VAL_CLASSES = sorted(SPLIT.validation)
+VAL_CLASSES = sorted(SPLIT.classes("val"))
 METHOD_CASES = [("VE", 6, 0.0), ("WE", 6, 0.0), ("WE", 6, 10.0), ("JE", 5, 0.0)]
 
 
@@ -626,7 +627,7 @@ class TestBatchBlocks:
 
         def spy(pool, *args):
             batches = real(pool, *args)
-            if set(pool.classes.tolist()) == SPARSE_SPLIT.train:
+            if set(pool.classes.tolist()) == SPARSE_SPLIT.classes("train"):
                 blocks.append([pool.rows[positions] for _, positions in batches])
             return batches
 
