@@ -104,6 +104,11 @@ class ClassPool:
         except KeyError as exc:
             raise ConfigError(f"class {exc.args[0]} has no label embedding") from None
 
+    def embed(self, model: EmbeddingModel) -> np.ndarray:
+        """model's video embedding of every row, in rows order, one class per call."""
+        return np.concatenate([model.embed_video_batch(self.dataset.features[rows])[0]
+                               for rows in np.split(self.rows, self.starts[1:])])
+
     def draw(self, members: np.ndarray, n: int, keys: np.ndarray, min_total: int = 0):
         """Per key (see _key), n distinct classes of members (sorted indices
         into classes), then takes[c] distinct rows of each picked class c,
@@ -285,9 +290,9 @@ def evaluate(
 
     Episode classes and queries are drawn from the subset alone; subsets with
     too few eligible classes are skipped with a warning instead of failing
-    the whole run, unless every subset is (see eval_subsets). Each class of
-    the test pool is embedded once per call, into one array in pool order.
-    Per _VOTE_BLOCK episodes, one ClassPool.draw keyed by (seed, subset
+    the whole run, unless every subset is (see eval_subsets). The test pool
+    is embedded once (ClassPool.embed), and JE projects its labels in one
+    call. Per _VOTE_BLOCK episodes, one ClassPool.draw keyed by (seed, subset
     index, episode index) gives every episode's positions, which index that
     array, and votes are cast once. Each episode still takes its own
     (queries, n·k) similarity product, since BLAS bits depend on the
@@ -299,11 +304,10 @@ def evaluate(
     report = EvalReport(cfg)
     n, k, n_support = cfg.n, cfg.k, cfg.n_support
     pool, subsets = eval_subsets(model.config, dataset, split, cfg)
-    emb = np.concatenate([model.embed_video_batch(dataset.features[rows])[0]
-                          for rows in np.split(pool.rows, pool.starts[1:])])
+    emb = pool.embed(model)
     if cross_modal:
-        labels = pool.labels if model.method == METHOD_WE else np.concatenate(
-            [model.embed_label_batch(label[None])[0] for label in pool.labels])
+        labels = pool.labels if model.method == METHOD_WE else model.embed_label_batch(
+            pool.labels)[0]
     for subset_idx, (name, members) in enumerate(subsets):
         if len(members) < n:
             report.subsets[name] = SubsetResult(skipped=True)

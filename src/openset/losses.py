@@ -30,8 +30,8 @@ class HistogramConfig:
     bins: int = 100
 
     def __post_init__(self):
-        if self.bins < 2:
-            raise ConfigError("histogram: need at least 2 bins")
+        if not 2 <= self.bins <= 2**32:
+            raise ConfigError(f"histogram: bins {self.bins} not in 2..2^32")
 
 
 @dataclass(frozen=True)
@@ -162,20 +162,20 @@ def multisim_loss(
     mined = np.flatnonzero(keep)
     rows, pairs = mined // n, mined % (n * n)
     coef = np.where(rows < n, -cfg.alpha, cfg.beta)
-    # beta * (sim - base) may overflow to inf and then NaN; the trainer's
-    # finiteness checks turn that into a NumericError
+    # beta * (sim - base), or a term over a tiny alpha or beta, may overflow to
+    # inf and then NaN; the trainer's finiteness checks make that a NumericError
     with np.errstate(over="ignore", invalid="ignore"):
         x = coef * (np.take(sims, pairs) - cfg.base)
         lse = log1p_sum_exp(x, rows, 2 * n)
         weights = np.exp(x - lse[rows])
+        # anchor by anchor, positive term first, as a loop sums: the cumsum adds
+        # the interleaved terms in that order, and since every term is >= +0.0
+        # (absent ones are +0.0) it starts from the loop's 0.0 with the same bits
+        terms = lse.reshape(2, n) / np.array([[cfg.alpha], [cfg.beta]])
+        loss = float(np.cumsum(terms.T)[-1]) / n
     # each mined pair's weight lands once, signed as its coef, on 0.0: the
     # halves are disjoint, so w is the loop's 0.0 -=/+= weight, +0.0 too
     w = np.bincount(pairs, np.copysign(weights, coef), n * n).reshape(n, n)
-    # anchor by anchor, positive term first, as a loop sums: the cumsum adds
-    # the interleaved terms in that order, and since every term is >= +0.0
-    # (absent ones are +0.0) it starts from the loop's 0.0 with the same bits
-    terms = lse.reshape(2, n) / np.array([[cfg.alpha], [cfg.beta]])
-    loss = float(np.cumsum(terms.T)[-1]) / n
     grads = (w + w.T) @ e / n
     return loss, grads
 

@@ -10,6 +10,8 @@ float64 vector, so one step is one pass of elementwise operations, in one
 scratch vector; kernels keep plain numpy's operations and operand order.
 log1p_sum_exp sums each row of a compacted run of terms with one zero-led
 `np.add.reduceat`, which keeps the bits of the row's own 1-D `.sum()`.
+A row's affine_forward bits do not depend on its block: every row takes BLAS's
+gemm path, never gemv's other bits (checked on numpy 2.4.6, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class ParamBlock:
 
 
 def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
-    """Row-wise affine map: out[i] = inp[i] @ W + b."""
+    """Row-wise affine map: out[i] = inp[i] @ W + b. A 1-row inp is the first row
+    of itself stacked twice: gemm's bits, as in any block, not gemv's."""
     inp = np.asarray(inp, dtype=np.float64)
     if inp.ndim != 2:
         raise DimensionError("affine_forward: input must be 2-D")
@@ -48,7 +51,8 @@ def affine_forward(inp: np.ndarray, params: ParamBlock) -> np.ndarray:
             f"{params.weights.shape[0]} ({params.name})"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # l2_normalize_rows names a blow-up
-        out = inp @ params.weights
+        rows = np.concatenate((inp, inp)) if len(inp) == 1 else inp
+        out = (rows @ params.weights)[:len(inp)]
         out += params.bias
     return out
 

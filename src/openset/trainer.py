@@ -87,6 +87,8 @@ class TrainConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.val_batches > 2**32:  # a round holds its batches' draws at once
+            raise ConfigError(f"val_batches {self.val_batches} > 2^32")
         if self.batch_classes * self.batch_k_max < self.batch_min_total:
             raise ConfigError(
                 f"batch_min_total {self.batch_min_total} exceeds the largest batch, "
@@ -166,24 +168,13 @@ def _validation_loss(
     round_idx: int,
 ) -> float:
     """Mean objective over the round's batches of pool, skipping degenerate ones.
-    Each validation row is embedded once, in pool order and in blocks of at
-    most one batch's size; each batch gathers its positions. A 1-row product
-    takes BLAS's gemv path, with other bits: a row whose batch can hold no
-    other row is embedded alone, a JE label whose batch holds one class is
-    projected alone, and any other 1-row remainder joins the block before it."""
-    single = cfg.batch_classes == 1
-    lone = np.repeat(single & (pool.takes == 1), pool.sizes)
-    rest = np.flatnonzero(~lone)
-    size = cfg.batch_classes * cfg.batch_k_max
-    blocks = np.split(rest, range(size, len(rest) - (len(rest) % size == 1), size))
-    blocks = [b for b in blocks if len(b)] + [[i] for i in np.flatnonzero(lone)]
-    video = np.empty((len(pool.rows), model.config.embed_dim))
-    for block in blocks:
-        video[block] = model.embed_video_batch(dataset.features[pool.rows[block]])[0]
+    Each validation row is embedded once (ClassPool.embed) and, for JE, every
+    validation label projected in one call; each batch gathers its positions,
+    with the bits of embedding the batch on its own."""
+    video = pool.embed(model)
     labels = None if cfg.method == METHOD_VE else pool.labels
     if cfg.method == METHOD_JE:
-        labels = np.concatenate([model.embed_label_batch(part)[0]
-                                 for part in (labels[:, None] if single else [labels])])
+        labels = model.embed_label_batch(labels)[0]
 
     batch_losses = []
     for picked, positions in episodic.sample_training_batch(

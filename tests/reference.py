@@ -738,18 +738,26 @@ def _l2_rows_backward_plain(unit, norms, grad_out) -> np.ndarray:
     return (grad_out - unit * inner) / norms[:, None]
 
 
+def _affine_plain(x, weights, bias):
+    """`x @ weights + bias`, a 1-row x as the first row of itself stacked
+    twice: the package gives every row gemm's bits, never a 1-row gemv's."""
+    rows = np.vstack([x, x]) if len(x) == 1 else x
+    return (rows @ weights)[:len(x)] + bias
+
+
 def video_encoder_plain(frame_w, frame_b, out_w, out_b, frames, grad_out):
     """The video encoder's forward and backward passes as the plain numpy
     expressions the package ran before it computed each frame-sized array in
-    place: `inp @ W + b`, `np.mean`, `np.linalg.norm(axis=1)`, `np.repeat` and
-    `g_act * (1.0 - act**2)`. Returns (unit rows, norms, [frame layer weight
-    and bias gradients, output layer weight and bias gradients])."""
+    place: `inp @ W + b` (see _affine_plain), `np.mean`,
+    `np.linalg.norm(axis=1)`, `np.repeat` and `g_act * (1.0 - act**2)`.
+    Returns (unit rows, norms, [frame layer weight and bias gradients, output
+    layer weight and bias gradients])."""
     frames = np.asarray(frames, dtype=np.float64)
     b, f, d_in = frames.shape
     flat = frames.reshape(b * f, d_in)
-    act = np.tanh(flat @ frame_w + frame_b)
+    act = np.tanh(_affine_plain(flat, frame_w, frame_b))
     pooled = act.reshape(b, f, frame_w.shape[1]).mean(axis=1)
-    unit, norms = _l2_rows_plain(pooled @ out_w + out_b)
+    unit, norms = _l2_rows_plain(_affine_plain(pooled, out_w, out_b))
     g_pre = _l2_rows_backward_plain(unit, norms, grad_out)
     g_pooled = g_pre @ out_w.T
     g_act = np.repeat(g_pooled / f, f, axis=0)
@@ -765,7 +773,7 @@ def label_projector_plain(weights, bias, labels, grad_out):
     """The label projector's forward and backward passes as plain numpy
     expressions: (unit rows, norms, [weight gradient, bias gradient])."""
     x = np.asarray(labels, dtype=np.float64)
-    unit, norms = _l2_rows_plain(x @ weights + bias)
+    unit, norms = _l2_rows_plain(_affine_plain(x, weights, bias))
     g_pre = _l2_rows_backward_plain(unit, norms, grad_out)
     grads = [np.zeros_like(weights), np.zeros_like(bias)]
     grads[0] += x.T @ g_pre

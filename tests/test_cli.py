@@ -529,6 +529,15 @@ BAD_EVAL = [
 ]
 
 
+# each is past 2^32 and would fail only once a run allocates by it
+HUGE_COUNTS = [
+    (["--dml", "histogram", "--bins", str(10**20)], f"histogram: bins {10**20} not in 2..2^32"),
+    (["--val-batches", str(10**20)], f"val_batches {10**20} > 2^32"),
+]
+
+TRAIN_FLOAT_KEYS = [key for key, (conv, _) in cli.TRAIN_SCHEMA.items() if conv is float]
+
+
 class TestFailureClasses:
     @pytest.mark.parametrize("command,key,value", NON_FINITE)
     def test_non_finite_config_value_exits_one(
@@ -716,6 +725,37 @@ class TestFailureClasses:
             "step 2: l2_normalize_rows: non-finite row\n" if flag == "--lr0"
             else "step 1: adam_step: second moment overflows in frame_layer\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", HUGE_COUNTS, ids=["bins", "val_batches"])
+    def test_huge_count_exits_one_before_out(self, pipeline, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert cli.main(_command_argv(pipeline, "train") + ["--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err == f"openset train: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "1e-308"])
+    @pytest.mark.parametrize("key", TRAIN_FLOAT_KEYS)
+    @pytest.mark.parametrize("method,lam", [("VE", "0"), ("WE", "1"), ("JE", "0")])
+    def test_extreme_float_ends_in_a_result_or_one_error_line(
+        self, pipeline, tmp_path, capsys, method, lam, key, value
+    ):
+        # a 3-step run with one validation round at either end of float64's
+        # range: exit 0 with its artifacts, or one error line and no --out
+        out = tmp_path / "o"
+        flags = {"method": method, "lambda_we": lam, "max_batches": "3", "val_every": "3",
+                 "val_batches": "2", key: value}
+        argv = _command_argv(pipeline, "train") + ["--out", str(out)]
+        for name, text in flags.items():
+            argv += [f"--{name.replace('_', '-')}", text]
+        with np.errstate(over="warn", invalid="warn", divide="warn"), \
+                warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert [str(w.message) for w in seen] == []
+        assert code in (0, 1, 2)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == (code != 0) and "Traceback" not in err
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("command", ["synth", "split", "train", "eval", "report"])
     def test_out_naming_a_file_exits_one_before_the_run(

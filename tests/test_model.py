@@ -112,8 +112,7 @@ class TestStoragePrecision:
 
 class TestPlainReferee:
     """The encoders compute their frame-sized arrays in place; every output,
-    norm and gradient byte equals the plain expressions' (a 1-row batch takes
-    BLAS's gemv path)."""
+    norm and gradient byte equals the plain expressions'."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("frames", [1, 3, 4])
@@ -151,6 +150,40 @@ class TestPlainReferee:
         assert cache.norms.tobytes() == norms.tobytes()
         assert lp.grad_weights.tobytes() == grads[0].tobytes()
         assert lp.grad_bias.tobytes() == grads[1].tobytes()
+
+
+def _numerics() -> str:
+    """numpy's version and BLAS, for a failure message (show_config's mode
+    argument is numpy 1.26+, so it is called only when a check fails)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+
+
+class TestRowBitsIgnoreTheBlock:
+    """Each row's embedding has the same bytes alone as inside blocks of 2, 3
+    and 96 rows, at reference dims: the property that lets the validation
+    round and evaluate embed a pool once and gather any batch or episode."""
+
+    @pytest.mark.parametrize("frames", [1, 4])
+    @pytest.mark.parametrize("method", ["VE", "WE", "JE"])
+    def test_video_rows(self, method, frames):
+        net = model.init_model(model.ModelConfig(method=method, input_dim=64), seed=frames)
+        x = np.random.default_rng(frames).standard_normal((96, frames, 64)).astype(np.float32)
+        self.check(lambda rows: net.embed_video_batch(x[rows])[0])
+
+    def test_label_rows(self):
+        net = model.init_model(model.ModelConfig(method="JE", input_dim=64), seed=5)
+        x = np.random.default_rng(5).standard_normal((96, 32))
+        self.check(lambda rows: net.embed_label_batch(x[rows])[0])
+
+    @staticmethod
+    def check(embed):
+        alone = np.concatenate([embed([i]) for i in range(96)]).view(np.uint64)
+        for size in (2, 3, 96):
+            blocks = np.concatenate([embed(np.arange(start, start + size))
+                                     for start in range(0, 96, size)]).view(np.uint64)
+            differ = np.count_nonzero((blocks != alone).any(axis=1))
+            assert differ == 0, f"{differ} of 96 rows differ in blocks of {size} ({_numerics()})"
 
 
 class TestZeroNorm:
