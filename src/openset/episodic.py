@@ -2,8 +2,9 @@
 
 An episode is one open-set trial: n classes drawn from an evaluation subset,
 a support set (k video instances per class, or one label embedding per class
-for the cross-modal task), and up to m query instances per class. Queries
-are classified by κ-NN over unit embeddings with κ = k, and accuracy is
+for the cross-modal task), and up to m query instances per class. evaluate
+draws episodes a block at a time, and score_block votes each block's queries
+with one κ-NN call (knn_classify, κ = k, over unit embeddings); accuracy is
 pooled across episodes (total correct / total queries).
 
 Evaluation subsets: All (every test class), HoV (held-out verb only), HoN
@@ -31,6 +32,7 @@ from .errors import (
     DimensionError,
     EligibilityError,
     MethodError,
+    NumericError,
     SamplingError,
     check_fields,
 )
@@ -43,6 +45,7 @@ TASKS = (TASK_FSG, TASK_CMFSG)
 
 _RESAMPLE_LIMIT = 100
 _VOTE_BLOCK = 64  # episodes drawn and voted per step of evaluate; bounds its memory
+_NO_CLASS = np.iinfo(np.int64).max  # no class id exceeds it: fills masked slots before a min
 
 
 @dataclass(frozen=True)
@@ -212,26 +215,39 @@ def knn_classify(sims: np.ndarray, support_classes: np.ndarray, kappa: int) -> n
     Order-free: neighbor ties go to the smaller class id, vote ties to the
     larger summed similarity, then the smaller class id. Ties are those of
     sims as given: BLAS can give two equal support rows unequal similarities.
+    Raises NumericError on a non-finite similarity. Runs kappa selection
+    passes, then three masked reductions, over supports on an (S, Q) copy.
     """
+    sims, classes = np.asarray(sims), np.asarray(support_classes, dtype=np.int64)
     if sims.ndim != 2 or sims.shape[1] == 0:
         raise ConfigError("knn: need a 2-D similarity block with at least one support")
     if not (1 <= kappa <= sims.shape[1]):
         raise ConfigError(f"knn: kappa {kappa} out of range 1..{sims.shape[1]}")
-    support_classes = np.broadcast_to(support_classes, sims.shape)
-    top = np.lexsort((support_classes, -sims), axis=-1)[:, :kappa]
-    top_classes = np.take_along_axis(support_classes, top, axis=1)
-    top_sims = np.take_along_axis(sims, top, axis=1)
+    if classes.shape not in (sims.shape[1:], sims.shape):
+        raise DimensionError(f"knn: support classes {classes.shape} for similarities {sims.shape}")
+    if not np.isfinite(sims).all():
+        raise NumericError("knn: non-finite similarity")
+    work = np.array(sims.T, dtype=np.float64, order="C")  # a copy: the caller's stays intact
+    classes = np.ascontiguousarray(classes.T) if classes.ndim == 2 else classes[:, None]
+    top_sims, top_classes = np.empty((kappa, len(sims))), np.empty((kappa, len(sims)), np.int64)
+    for rank in range(kappa):
+        top_sims[rank] = work.max(axis=0)
+        tie = work == top_sims[rank]
+        top_classes[rank] = np.where(tie, classes, _NO_CLASS).min(axis=0)
+        if rank + 1 < kappa:  # mask the taken support, the first of equal ones
+            tie &= classes == top_classes[rank]
+            work[tie.argmax(axis=0), np.arange(len(sims))] = -np.inf
     # each candidate's class counts its votes and sums its similarities in
     # rank order; +0.0 for another class's rank leaves the sum's bits alone
-    votes = np.zeros(top.shape, dtype=np.int64)
-    sum_sim = np.zeros(top.shape)
+    votes, sum_sim = np.zeros_like(top_classes), np.zeros_like(top_sims)
     for rank in range(kappa):
-        same = top_classes == top_classes[:, rank:rank + 1]
+        same = top_classes == top_classes[rank]
         votes += same
-        sum_sim += np.where(same, top_sims[:, rank:rank + 1], 0.0)
+        sum_sim += np.where(same, top_sims[rank], 0.0)
     # the candidate with most votes, then the largest sum, then the smallest class
-    winner = np.lexsort((-top_classes, sum_sim, votes), axis=1)[:, -1:]
-    return np.take_along_axis(top_classes, winner, axis=1)[:, 0]
+    best = votes == votes.max(axis=0)
+    best &= sum_sim == np.where(best, sum_sim, -np.inf).max(axis=0)
+    return np.where(best, top_classes, _NO_CLASS).min(axis=0)
 
 
 @dataclass
@@ -283,6 +299,29 @@ def eval_subsets(
     return pool, subsets
 
 
+def score_block(pool: ClassPool, emb: np.ndarray, labels: np.ndarray | None,
+                picked: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
+    """Each episode's correct count in one block of draws (picked, positions:
+    ClassPool.draw), by one κ-NN call with κ = k over emb, the embedding of
+    every pool row. labels (pool order) support each class cross-modally;
+    None takes each class's first k positions. Each episode takes its own
+    (queries, n·k) similarity product: BLAS bits depend on its shape."""
+    n_support = 0 if labels is not None else k
+    counts = pool.takes[picked.ravel()]
+    rank = np.arange(len(positions)) - np.repeat(np.cumsum(counts) - counts, counts)
+    is_support = rank < n_support
+    support = labels[picked] if labels is not None else emb[positions[is_support]]
+    support = support.reshape(len(picked), -1, emb.shape[1])
+    queries = (counts - n_support).reshape(len(picked), -1).sum(axis=1)
+    query_rows = np.split(positions[~is_support], np.cumsum(queries[:-1]))
+    sims = [emb[q] @ s.T for q, s in zip(query_rows, support)]
+    classes = pool.classes[picked]
+    support_classes = np.repeat(np.repeat(classes, k, axis=1), queries, axis=0)
+    hits = knn_classify(np.concatenate(sims), support_classes, k) == np.repeat(
+        classes.ravel(), counts - n_support)
+    return np.add.reduceat(hits, np.cumsum(queries) - queries, dtype=np.int64)
+
+
 def evaluate(
     model: EmbeddingModel, dataset: Dataset, split: SplitResult, cfg: EvalConfig
 ) -> EvalReport:
@@ -293,49 +332,31 @@ def evaluate(
     the whole run, unless every subset is (see eval_subsets). The test pool
     is embedded once (ClassPool.embed), and JE projects its labels in one
     call. Per _VOTE_BLOCK episodes, one ClassPool.draw keyed by (seed, subset
-    index, episode index) gives every episode's positions, which index that
-    array, and votes are cast once. Each episode still takes its own
-    (queries, n·k) similarity product, since BLAS bits depend on the
-    product's shape. FSG supports are video
-    embeddings; the cross-modal task supports each class with its raw label
-    embedding (WE trains into that space) or its projected one (JE). Deterministic in seed.
+    index, episode index) gives every episode's positions into that array,
+    and score_block counts each episode's correct queries. FSG supports are
+    video embeddings; the cross-modal task supports each class with its raw
+    label embedding (WE trains into that space) or its projected one (JE).
+    Deterministic in seed.
     """
-    cross_modal = cfg.task == TASK_CMFSG
     report = EvalReport(cfg)
-    n, k, n_support = cfg.n, cfg.k, cfg.n_support
     pool, subsets = eval_subsets(model.config, dataset, split, cfg)
     emb = pool.embed(model)
-    if cross_modal:
-        labels = pool.labels if model.method == METHOD_WE else model.embed_label_batch(
-            pool.labels)[0]
+    labels = None if cfg.task == TASK_FSG else (
+        pool.labels if model.method == METHOD_WE else model.embed_label_batch(pool.labels)[0])
     for subset_idx, (name, members) in enumerate(subsets):
-        if len(members) < n:
+        if len(members) < cfg.n:
             report.subsets[name] = SubsetResult(skipped=True)
             report.warnings.append(
-                f"subset {name}: {len(members)} eligible classes < n={n}; skipped"
+                f"subset {name}: {len(members)} eligible classes < n={cfg.n}; skipped"
             )
             continue
-        result = report.subsets[name] = SubsetResult()
+        result = report.subsets[name] = SubsetResult(episodes=cfg.episodes)
         for start in range(0, cfg.episodes, _VOTE_BLOCK):
             episodes = np.arange(start, min(start + _VOTE_BLOCK, cfg.episodes))
-            # pool indices, (episodes, n), and each pick's positions into emb
-            picked, positions = pool.draw(members, n, _key(cfg.seed, subset_idx, episodes))
-            counts = pool.takes[picked.ravel()]
-            # each class's first n_support positions are its supports
-            rank = np.arange(len(positions)) - np.repeat(np.cumsum(counts) - counts, counts)
-            is_support = rank < n_support
-            support = labels[picked] if cross_modal else emb[positions[is_support]]
-            support = support.reshape(-1, n * k, emb.shape[1])
-            queries = (counts - n_support).reshape(-1, n).sum(axis=1)
-            query_rows = np.split(positions[~is_support], np.cumsum(queries[:-1]))
-            sims = [emb[q] @ s.T for q, s in zip(query_rows, support)]
-            picked = pool.classes[picked]
-            support_classes = np.repeat(np.repeat(picked, k, axis=1), queries, axis=0)
-            pred = knn_classify(np.concatenate(sims), support_classes, k)
-            true_cid = np.repeat(picked.ravel(), counts - n_support)
-            result.episodes += len(queries)
-            result.queries += len(true_cid)
-            result.correct += int(np.count_nonzero(pred == true_cid))
+            picked, positions = pool.draw(members, cfg.n, _key(cfg.seed, subset_idx, episodes))
+            correct = score_block(pool, emb, labels, picked, positions, cfg.k)
+            result.queries += len(positions) - picked.size * cfg.n_support
+            result.correct += int(correct.sum())
     return report
 
 
@@ -346,14 +367,8 @@ def write_eval_report(path: str, report: EvalReport) -> None:
     """One CSV row per non-skipped subset, in evaluation order; skipped
     subsets appear only in the warnings, which are written as comment lines."""
     cfg = report.cfg
-    lines = [EVAL_HEADER]
-    for warning in report.warnings:
-        lines.append(f"# {warning}")
-    for name, res in report.subsets.items():
-        if res.skipped:
-            continue
-        lines.append(
-            f"{cfg.task},{name},{cfg.n},{cfg.k},{cfg.m},"
-            f"{res.episodes},{res.queries},{res.correct},{res.accuracy!r},{cfg.seed}"
-        )
+    lines = [EVAL_HEADER] + [f"# {warning}" for warning in report.warnings] + [
+        f"{cfg.task},{name},{cfg.n},{cfg.k},{cfg.m},"
+        f"{res.episodes},{res.queries},{res.correct},{res.accuracy!r},{cfg.seed}"
+        for name, res in report.subsets.items() if not res.skipped]
     write_lines(path, lines)

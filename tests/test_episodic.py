@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from openset import cli, data, episodic, model, splits
-from openset.errors import ConfigError, MethodError, SamplingError
+from openset.errors import ConfigError, DimensionError, MethodError, NumericError, SamplingError
 
 import reference
 from test_cli import SYNTH_FLAGS
@@ -663,6 +663,69 @@ class TestKnn:
                         for sup, cls, q in zip(support, classes, queries)]
                 assert got.tolist() == want, (trial, kappa)
 
+    @staticmethod
+    def oracle(sims, classes, kappa):
+        # identity supports make the oracle's dot products the given similarities
+        rows = np.broadcast_to(classes, sims.shape)
+        eye = np.eye(sims.shape[1])
+        return [reference.knn_oracle(eye, cls, q, kappa) for q, cls in zip(sims, rows)]
+
+    @pytest.mark.parametrize("n_query", [1, 4])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_inputs_left_intact(self, n_query, per_row):
+        # at one row sims.T is already C-contiguous, so a copy that is only a
+        # transposed view would mask the taken supports in the caller's array
+        rng = np.random.default_rng(30)
+        sims = rng.choice([-0.5, 0.0, 0.5, 1.0], size=(n_query, 6))
+        classes = rng.integers(0, 3, size=(n_query, 6) if per_row else 6)
+        before = sims.tobytes(), classes.tobytes()
+        for kappa in range(1, 7):
+            got = episodic.knn_classify(sims, classes, kappa)
+            assert (sims.tobytes(), classes.tobytes()) == before
+            assert got.tolist() == self.oracle(sims, classes, kappa)
+
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0, so the neighbor tie goes to the smaller class at either sign
+        for sims in ([[-0.0, 0.0, -1.0]], [[0.0, -0.0, -1.0]]):
+            sims = np.array(sims)
+            for classes in ([4, 2, 2], [2, 4, 4]):
+                got = episodic.knn_classify(sims, np.array(classes), 1)
+                assert got.tolist() == self.oracle(sims, classes, 1) == [2]
+
+    def test_kappa_equal_to_supports_takes_every_support(self):
+        # class 3 leads with two votes at kappa 4; the last support gives
+        # class 2 its second vote and the larger sum at kappa 5
+        sims = np.array([[0.9, 0.8, 0.5, 0.45, 0.2]])
+        classes = np.array([1, 2, 3, 3, 2])
+        assert episodic.knn_classify(sims, classes, 4).tolist() == [3]
+        assert episodic.knn_classify(sims, classes, 5).tolist() == [2]
+        # equal supports of one class: every pass masks one of them
+        sims, classes = np.full((3, 7), 0.25), np.array([5, 5, 5, 1, 1, 9, 9])
+        for kappa in range(1, 8):
+            got = episodic.knn_classify(sims, classes, kappa)
+            assert got.tolist() == self.oracle(sims, classes, kappa)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint32, np.int64])
+    def test_integer_class_dtypes_give_int64_classes(self, dtype):
+        sims = np.array([[0.5, 0.5, 0.1], [0.1, 0.2, 0.3]])
+        for kappa in (1, 2, 3):
+            got = episodic.knn_classify(sims, np.array([3, 2, 1], dtype=dtype), kappa)
+            assert got.dtype == np.int64
+            assert got.tolist() == self.oracle(sims, [3, 2, 1], kappa)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_similarity_rejected(self, bad):
+        for sims in ([[bad, 0.5, 0.1]], [[0.2, 0.5, 0.1], [0.3, bad, 0.1]], [[bad] * 3]):
+            with pytest.raises(NumericError):
+                episodic.knn_classify(np.array(sims), np.array([1, 2, 3]), 1)
+
+    # neither (S,) nor (Q, S) for a (2, 3) block, broadcastable shapes included
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1,), (3, 2), (1, 3), (2, 1), (2, 3, 1), ()])
+    def test_support_class_shape_rejected(self, shape):
+        sims = np.array([[0.5, 0.1, 0.4], [0.2, 0.3, 0.6]])
+        with pytest.raises(DimensionError):
+            episodic.knn_classify(sims, np.zeros(shape, dtype=np.int64), 1)
+
 
 class TestEvaluate:
     def test_content_equality_scores_perfectly(self):
@@ -891,6 +954,15 @@ class TestBlockVote:
         category = {c: ("HoV" if c < hov_classes else "HoN") for c in self.COUNTS}
         self.assert_equals_referee(self.dataset("noisy"), category, task, method, embed_dim,
                                    k=k, m=m, episodes=70)
+
+    # k = 5 runs five selection passes over 20 supports. Classes of 5 to 8
+    # instances give 1 to 3 queries at m = 5 (those of 5 cannot field an
+    # episode), so the episodes of one block hold different query counts
+    @pytest.mark.parametrize("kind", ["noisy", "shared"])
+    @pytest.mark.parametrize("method,embed_dim", [("VE", 6), ("WE", 6), ("JE", 3)])
+    def test_five_shot_ragged_equals_per_episode_referee(self, kind, method, embed_dim):
+        self.assert_equals_referee(self.dataset(kind), self.CATEGORY, "FSG", method, embed_dim,
+                                   k=5, m=5, episodes=2 * BLOCK + 22)
 
     # at embed dim 32 a product's bits depend on its shape, so each episode
     # must take its own (queries, n·k) product, not a slice of a wider one

@@ -4,17 +4,23 @@ Each reader gets a valid file damaged by one to three mutations (truncation,
 bit flips, trailing bytes, an oversized header count or numeric field).
 Whatever the reader raises must be an OpensetError subclass, which the CLI
 maps to its documented exit code; anything else would be a traceback.
+
+The κ-NN gets generated tie-heavy similarity blocks and must predict what
+reference.knn_oracle predicts row by row.
 """
 
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset import data, model, splits
+from openset import data, episodic, model, splits
 from openset.errors import OpensetError
+
+import reference
 
 TABLE = data.synth_generate(data.SynthConfig(
     n_verbs=3, n_nouns=3, class_density=0.8, instances_per_class=(2, 3),
@@ -128,3 +134,34 @@ def test_valid_files_read_back(workdir, fmt):
     path.write_bytes(blobs[fmt])
     assert READERS[fmt](str(path))
 
+
+# few values, signed zeros among them, so exact neighbor and vote ties are common
+QUANTIZED = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def knn_blocks(draw):
+    """A (Q, S) similarity block whose S supports repeat a few distinct
+    columns (duplicated supports), with (S,) shared or (Q, S) per-row classes."""
+    n_query, n_sup = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    distinct = draw(st.integers(1, n_sup))
+    rows = draw(st.lists(st.lists(QUANTIZED, min_size=distinct, max_size=distinct),
+                         min_size=n_query, max_size=n_query))
+    which = draw(st.lists(st.integers(0, distinct - 1), min_size=n_sup, max_size=n_sup))
+    sims = np.array(rows)[:, which]
+    shape = draw(st.sampled_from([(n_sup,), (n_query, n_sup)]))
+    classes = np.array(draw(st.lists(st.integers(0, 3), min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape))))).reshape(shape)
+    return sims, classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=knn_blocks())
+def test_knn_matches_oracle_on_tie_heavy_blocks(block):
+    sims, classes = block
+    rows = np.broadcast_to(classes, sims.shape)
+    eye = np.eye(sims.shape[1])  # identity supports: the oracle's dot products are sims
+    for kappa in range(1, sims.shape[1] + 1):
+        got = episodic.knn_classify(sims, classes, kappa)
+        want = [reference.knn_oracle(eye, cls, q, kappa) for q, cls in zip(sims, rows)]
+        assert got.tolist() == want, kappa
