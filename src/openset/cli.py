@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 
 from . import data, episodic, model, splits, trainer
@@ -143,11 +144,6 @@ def prepare_out(out_dir: str, filenames: list[str], create: bool = True) -> None
         os.makedirs(out_dir, exist_ok=True)
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser, schema: dict) -> None:
-    for key in schema:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V")
-
-
 def _flag_values(args: argparse.Namespace, schema: dict) -> dict[str, str]:
     flags = {key: getattr(args, f"cfg_{key}", None) for key in schema}
     return {key: value for key, value in flags.items() if value is not None}
@@ -260,23 +256,16 @@ def cmd_train(args) -> None:
     )
 
 
-def _check_report_label(key: str, value: str, error: type[OpensetError]) -> None:
-    """A label copied into report rows must hold no comma and no line break
-    (anything str.splitlines splits at), either of which would break a row."""
-    if "," in value or "".join(value.splitlines()) != value:
-        raise error(f"{key} {value!r} must not hold a comma or a line break")
-
-
 def cmd_eval(args) -> None:
     cfg = _resolve(args, EVAL_SCHEMA)
     eval_cfg = episodic.EvalConfig(**cfg)
     # report labels come from the run: the split file's stem, and the metric
     # loss train recorded beside the checkpoint ('-' where it recorded none)
     split_name = os.path.splitext(os.path.basename(args.split))[0]
-    _check_report_label("split_name", split_name, ConfigError)
+    data.check_text_field("split_name", split_name, ConfigError)
     trained = os.path.join(os.path.dirname(args.checkpoint), _RESOLVED_FILE)
     dml = parse_config_file(trained).get("dml", "-") if os.path.isfile(trained) else "-"
-    _check_report_label(f"{trained}: dml", dml, ParseError)
+    data.check_text_field(f"{trained}: dml", dml, ParseError)
     prepare_out(args.out, [_EVAL_FILE], create=False)  # a failed run leaves no --out
     net = model.load_checkpoint(args.checkpoint)
     dataset = _load_data_dir(args.data)
@@ -290,6 +279,9 @@ def cmd_eval(args) -> None:
         print(f"eval: {cfg['task']} {name}: {status}")
 
 
+_EVAL_COUNTS = ("n", "k", "m", "episodes", "queries", "correct")
+
+
 def _read_eval_rows(eval_dir: str) -> list[dict[str, str]]:
     resolved_path = os.path.join(eval_dir, _RESOLVED_FILE)
     eval_path = os.path.join(eval_dir, _EVAL_FILE)
@@ -297,10 +289,19 @@ def _read_eval_rows(eval_dir: str) -> list[dict[str, str]]:
     for needed in ("method", "dml", "split_name"):
         if needed not in meta:
             raise ParseError(f"{resolved_path}: missing key {needed!r}")
-        _check_report_label(f"{resolved_path}: {needed}", meta[needed], ParseError)
+        data.check_text_field(f"{resolved_path}: {needed}", meta[needed], ParseError)
     rows = []
-    for _, parts in data.read_rows(eval_path, episodic.EVAL_HEADER, comments=True):
+    for lineno, parts in data.read_rows(eval_path, episodic.EVAL_HEADER, comments=True):
         row = dict(zip(episodic.EVAL_HEADER.split(","), parts))
+        # only a row write_eval_report could have written is copied
+        if not all(re.fullmatch("0|[1-9][0-9]*", row[c]) for c in _EVAL_COUNTS):
+            raise ParseError(f"{eval_path}:{lineno}: counts must be non-negative integers")
+        queries, correct = int(row["queries"]), int(row["correct"])
+        if queries < 1 or correct > queries:
+            raise ParseError(f"{eval_path}:{lineno}: need 1 <= queries and correct <= queries")
+        if row["accuracy"] != repr(correct / queries):
+            raise ParseError(f"{eval_path}:{lineno}: accuracy {row['accuracy']!r} "
+                             f"is not correct / queries")
         row.update(method=meta["method"], dml=meta["dml"], split=meta["split_name"])
         rows.append(row)
     return rows
@@ -323,8 +324,8 @@ _REPORT_COLUMNS = (
 
 
 def cmd_report(args) -> None:
-    """Merge evaluation outputs into one long-form table. Accuracy cells are
-    copied verbatim from the inputs, never recomputed."""
+    """Merge evaluation outputs into one long-form table. Each row is checked
+    (_read_eval_rows), then its cells copied verbatim, never recomputed."""
     rows, seen = [], set()
     for eval_dir in args.eval_dirs:
         # a directory given twice would count each of its rows twice
@@ -343,41 +344,33 @@ def cmd_report(args) -> None:
     print(f"report: {len(rows)} rows -> {args.out}")
 
 
+# name -> (help, required input flags with their help, schema, function); each
+# command's parser takes its inputs, then --config, --out and its schema keys
+_DATA_INPUTS = (("--data", "synth output directory"), ("--split", "split CSV"))
+_COMMANDS = {
+    "synth": ("generate a synthetic dataset", (), SYNTH_SCHEMA, cmd_synth),
+    "split": ("generate disjoint-class splits", (("--class-table", "class table CSV"),),
+              SPLIT_SCHEMA, cmd_split),
+    "train": ("train a model on one split", _DATA_INPUTS, TRAIN_SCHEMA, cmd_train),
+    "eval": ("episodic evaluation of a checkpoint",
+             (("--checkpoint", "model checkpoint"), *_DATA_INPUTS), EVAL_SCHEMA, cmd_eval),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process, on first use; parse_args leaves it unchanged."""
     parser = _Parser(prog="openset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    p_synth.add_argument("--config", help="key=value config file")
-    p_synth.add_argument("--out", required=True, help="output directory")
-    _add_schema_flags(p_synth, SYNTH_SCHEMA)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_split = sub.add_parser("split", help="generate disjoint-class splits")
-    p_split.add_argument("--class-table", required=True, help="class table CSV")
-    p_split.add_argument("--config", help="key=value config file")
-    p_split.add_argument("--out", required=True, help="output directory")
-    _add_schema_flags(p_split, SPLIT_SCHEMA)
-    p_split.set_defaults(func=cmd_split)
-
-    p_train = sub.add_parser("train", help="train a model on one split")
-    p_train.add_argument("--data", required=True, help="synth output directory")
-    p_train.add_argument("--split", required=True, help="split CSV")
-    p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--out", required=True, help="output directory")
-    _add_schema_flags(p_train, TRAIN_SCHEMA)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="episodic evaluation of a checkpoint")
-    p_eval.add_argument("--checkpoint", required=True, help="model checkpoint")
-    p_eval.add_argument("--data", required=True, help="synth output directory")
-    p_eval.add_argument("--split", required=True, help="split CSV")
-    p_eval.add_argument("--config", help="key=value config file")
-    p_eval.add_argument("--out", required=True, help="output directory")
-    _add_schema_flags(p_eval, EVAL_SCHEMA)
-    p_eval.set_defaults(func=cmd_eval)
+    for name, (help_text, inputs, schema, func) in _COMMANDS.items():
+        p_cmd = sub.add_parser(name, help=help_text)
+        for flag, flag_help in inputs:
+            p_cmd.add_argument(flag, required=True, help=flag_help)
+        p_cmd.add_argument("--config", help="key=value config file")
+        p_cmd.add_argument("--out", required=True, help="output directory")
+        for key in schema:
+            p_cmd.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V")
+        p_cmd.set_defaults(func=func)
 
     p_report = sub.add_parser("report", help="merge eval outputs into one table")
     p_report.add_argument("eval_dirs", nargs="+", help="eval output directories")

@@ -46,6 +46,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     FormatError,
+    OpensetError,
     ParseError,
     check_fields,
 )
@@ -327,6 +328,13 @@ def read_text(path: str) -> str:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
 
 
+def check_text_field(name: str, text: str, error: type[OpensetError] = FormatError) -> None:
+    """A text cell of a CSV row may hold no comma and nothing str.splitlines
+    splits at, either of which would break the row."""
+    if "," in text or "".join(text.splitlines()) != text:
+        raise error(f"{name} {text!r} must not hold a comma or a line break")
+
+
 def read_rows(path: str, header: str, *, comments: bool = False):
     """Yield (line number, fields) for each row of a CSV whose first line is
     header, skipping blank lines and, with comments, lines starting '#'."""
@@ -344,13 +352,13 @@ def read_rows(path: str, header: str, *, comments: bool = False):
 
 
 def write_class_table(path: str, table: ClassTable) -> None:
-    """Write the class table as CSV; text fields must not contain commas."""
+    """Write the class table as CSV; text fields must not hold a comma or a
+    line break (check_text_field), else nothing is written."""
     lines = [_CSV_HEADER]
     for cid in table.class_ids():
         e = table[cid]
         for text in (e.verb_text, e.noun_text):
-            if "," in text:
-                raise FormatError(f"class {cid}: comma in text field {text!r}")
+            check_text_field(f"class {cid}: text field", text)
         lines.append(f"{cid},{e.verb_id},{e.noun_id},{e.verb_text},{e.noun_text},{e.instance_count}")
     write_lines(path, lines)
 

@@ -108,7 +108,10 @@ class ClassPool:
             raise ConfigError(f"class {exc.args[0]} has no label embedding") from None
 
     def embed(self, model: EmbeddingModel) -> np.ndarray:
-        """model's video embedding of every row, in rows order, one class per call."""
+        """model's video embedding of every row, in rows order, one class per
+        call, so its frame-sized float64 arrays (the (B·F, input_dim) frames
+        and (B·F, hidden_dim) activations) grow with the largest class, not
+        with the pool."""
         return np.concatenate([model.embed_video_batch(self.dataset.features[rows])[0]
                                for rows in np.split(self.rows, self.starts[1:])])
 
@@ -300,12 +303,14 @@ def eval_subsets(
 
 
 def score_block(pool: ClassPool, emb: np.ndarray, labels: np.ndarray | None,
-                picked: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
-    """Each episode's correct count in one block of draws (picked, positions:
-    ClassPool.draw), by one κ-NN call with κ = k over emb, the embedding of
-    every pool row. labels (pool order) support each class cross-modally;
-    None takes each class's first k positions. Each episode takes its own
-    (queries, n·k) similarity product: BLAS bits depend on its shape."""
+                picked: np.ndarray, positions: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each episode's correct and query counts in one block of draws
+    (picked, positions: ClassPool.draw), by one κ-NN call with κ = k over
+    emb, the embedding of every pool row. labels (pool order) support each
+    class cross-modally; None takes each class's first k positions. Each
+    episode takes its own (queries, n·k) similarity product: BLAS bits
+    depend on its shape."""
     n_support = 0 if labels is not None else k
     counts = pool.takes[picked.ravel()]
     rank = np.arange(len(positions)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -319,7 +324,7 @@ def score_block(pool: ClassPool, emb: np.ndarray, labels: np.ndarray | None,
     support_classes = np.repeat(np.repeat(classes, k, axis=1), queries, axis=0)
     hits = knn_classify(np.concatenate(sims), support_classes, k) == np.repeat(
         classes.ravel(), counts - n_support)
-    return np.add.reduceat(hits, np.cumsum(queries) - queries, dtype=np.int64)
+    return np.add.reduceat(hits, np.cumsum(queries) - queries, dtype=np.int64), queries
 
 
 def evaluate(
@@ -333,10 +338,10 @@ def evaluate(
     is embedded once (ClassPool.embed), and JE projects its labels in one
     call. Per _VOTE_BLOCK episodes, one ClassPool.draw keyed by (seed, subset
     index, episode index) gives every episode's positions into that array,
-    and score_block counts each episode's correct queries. FSG supports are
-    video embeddings; the cross-modal task supports each class with its raw
-    label embedding (WE trains into that space) or its projected one (JE).
-    Deterministic in seed.
+    and score_block counts each episode's queries and correct ones. FSG
+    supports are video embeddings; the cross-modal task supports each class
+    with its raw label embedding (WE trains into that space) or its
+    projected one (JE). Deterministic in seed.
     """
     report = EvalReport(cfg)
     pool, subsets = eval_subsets(model.config, dataset, split, cfg)
@@ -354,8 +359,8 @@ def evaluate(
         for start in range(0, cfg.episodes, _VOTE_BLOCK):
             episodes = np.arange(start, min(start + _VOTE_BLOCK, cfg.episodes))
             picked, positions = pool.draw(members, cfg.n, _key(cfg.seed, subset_idx, episodes))
-            correct = score_block(pool, emb, labels, picked, positions, cfg.k)
-            result.queries += len(positions) - picked.size * cfg.n_support
+            correct, queries = score_block(pool, emb, labels, picked, positions, cfg.k)
+            result.queries += int(queries.sum())
             result.correct += int(correct.sum())
     return report
 

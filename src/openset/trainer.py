@@ -248,9 +248,6 @@ def train(
     pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
     drawn = 0  # batches drawn so far, each one's index in the stream
     best_model: EmbeddingModel | None = None
-    best_val = np.inf
-    best_step = 0
-    val_round = 0
 
     # a numeric blow-up anywhere in a step (forward, Adam or validation) names it
     try:
@@ -279,26 +276,21 @@ def train(
             log.step_losses.append(float(loss))
 
             if step % cfg.val_every == 0:
-                val_round += 1
-                val_loss = _validation_loss(model, dataset, val_pool, cfg, val_round)
+                val_loss = _validation_loss(model, dataset, val_pool, cfg, step // cfg.val_every)
                 if not np.isfinite(val_loss):
                     raise NumericError(f"non-finite validation loss {val_loss}")
                 log.validations.append((step, float(val_loss)))
-                if val_loss < best_val:
-                    best_val = float(val_loss)
-                    best_step = step
+                # the first round sets a best; a later one only by a strictly lower loss
+                if log.best_step is None or val_loss < log.best_val_loss:
+                    log.best_step, log.best_val_loss = step, float(val_loss)
                     best_model = model.copy()
-                elif step - best_step >= cfg.patience:
+                elif step - log.best_step >= cfg.patience:
                     log.stop_reason = "patience"
                     break
     except NumericError as exc:
         raise NumericError(f"step {step}: {exc}") from exc
 
-    if best_model is None:
-        return model.copy(), log
-    log.best_step = best_step
-    log.best_val_loss = best_val
-    return best_model, log
+    return model.copy() if best_model is None else best_model, log
 
 
 _LOG_HEADER = "kind,step,value"

@@ -4,8 +4,10 @@ Every command runs in-process through cli.main, so exit codes and
 artifacts are checked without spawning interpreters.
 """
 
+import argparse
 import dataclasses
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -249,6 +251,27 @@ class TestParserCache:
         out = str(tmp_path / "o")
         assert cli.main(["synth", "--out", out, "--instances-lo", "2", "--instances-hi", "3"]) == 0
         assert cli.parse_config_file(os.path.join(out, "resolved.cfg"))["n_verbs"] == "10"
+
+
+class TestParserOptions:
+    """Each config-taking command's parser holds its required inputs, then
+    --config, --out and one flag per schema key, and nothing else."""
+
+    @pytest.mark.parametrize("command, inputs, schema", [
+        ("synth", [], cli.SYNTH_SCHEMA),
+        ("split", ["--class-table"], cli.SPLIT_SCHEMA),
+        ("train", ["--data", "--split"], cli.TRAIN_SCHEMA),
+        ("eval", ["--checkpoint", "--data", "--split"], cli.EVAL_SCHEMA),
+    ])
+    def test_inputs_config_out_then_schema_keys(self, command, inputs, schema):
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        options = [(action.option_strings, action.required)
+                   for action in sub.choices[command]._actions
+                   if not isinstance(action, argparse._HelpAction)]
+        assert options == (
+            [([flag], True) for flag in inputs] + [(["--config"], False), (["--out"], True)]
+            + [([f"--{key.replace('_', '-')}"], False) for key in schema])
 
 
 class TestConfigFile:
@@ -935,24 +958,46 @@ class TestFailureClasses:
         assert cli.main(["report", str(bad), "--out", str(tmp_path / "r")]) == 1
         assert "UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["short_row", "header"])
+    COUNTS = "counts must be non-negative integers"
+    BOUNDS = "need 1 <= queries and correct <= queries"
+    # damage -> (appended row, the error after its path:line)
+    BAD_ROWS = {
+        "short_row": ("FSG,All,5", "expected 10 fields, got 3"),
+        "nan_accuracy": ("FSG,All,5,1,20,10,200,100,nan,0",
+                         "accuracy 'nan' is not correct / queries"),
+        "text_counts": ("FSG,All,5,1,20,10,abc,xyz,0.5,0", COUNTS),
+        "negative_count": ("FSG,All,5,1,-20,10,200,100,0.5,0", COUNTS),
+        "padded_count": ("FSG,All, 5,1,20,10,200,100,0.5,0", COUNTS),
+        "signed_count": ("FSG,All,5,+1,20,10,200,100,0.5,0", COUNTS),
+        "float_count": ("FSG,All,5,1,20,10.0,200,100,0.5,0", COUNTS),
+        "zero_queries": ("FSG,All,5,1,20,10,0,0,0.0,0", BOUNDS),
+        "correct_over_queries": ("FSG,All,5,1,20,10,200,201,1.005,0", BOUNDS),
+        "rounded_accuracy": ("FSG,All,5,1,20,10,3,1,0.3333,0",
+                             "accuracy '0.3333' is not correct / queries"),
+        "padded_accuracy": ("FSG,All,5,1,20,10,200,100,0.50,0",
+                            "accuracy '0.50' is not correct / queries"),
+    }
+
+    @pytest.mark.parametrize("damage", ["header", *BAD_ROWS])
     def test_bad_eval_file_names_its_line(self, pipeline, tmp_path, capsys, damage):
         from openset.errors import ParseError
         bad = tmp_path / "eval"
         bad.mkdir()
         (bad / "resolved.cfg").write_bytes(Path(pipeline["eval_fsg"], "resolved.cfg").read_bytes())
         lines = Path(pipeline["eval_fsg"], "eval.csv").read_text().splitlines()
-        if damage == "short_row":
-            lines.append("FSG,All,5")
-            where = f"eval.csv:{len(lines)}: expected 10 fields, got 3"
-        else:
+        if damage == "header":
             lines[0] = lines[0].replace("queries", "query")
             where = "eval.csv:1: expected header"
+        else:
+            row, why = self.BAD_ROWS[damage]
+            lines.append(row)
+            where = f"eval.csv:{len(lines)}: {why}"
         (bad / "eval.csv").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=where):
+        with pytest.raises(ParseError, match=re.escape(where)):
             cli._read_eval_rows(str(bad))
         assert cli.main(["report", str(bad), "--out", str(tmp_path / "r")]) == 1
         assert where in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_zero_norm_embedding_exits_two(self, pipeline, tmp_path, capsys):
         # a zeroed output layer maps every clip to the zero vector, which

@@ -256,12 +256,20 @@ class TestClassTable:
         with pytest.raises(ParseError, match="UTF-8"):
             data.read_class_table(str(path))
 
-    def test_comma_in_text_rejected_at_write(self, tmp_path):
+    # a comma, or anything str.splitlines splits at, would break the row
+    @pytest.mark.parametrize("text", ["take,now", "take\nnow", "take\r", "\x1ctake",
+                                      "take\u2028now", "take\r\n", "take\x85"])
+    @pytest.mark.parametrize("field", ["verb", "noun"])
+    def test_comma_in_text_rejected_at_write(self, tmp_path, text, field):
+        verb, noun = (text, "cup") if field == "verb" else ("take", text)
         table = data.ClassTable(entries={
-            0: data.ClassEntry(0, 0, 0, "take,now", "cup", 1),
+            0: data.ClassEntry(0, 0, 0, "take", "cup", 1),
+            7: data.ClassEntry(7, 1, 1, verb, noun, 1),
         })
-        with pytest.raises(FormatError):
-            data.write_class_table(str(tmp_path / "c.csv"), table)
+        path = tmp_path / "c.csv"
+        with pytest.raises(FormatError, match=re.escape(f"class 7: text field {text!r}")):
+            data.write_class_table(str(path), table)
+        assert not path.exists()
 
 
 def patch_float32(path, offset, values):

@@ -245,6 +245,27 @@ class TestTrainLoop:
         assert last_step < 2000
         assert last_step - log.best_step >= 30
 
+    def test_tied_rounds_keep_the_first_best_and_stop_on_patience(self, monkeypatch):
+        # every round reads the same loss: the first round sets the best, a
+        # tie never replaces it, and patience counts from it
+        rounds = []
+
+        def constant(net, dataset, pool, cfg, round_idx):
+            rounds.append(round_idx)
+            return 0.5
+
+        monkeypatch.setattr(trainer, "_validation_loss", constant)
+        cfg = fast_cfg(max_batches=2000, val_every=10, val_batches=5, patience=30)
+        best, log = trainer.train(make_net(seed=4), DATASET, SPLIT, cfg)
+        assert (log.best_step, log.best_val_loss) == (10, 0.5)
+        assert log.validations == [(10, 0.5), (20, 0.5), (30, 0.5), (40, 0.5)]
+        assert rounds == [1, 2, 3, 4]
+        assert log.stop_reason == "patience" and len(log.step_losses) == 40
+        # the best is the parameters after step 10, as a run of 10 batches leaves them
+        first, _ = trainer.train(make_net(seed=4), DATASET, SPLIT,
+                                 dataclasses.replace(cfg, max_batches=10))
+        assert best.params.tobytes() == first.params.tobytes()
+
     def test_batches_drawn_from_correct_subsets(self, monkeypatch):
         calls = []
         real = episodic.sample_training_batch
